@@ -9,15 +9,12 @@ figure presets and free parameter scans as CSV time series.
 """
 
 from .blocks import (
-    BlockCoefficients,
     EigenBlock,
     InteractionBlock,
     build_block,
     closed_form_x,
-    coefficient_table,
     diagonalize_block,
     eigen_table,
-    evolve_block,
     evolve_grid,
 )
 from .errors import (
@@ -33,18 +30,16 @@ from .errors import (
 from .jcm import jcm_bloch, jcm_entropy_squeezing, tjcm_harmonic_sy
 from .observables import (
     BlochVector,
-    SqueezeReport,
     binary_entropy_of_mean,
     bloch,
     e_x_identity_check,
     entropy_squeezing,
     eur_residual,
-    squeeze_report,
     variance_squeezing,
     von_neumann,
 )
 from .params import FockWeights, ModelParams, coherent_weights, fock_cutoff
-from .reduced import AtomId, ReducedAtomState, q_terms, reduced_state, swap_transform
+from .reduced import AtomId, ReducedAtomState, reduce_arrays, swap_transform
 from .scan import (
     PRESET_CONFIGS,
     PRESET_NAMES,
@@ -63,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomId",
     "BlochVector",
-    "BlockCoefficients",
     "ContractViolationError",
     "EigenBlock",
     "FockWeights",
@@ -76,7 +70,6 @@ __all__ = [
     "ReducedAtomState",
     "ResourceRefusalError",
     "ScanConfig",
-    "SqueezeReport",
     "StepSizeError",
     "TimeSeries",
     "TjcmError",
@@ -87,25 +80,21 @@ __all__ = [
     "bloch",
     "build_block",
     "closed_form_x",
-    "coefficient_table",
     "coherent_weights",
     "diagonalize_block",
     "e_x_identity_check",
     "eigen_table",
     "entropy_squeezing",
     "eur_residual",
-    "evolve_block",
     "evolve_grid",
     "fock_cutoff",
     "jcm_bloch",
     "jcm_entropy_squeezing",
-    "q_terms",
     "read_csv",
-    "reduced_state",
+    "reduce_arrays",
     "run_preset",
     "run_scan",
     "run_verify",
-    "squeeze_report",
     "swap_transform",
     "tjcm_harmonic_sy",
     "variance_squeezing",

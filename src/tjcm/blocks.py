@@ -58,23 +58,6 @@ class EigenBlock:
     eigvecs: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """Evolution amplitudes of |+,+,n> at scaled time T.
-
-    x1 multiplies |+,+,n>, x4 multiplies |-,-,n+2l>; x2 and x3 are the
-    imaginary parts of the |+,-,n+l> and |-,+,n+l> amplitudes (the real
-    parts vanish identically).  x1^2 + x2^2 + x3^2 + x4^2 = 1.
-    """
-
-    n: int
-    T: float
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-
-
 def build_block(n: int, l: int, g: float) -> InteractionBlock:
     """Interaction block for base photon number n.
 
@@ -203,43 +186,24 @@ def evolve_grid(blocks: Sequence[EigenBlock], t_grid: np.ndarray) -> np.ndarray:
     return x
 
 
-def evolve_block(eb: EigenBlock, T: float) -> BlockCoefficients:
-    """Evolution amplitudes of a single block at scaled time T."""
-    x = evolve_grid([eb], np.array([float(T)]))
-    return BlockCoefficients(
-        n=eb.n, T=float(T), x1=float(x[0, 0, 0]), x2=float(x[1, 0, 0]),
-        x3=float(x[2, 0, 0]), x4=float(x[3, 0, 0]),
-    )
-
-
-def coefficient_table(blocks: Sequence[EigenBlock], T: float) -> list[BlockCoefficients]:
-    """Amplitudes of every block at one time, as a list indexed by n."""
-    x = evolve_grid(blocks, np.array([float(T)]))
-    return [
-        BlockCoefficients(
-            n=b.n, T=float(T), x1=float(x[0, 0, i]), x2=float(x[1, 0, i]),
-            x3=float(x[2, 0, i]), x4=float(x[3, 0, i]),
-        )
-        for i, b in enumerate(blocks)
-    ]
-
-
-def closed_form_x(n: int, T: float) -> BlockCoefficients:
-    """Closed-form amplitudes for the single-photon symmetric case
-    (l = 1, g = 1), where the block spectrum is {0, 0, +w, -w} with
-    w = sqrt(4n + 6):
+def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
+    """Closed-form amplitudes (x1, x2, x3, x4) for the single-photon
+    symmetric case (l = 1, g = 1), where the block spectrum is
+    {0, 0, +w, -w} with w = sqrt(4n + 6):
 
         x1 = [(n+1) cos(wT) + (n+2)] / (2n+3)
         x2 = x3 = -sqrt(n+1) sin(wT) / w
         x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
 
-    Kept as an independent validation reference for the numerical path.
+    Returns an array of shape (4,) + shape(T).  Kept as an independent
+    validation reference for the numerical path.
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidParameterError(f"n must be an integer >= 0, got {n}")
     w = math.sqrt(4.0 * n + 6.0)
-    c, s = math.cos(T * w), math.sin(T * w)
+    T = np.asarray(T, dtype=float)
+    c, s = np.cos(T * w), np.sin(T * w)
     x1 = ((n + 1.0) * c + (n + 2.0)) / (2.0 * n + 3.0)
     x23 = -math.sqrt(n + 1.0) / w * s
     x4 = math.sqrt((n + 1.0) * (n + 2.0)) / (2.0 * n + 3.0) * (c - 1.0)
-    return BlockCoefficients(n=n, T=float(T), x1=x1, x2=x23, x3=x23, x4=x4)
+    return np.stack([x1, x23, x23, x4])

@@ -76,17 +76,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(series, out_path: str | None) -> None:
-    if out_path is None:
-        names = list(series.channels)
-        sys.stdout.write(",".join(["T"] + names) + "\n")
-        cols = [series.grid] + [series.channels[n] for n in names]
-        for row in zip(*cols):
-            sys.stdout.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    else:
-        write_csv(series, out_path)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -101,13 +90,13 @@ def main(argv: list[str] | None = None) -> int:
                 params=ModelParams(alpha=args.alpha, g=args.g, l=args.l,
                                    cutoff_eps=args.cutoff_eps),
                 t_max=args.tmax, steps=args.steps, channels=channels,
-                output_path=args.out,
             )
-            _emit(run_scan(cfg), args.out)
+            write_csv(run_scan(cfg), args.out or sys.stdout)
             return EXIT_OK
 
         if args.command == "preset":
-            _emit(run_preset(args.name, t_max=args.tmax, steps=args.steps), args.out)
+            series = run_preset(args.name, t_max=args.tmax, steps=args.steps)
+            write_csv(series, args.out or sys.stdout)
             return EXIT_OK
 
         if args.command == "verify":

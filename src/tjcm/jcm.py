@@ -10,39 +10,41 @@ references against the exact two-atom pipeline.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .observables import BlochVector, entropy_squeezing
 from .params import FockWeights
 
 
-def jcm_bloch(weights: FockWeights, T: float) -> BlochVector:
-    """Bloch vector of the single-atom model at scaled time T:
+def _times(T: float | np.ndarray) -> np.ndarray:
+    """T with a trailing axis, so each (T, n) phase matrix contracts
+    against a weight vector over n."""
+    return np.asarray(T, dtype=float)[..., None]
+
+
+def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
+    """Bloch vector of the single-atom model at scaled time(s) T:
 
         sz = sum_n C_n^2 cos(2 T sqrt(n+1))
         sy = 2 sum_n C_n C_{n+1} cos(T sqrt(n+2)) sin(T sqrt(n+1))
 
-    and sx = 0 for the excited-state start.
+    and sx = 0 for the excited-state start.  Components have the shape
+    of T.
     """
     c = weights.c
-    sz = math.fsum(
-        c[n] * c[n] * math.cos(2.0 * T * math.sqrt(n + 1.0))
-        for n in range(c.size)
-    )
-    sy = 2.0 * math.fsum(
-        c[n] * c[n + 1]
-        * math.cos(T * math.sqrt(n + 2.0)) * math.sin(T * math.sqrt(n + 1.0))
-        for n in range(c.size - 1)
-    )
-    return BlochVector(sx=0.0, sy=sy, sz=sz)
+    t = _times(T)
+    root = np.sqrt(np.arange(1.0, c.size + 1.0))  # sqrt(n + 1)
+    sz = np.cos(2.0 * t * root) @ (c * c)
+    sy = 2.0 * ((np.cos(t * root[1:]) * np.sin(t * root[:-1])) @ (c[:-1] * c[1:]))
+    return BlochVector(sx=np.zeros_like(sz), sy=sy, sz=sz)
 
 
-def jcm_entropy_squeezing(weights: FockWeights, T: float) -> float:
+def jcm_entropy_squeezing(weights: FockWeights, T: float | np.ndarray) -> float | np.ndarray:
     """Transverse entropy-squeezing witness of the single-atom baseline."""
     return entropy_squeezing(jcm_bloch(weights, T), "y")
 
 
-def tjcm_harmonic_sy(weights: FockWeights, T: float) -> float:
+def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.ndarray:
     """Strong-field approximation to the transverse coherence of the
     symmetric two-atom model (g = 1, l = 1):
 
@@ -50,17 +52,15 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float) -> float:
              + sin[T(w_n + w_{n+1}) / 2] cos[T(w_n - w_{n+1}) / 2] }
 
     with w_n = sqrt(4n + 6).  Valid when the photon distribution is sharply
-    peaked (alpha >> 1); evaluable for any weights.
+    peaked (alpha >> 1); evaluable for any weights.  Has the shape of T.
     """
     c = weights.c
-    terms = []
-    for n in range(c.size - 1):
-        wn = math.sqrt(4.0 * n + 6.0)
-        wn1 = math.sqrt(4.0 * n + 10.0)
-        terms.append(
-            c[n] * c[n + 1] * (
-                0.5 * math.sin(T * (wn - wn1))
-                + math.sin(T * (wn + wn1) / 2.0) * math.cos(T * (wn - wn1) / 2.0)
-            )
-        )
-    return math.fsum(terms)
+    t = _times(T)
+    n = np.arange(c.size - 1.0)
+    wn = np.sqrt(4.0 * n + 6.0)
+    wn1 = np.sqrt(4.0 * n + 10.0)
+    terms = (
+        0.5 * np.sin(t * (wn - wn1))
+        + np.sin(t * (wn + wn1) / 2.0) * np.cos(t * (wn - wn1) / 2.0)
+    )
+    return terms @ (c[:-1] * c[1:])

@@ -1,6 +1,7 @@
-"""Scalar diagnostics of a single-atom state.
+"""Diagnostics of a single-atom state, at one time or over a grid.
 
-Everything here is a function of the Bloch vector (sx, sy, sz) alone.
+Everything here is a function of the Bloch vector (sx, sy, sz) alone, and
+accepts scalars or arrays of matching shape for its components.
 Information entropies are Shannon entropies (in nats) of the two-outcome
 measurement distributions (1 +- m)/2; the entropy-squeezing witness for a
 Pauli axis k is
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .errors import ContractViolationError, InvalidParameterError
 from .reduced import ReducedAtomState
 
@@ -28,26 +31,12 @@ Axis = Literal["x", "y"]
 
 @dataclass(frozen=True)
 class BlochVector:
-    sx: float
-    sy: float
-    sz: float
+    sx: float | np.ndarray
+    sy: float | np.ndarray
+    sz: float | np.ndarray
 
-    def norm(self) -> float:
-        return math.sqrt(self.sx * self.sx + self.sy * self.sy + self.sz * self.sz)
-
-
-@dataclass(frozen=True)
-class SqueezeReport:
-    """All squeezing diagnostics of one atom at one time (entropies in nats)."""
-
-    e_x: float
-    e_y: float
-    f_x: float
-    f_y: float
-    h_x: float
-    h_y: float
-    h_z: float
-    gamma: float
+    def norm(self) -> float | np.ndarray:
+        return np.sqrt(self.sx * self.sx + self.sy * self.sy + self.sz * self.sz)
 
 
 def bloch(state: ReducedAtomState) -> BlochVector:
@@ -60,25 +49,28 @@ def bloch(state: ReducedAtomState) -> BlochVector:
     )
 
 
-def binary_entropy_of_mean(m: float) -> float:
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p ln p, continued by its limit 0 at p = 0 (where the log sees 1)."""
+    return p * np.log(p + (p == 0.0))
+
+
+def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
     """Shannon entropy, in nats, of the two-outcome distribution with mean m.
 
     Symmetric under m -> -m, zero at m = +-1, ln 2 at m = 0.  Inputs a hair
     outside [-1, 1] (roundoff) are clamped; anything worse is rejected.
     """
-    if abs(m) > 1.0 + 1e-12:
-        raise InvalidParameterError(f"mean {m} outside [-1, 1]")
-    p = min(max(0.5 * (1.0 + m), 0.0), 1.0)
-    q = 1.0 - p
-    h = 0.0
-    if p > 0.0:
-        h -= p * math.log(p)
-    if q > 0.0:
-        h -= q * math.log(q)
-    return h
+    m = np.asarray(m, dtype=float)
+    if (abs(m) > 1.0 + 1e-12).any():
+        raise InvalidParameterError(
+            f"mean {m.flat[np.argmax(abs(m))]} outside [-1, 1]"
+        )
+    p = np.minimum(np.maximum(0.5 * (1.0 + m), 0.0), 1.0)
+    # from +0.0, so that a pure state gives +0 rather than -0
+    return 0.0 - _xlogx(p) - _xlogx(1.0 - p)
 
 
-def _axis_mean(b: BlochVector, axis: Axis) -> float:
+def _axis_mean(b: BlochVector, axis: Axis) -> float | np.ndarray:
     if axis == "x":
         return b.sx
     if axis == "y":
@@ -86,35 +78,35 @@ def _axis_mean(b: BlochVector, axis: Axis) -> float:
     raise InvalidParameterError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def entropy_squeezing(b: BlochVector, axis: Axis) -> float:
+def entropy_squeezing(b: BlochVector, axis: Axis) -> float | np.ndarray:
     """Entropy-squeezing witness E_axis; negative values are nonclassical.
 
     Bounded by 1 - sqrt(2) ~ -0.4142 (pure transverse eigenstates) below
     and 2 - sqrt(2) (maximally mixed state) above.
     """
-    dh_k = math.exp(binary_entropy_of_mean(_axis_mean(b, axis)))
-    dh_z = math.exp(binary_entropy_of_mean(b.sz))
-    return dh_k - 2.0 / math.sqrt(dh_z)
+    dh_k = np.exp(binary_entropy_of_mean(_axis_mean(b, axis)))
+    dh_z = np.exp(binary_entropy_of_mean(b.sz))
+    return dh_k - 2.0 / np.sqrt(dh_z)
 
 
-def variance_squeezing(b: BlochVector, axis: Axis) -> float:
+def variance_squeezing(b: BlochVector, axis: Axis) -> float | np.ndarray:
     """Variance witness F_axis = (1 - <axis>^2) - |<z>|; negative values
     signal squeezing by the uncertainty-relation criterion.  Blind for any
     state with <z> = 0."""
     mk = _axis_mean(b, axis)
-    return (1.0 - mk * mk) - abs(b.sz)
+    return (1.0 - mk * mk) - np.abs(b.sz)
 
 
-def von_neumann(state: ReducedAtomState) -> float:
+def von_neumann(state: ReducedAtomState) -> float | np.ndarray:
     """Von Neumann entropy of the 2x2 state, in nats.
 
     The eigenvalues are (1 +- r)/2 with r the Bloch norm, so this is just
     the binary entropy of r; r is clamped to 1 before the evaluation.
     """
-    return binary_entropy_of_mean(min(bloch(state).norm(), 1.0))
+    return binary_entropy_of_mean(np.minimum(bloch(state).norm(), 1.0))
 
 
-def eur_residual(b: BlochVector) -> float:
+def eur_residual(b: BlochVector) -> float | np.ndarray:
     """Slack of the three-axis entropic uncertainty relation
     H(x) + H(y) + H(z) >= ln 4; non-negative for every physical state."""
     return (
@@ -125,30 +117,15 @@ def eur_residual(b: BlochVector) -> float:
     )
 
 
-def e_x_identity_check(b: BlochVector) -> float:
+def e_x_identity_check(b: BlochVector) -> float | np.ndarray:
     """Residual of the identity E_x = 2 [1 - 1/sqrt(exp H(z))], which holds
     whenever <x> = 0 (always true here) and pins E_x >= 0.
 
     Only applicable to states with vanishing x component.
     """
-    if abs(b.sx) > 1e-12:
+    if np.any(np.abs(b.sx) > 1e-12):
         raise ContractViolationError(
             f"identity requires sx = 0, got sx = {b.sx}"
         )
-    dh_z = math.exp(binary_entropy_of_mean(b.sz))
-    return abs(entropy_squeezing(b, "x") - 2.0 * (1.0 - 1.0 / math.sqrt(dh_z)))
-
-
-def squeeze_report(state: ReducedAtomState) -> SqueezeReport:
-    """Every scalar diagnostic of one reduced state, computed once."""
-    b = bloch(state)
-    return SqueezeReport(
-        e_x=entropy_squeezing(b, "x"),
-        e_y=entropy_squeezing(b, "y"),
-        f_x=variance_squeezing(b, "x"),
-        f_y=variance_squeezing(b, "y"),
-        h_x=binary_entropy_of_mean(b.sx),
-        h_y=binary_entropy_of_mean(b.sy),
-        h_z=binary_entropy_of_mean(b.sz),
-        gamma=von_neumann(state),
-    )
+    dh_z = np.exp(binary_entropy_of_mean(b.sz))
+    return np.abs(entropy_squeezing(b, "x") - 2.0 * (1.0 - 1.0 / np.sqrt(dh_z)))

@@ -37,23 +37,53 @@ def _check_alpha_eps(alpha: float, cutoff_eps: float) -> None:
         )
 
 
+def _vacuum_amplitude(alpha: float) -> float:
+    """C_0 = exp(-alpha^2 / 2), with alpha^2 taken exactly.
+
+    Rounding alpha * alpha alone moves C_0 by up to 2e-14 relative at
+    alpha = 12, and C_n^2 by twice that: enough to push the total weight
+    below 1 - cutoff_eps for cutoff_eps = 1e-14.  The rounding error of the
+    square is recovered exactly from the integer ratios of alpha and of
+    the rounded square.
+    """
+    sq = alpha * alpha
+    num, den = alpha.as_integer_ratio()
+    sq_num, sq_den = sq.as_integer_ratio()
+    sq_err = (num * num * sq_den - sq_num * den * den) / (den * den * sq_den)
+    c0 = math.exp(-0.5 * sq) * math.exp(-0.5 * sq_err)
+    if c0 == 0.0:
+        raise InvalidParameterError(
+            f"alpha={alpha} is too large: exp(-alpha^2/2) underflows to 0"
+        )
+    return c0
+
+
 def fock_cutoff(alpha: float, cutoff_eps: float) -> int:
     """Truncation index n_max: the smallest index whose excluded tail mass
     sum_{n > n_max} C_n^2 falls below cutoff_eps, floored at
-    ``truncation_floor(alpha)``."""
+    ``truncation_floor(alpha)``.
+
+    Past the Poisson mode the terms fall at least geometrically, with ratio
+    alpha^2 / (m + 2) or less beyond C_{m+1}^2, so the tail beyond m is at
+    most C_{m+1}^2 / (1 - alpha^2 / (m + 2)).  Stopping on that bound,
+    rather than on 1 minus the running mass, cannot stall on the rounding
+    of the mass.
+    """
     _check_alpha_eps(alpha, cutoff_eps)
-    c = math.exp(-0.5 * alpha * alpha)
-    mass = c * c
+    lam = alpha * alpha
+    c = _vacuum_amplitude(alpha)
     m = 0
-    while 1.0 - mass >= cutoff_eps:
+    while True:
+        c_next = c * alpha / math.sqrt(m + 1.0)
+        ratio = lam / (m + 2.0)
+        if ratio < 1.0 and c_next * c_next < cutoff_eps * (1.0 - ratio):
+            return max(m, truncation_floor(alpha))
         if m >= _MAX_FOCK_INDEX:
             raise InvalidParameterError(
                 f"cutoff_eps={cutoff_eps} is below the resolvable tail mass"
             )
         m += 1
-        c *= alpha / math.sqrt(m)
-        mass += c * c
-    return max(m, truncation_floor(alpha))
+        c = c_next
 
 
 @dataclass(frozen=True)
@@ -121,7 +151,7 @@ def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> Fo
     """
     n_max = fock_cutoff(alpha, cutoff_eps)
     c = np.empty(n_max + 1)
-    c[0] = math.exp(-0.5 * alpha * alpha)
+    c[0] = _vacuum_amplitude(alpha)
     for n in range(n_max):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1.0)
     return FockWeights(c=c, cutoff_eps=cutoff_eps)

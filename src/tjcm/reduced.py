@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .blocks import BlockCoefficients
 from .errors import TruncationError
 from .params import FockWeights
 
@@ -29,57 +27,14 @@ class AtomId(Enum):
 @dataclass(frozen=True)
 class ReducedAtomState:
     """2x2 single-atom density matrix: populations of |+> and |-> plus the
-    |+><-| coherence.  The coherence is stored complex even though the
-    model makes it purely imaginary; realness is checked in tests, not
-    assumed here, so convention bugs surface instead of cancelling."""
+    |+><-| coherence, at one time (scalars) or over a grid (arrays).  The
+    coherence is stored complex even though the model makes it purely
+    imaginary; realness is checked in tests, not assumed here, so
+    convention bugs surface instead of cancelling."""
 
-    p_plus: float
-    p_minus: float
-    coh: complex
-
-
-def neumaier_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Compensated (Neumaier) summation along one axis.
-
-    Keeps a running error term from each two-sum so trace checks at the
-    1e-10 level measure truncation, not accumulation noise.
-    """
-    a = np.moveaxis(np.asarray(terms, dtype=float), axis, 0)
-    total = np.zeros(a.shape[1:])
-    comp = np.zeros_like(total)
-    for term in a:
-        t = total + term
-        big = np.abs(total) >= np.abs(term)
-        comp += np.where(big, (total - t) + term, (term - t) + total)
-        total = t
-    return total + comp
-
-
-def q_terms(
-    weights: FockWeights,
-    coeffs_at: Callable[[int], BlockCoefficients],
-    l: int,
-    atom: AtomId,
-    n: int,
-) -> tuple[float, float, complex]:
-    """Per-n summands of the reduced matrix: (q1, q2, q3).
-
-    q1 and q2 feed the |+> and |-> populations; q3 feeds the coherence and
-    mixes blocks n and n+l.  Indices beyond the truncation contribute
-    nothing.  For the second atom the x2 <-> x3 interchange is applied
-    before evaluating.
-    """
-    c = weights.c
-    x = coeffs_at(n)
-    x2, x3 = (x.x2, x.x3) if atom is AtomId.FIRST else (x.x3, x.x2)
-    q1 = c[n] * c[n] * (x.x1 * x.x1 + x2 * x2)
-    q2 = c[n] * c[n] * (x3 * x3 + x.x4 * x.x4)
-    if n + l > weights.n_max:
-        return q1, q2, 0j
-    xp = coeffs_at(n + l)
-    xp2 = xp.x2 if atom is AtomId.FIRST else xp.x3
-    q3 = 1j * (c[n + l] * c[n] * (xp2 * x.x4 - x3 * xp.x1))
-    return q1, q2, q3
+    p_plus: float | np.ndarray
+    p_minus: float | np.ndarray
+    coh: complex | np.ndarray
 
 
 def reduce_arrays(
@@ -88,59 +43,39 @@ def reduce_arrays(
     l: int,
     atom: AtomId,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized reduction over a grid of times.
+    """Reduced density matrix of one atom over a grid of times.
 
     ``x`` has shape (4, nT, n_max + 1) as produced by ``evolve_grid``.
-    Returns (p_plus, p_minus, coh) arrays of length nT, using compensated
-    summation over the photon index.
+    Returns (p_plus, p_minus, coh) arrays of length nT; each is one
+    contraction over the photon index against the weights.  The coherence
+    pairs blocks n and n + l, so indices beyond the truncation contribute
+    nothing to it.
+
+    Raises TruncationError when ``x`` does not span n = 0..n_max, or when
+    the trace strays from 1 by more than ten times the configured tail
+    mass, which signals a cutoff chosen too small for the requested
+    amplitude.
     """
+    if x.shape[-1] != weights.n_max + 1:
+        raise TruncationError(
+            f"amplitude table covers {x.shape[-1]} indices, need {weights.n_max + 1}"
+        )
     c = weights.c
     x1, x2, x3, x4 = x
     if atom is AtomId.SECOND:
         x2, x3 = x3, x2
     w = c * c
-    p_plus = neumaier_sum(w * (x1 * x1 + x2 * x2), axis=-1)
-    p_minus = neumaier_sum(w * (x3 * x3 + x4 * x4), axis=-1)
-    m = c.size - l
-    if m <= 0:
-        coh_im = np.zeros(x1.shape[0])
-    else:
-        cross = (c[l:] * c[:m]) * (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:])
-        coh_im = neumaier_sum(cross, axis=-1)
+    p_plus = (x1 * x1 + x2 * x2) @ w
+    p_minus = (x3 * x3 + x4 * x4) @ w
+    m = max(c.size - l, 0)
+    coh_im = (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ (c[l:] * c[:m])
+    trace_dev = float(np.max(np.abs(p_plus + p_minus - 1.0), initial=0.0))
+    if trace_dev > 10.0 * weights.cutoff_eps:
+        raise TruncationError(
+            f"reduced trace deviates from 1 by {trace_dev:.3e}, beyond "
+            "10*cutoff_eps; increase the truncation"
+        )
     return p_plus, p_minus, 1j * coh_im
-
-
-def reduced_state(
-    weights: FockWeights,
-    coeffs: Sequence[BlockCoefficients],
-    l: int,
-    atom: AtomId,
-) -> ReducedAtomState:
-    """Reduced density matrix of one atom from a full coefficient table.
-
-    ``coeffs`` must span n = 0..n_max at a single time.  Raises
-    TruncationError when the trace strays from 1 by more than ten times
-    the configured tail mass, which signals a cutoff chosen too small for
-    the requested amplitude.
-    """
-    if len(coeffs) != weights.n_max + 1:
-        raise TruncationError(
-            f"coefficient table covers {len(coeffs)} indices, need {weights.n_max + 1}"
-        )
-    x = np.array(
-        [[q.x1 for q in coeffs], [q.x2 for q in coeffs],
-         [q.x3 for q in coeffs], [q.x4 for q in coeffs]]
-    )[:, None, :]
-    p_plus, p_minus, coh = reduce_arrays(weights, x, l, atom)
-    trace = float(p_plus[0]) + float(p_minus[0])
-    if abs(trace - 1.0) > 10.0 * weights.cutoff_eps:
-        raise TruncationError(
-            f"reduced trace {trace} deviates from 1 beyond 10*cutoff_eps; "
-            "increase the truncation"
-        )
-    return ReducedAtomState(
-        p_plus=float(p_plus[0]), p_minus=float(p_minus[0]), coh=complex(coh[0])
-    )
 
 
 def swap_transform(g: float, T: float) -> tuple[float, float]:

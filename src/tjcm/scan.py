@@ -3,20 +3,33 @@
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from . import jcm, oracle
+from . import jcm
 from .blocks import eigen_table, evolve_grid
 from .errors import InvalidParameterError, ResourceRefusalError, UsageError
-from .observables import BlochVector, bloch, entropy_squeezing, eur_residual, \
-    variance_squeezing, von_neumann
+from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
+    von_neumann
 from .params import ModelParams, coherent_weights
 from .reduced import AtomId, ReducedAtomState, reduce_arrays
 
-ATOM_CHANNELS = ("inv", "sy", "ey", "ex", "fy", "gamma", "eur")
+# Per-atom channel kinds, each an array expression over the reduced state
+# and its Bloch vector on the whole grid.
+_ATOM_CHANNEL_FNS = {
+    "inv": lambda state, b: b.sz,
+    "sy": lambda state, b: b.sy,
+    "ey": lambda state, b: entropy_squeezing(b, "y"),
+    "ex": lambda state, b: entropy_squeezing(b, "x"),
+    "fy": lambda state, b: variance_squeezing(b, "y"),
+    "gamma": lambda state, b: von_neumann(state),
+    "eur": lambda state, b: eur_residual(b),
+}
+ATOM_CHANNELS = tuple(_ATOM_CHANNEL_FNS)
 FIELD_CHANNELS = ("jcm_sz", "jcm_sy", "jcm_ey", "harmonic_sy")
 CHANNEL_NAMES = tuple(
     f"{kind}{atom}" for kind in ATOM_CHANNELS for atom in (1, 2)
@@ -36,7 +49,6 @@ class ScanConfig:
     t_max: float
     steps: int
     channels: tuple[str, ...]
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
@@ -79,35 +91,6 @@ def validate_channels(names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _atom_channel_arrays(
-    kind: str,
-    p_plus: np.ndarray,
-    p_minus: np.ndarray,
-    coh: np.ndarray,
-) -> np.ndarray:
-    out = np.empty(p_plus.size)
-    for i in range(p_plus.size):
-        state = ReducedAtomState(float(p_plus[i]), float(p_minus[i]), complex(coh[i]))
-        b = bloch(state)
-        if kind == "inv":
-            out[i] = b.sz
-        elif kind == "sy":
-            out[i] = b.sy
-        elif kind == "ey":
-            out[i] = entropy_squeezing(b, "y")
-        elif kind == "ex":
-            out[i] = entropy_squeezing(b, "x")
-        elif kind == "fy":
-            out[i] = variance_squeezing(b, "y")
-        elif kind == "gamma":
-            out[i] = von_neumann(state)
-        elif kind == "eur":
-            out[i] = eur_residual(b)
-        else:  # pragma: no cover - guarded by validate_channels
-            raise UsageError(f"unknown atom channel kind {kind!r}")
-    return out
-
-
 def run_scan(cfg: ScanConfig) -> TimeSeries:
     """Evaluate every requested channel on the configured time grid.
 
@@ -125,29 +108,26 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     if atoms_needed:
         blocks = eigen_table(weights.n_max, p.l, p.g)
         x = evolve_grid(blocks, grid)
-        reductions = {}
+        states = {}
         for tag in sorted(atoms_needed):
             atom = AtomId.FIRST if tag == "1" else AtomId.SECOND
-            reductions[tag] = reduce_arrays(weights, x, p.l, atom)
+            state = ReducedAtomState(*reduce_arrays(weights, x, p.l, atom))
+            states[tag] = state, bloch(state)
         for name in names:
             kind, tag = name[:-1], name[-1]
             if kind in ATOM_CHANNELS:
-                series[name] = _atom_channel_arrays(kind, *reductions[tag])
+                series[name] = _ATOM_CHANNEL_FNS[kind](*states[tag])
 
     if any(n.startswith("jcm_") for n in names):
-        jcm_blochs = [jcm.jcm_bloch(weights, float(t)) for t in grid]
+        jcm_b = jcm.jcm_bloch(weights, grid)
         if "jcm_sz" in names:
-            series["jcm_sz"] = np.array([b.sz for b in jcm_blochs])
+            series["jcm_sz"] = jcm_b.sz
         if "jcm_sy" in names:
-            series["jcm_sy"] = np.array([b.sy for b in jcm_blochs])
+            series["jcm_sy"] = jcm_b.sy
         if "jcm_ey" in names:
-            series["jcm_ey"] = np.array(
-                [entropy_squeezing(b, "y") for b in jcm_blochs]
-            )
+            series["jcm_ey"] = entropy_squeezing(jcm_b, "y")
     if "harmonic_sy" in names:
-        series["harmonic_sy"] = np.array(
-            [jcm.tjcm_harmonic_sy(weights, float(t)) for t in grid]
-        )
+        series["harmonic_sy"] = jcm.tjcm_harmonic_sy(weights, grid)
 
     return TimeSeries(grid=grid, channels={n: series[n] for n in names})
 
@@ -221,6 +201,8 @@ class VerifyReport:
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        from . import oracle
+
         object.__setattr__(
             self,
             "passed",
@@ -230,6 +212,8 @@ class VerifyReport:
         )
 
     def summary(self) -> str:
+        from . import oracle
+
         status = "PASS" if self.passed else "FAIL"
         return (
             f"verify {status}: max state deviation {self.max_state_dev:.3e} "
@@ -272,38 +256,37 @@ def run_verify(
     count = min(sample_count, grid.size - 1)
     times = np.sort(rng.choice(grid[1:], size=count, replace=False))
 
+    from . import oracle  # scipy.sparse: imported only when verifying
+
     h = oracle.build_joint_hamiltonian(p.l, p.g, n_f)
     psi0 = oracle.initial_state(weights, h)
     dt = oracle.suggest_dt(weights, h, float(times[-1]))
 
     blocks = eigen_table(weights.n_max, p.l, p.g)
     x = evolve_grid(blocks, times)
-    analytic: dict[AtomId, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-        atom: reduce_arrays(weights, x, p.l, atom) for atom in AtomId
-    }
+    analytic = {atom: reduce_arrays(weights, x, p.l, atom) for atom in AtomId}
+    if inject_fault:
+        p_plus, p_minus, coh = analytic[AtomId.FIRST]
+        coh = coh.copy()
+        coh[times.size // 2] += 1e-6j
+        analytic[AtomId.FIRST] = p_plus, p_minus, coh
+    max_eur_violation = max(
+        float(np.max(-eur_residual(bloch(ReducedAtomState(*state)))))
+        for state in analytic.values()
+    )
 
     max_dev = 0.0
-    max_eur_violation = 0.0
     norm_drift = 0.0
     for i, (_, psi) in enumerate(oracle.sample_states(h, psi0, times, dt)):
         norm_drift = max(norm_drift, abs(float(np.linalg.norm(psi)) - 1.0))
-        for atom in AtomId:
-            p_plus, p_minus, coh = (arr[i] for arr in analytic[atom])
-            if inject_fault and i == times.size // 2 and atom is AtomId.FIRST:
-                coh = coh + 1e-6j
+        for atom, (p_plus, p_minus, coh) in analytic.items():
             ref = oracle.partial_trace_atom(psi, n_f, atom)
             max_dev = max(
                 max_dev,
-                abs(float(p_plus) - ref.p_plus),
-                abs(float(p_minus) - ref.p_minus),
-                abs(complex(coh) - ref.coh),
+                abs(float(p_plus[i]) - ref.p_plus),
+                abs(float(p_minus[i]) - ref.p_minus),
+                abs(complex(coh[i]) - ref.coh),
             )
-            b = BlochVector(
-                sx=2.0 * complex(coh).real,
-                sy=2.0 * complex(coh).imag,
-                sz=float(p_plus) - float(p_minus),
-            )
-            max_eur_violation = max(max_eur_violation, -eur_residual(b))
     return VerifyReport(
         times=times,
         max_state_dev=max_dev,
@@ -314,14 +297,18 @@ def run_verify(
     )
 
 
-def write_csv(series: TimeSeries, path: str) -> None:
-    """Emit the series as UTF-8 CSV: column T first, then each channel, all
-    values with 17 significant digits so parsing reproduces the exact
-    doubles."""
+def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
+    """Emit the series as CSV to a path (UTF-8) or an open text stream:
+    column T first, then each channel, all values with 17 significant
+    digits so parsing reproduces the exact doubles."""
     names = list(series.channels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    cols = [series.grid] + [series.channels[n] for n in names]
+    if hasattr(out, "write"):
+        stream = nullcontext(out)
+    else:
+        stream = open(out, "w", encoding="utf-8", newline="\n")
+    with stream as fh:
         fh.write(",".join(["T"] + names) + "\n")
-        cols = [series.grid] + [series.channels[n] for n in names]
         for row in zip(*cols):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 

@@ -11,13 +11,16 @@ from tjcm import (
     ContractViolationError,
     build_block,
     closed_form_x,
-    coefficient_table,
     diagonalize_block,
     eigen_table,
-    evolve_block,
     evolve_grid,
 )
 from tjcm.blocks import EigenBlock, InteractionBlock, jacobi_eigh, transition_strength
+
+
+def evolve_one(eb, T):
+    """(x1, x2, x3, x4) of one block at one time, through evolve_grid."""
+    return evolve_grid([eb], np.array([float(T)]))[:, 0, 0]
 
 
 def test_build_block_lowest_symmetric():
@@ -56,11 +59,11 @@ def test_block_decoupling_at_g_zero():
     # component 3 alone at the one-atom frequency f1
     f1 = transition_strength(0, 1)
     eb = diagonalize_block(build_block(0, 1, 0.0))
-    for T in (0.3, 1.1, 2.5):
-        bc = evolve_block(eb, T)
-        assert bc.x1 == pytest.approx(math.cos(f1 * T), abs=1e-12)
-        assert bc.x3 == pytest.approx(-math.sin(f1 * T), abs=1e-12)
-        assert abs(bc.x2) < 1e-12 and abs(bc.x4) < 1e-12
+    ts = np.array([0.3, 1.1, 2.5])
+    x1, x2, x3, x4 = evolve_grid([eb], ts)[:, :, 0]
+    assert np.max(np.abs(x1 - np.cos(f1 * ts))) < 1e-12
+    assert np.max(np.abs(x3 + np.sin(f1 * ts))) < 1e-12
+    assert np.max(np.abs(x2)) < 1e-12 and np.max(np.abs(x4)) < 1e-12
 
 
 def test_bipartite_sparsity():
@@ -109,33 +112,34 @@ def test_diagonalize_deterministic_and_sign_fixed():
 
 def test_evolve_identity_at_t_zero():
     eb = diagonalize_block(build_block(9, 2, 0.5))
-    bc = evolve_block(eb, 0.0)
-    assert (bc.x1, bc.x2, bc.x3, bc.x4) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
+    assert tuple(evolve_one(eb, 0.0)) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
 
 
 def test_evolve_half_period_lowest_block():
     eb = diagonalize_block(build_block(0, 1, 1.0))
-    bc = evolve_block(eb, math.pi / math.sqrt(6.0))
-    assert bc.x1 == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert bc.x2 == pytest.approx(0.0, abs=1e-12)
-    assert bc.x3 == pytest.approx(0.0, abs=1e-12)
-    assert bc.x4 == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
+    x1, x2, x3, x4 = evolve_one(eb, math.pi / math.sqrt(6.0))
+    assert x1 == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert x2 == pytest.approx(0.0, abs=1e-12)
+    assert x3 == pytest.approx(0.0, abs=1e-12)
+    assert x4 == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
 def test_closed_form_examples():
-    bc = closed_form_x(0, 0.0)
-    assert (bc.x1, bc.x2, bc.x3, bc.x4) == (1.0, 0.0, 0.0, 0.0)
-    bc = closed_form_x(0, math.pi / math.sqrt(6.0))
-    assert bc.x1 == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert bc.x4 == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-14)
+    assert tuple(closed_form_x(0, 0.0)) == (1.0, 0.0, 0.0, 0.0)
+    x1, _, _, x4 = closed_form_x(0, math.pi / math.sqrt(6.0))
+    assert x1 == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert x4 == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-14)
+    # a grid of times evaluates each time independently
+    ts = np.array([0.0, math.pi / math.sqrt(6.0), 2.2])
+    grid = closed_form_x(0, ts)
+    assert grid.shape == (4, 3)
+    for i, T in enumerate(ts):
+        assert np.array_equal(grid[:, i], closed_form_x(0, float(T)))
 
 
 def test_closed_form_cross_check_single_point():
     eb = diagonalize_block(build_block(5, 1, 1.0))
-    num = evolve_block(eb, 1.7)
-    ref = closed_form_x(5, 1.7)
-    for a, b in zip((num.x1, num.x2, num.x3, num.x4), (ref.x1, ref.x2, ref.x3, ref.x4)):
-        assert a == pytest.approx(b, abs=1e-10)
+    assert np.max(np.abs(evolve_one(eb, 1.7) - closed_form_x(5, 1.7))) < 1e-10
 
 
 def test_symmetric_coupling_equalizes_middle_amplitudes():
@@ -144,12 +148,12 @@ def test_symmetric_coupling_equalizes_middle_amplitudes():
     assert np.max(np.abs(x[1] - x[2])) < 1e-10
 
 
-def test_coefficient_table_matches_single_evolution():
+def test_evolve_grid_per_block_matches_all_blocks():
     blocks = eigen_table(6, 2, 0.5)
-    table = coefficient_table(blocks, 3.3)
-    for n, bc in enumerate(table):
-        single = evolve_block(blocks[n], 3.3)
-        assert (bc.x1, bc.x2, bc.x3, bc.x4) == (single.x1, single.x2, single.x3, single.x4)
+    ts = np.array([0.0, 3.3, 7.1])
+    table = evolve_grid(blocks, ts)
+    for n, eb in enumerate(blocks):
+        assert np.array_equal(table[:, :, n], evolve_grid([eb], ts)[:, :, 0])
 
 
 def test_evolve_rejects_malformed_block():
@@ -159,7 +163,7 @@ def test_evolve_rejects_malformed_block():
 
     bad = EigenBlock(n=0, eigvals=np.array([1.0, 2.0, 3.0, 4.0]), eigvecs=np.eye(4))
     with pytest.raises(InternalConsistencyError):
-        evolve_block(bad, 0.7)
+        evolve_grid([bad], np.array([0.7]))
 
 
 def test_evolve_grid_bitwise_deterministic():
@@ -170,13 +174,10 @@ def test_evolve_grid_bitwise_deterministic():
 
 def test_backward_evolution_allowed():
     eb = diagonalize_block(build_block(1, 1, 0.8))
-    fwd = evolve_block(eb, 0.9)
-    back = evolve_block(eb, -0.9)
+    fwd = evolve_one(eb, 0.9)
+    back = evolve_one(eb, -0.9)
     # time reversal flips the imaginary components only
-    assert back.x1 == pytest.approx(fwd.x1, abs=1e-12)
-    assert back.x4 == pytest.approx(fwd.x4, abs=1e-12)
-    assert back.x2 == pytest.approx(-fwd.x2, abs=1e-12)
-    assert back.x3 == pytest.approx(-fwd.x3, abs=1e-12)
+    assert np.max(np.abs(back - fwd * np.array([1.0, -1.0, -1.0, 1.0]))) < 1e-12
 
 
 @given(
@@ -188,6 +189,5 @@ def test_backward_evolution_allowed():
 @settings(max_examples=80, deadline=None)
 def test_unitarity_property(n, l, g, T):
     eb = diagonalize_block(build_block(n, l, g))
-    bc = evolve_block(eb, T)
-    norm = bc.x1**2 + bc.x2**2 + bc.x3**2 + bc.x4**2
+    norm = float(np.sum(evolve_one(eb, T) ** 2))
     assert norm == pytest.approx(1.0, abs=1e-10)

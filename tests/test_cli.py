@@ -1,5 +1,8 @@
 """Command-line surface: flags, exit codes, CSV emission."""
 
+import subprocess
+import sys
+
 import numpy as np
 
 from tjcm.cli import EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
@@ -82,3 +85,15 @@ def test_verify_pass_and_exit_codes(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "scan" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_sparse_and_special_unloaded():
+    """scipy.sparse (the oracle) loads only for verify; scipy.special never."""
+    code = (
+        "import sys, tjcm; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.special', 'tjcm.oracle') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

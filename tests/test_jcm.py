@@ -74,9 +74,22 @@ def test_against_matrix_exponential_oracle():
 
 def test_bloch_norm_bounded():
     w = coherent_weights(5.0)
-    for T in np.linspace(0.0, 25.0, 201):
-        b = jcm_bloch(w, float(T))
-        assert b.norm() <= 1.0 + 1e-10
+    b = jcm_bloch(w, np.linspace(0.0, 25.0, 201))
+    assert np.max(b.norm()) <= 1.0 + 1e-10
+
+
+def test_array_times_match_scalar_times():
+    w = coherent_weights(5.0)
+    ts = np.linspace(0.0, 25.0, 41)
+    b = jcm_bloch(w, ts)
+    assert b.sz.shape == b.sy.shape == b.sx.shape == ts.shape
+    harm = tjcm_harmonic_sy(w, ts)
+    ey = jcm_entropy_squeezing(w, ts)
+    for i, T in enumerate(ts):
+        s = jcm_bloch(w, float(T))
+        assert abs(b.sz[i] - s.sz) <= 1e-15 and abs(b.sy[i] - s.sy) <= 1e-15
+        assert abs(harm[i] - tjcm_harmonic_sy(w, float(T))) <= 1e-15
+        assert abs(ey[i] - jcm_entropy_squeezing(w, float(T))) <= 1e-15
 
 
 def test_harmonic_zero_at_t_zero():
@@ -87,15 +100,13 @@ def test_harmonic_zero_at_t_zero():
 def test_harmonic_tracks_exact_symmetric_case():
     """The approximation must reproduce the exact symmetric-case coherence
     away from large times: pointwise here, envelope checks below."""
-    from tjcm import AtomId, coefficient_table, eigen_table, reduced_state
+    from tjcm import AtomId, eigen_table, evolve_grid, reduce_arrays
 
     w = coherent_weights(5.0)
-    blocks = eigen_table(w.n_max, 1, 1.0)
-    for T in (0.5, 3.0, 8.0):
-        s = reduced_state(w, coefficient_table(blocks, T), 1, AtomId.FIRST)
-        exact = 2.0 * s.coh.imag
-        approx = tjcm_harmonic_sy(w, T)
-        assert approx == pytest.approx(exact, abs=0.02)
+    ts = np.array([0.5, 3.0, 8.0])
+    x = evolve_grid(eigen_table(w.n_max, 1, 1.0), ts)
+    _, _, coh = reduce_arrays(w, x, 1, AtomId.FIRST)
+    assert np.max(np.abs(tjcm_harmonic_sy(w, ts) - 2.0 * coh.imag)) < 0.02
 
 
 def test_harmonic_envelope_and_peak_in_revival_window(preset_series):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from tjcm import (
     e_x_identity_check,
     entropy_squeezing,
     eur_residual,
-    squeeze_report,
     variance_squeezing,
     von_neumann,
 )
@@ -127,15 +127,36 @@ def test_paired_limits():
         assert von_neumann(s) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_squeeze_report_consistency():
-    s = ReducedAtomState(0.6, 0.4, 0.2j)
-    b = bloch(s)
-    r = squeeze_report(s)
-    assert r.e_y == entropy_squeezing(b, "y")
-    assert r.f_y == variance_squeezing(b, "y")
-    assert r.gamma == von_neumann(s)
-    assert r.h_x == pytest.approx(LN2, abs=1e-15)
-    assert 0.0 <= r.h_y <= LN2 and 0.0 <= r.h_z <= LN2
+def test_array_matches_elementwise_scalar():
+    rng = np.random.default_rng(11)
+    sy = np.concatenate([[0.0, 1.0, -1.0, 0.0, 0.6], rng.uniform(-1.0, 1.0, 300)])
+    sz = np.concatenate([[1.0, 0.0, 0.0, 0.0, 0.8], rng.uniform(-1.0, 1.0, 300)])
+    sz *= np.sqrt(np.clip(1.0 - sy**2, 0.0, None))
+    b = BlochVector(np.zeros_like(sy), sy, sz)
+    state = ReducedAtomState(0.5 * (1.0 + sz), 0.5 * (1.0 - sz), 0.5j * sy)
+    diagnostics = {
+        "e_y": lambda b, s: entropy_squeezing(b, "y"),
+        "e_x": lambda b, s: entropy_squeezing(b, "x"),
+        "f_y": lambda b, s: variance_squeezing(b, "y"),
+        "gamma": lambda b, s: von_neumann(s),
+        "eur": lambda b, s: eur_residual(b),
+        "e_x_identity": lambda b, s: e_x_identity_check(b),
+        "h_y": lambda b, s: binary_entropy_of_mean(b.sy),
+        "norm": lambda b, s: b.norm(),
+    }
+    for name, fn in diagnostics.items():
+        values = fn(b, state)
+        assert values.shape == sy.shape, name
+        for i in range(sy.size):
+            one = fn(BlochVector(0.0, float(sy[i]), float(sz[i])), ReducedAtomState(
+                float(state.p_plus[i]), float(state.p_minus[i]), complex(state.coh[i])
+            ))
+            assert abs(values[i] - one) <= 1e-15, name
+    h = binary_entropy_of_mean(np.stack([sy, sz]))
+    assert np.all((0.0 <= h) & (h <= LN2))
+    # one bad entry rejects the whole array
+    with pytest.raises(InvalidParameterError):
+        binary_entropy_of_mean(np.array([0.0, 1.1, 0.5]))
 
 
 @given(disk_states())

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tjcm import FockWeights, InvalidParameterError, ModelParams, coherent_weights, fock_cutoff
@@ -63,9 +63,30 @@ def test_invalid_parameters_rejected():
     with pytest.raises(InvalidParameterError):
         coherent_weights(1.0, 1.5)
     with pytest.raises(InvalidParameterError):
+        ModelParams(alpha=40.0, g=1.0, l=1)  # exp(-alpha^2 / 2) underflows
+    with pytest.raises(InvalidParameterError):
         ModelParams(alpha=1.0, g=0.0, l=1)
     with pytest.raises(InvalidParameterError):
         ModelParams(alpha=1.0, g=1.0, l=0)
+
+
+def running_mass_cutoff(alpha, eps):
+    """The earlier truncation rule: stop once 1 minus the running mass of
+    C_n^2 falls below eps.  Stalls where rounding keeps the mass short of
+    1 - eps, but wherever it stops it defines the truncation to keep."""
+    c = math.exp(-0.5 * alpha * alpha)
+    mass, m = c * c, 0
+    while 1.0 - mass >= eps:
+        m += 1
+        c *= alpha / math.sqrt(m)
+        mass += c * c
+    return max(m, truncation_floor(alpha))
+
+
+def test_tail_bound_keeps_running_mass_truncation():
+    for alpha in np.linspace(0.0, 30.0, 121):
+        for eps in (1e-4, 1e-8, 1e-12):
+            assert fock_cutoff(float(alpha), eps) == running_mass_cutoff(float(alpha), eps)
 
 
 def test_weights_validation():
@@ -85,6 +106,8 @@ def test_model_params_derives_n_max():
     eps=st.floats(min_value=1e-14, max_value=1e-4),
 )
 @settings(max_examples=40, deadline=None)
+@example(alpha=11.999999999999998, eps=1e-14)
+@example(alpha=11.664737609610047, eps=1e-14)
 def test_weights_invariants(alpha, eps):
     w = coherent_weights(alpha, eps)
     assert np.all(w.c >= 0.0)

@@ -9,187 +9,182 @@ from tjcm import (
     AtomId,
     FockWeights,
     TruncationError,
-    coefficient_table,
     coherent_weights,
     eigen_table,
-    q_terms,
-    reduced_state,
     swap_transform,
 )
 from tjcm import oracle
 from tjcm.blocks import evolve_grid
-from tjcm.reduced import neumaier_sum, reduce_arrays
+from tjcm.reduced import reduce_arrays
 
 
-def table_provider(blocks, T):
-    table = coefficient_table(blocks, T)
+def reduced(weights, l, g, ts, atom):
+    """(p_plus, p_minus, coh) of one atom at the times ts."""
+    x = evolve_grid(eigen_table(weights.n_max, l, g), np.asarray(ts, dtype=float))
+    return reduce_arrays(weights, x, l, atom)
 
-    def at(n):
-        return table[n]
 
-    return at, table
+def field_levels(size, *levels):
+    """Field spread evenly over the given Fock levels: isolates the summands
+    (q1, q2 at each level, q3 between levels l apart) of the reduction."""
+    c = np.zeros(size)
+    c[list(levels)] = 1.0 / math.sqrt(len(levels))
+    return FockWeights(c=c)
 
 
 def test_q_terms_at_t_zero():
     w = coherent_weights(2.0)
-    blocks = eigen_table(w.n_max, 1, 0.7)
-    at, _ = table_provider(blocks, 0.0)
+    for atom in AtomId:
+        p_plus, p_minus, coh = reduced(w, 1, 0.7, [0.0], atom)
+        assert p_plus[0] == pytest.approx(float(np.sum(w.c**2)), rel=1e-12)
+        assert p_minus[0] == pytest.approx(0.0, abs=1e-28)
+        assert coh[0] == pytest.approx(0j, abs=1e-15)
     for n in (0, 3, w.n_max):
+        single = field_levels(w.n_max + 1, n)
         for atom in AtomId:
-            q1, q2, q3 = q_terms(w, at, 1, atom, n)
-            assert q1 == pytest.approx(float(w.c[n] ** 2), rel=1e-12)
-            assert q2 == pytest.approx(0.0, abs=1e-28)
-            assert q3 == pytest.approx(0j, abs=1e-15)
+            p_plus, p_minus, coh = reduced(single, 1, 0.7, [0.0], atom)
+            assert p_plus[0] == pytest.approx(1.0, rel=1e-12)
+            assert p_minus[0] == pytest.approx(0.0, abs=1e-28)
+            assert coh[0] == 0j
 
 
 def test_q_terms_symmetric_coupling_atom_independent():
     w = coherent_weights(2.0)
-    blocks = eigen_table(w.n_max, 1, 1.0)
-    at, _ = table_provider(blocks, 2.7)
     for n in (0, 5, 11):
-        qa = q_terms(w, at, 1, AtomId.FIRST, n)
-        qb = q_terms(w, at, 1, AtomId.SECOND, n)
-        assert qa[0] == pytest.approx(qb[0], abs=1e-12)
-        assert qa[1] == pytest.approx(qb[1], abs=1e-12)
-        assert qa[2] == pytest.approx(qb[2], abs=1e-12)
+        pair = field_levels(w.n_max + 1, n, n + 1)
+        a = reduced(pair, 1, 1.0, [2.7], AtomId.FIRST)
+        b = reduced(pair, 1, 1.0, [2.7], AtomId.SECOND)
+        for qa, qb in zip(a, b):
+            assert abs(qa[0] - qb[0]) < 1e-12
 
 
 def test_q_terms_beyond_cutoff_coherence_vanishes():
-    w = coherent_weights(1.0)
-    blocks = eigen_table(w.n_max, 3, 0.5)
-    at, _ = table_provider(blocks, 1.0)
-    q1, q2, q3 = q_terms(w, at, 3, AtomId.FIRST, w.n_max - 1)
-    assert q3 == 0j
+    # with l = 3, levels 0 and 3 pair through the coherence ...
+    _, _, coh = reduced(field_levels(4, 0, 3), 3, 0.5, [1.0], AtomId.FIRST)
+    assert abs(coh[0]) > 1e-3
+    # ... but in a table that stops at n = 2 every partner n + 3 lies
+    # beyond the truncation
+    _, _, coh = reduced(field_levels(3, 0, 2), 3, 0.5, [1.0], AtomId.FIRST)
+    assert coh[0] == 0j
 
 
 def test_q_terms_against_oracle_two_level_field():
     """Isolate the n = 24 coherence summand with a two-level field fixture
     c24 = c25 = 1/sqrt(2) and compare against the brute-force trace."""
-    c = np.zeros(26)
-    c[24] = c[25] = 1.0 / math.sqrt(2.0)
-    w = FockWeights(c=c, cutoff_eps=1e-12)
+    w = field_levels(26, 24, 25)
     l, g, T = 1, 0.5, 2.0
-    blocks = eigen_table(w.n_max, l, g)
-    at, _ = table_provider(blocks, T)
-
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
     psi = oracle.rk4_evolve(
         h, oracle.initial_state(w, h), T, oracle.suggest_dt(w, h, T)
     )
     for atom in AtomId:
         ref = oracle.partial_trace_atom(psi, h.n_f, atom)
-        q24 = q_terms(w, at, l, atom, 24)
-        q25 = q_terms(w, at, l, atom, 25)
-        assert q24[0] + q25[0] == pytest.approx(ref.p_plus, abs=1e-8)
-        assert q24[1] + q25[1] == pytest.approx(ref.p_minus, abs=1e-8)
+        p_plus, p_minus, coh = reduced(w, l, g, [T], atom)
+        assert p_plus[0] == pytest.approx(ref.p_plus, abs=1e-8)
+        assert p_minus[0] == pytest.approx(ref.p_minus, abs=1e-8)
+        assert abs(coh[0] - ref.coh) < 1e-8
         # only the n = 24 summand feeds the coherence
-        assert q25[2] == 0j
-        assert abs(q24[2] - ref.coh) < 1e-8
+        _, _, coh25 = reduced(field_levels(26, 25), l, g, [T], atom)
+        assert coh25[0] == 0j
 
 
 def test_reduced_state_initial_conditions():
     w = coherent_weights(5.0)
-    blocks = eigen_table(w.n_max, 1, 0.5)
-    table = coefficient_table(blocks, 0.0)
-    s = reduced_state(w, table, 1, AtomId.FIRST)
-    assert s.p_plus == pytest.approx(1.0, abs=1e-11)
-    assert s.p_minus == pytest.approx(0.0, abs=1e-11)
-    assert s.coh == pytest.approx(0j, abs=1e-11)
+    p_plus, p_minus, coh = reduced(w, 1, 0.5, [0.0], AtomId.FIRST)
+    assert p_plus[0] == pytest.approx(1.0, abs=1e-11)
+    assert p_minus[0] == pytest.approx(0.0, abs=1e-11)
+    assert coh[0] == pytest.approx(0j, abs=1e-11)
 
 
 def test_reduced_state_trace_and_positivity_along_trajectory():
     w = coherent_weights(3.0)
-    blocks = eigen_table(w.n_max, 1, 0.5)
-    for T in np.linspace(0.0, 20.0, 41):
-        table = coefficient_table(blocks, float(T))
-        for atom in AtomId:
-            s = reduced_state(w, table, 1, atom)
-            assert s.p_plus + s.p_minus == pytest.approx(1.0, abs=1e-10)
-            assert -1e-10 <= s.p_plus <= 1.0 + 1e-10
-            assert abs(s.coh) ** 2 <= s.p_plus * s.p_minus + 1e-10
-            # eigenvalues of the 2x2 matrix stay in [0, 1]
-            r = math.sqrt((s.p_plus - s.p_minus) ** 2 + 4.0 * abs(s.coh) ** 2)
-            mu_minus, mu_plus = 0.5 * (1.0 - r), 0.5 * (1.0 + r)
-            assert mu_minus >= -1e-10
-            assert mu_plus <= 1.0 + 1e-10
+    ts = np.linspace(0.0, 20.0, 41)
+    for atom in AtomId:
+        p_plus, p_minus, coh = reduced(w, 1, 0.5, ts, atom)
+        assert np.max(np.abs(p_plus + p_minus - 1.0)) < 1e-10
+        assert np.all((-1e-10 <= p_plus) & (p_plus <= 1.0 + 1e-10))
+        assert np.all(np.abs(coh) ** 2 <= p_plus * p_minus + 1e-10)
+        # eigenvalues of the 2x2 matrix stay in [0, 1]
+        r = np.sqrt((p_plus - p_minus) ** 2 + 4.0 * np.abs(coh) ** 2)
+        assert np.all(0.5 * (1.0 - r) >= -1e-10)
+        assert np.all(0.5 * (1.0 + r) <= 1.0 + 1e-10)
 
 
 def test_reduced_state_coherence_purely_imaginary():
+    """reduce_arrays keeps only the imaginary part of the coherence; rebuild
+    it here from the complex block amplitudes, real part included."""
     w = coherent_weights(4.0)
-    blocks = eigen_table(w.n_max, 2, 0.5)
-    for T in np.linspace(0.0, 12.0, 25):
-        table = coefficient_table(blocks, float(T))
-        for atom in AtomId:
-            s = reduced_state(w, table, 2, atom)
-            assert abs(s.coh.real) < 1e-10
+    l, ts = 2, np.linspace(0.0, 12.0, 25)
+    blocks = eigen_table(w.n_max, l, 0.5)
+    vals = np.stack([b.eigvals for b in blocks])
+    vecs = np.stack([b.eigvecs for b in blocks])
+    phases = np.exp(-1j * ts[:, None, None] * vals[None, :, :])
+    a = np.einsum("tnk,nk,njk->jtn", phases, vecs[:, 0, :], vecs)
+    c, m = w.c, w.c.size - l
+    for atom in AtomId:
+        a2, a3 = (a[1], a[2]) if atom is AtomId.FIRST else (a[2], a[1])
+        full = (a[0][:, l:] * np.conj(a3[:, :m]) + a2[:, l:] * np.conj(a[3][:, :m])) @ (
+            c[l:] * c[:m]
+        )
+        assert np.max(np.abs(full.real)) < 1e-10
+        _, _, coh = reduce_arrays(w, evolve_grid(blocks, ts), l, atom)
+        assert np.max(np.abs(coh - full)) < 1e-10
 
 
 def test_reduced_state_symmetric_coupling_atoms_identical():
     w = coherent_weights(3.0)
-    blocks = eigen_table(w.n_max, 1, 1.0)
-    for T in (0.5, 4.0, 17.3):
-        table = coefficient_table(blocks, T)
-        a = reduced_state(w, table, 1, AtomId.FIRST)
-        b = reduced_state(w, table, 1, AtomId.SECOND)
-        assert a.p_plus == pytest.approx(b.p_plus, abs=1e-12)
-        assert a.p_minus == pytest.approx(b.p_minus, abs=1e-12)
-        assert abs(a.coh - b.coh) < 1e-12
+    ts = [0.5, 4.0, 17.3]
+    a = reduced(w, 1, 1.0, ts, AtomId.FIRST)
+    b = reduced(w, 1, 1.0, ts, AtomId.SECOND)
+    for qa, qb in zip(a, b):
+        assert np.max(np.abs(qa - qb)) < 1e-12
 
 
 def test_reduced_state_against_oracle():
     w = coherent_weights(5.0)
     l, g, T = 1, 0.5, 5.0
-    blocks = eigen_table(w.n_max, l, g)
-    table = coefficient_table(blocks, T)
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
     psi = oracle.rk4_evolve(
         h, oracle.initial_state(w, h), T, oracle.suggest_dt(w, h, T)
     )
     for atom in AtomId:
-        s = reduced_state(w, table, l, atom)
+        p_plus, p_minus, coh = reduced(w, l, g, [T], atom)
         ref = oracle.partial_trace_atom(psi, h.n_f, atom)
-        assert abs(s.p_plus - ref.p_plus) < 1e-8
-        assert abs(s.p_minus - ref.p_minus) < 1e-8
-        assert abs(s.coh - ref.coh) < 1e-8
+        assert abs(p_plus[0] - ref.p_plus) < 1e-8
+        assert abs(p_minus[0] - ref.p_minus) < 1e-8
+        assert abs(coh[0] - ref.coh) < 1e-8
 
 
 def test_reduced_state_rejects_short_table():
     w = coherent_weights(2.0)
-    blocks = eigen_table(w.n_max, 1, 1.0)
-    table = coefficient_table(blocks, 1.0)[:-2]
+    x = evolve_grid(eigen_table(w.n_max, 1, 1.0), np.array([1.0]))
     with pytest.raises(TruncationError):
-        reduced_state(w, table, 1, AtomId.FIRST)
+        reduce_arrays(w, x[..., :-2], 1, AtomId.FIRST)
 
 
 def test_reduced_state_rejects_trace_loss():
     # zeroing the dominant block's amplitudes drains visible trace mass
-    from tjcm import BlockCoefficients
-
     w = coherent_weights(2.0)
-    blocks = eigen_table(w.n_max, 1, 1.0)
-    table = coefficient_table(blocks, 1.0)
-    mode = int(np.argmax(w.c))
-    table[mode] = BlockCoefficients(n=mode, T=1.0, x1=0.0, x2=0.0, x3=0.0, x4=0.0)
+    x = evolve_grid(eigen_table(w.n_max, 1, 1.0), np.array([0.0, 1.0]))
+    x[:, 1, int(np.argmax(w.c))] = 0.0
     with pytest.raises(TruncationError):
-        reduced_state(w, table, 1, AtomId.FIRST)
+        reduce_arrays(w, x, 1, AtomId.FIRST)
 
 
 def test_atom_swap_symmetry_pointwise():
     """Atom 1 at (g, T) matches atom 2 at (1/g, g T)."""
     w = coherent_weights(3.0)
     g = 0.5
-    blocks_a = eigen_table(w.n_max, 1, g)
-    for T in (0.8, 3.0, 9.5):
-        g_swapped, t_swapped = swap_transform(g, T)
-        blocks_b = eigen_table(w.n_max, 1, g_swapped)
-        a = reduced_state(w, coefficient_table(blocks_a, T), 1, AtomId.FIRST)
-        b = reduced_state(w, coefficient_table(blocks_b, t_swapped), 1, AtomId.SECOND)
-        assert a.p_plus == pytest.approx(b.p_plus, abs=1e-9)
-        assert a.p_minus == pytest.approx(b.p_minus, abs=1e-9)
-        assert abs(a.coh - b.coh) < 1e-9
+    ts = np.array([0.8, 3.0, 9.5])
+    g_swapped, ts_swapped = swap_transform(g, ts)
+    a = reduced(w, 1, g, ts, AtomId.FIRST)
+    b = reduced(w, 1, g_swapped, ts_swapped, AtomId.SECOND)
+    for qa, qb in zip(a, b):
+        assert np.max(np.abs(qa - qb)) < 1e-9
 
 
 def test_reduce_arrays_matches_scalar_route():
+    """A grid of times reduces to what each time gives on its own."""
     w = coherent_weights(2.5)
     blocks = eigen_table(w.n_max, 2, 0.8)
     ts = np.array([0.0, 1.3, 6.6])
@@ -197,16 +192,30 @@ def test_reduce_arrays_matches_scalar_route():
     for atom in AtomId:
         pp, pm, coh = reduce_arrays(w, x, 2, atom)
         for i, T in enumerate(ts):
-            s = reduced_state(w, coefficient_table(blocks, float(T)), 2, atom)
-            assert s.p_plus == pp[i]
-            assert s.p_minus == pm[i]
-            assert s.coh == complex(coh[i])
+            spp, spm, scoh = reduce_arrays(w, evolve_grid(blocks, np.array([T])), 2, atom)
+            assert abs(spp[0] - pp[i]) <= 1e-15
+            assert abs(spm[0] - pm[i]) <= 1e-15
+            assert abs(scoh[0] - coh[i]) <= 1e-15
 
 
-def test_neumaier_sum_compensates():
-    # classic cancellation case that naive accumulation gets wrong
-    terms = np.array([1e16, 1.0, -1e16, 1.0])
-    assert float(neumaier_sum(terms)) == 2.0
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(50, 7))
-    assert np.allclose(neumaier_sum(a, axis=0), [math.fsum(a[:, j]) for j in range(7)], rtol=0, atol=0)
+def test_reduce_arrays_matches_fsum():
+    """The photon-index contraction against an exactly rounded per-time
+    sum (math.fsum), up to alpha = 30 (n_max = 1220)."""
+    for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (20.0, 1, 1.7),
+                        (20.0, 2, 1.7), (30.0, 1, 0.4), (30.0, 2, 0.4)):
+        w = coherent_weights(alpha)
+        ts = np.array([0.0, 1.3, 6.6, 17.9])
+        x = evolve_grid(eigen_table(w.n_max, l, g), ts)
+        c, m = w.c, w.c.size - l
+        for atom in AtomId:
+            pp, pm, coh = reduce_arrays(w, x, l, atom)
+            x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
+            for i in range(ts.size):
+                ref_pp = math.fsum(c * c * (x1[i] ** 2 + x2[i] ** 2))
+                ref_pm = math.fsum(c * c * (x3[i] ** 2 + x4[i] ** 2))
+                ref_coh = math.fsum(
+                    c[l:] * c[:m] * (x2[i, l:] * x4[i, :m] - x3[i, :m] * x1[i, l:])
+                )
+                assert abs(pp[i] - ref_pp) <= 1e-15
+                assert abs(pm[i] - ref_pm) <= 1e-15
+                assert abs(coh[i] - 1j * ref_coh) <= 1e-15

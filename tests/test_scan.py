@@ -12,12 +12,13 @@ from tjcm import (
     ResourceRefusalError,
     ScanConfig,
     TimeSeries,
+    ReducedAtomState,
     UsageError,
-    coefficient_table,
     coherent_weights,
     eigen_table,
+    evolve_grid,
     read_csv,
-    reduced_state,
+    reduce_arrays,
     run_preset,
     run_scan,
     run_verify,
@@ -67,24 +68,28 @@ def test_scan_initial_values():
 
 
 def test_scan_matches_pointwise_pipeline():
+    """Every channel is an observable of the reduce_arrays output."""
     cfg = small_cfg()
     ts = run_scan(cfg)
     w = coherent_weights(1.5)
-    blocks = eigen_table(w.n_max, 1, 0.5)
-    for i in (0, 7, 32):
-        T = float(ts.grid[i])
-        table = coefficient_table(blocks, T)
-        s1 = reduced_state(w, table, 1, AtomId.FIRST)
-        s2 = reduced_state(w, table, 1, AtomId.SECOND)
-        b1, b2 = bloch(s1), bloch(s2)
-        assert ts.channels["inv1"][i] == b1.sz
-        assert ts.channels["sy1"][i] == b1.sy
-        assert ts.channels["ey1"][i] == entropy_squeezing(b1, "y")
-        assert ts.channels["ey2"][i] == entropy_squeezing(b2, "y")
-        assert ts.channels["ex1"][i] == entropy_squeezing(b1, "x")
-        assert ts.channels["fy2"][i] == variance_squeezing(b2, "y")
-        assert ts.channels["gamma2"][i] == von_neumann(s2)
-        assert ts.channels["eur1"][i] == eur_residual(b1)
+    x = evolve_grid(eigen_table(w.n_max, 1, 0.5), ts.grid)
+    s1 = ReducedAtomState(*reduce_arrays(w, x, 1, AtomId.FIRST))
+    s2 = ReducedAtomState(*reduce_arrays(w, x, 1, AtomId.SECOND))
+    b1, b2 = bloch(s1), bloch(s2)
+    expected = {
+        "inv1": b1.sz,
+        "inv2": b2.sz,
+        "sy1": b1.sy,
+        "ey1": entropy_squeezing(b1, "y"),
+        "ey2": entropy_squeezing(b2, "y"),
+        "ex1": entropy_squeezing(b1, "x"),
+        "fy2": variance_squeezing(b2, "y"),
+        "gamma2": von_neumann(s2),
+        "eur1": eur_residual(b1),
+    }
+    assert list(expected) == list(cfg.channels)
+    for name, values in expected.items():
+        assert np.array_equal(ts.channels[name], values), name
 
 
 def test_scan_channel_order_preserved():
