@@ -8,15 +8,7 @@ space plus a direct partial trace) verifies it.  A CLI emits the standard
 figure presets and free parameter scans as CSV time series.
 """
 
-from .blocks import (
-    EigenBlock,
-    InteractionBlock,
-    build_block,
-    closed_form_x,
-    diagonalize_block,
-    eigen_table,
-    evolve_grid,
-)
+from .blocks import block_matrices, closed_form_x, eigen_table, evolve_grid
 from .errors import (
     ContractViolationError,
     InternalConsistencyError,
@@ -59,9 +51,7 @@ __all__ = [
     "AtomId",
     "BlochVector",
     "ContractViolationError",
-    "EigenBlock",
     "FockWeights",
-    "InteractionBlock",
     "InternalConsistencyError",
     "InvalidParameterError",
     "ModelParams",
@@ -78,10 +68,9 @@ __all__ = [
     "VerifyReport",
     "binary_entropy_of_mean",
     "bloch",
-    "build_block",
+    "block_matrices",
     "closed_form_x",
     "coherent_weights",
-    "diagonalize_block",
     "e_x_identity_check",
     "eigen_table",
     "entropy_squeezing",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InvalidParameterError, ResourceRefusalError, TjcmError, UsageError
+from .errors import ResourceRefusalError, TjcmError
 from .params import DEFAULT_CUTOFF_EPS, ModelParams
 from .scan import (
     CHANNEL_NAMES,
@@ -112,9 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceRefusalError as exc:
         print(f"tjcm: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (UsageError, InvalidParameterError) as exc:
-        print(f"tjcm: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TjcmError as exc:
         print(f"tjcm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ is dropped, so every downstream sum over photon number is finite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,16 +45,18 @@ def _vacuum_amplitude(alpha: float) -> float:
     alpha = 12, and C_n^2 by twice that: enough to push the total weight
     below 1 - cutoff_eps for cutoff_eps = 1e-14.  The rounding error of the
     square is recovered exactly from the integer ratios of alpha and of
-    the rounded square.
+    the rounded square.  A subnormal C_0 would start the recurrence from
+    fewer than 53 significant bits, so it is refused like an underflow.
     """
     sq = alpha * alpha
     num, den = alpha.as_integer_ratio()
     sq_num, sq_den = sq.as_integer_ratio()
     sq_err = (num * num * sq_den - sq_num * den * den) / (den * den * sq_den)
     c0 = math.exp(-0.5 * sq) * math.exp(-0.5 * sq_err)
-    if c0 == 0.0:
+    if c0 < sys.float_info.min:
         raise InvalidParameterError(
-            f"alpha={alpha} is too large: exp(-alpha^2/2) underflows to 0"
+            f"alpha={alpha} is too large: exp(-alpha^2/2) = {c0:.3e} is below "
+            f"the smallest normal double {sys.float_info.min:.3e}"
         )
     return c0
 
@@ -147,11 +150,19 @@ def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> Fo
 
     Uses the stable recurrence C_{n+1} = C_n * alpha / sqrt(n + 1); direct
     evaluation of alpha^n / sqrt(n!) overflows long before the recurrence
-    loses accuracy.
+    loses accuracy.  fock_cutoff keeps the dropped tail below cutoff_eps,
+    so a total weight short of 1 - cutoff_eps is the recurrence's own
+    rounding, and a cutoff_eps that fine is refused as such.
     """
     n_max = fock_cutoff(alpha, cutoff_eps)
     c = np.empty(n_max + 1)
     c[0] = _vacuum_amplitude(alpha)
     for n in range(n_max):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1.0)
+    mass = float(np.sum(c * c))
+    if mass < 1.0 - cutoff_eps:
+        raise InvalidParameterError(
+            f"cutoff_eps={cutoff_eps} is finer than the weight table's rounding at "
+            f"alpha={alpha}: its total weight falls {1.0 - mass:.2e} short of 1"
+        )
     return FockWeights(c=c, cutoff_eps=cutoff_eps)

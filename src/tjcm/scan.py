@@ -162,30 +162,19 @@ def run_preset(name: str, t_max: float | None = None, steps: int | None = None) 
         raise UsageError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         )
+    grid = {k: v for k, v in (("t_max", t_max), ("steps", steps)) if v is not None}
     if name == "fig3":
-        gammas = {}
-        for tag, base in (("l1", "fig1"), ("l2", "fig2")):
-            cfg = PRESET_CONFIGS[base]
-            cfg = replace(
-                cfg,
-                t_max=t_max if t_max is not None else cfg.t_max,
-                steps=steps if steps is not None else cfg.steps,
-                channels=("gamma2",),
+        gammas = {
+            f"gamma2_{tag}": run_scan(
+                replace(PRESET_CONFIGS[base], channels=("gamma2",), **grid)
             )
-            gammas[f"gamma2_{tag}"] = run_scan(cfg)
-        grid = gammas["gamma2_l1"].grid
+            for tag, base in (("l1", "fig1"), ("l2", "fig2"))
+        }
         return TimeSeries(
-            grid=grid,
+            grid=gammas["gamma2_l1"].grid,
             channels={k: ts.channels["gamma2"] for k, ts in gammas.items()},
         )
-    cfg = PRESET_CONFIGS[name]
-    if t_max is not None or steps is not None:
-        cfg = replace(
-            cfg,
-            t_max=t_max if t_max is not None else cfg.t_max,
-            steps=steps if steps is not None else cfg.steps,
-        )
-    return run_scan(cfg)
+    return run_scan(replace(PRESET_CONFIGS[name], **grid))
 
 
 @dataclass(frozen=True)

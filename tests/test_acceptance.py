@@ -102,11 +102,8 @@ def _reduced_states(params, times, chunk=2500):
 
 
 def _ey(p_plus, p_minus, coh):
-    """E_y at each time, through the same scalar observables as the scan."""
-    return np.array([
-        entropy_squeezing(bloch(ReducedAtomState(float(a), float(b), complex(c))), "y")
-        for a, b, c in zip(p_plus, p_minus, coh)
-    ])
+    """E_y at each time, through the same array observables as the scan."""
+    return entropy_squeezing(bloch(ReducedAtomState(p_plus, p_minus, coh)), "y")
 
 
 @pytest.fixture(scope="module")

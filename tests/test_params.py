@@ -64,6 +64,12 @@ def test_invalid_parameters_rejected():
         coherent_weights(1.0, 1.5)
     with pytest.raises(InvalidParameterError):
         ModelParams(alpha=40.0, g=1.0, l=1)  # exp(-alpha^2 / 2) underflows
+    # a subnormal exp(-alpha^2 / 2) would start the recurrence from fewer
+    # than 53 significant bits
+    for alpha in (37.7, 38.0, 38.1):
+        with pytest.raises(InvalidParameterError, match="below the smallest normal double"):
+            coherent_weights(alpha, 1e-8)
+    assert coherent_weights(37.5, 1e-8).c[0] > 0.0
     with pytest.raises(InvalidParameterError):
         ModelParams(alpha=1.0, g=0.0, l=1)
     with pytest.raises(InvalidParameterError):
@@ -87,6 +93,13 @@ def test_tail_bound_keeps_running_mass_truncation():
     for alpha in np.linspace(0.0, 30.0, 121):
         for eps in (1e-4, 1e-8, 1e-12):
             assert fock_cutoff(float(alpha), eps) == running_mass_cutoff(float(alpha), eps)
+
+
+def test_eps_below_weight_rounding_is_named():
+    # the dropped tail is below 1e-15, but the recurrence's rounding leaves
+    # the table's total weight 1.1e-15 short of 1
+    with pytest.raises(InvalidParameterError, match="finer than the weight table's rounding"):
+        coherent_weights(4.26, 1e-15)
 
 
 def test_weights_validation():

@@ -116,8 +116,7 @@ def test_reduced_state_coherence_purely_imaginary():
     w = coherent_weights(4.0)
     l, ts = 2, np.linspace(0.0, 12.0, 25)
     blocks = eigen_table(w.n_max, l, 0.5)
-    vals = np.stack([b.eigvals for b in blocks])
-    vecs = np.stack([b.eigvecs for b in blocks])
+    vals, vecs = blocks
     phases = np.exp(-1j * ts[:, None, None] * vals[None, :, :])
     a = np.einsum("tnk,nk,njk->jtn", phases, vecs[:, 0, :], vecs)
     c, m = w.c, w.c.size - l
