@@ -8,8 +8,8 @@ interaction couples only the four product states
 so the joint dynamics factorizes into independent 4x4 blocks labelled by
 the base photon number n.  All blocks are diagonalized at once by a
 batched cyclic Jacobi eigensolver; the evolution amplitudes (x1, x2, x3,
-x4) of the initial basis vector follow from the eigenpairs.  The two middle amplitudes are purely imaginary and the outer
-two purely real, which is enforced rather than assumed.
+x4) of the initial basis vector follow from the eigenpairs, in real
+arithmetic: the outer two are cosine sums and the middle two sine sums.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import numpy as np
 
 from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
 
-_CROSS_TERM_TOL = 1e-10
 _NORM_TOL = 1e-10
+_EPS = np.finfo(float).eps
+# phase error bound max|w|*max|T|*eps: the accuracy verify promises (STATE_DEV_TOL)
+_PHASE_COND_TOL = 1e-8
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
 
@@ -131,26 +133,25 @@ def evolve_grid(spectrum: tuple[np.ndarray, np.ndarray], t_grid: np.ndarray) -> 
     spectrum is the (vals (N, 4), vecs (N, 4, 4)) pair of eigen_table.
     Returns an array of shape (4, len(t_grid), N) holding (x1, x2, x3, x4).
     The amplitude vector of block n at time T is
-    sum_k exp(-i w_k T) <v_k|e1> v_k; the bipartite coupling pattern makes
-    components 1 and 4 real and components 2 and 3 imaginary, which is
-    checked here and reported as an internal-consistency failure if broken.
+    sum_k exp(-i w_k T) <v_k|e1> v_k.  The bipartite coupling makes
+    components 1 and 4 real by construction (cosine sums) and 2 and 3
+    imaginary (sine sums); x holds those real and imaginary parts, computed
+    in real arithmetic.  A grid whose phase error bound
+    max|w| * max|T| * eps exceeds _PHASE_COND_TOL is refused.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     vals, vecs = spectrum
-    overlap = vecs[:, 0, :]  # <v_k|e1>, shape (N, 4)
-    phases = np.exp(-1j * t_grid[:, None, None] * vals[None, :, :])
-    amp = np.einsum("tnk,nk,njk->tnj", phases, overlap, vecs)
-    cross = max(
-        float(np.max(np.abs(amp[..., 0].imag))),
-        float(np.max(np.abs(amp[..., 3].imag))),
-        float(np.max(np.abs(amp[..., 1].real))),
-        float(np.max(np.abs(amp[..., 2].real))),
-    )
-    if cross > _CROSS_TERM_TOL:
-        raise InternalConsistencyError(
-            f"cross amplitude {cross:.3e} exceeds {_CROSS_TERM_TOL}; block malformed"
+    cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
+    if cond > _PHASE_COND_TOL:
+        raise InvalidParameterError(
+            f"phase conditioning max|w|*max|T|*eps = {cond:.3e} exceeds "
+            f"{_PHASE_COND_TOL:.0e}; lower t_max, alpha, g or l"
         )
-    x = np.stack([amp[..., 0].real, amp[..., 1].imag, amp[..., 2].imag, amp[..., 3].real])
+    phase = -t_grid[:, None, None] * vals  # exp(-i w T) = exp(i phase), (T, N, 4)
+    overlap = vecs[:, 0, :]  # <v_k|e1>, shape (N, 4)
+    x1, x4 = np.einsum("tnk,nk,njk->jtn", np.cos(phase), overlap, vecs[:, (0, 3), :])
+    x2, x3 = np.einsum("tnk,nk,njk->jtn", np.sin(phase), overlap, vecs[:, (1, 2), :])
+    x = np.stack([x1, x2, x3, x4])
     norm_dev = float(np.max(np.abs(np.sum(x * x, axis=0) - 1.0)))
     if norm_dev > _NORM_TOL:
         raise InternalConsistencyError(

@@ -97,13 +97,13 @@ def variance_squeezing(b: BlochVector, axis: Axis) -> float | np.ndarray:
     return (1.0 - mk * mk) - np.abs(b.sz)
 
 
-def von_neumann(state: ReducedAtomState) -> float | np.ndarray:
-    """Von Neumann entropy of the 2x2 state, in nats.
+def von_neumann(b: BlochVector) -> float | np.ndarray:
+    """Von Neumann entropy of the 2x2 state with Bloch vector b, in nats.
 
-    The eigenvalues are (1 +- r)/2 with r the Bloch norm, so this is just
-    the binary entropy of r; r is clamped to 1 before the evaluation.
+    The eigenvalues are (1 +- r)/2 with r = |b|, so this is just the
+    binary entropy of r; r is clamped to 1 before the evaluation.
     """
-    return binary_entropy_of_mean(np.minimum(bloch(state).norm(), 1.0))
+    return binary_entropy_of_mean(np.minimum(b.norm(), 1.0))
 
 
 def eur_residual(b: BlochVector) -> float | np.ndarray:

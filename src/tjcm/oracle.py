@@ -3,8 +3,9 @@
 Integrates the Schroedinger equation on the full (atom1 x atom2 x field)
 product space with fixed-step RK4 and extracts single-atom states by a
 direct partial trace.  Deliberately ignorant of the 4x4 block structure:
-the only shared code is the weight table, so agreement with the analytic
-route is evidence rather than tautology.
+it shares only the weight table, the reduced-state types and
+transition_strength (tested on its own against exact factorials), so
+agreement with the analytic route is evidence rather than tautology.
 
 State layout: amp[s1, s2, n] with s = 0 for |+> and 1 for |->, flattened
 C-order into a vector of length 4 (n_f + 1).

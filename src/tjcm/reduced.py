@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import InvalidParameterError, TruncationError
 from .params import FockWeights
 
 
@@ -28,9 +28,8 @@ class AtomId(Enum):
 class ReducedAtomState:
     """2x2 single-atom density matrix: populations of |+> and |-> plus the
     |+><-| coherence, at one time (scalars) or over a grid (arrays).  The
-    coherence is stored complex even though the model makes it purely
-    imaginary; realness is checked in tests, not assumed here, so
-    convention bugs surface instead of cancelling."""
+    coherence is complex: reduce_arrays builds it purely imaginary, as the
+    model makes it, and the oracle's partial trace genuinely complex."""
 
     p_plus: float | np.ndarray
     p_minus: float | np.ndarray
@@ -83,5 +82,5 @@ def swap_transform(g: float, T: float) -> tuple[float, float]:
     the atom-2 coupling maps (g, T) to (1/g, g*T), so atom-1 observables
     of one configuration equal atom-2 observables of the transformed one."""
     if not (g > 0.0 and math.isfinite(g)):
-        raise ValueError(f"g must be > 0, got {g}")
+        raise InvalidParameterError(f"g must be > 0, got {g}")
     return 1.0 / g, g * T

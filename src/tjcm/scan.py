@@ -18,16 +18,16 @@ from .observables import bloch, entropy_squeezing, eur_residual, variance_squeez
 from .params import ModelParams, coherent_weights
 from .reduced import AtomId, ReducedAtomState, reduce_arrays
 
-# Per-atom channel kinds, each an array expression over the reduced state
-# and its Bloch vector on the whole grid.
+# Per-atom channel kinds, each an array expression over the atom's Bloch
+# vector on the whole grid.
 _ATOM_CHANNEL_FNS = {
-    "inv": lambda state, b: b.sz,
-    "sy": lambda state, b: b.sy,
-    "ey": lambda state, b: entropy_squeezing(b, "y"),
-    "ex": lambda state, b: entropy_squeezing(b, "x"),
-    "fy": lambda state, b: variance_squeezing(b, "y"),
-    "gamma": lambda state, b: von_neumann(state),
-    "eur": lambda state, b: eur_residual(b),
+    "inv": lambda b: b.sz,
+    "sy": lambda b: b.sy,
+    "ey": lambda b: entropy_squeezing(b, "y"),
+    "ex": lambda b: entropy_squeezing(b, "x"),
+    "fy": lambda b: variance_squeezing(b, "y"),
+    "gamma": von_neumann,
+    "eur": eur_residual,
 }
 ATOM_CHANNELS = tuple(_ATOM_CHANNEL_FNS)
 FIELD_CHANNELS = ("jcm_sz", "jcm_sy", "jcm_ey", "harmonic_sy")
@@ -111,12 +111,11 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
         states = {}
         for tag in sorted(atoms_needed):
             atom = AtomId.FIRST if tag == "1" else AtomId.SECOND
-            state = ReducedAtomState(*reduce_arrays(weights, x, p.l, atom))
-            states[tag] = state, bloch(state)
+            states[tag] = bloch(ReducedAtomState(*reduce_arrays(weights, x, p.l, atom)))
         for name in names:
             kind, tag = name[:-1], name[-1]
             if kind in ATOM_CHANNELS:
-                series[name] = _ATOM_CHANNEL_FNS[kind](*states[tag])
+                series[name] = _ATOM_CHANNEL_FNS[kind](states[tag])
 
     if any(n.startswith("jcm_") for n in names):
         jcm_b = jcm.jcm_bloch(weights, grid)

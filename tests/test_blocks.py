@@ -196,13 +196,40 @@ def test_evolve_grid_per_block_matches_all_blocks():
 
 
 def test_evolve_rejects_malformed_block():
-    # identity "eigenvectors" with a generic spectrum break the bipartite
-    # phase structure, which the cross-term check must catch
+    # identity "eigenvectors" with a generic spectrum are no bipartite
+    # block: e1's sine term falls on component 1, which keeps cosine sums
+    # only, so x = (cos 0.7, 0, 0, 0) and the norm check must catch the
+    # lost weight (cos^2(0.7) = 0.585)
     from tjcm import InternalConsistencyError
 
     vals = np.array([[1.0, 2.0, 3.0, 4.0]])
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="norm"):
         evolve_grid((vals, np.eye(4)[None]), np.array([0.7]))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_evolve_grid_matches_complex_reference(l):
+    # the real cosine/sine sums are the real and imaginary parts of
+    # sum_k exp(-i w_k T) <v_k|e1> v_k, evaluated here in complex arithmetic
+    vals, vecs = eigen_table(40, l, 0.7)
+    ts = np.linspace(-6.0, 9.0, 31)
+    for lo, hi in ((0, 41), (0, 1), (17, 23), (40, 41)):
+        spectrum = vals[lo:hi], vecs[lo:hi]
+        phases = np.exp(-1j * ts[:, None, None] * spectrum[0])
+        ref = np.einsum("tnk,nk,njk->jtn", phases, spectrum[1][:, 0, :], spectrum[1])
+        expected = np.stack([ref[0].real, ref[1].imag, ref[2].imag, ref[3].real])
+        assert np.max(np.abs(evolve_grid(spectrum, ts) - expected)) <= 1e-15
+
+
+def test_evolve_refuses_ill_conditioned_phases():
+    # max|w| * max|T| * eps above 1e-8 is refused, for negative T as well;
+    # the same spectrum on a shorter grid is evaluated
+    vals, vecs = eigen_table(5, 1, 1.0)
+    t_limit = 1e-8 / (np.max(np.abs(vals)) * np.finfo(float).eps)
+    for t in (2.0 * t_limit, -2.0 * t_limit):
+        with pytest.raises(InvalidParameterError, match="phase conditioning"):
+            evolve_grid((vals, vecs), np.array([0.0, t]))
+    assert evolve_grid((vals, vecs), np.array([0.0, 0.5 * t_limit])).shape == (4, 2, 6)
 
 
 def test_evolve_grid_bitwise_deterministic():

@@ -46,6 +46,14 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def test_scan_refuses_ill_conditioned_phases(capsys):
+    args = ["scan", "--alpha", "5", "--g", "1", "--l", "8", "--steps", "50",
+            "--channels", "inv1"]
+    assert main(args) == EXIT_USAGE  # t_max 25: conditioning 1.3e-6
+    assert "phase conditioning" in capsys.readouterr().err
+    assert main(args + ["--tmax", "0.1"]) == EXIT_OK
+
+
 def test_preset_subcommand(tmp_path):
     out = tmp_path / "fig1.csv"
     code = main(["preset", "fig1", "--steps", "12", "--out", str(out)])

@@ -87,13 +87,13 @@ def test_variance_squeezing_reference_points():
 
 
 def test_von_neumann_reference_points():
-    assert von_neumann(ReducedAtomState(1.0, 0.0, 0j)) == 0.0
-    assert von_neumann(ReducedAtomState(0.5, 0.5, 0j)) == pytest.approx(LN2, abs=1e-15)
+    assert von_neumann(bloch(ReducedAtomState(1.0, 0.0, 0j))) == 0.0
+    assert von_neumann(bloch(ReducedAtomState(0.5, 0.5, 0j))) == pytest.approx(LN2, abs=1e-15)
     # Bloch (0, 0.6, 0): eigenvalues 0.8 / 0.2
     s = ReducedAtomState(0.5, 0.5, 0.3j)
     expected = -(0.8 * math.log(0.8) + 0.2 * math.log(0.2))
     assert expected == pytest.approx(0.5004024235381879, abs=1e-15)
-    assert von_neumann(s) == pytest.approx(expected, abs=1e-14)
+    assert von_neumann(bloch(s)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_eur_residual_reference_points():
@@ -119,12 +119,13 @@ def test_paired_limits():
     for sy in (1.0, -1.0):
         b = BlochVector(0.0, sy, 0.0)
         assert entropy_squeezing(b, "y") == pytest.approx(E_MIN, abs=1e-14)
-        assert von_neumann(ReducedAtomState(0.5, 0.5, 0.5j * sy)) == pytest.approx(0.0, abs=1e-12)
+        s = ReducedAtomState(0.5, 0.5, 0.5j * sy)
+        assert von_neumann(bloch(s)) == pytest.approx(0.0, abs=1e-12)
     # energy eigenstates: no squeezing, zero entropy
     for p_plus in (1.0, 0.0):
         s = ReducedAtomState(p_plus, 1.0 - p_plus, 0j)
         assert entropy_squeezing(bloch(s), "y") == pytest.approx(0.0, abs=1e-14)
-        assert von_neumann(s) == pytest.approx(0.0, abs=1e-14)
+        assert von_neumann(bloch(s)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_array_matches_elementwise_scalar():
@@ -138,7 +139,7 @@ def test_array_matches_elementwise_scalar():
         "e_y": lambda b, s: entropy_squeezing(b, "y"),
         "e_x": lambda b, s: entropy_squeezing(b, "x"),
         "f_y": lambda b, s: variance_squeezing(b, "y"),
-        "gamma": lambda b, s: von_neumann(s),
+        "gamma": lambda b, s: von_neumann(bloch(s)),
         "eur": lambda b, s: eur_residual(b),
         "e_x_identity": lambda b, s: e_x_identity_check(b),
         "h_y": lambda b, s: binary_entropy_of_mean(b.sy),
@@ -187,14 +188,16 @@ def test_sign_invariance(b):
             ref = ReducedAtomState(
                 0.5 * (1.0 + b.sz), 0.5 * (1.0 - b.sz), 0.5j * b.sy
             )
-            assert von_neumann(state) == pytest.approx(von_neumann(ref), abs=1e-13)
+            assert von_neumann(bloch(state)) == pytest.approx(
+                von_neumann(bloch(ref)), abs=1e-13
+            )
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=200, deadline=None)
 def test_entropy_extremes_track_norm(r):
     state = ReducedAtomState(0.5 * (1.0 + r), 0.5 * (1.0 - r), 0j)
-    gamma = von_neumann(state)
+    gamma = von_neumann(bloch(state))
     if r > 1.0 - 1e-8:
         assert gamma < 1e-7
     if r < 1e-8:

@@ -8,6 +8,7 @@ import pytest
 from tjcm import (
     AtomId,
     FockWeights,
+    InvalidParameterError,
     TruncationError,
     coherent_weights,
     eigen_table,
@@ -180,6 +181,13 @@ def test_atom_swap_symmetry_pointwise():
     b = reduced(w, 1, g_swapped, ts_swapped, AtomId.SECOND)
     for qa, qb in zip(a, b):
         assert np.max(np.abs(qa - qb)) < 1e-9
+
+
+def test_swap_transform_rejects_nonpositive_or_infinite_g():
+    assert swap_transform(0.5, 2.0) == (2.0, 1.0)
+    for g in (0.0, math.inf):
+        with pytest.raises(InvalidParameterError, match="g must be > 0"):
+            swap_transform(g, 1.0)
 
 
 def test_reduce_arrays_matches_scalar_route():

@@ -1,6 +1,7 @@
 """Scans, presets, CSV round trips, and verification runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from tjcm import (
     write_csv,
 )
 from tjcm.observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, von_neumann
-from tjcm.scan import CHANNEL_NAMES, PRESET_CONFIGS, validate_channels
+from tjcm.scan import ATOM_CHANNELS, CHANNEL_NAMES, PRESET_CONFIGS, validate_channels
 
 
 def small_cfg(**kw):
@@ -84,7 +85,7 @@ def test_scan_matches_pointwise_pipeline():
         "ey2": entropy_squeezing(b2, "y"),
         "ex1": entropy_squeezing(b1, "x"),
         "fy2": variance_squeezing(b2, "y"),
-        "gamma2": von_neumann(s2),
+        "gamma2": von_neumann(b2),
         "eur1": eur_residual(b1),
     }
     assert list(expected) == list(cfg.channels)
@@ -104,6 +105,38 @@ def test_scan_deterministic():
     assert np.array_equal(a.grid, b.grid)
     for name in a.channels:
         assert np.array_equal(a.channels[name], b.channels[name])
+
+
+@pytest.mark.parametrize("alpha, g, l", [(5.0, 1e4, 1), (5.0, 1e3, 2), (10.0, 1.0, 5)])
+def test_strong_coupling_and_many_photons_give_physical_output(alpha, g, l):
+    # strong coupling and l = 5: phase conditioning 5.5e-10, 5.5e-10 and
+    # 8.5e-9 over t_max 25, inside the 1e-8 bound
+    channels = tuple(f"{kind}{atom}" for kind in ATOM_CHANNELS for atom in (1, 2))
+    cfg = ScanConfig(params=ModelParams(alpha=alpha, g=g, l=l), t_max=25.0,
+                     steps=200, channels=channels)
+    ts = run_scan(cfg)
+    w = coherent_weights(alpha)
+    x = evolve_grid(eigen_table(w.n_max, l, g), ts.grid)
+    for atom in AtomId:
+        state = ReducedAtomState(*reduce_arrays(w, x, l, atom))
+        assert np.max(np.abs(state.p_plus + state.p_minus - 1.0)) <= 1e-12
+        assert np.max(bloch(state).norm()) <= 1.0 + 1e-12
+        tag = str(atom.value)
+        assert np.array_equal(ts.channels[f"inv{tag}"], bloch(state).sz)
+        assert np.min(ts.channels[f"eur{tag}"]) >= -1e-12
+        assert np.min(ts.channels[f"ex{tag}"]) >= 0.0
+
+
+def test_phase_conditioning_refused_with_typed_error():
+    # l = 8 at alpha 5 over t_max 25: max|w| * T * eps = 1.3e-6 > 1e-8
+    cfg = ScanConfig(params=ModelParams(alpha=5.0, g=1.0, l=8), t_max=25.0,
+                     steps=50, channels=("inv1", "ey2"))
+    with pytest.raises(InvalidParameterError, match="phase conditioning"):
+        run_scan(cfg)
+    # negative control: the same parameters over t_max 0.1 (5.2e-9) run,
+    # so the refusal bounds the conditioning, not the parameters
+    ts = run_scan(replace(cfg, t_max=0.1))
+    assert np.max(np.abs(ts.channels["inv1"])) <= 1.0 + 1e-12
 
 
 def test_presets_frozen():
