@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from tjcm import AtomId, FockWeights, StepSizeError, TruncationError, coherent_weights
 from tjcm import oracle
@@ -92,11 +93,84 @@ def test_rk4_two_level_rabi():
 
 def test_rk4_rejects_unstable_step():
     h = oracle.build_joint_hamiltonian(1, 1.0, 30)
-    psi0 = np.zeros(h.dim, dtype=complex)
-    psi0[0] = 1.0
-    norm_inf = float(np.abs(h.matrix).sum(axis=1).max())
-    with pytest.raises(StepSizeError):
-        oracle.rk4_evolve(h, psi0, 1.0, 1.0 / norm_inf)
+    norm_inf = h.norm_inf
+    cases = [
+        # (start state, T, dt, match)
+        # dt beyond the stability margin 0.5 / ||H||_inf
+        (0, 1.0, 1.0 / norm_inf, "stability margin"),
+        # inside the margin, but two steps this coarse from |+,-,28>
+        # (row sum near ||H||_inf) lose 8.7e-5 of the norm
+        (28, 0.98 / norm_inf, 0.49 / norm_inf, "norm drifted"),
+    ]
+    for start, T, dt, match in cases:
+        psi0 = np.zeros(h.dim, dtype=complex)
+        psi0[start] = 1.0
+        with pytest.raises(StepSizeError, match=match):
+            oracle.rk4_evolve(h, psi0, T, dt)
+
+
+def _stepped_rk4(h, psi0, T, dt):
+    """Reference: the classic RK4 stages, one step at a time."""
+    steps = max(1, math.ceil(T / dt))
+    step = T / steps
+    m = h.matrix
+    psi = np.asarray(psi0, dtype=complex).copy()
+    for _ in range(steps):
+        k1 = -1j * (m @ psi)
+        k2 = -1j * (m @ (psi + (0.5 * step) * k1))
+        k3 = -1j * (m @ (psi + (0.5 * step) * k2))
+        k4 = -1j * (m @ (psi + step * k3))
+        psi += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
+# (alpha, g, l, T, steps): the fig1, fig2 and fig4 verify sets over T = 3
+# at their suggested dt (steps None), the decoupled g = 0 limit, and an
+# odd (every bit set) and a power-of-two step count
+POWERING_CASES = [
+    pytest.param(5.0, 0.5, 1, 3.0, None, id="fig1"),
+    pytest.param(5.0, 0.5, 2, 3.0, None, id="fig2"),
+    pytest.param(5.0, 1.0, 1, 3.0, None, id="fig4"),
+    pytest.param(5.0, 0.0, 1, 3.0, None, id="g0"),
+    pytest.param(5.0, 0.5, 1, 1.0, 1023, id="odd"),
+    pytest.param(5.0, 0.5, 1, 1.0, 1024, id="pow2"),
+]
+
+
+def _case(alpha, g, l, T, steps):
+    w = coherent_weights(alpha)
+    h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
+    # dt = T / (steps - 0.5) makes ceil(T / dt) == steps exactly
+    dt = oracle.suggest_dt(w, h, T) if steps is None else T / (steps - 0.5)
+    return h, oracle.initial_state(w, h), dt
+
+
+@pytest.mark.parametrize("alpha, g, l, T, steps", POWERING_CASES)
+def test_rk4_powering_matches_stepped_reference(alpha, g, l, T, steps):
+    h, psi0, dt = _case(alpha, g, l, T, steps)
+    if steps is not None:
+        assert math.ceil(T / dt) == steps
+    psi = oracle.rk4_evolve(h, psi0, T, dt)
+    assert np.max(np.abs(psi - _stepped_rk4(h, psi0, T, dt))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, g, l, T, steps", POWERING_CASES)
+def test_rk4_step_operator_powers_stay_sparse(alpha, g, l, T, steps):
+    # H conserves excitation number, so every power of the one-step
+    # operator lives on H's <= 4-state invariant subspaces: powering
+    # costs no more per product than the first one
+    h, _, dt = _case(alpha, g, l, T, steps)
+    steps = max(1, math.ceil(T / dt))
+    zh = (-1j * (T / steps)) * h.matrix
+    term = sparse.identity(h.dim, format="csr")
+    p = term
+    for k in range(1, 5):
+        term = (zh @ term) / k
+        p = p + term
+    nnz = p.nnz
+    for _ in range(steps.bit_length() - 1):
+        p = p @ p
+        assert p.nnz == nnz
 
 
 def test_norm_and_excitation_conserved():
@@ -165,5 +239,5 @@ def test_suggest_dt_caps():
     dt_short = oracle.suggest_dt(w, h, 1.0)
     dt_long = oracle.suggest_dt(w, h, 100.0)
     assert dt_long < dt_short <= oracle.DT_MAX
-    norm_inf = float(np.abs(h.matrix).sum(axis=1).max())
-    assert dt_short <= 0.1 / norm_inf or dt_short <= oracle.DT_MAX
+    assert h.norm_inf == np.abs(h.matrix.toarray()).sum(axis=1).max()
+    assert dt_short <= 0.1 / h.norm_inf or dt_short <= oracle.DT_MAX
