@@ -10,12 +10,21 @@ the base photon number n.  All blocks are diagonalized at once by a
 batched cyclic Jacobi eigensolver; the evolution amplitudes (x1, x2, x3,
 x4) of the initial basis vector follow from the eigenpairs, in real
 arithmetic: the outer two are cosine sums and the middle two sine sums.
+
+Long grids are streamed rather than evolved whole: chunk_rows sizes a
+chunk of time points to stay in cache, and map_chunks runs the chunks on
+every core in the process's affinity mask, each worker thread with
+buffers allocated once (reduced.reduced_states is the driver scans use).
+numpy releases the GIL inside each array operation, so the workers overlap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +36,13 @@ _EPS = np.finfo(float).eps
 _PHASE_COND_TOL = 1e-8
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
+# Streaming: amplitudes per component in one chunk, and worker threads
+# (every CPU in the process's affinity mask).
+_CHUNK_ELEMS = 16384
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
 
 
 def transition_strength(n: int | np.ndarray, l: int) -> float | np.ndarray:
@@ -127,6 +143,108 @@ def eigen_table(n_max: int, l: int, g: float) -> tuple[np.ndarray, np.ndarray]:
     return jacobi_eigh(block_matrices(n_max, l, g))
 
 
+def chunk_rows(n_blocks: int) -> int:
+    """Time points per chunk when a grid over n_blocks blocks is streamed:
+    about _CHUNK_ELEMS amplitudes per component, so a worker's buffers stay
+    cache-sized, rounded down to a multiple of 8 (at least 8).  Chunks that
+    start on multiples of 8 keep OpenBLAS's per-row matrix-vector results
+    bitwise equal to one product over the whole grid."""
+    return max(8, _CHUNK_ELEMS // max(n_blocks, 1) // 8 * 8)
+
+
+def map_chunks(
+    size: int, rows: int, make_worker: Callable[[], Callable[[int, int], None]]
+) -> None:
+    """Run range(size) in chunks of ``rows`` on every available core.
+
+    Chunks are dealt round-robin to min(_WORKERS, chunk count) workers.
+    Each worker calls make_worker() once, which allocates its buffers and
+    returns the per-chunk function, and then calls that on (start, stop)
+    of each of its chunks; chunks write disjoint slices of preallocated
+    outputs, so they share nothing mutable.  One worker runs inline.
+    The calling thread is worker 0; the first exception raised by any
+    worker is re-raised here after every worker has stopped.
+    """
+    starts = range(0, size, rows)
+    workers = max(1, min(_WORKERS, len(starts)))
+    errors: list[Exception] = []
+
+    def work(k: int) -> None:
+        try:
+            chunk = make_worker()
+            for start in starts[k::workers]:
+                if errors:
+                    return
+                chunk(start, min(start + rows, size))
+        except Exception as exc:  # handed to the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray) -> None:
+    """Refuse a grid whose phase error bound max|w| * max|T| * eps exceeds
+    _PHASE_COND_TOL."""
+    cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
+    if cond > _PHASE_COND_TOL:
+        raise InvalidParameterError(
+            f"phase conditioning max|w|*max|T|*eps = {cond:.3e} exceeds "
+            f"{_PHASE_COND_TOL:.0e}; lower t_max, alpha, g or l"
+        )
+
+
+def check_norm(norm_dev: float) -> None:
+    """Refuse amplitudes whose norm strays from 1 by more than _NORM_TOL."""
+    if norm_dev > _NORM_TOL:
+        raise InternalConsistencyError(
+            f"amplitude norm deviates from 1 by {norm_dev:.3e}"
+        )
+
+
+def evolution_factors(spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The spectrum as amplitudes_into reads it, eigenvalue index k first
+    and photon index n last, so every contraction's inner loop runs along
+    n: vals (4, N), overlaps <v_k|e1> (4, N), and the basis components of
+    the eigenvectors that feed (x1, x4) and (x2, x3), each (2, 4, N)."""
+    vals, vecs = spectrum
+    return (
+        np.ascontiguousarray(vals.T),
+        np.ascontiguousarray(vecs[:, 0, :].T),
+        np.ascontiguousarray(vecs[:, (0, 3), :].transpose(1, 2, 0)),
+        np.ascontiguousarray(vecs[:, (1, 2), :].transpose(1, 2, 0)),
+    )
+
+
+def amplitudes_into(
+    factors: tuple[np.ndarray, ...],
+    t: np.ndarray,
+    x: np.ndarray,
+    phase: np.ndarray,
+    trig: np.ndarray,
+) -> float:
+    """Kernel of evolve_grid: fill x (4, len(t), N) with (x1, x2, x3, x4)
+    at the times t, from the evolution_factors of the spectrum, using
+    phase and trig (4, len(t), N) as scratch, and return
+    max |x1^2 + x2^2 + x3^2 + x4^2 - 1|.  No checks."""
+    vals, overlap, outer, inner = factors
+    np.multiply(-t[None, :, None], vals[:, None, :], out=phase)  # exp(-i w T) = exp(i phase)
+    np.cos(phase, out=trig)
+    np.einsum("ktn,kn,jkn->jtn", trig, overlap, outer, out=x[::3])
+    np.sin(phase, out=trig)
+    np.einsum("ktn,kn,jkn->jtn", trig, overlap, inner, out=x[1:3])
+    norm = np.einsum("jtn,jtn->tn", x, x, out=phase[0])
+    return max(float(norm.max(initial=1.0)) - 1.0, 1.0 - float(norm.min(initial=1.0)))
+
+
 def evolve_grid(spectrum: tuple[np.ndarray, np.ndarray], t_grid: np.ndarray) -> np.ndarray:
     """Evolution amplitudes for many blocks and times at once.
 
@@ -137,26 +255,17 @@ def evolve_grid(spectrum: tuple[np.ndarray, np.ndarray], t_grid: np.ndarray) -> 
     components 1 and 4 real by construction (cosine sums) and 2 and 3
     imaginary (sine sums); x holds those real and imaginary parts, computed
     in real arithmetic.  A grid whose phase error bound
-    max|w| * max|T| * eps exceeds _PHASE_COND_TOL is refused.
+    max|w| * max|T| * eps exceeds _PHASE_COND_TOL is refused.  Scans do
+    not call this on their whole grid: reduced.reduced_states streams the
+    same kernel (amplitudes_into) over chunks of it.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    vals, vecs = spectrum
-    cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
-    if cond > _PHASE_COND_TOL:
-        raise InvalidParameterError(
-            f"phase conditioning max|w|*max|T|*eps = {cond:.3e} exceeds "
-            f"{_PHASE_COND_TOL:.0e}; lower t_max, alpha, g or l"
-        )
-    phase = -t_grid[:, None, None] * vals  # exp(-i w T) = exp(i phase), (T, N, 4)
-    overlap = vecs[:, 0, :]  # <v_k|e1>, shape (N, 4)
-    x1, x4 = np.einsum("tnk,nk,njk->jtn", np.cos(phase), overlap, vecs[:, (0, 3), :])
-    x2, x3 = np.einsum("tnk,nk,njk->jtn", np.sin(phase), overlap, vecs[:, (1, 2), :])
-    x = np.stack([x1, x2, x3, x4])
-    norm_dev = float(np.max(np.abs(np.sum(x * x, axis=0) - 1.0)))
-    if norm_dev > _NORM_TOL:
-        raise InternalConsistencyError(
-            f"amplitude norm deviates from 1 by {norm_dev:.3e}"
-        )
+    vals = spectrum[0]
+    check_phase_conditioning(vals, t_grid)
+    nt, n = t_grid.size, vals.shape[0]
+    x = np.empty((4, nt, n))
+    phase, trig = np.empty((2, 4, nt, n))
+    check_norm(amplitudes_into(evolution_factors(spectrum), t_grid, x, phase, trig))
     return x
 
 

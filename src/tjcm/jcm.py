@@ -12,14 +12,34 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import chunk_rows, map_chunks
 from .observables import BlochVector, entropy_squeezing
 from .params import FockWeights
 
 
-def _times(T: float | np.ndarray) -> np.ndarray:
-    """T with a trailing axis, so each (T, n) phase matrix contracts
-    against a weight vector over n."""
-    return np.asarray(T, dtype=float)[..., None]
+def _streamed(T: float | np.ndarray, cols: int, buffers: int, fill) -> np.ndarray:
+    """One reference channel over the times T, evaluated in row chunks on
+    every core (blocks.map_chunks), so no (T, n) phase matrix over the
+    whole grid exists.  ``fill(t, bufs, out)`` writes the values at the
+    chunk's times t (r, 1) into out (r,), using ``buffers`` scratch
+    matrices (r, cols).  Returns the channel with the shape of T."""
+    t = np.asarray(T, dtype=float)
+    times = t.reshape(-1)
+    out = np.empty(times.size)
+    rows = chunk_rows(cols)
+
+    def make_worker():
+        scratch = np.empty((buffers, rows * cols))
+
+        def chunk(start: int, stop: int) -> None:
+            r = stop - start
+            bufs = [b[: r * cols].reshape(r, cols) for b in scratch]
+            fill(times[start:stop, None], bufs, out[start:stop])
+
+        return chunk
+
+    map_chunks(times.size, rows, make_worker)
+    return out.reshape(t.shape)[()]
 
 
 def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
@@ -32,10 +52,21 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
     of T.
     """
     c = weights.c
-    t = _times(T)
     root = np.sqrt(np.arange(1.0, c.size + 1.0))  # sqrt(n + 1)
-    sz = np.cos(2.0 * t * root) @ (c * c)
-    sy = 2.0 * ((np.cos(t * root[1:]) * np.sin(t * root[:-1])) @ (c[:-1] * c[1:]))
+    pop, pair = c * c, c[:-1] * c[1:]
+
+    def fill_sz(t, bufs, out):
+        (a,) = bufs
+        np.matmul(np.cos(np.multiply(2.0 * t, root, out=a), out=a), pop, out=out)
+
+    def fill_sy(t, bufs, out):
+        a, b = bufs
+        np.cos(np.multiply(t, root[1:], out=a), out=a)
+        np.sin(np.multiply(t, root[:-1], out=b), out=b)
+        np.matmul(np.multiply(a, b, out=a), pair, out=out)
+
+    sz = _streamed(T, c.size, 1, fill_sz)
+    sy = 2.0 * _streamed(T, c.size - 1, 2, fill_sy)
     return BlochVector(sx=np.zeros_like(sz), sy=sy, sz=sz)
 
 
@@ -55,12 +86,18 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     peaked (alpha >> 1); evaluable for any weights.  Has the shape of T.
     """
     c = weights.c
-    t = _times(T)
     n = np.arange(c.size - 1.0)
     wn = np.sqrt(4.0 * n + 6.0)
     wn1 = np.sqrt(4.0 * n + 10.0)
-    terms = (
-        0.5 * np.sin(t * (wn - wn1))
-        + np.sin(t * (wn + wn1) / 2.0) * np.cos(t * (wn - wn1) / 2.0)
-    )
-    return terms @ (c[:-1] * c[1:])
+    diff, total, pair = wn - wn1, wn + wn1, c[:-1] * c[1:]
+
+    def fill(t, bufs, out):
+        a, b, e = bufs
+        np.multiply(t, diff, out=a)
+        np.cos(np.divide(a, 2.0, out=b), out=b)
+        np.multiply(np.sin(a, out=a), 0.5, out=a)
+        np.sin(np.divide(np.multiply(t, total, out=e), 2.0, out=e), out=e)
+        np.add(a, np.multiply(e, b, out=e), out=a)
+        np.matmul(a, pair, out=out)
+
+    return _streamed(T, c.size - 1, 3, fill)

@@ -5,6 +5,11 @@ Tracing the pure joint state over the field and the other atom leaves a
 The coherence couples field sectors whose photon numbers differ by l, so
 it is a sum over products of amplitudes from adjacent blocks n and n+l.
 The second atom obeys the same formulas with x2 and x3 interchanged.
+
+Scans do not build the amplitude table of the whole grid: reduced_states
+evolves and reduces one cache-sized chunk of times at a time, on every
+core, into preallocated outputs, with exactly the arithmetic of
+evolve_grid followed by reduce_arrays.
 """
 
 from __future__ import annotations
@@ -12,9 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
+from .blocks import (
+    amplitudes_into,
+    check_norm,
+    check_phase_conditioning,
+    chunk_rows,
+    evolution_factors,
+    map_chunks,
+)
 from .errors import InvalidParameterError, TruncationError
 from .params import FockWeights
 
@@ -28,8 +42,9 @@ class AtomId(Enum):
 class ReducedAtomState:
     """2x2 single-atom density matrix: populations of |+> and |-> plus the
     |+><-| coherence, at one time (scalars) or over a grid (arrays).  The
-    coherence is complex: reduce_arrays builds it purely imaginary, as the
-    model makes it, and the oracle's partial trace genuinely complex."""
+    coherence is complex: reduce_arrays and reduced_states build it purely
+    imaginary, as the model makes it, and the oracle's partial trace
+    genuinely complex."""
 
     p_plus: float | np.ndarray
     p_minus: float | np.ndarray
@@ -55,26 +70,111 @@ def reduce_arrays(
     mass, which signals a cutoff chosen too small for the requested
     amplitude.
     """
-    if x.shape[-1] != weights.n_max + 1:
+    _check_span(weights, x.shape[-1])
+    nt = x.shape[1]
+    p_plus, p_minus, coh_im = out = np.empty((3, nt))
+    _reduce_into(weights, x, l, atom, out, np.empty((2, nt * x.shape[2])))
+    _check_trace(weights, p_plus, p_minus)
+    return p_plus, p_minus, 1j * coh_im
+
+
+def reduced_states(
+    weights: FockWeights,
+    spectrum: tuple[np.ndarray, np.ndarray],
+    grid: np.ndarray,
+    l: int,
+    atoms: Iterable[AtomId],
+) -> dict[AtomId, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(p_plus, p_minus, coh) over the grid for each atom, streamed.
+
+    The same arithmetic as ``evolve_grid`` followed by ``reduce_arrays``,
+    bit for bit, without the (4, nT, N) amplitude table: the grid is cut
+    into ``chunk_rows(N)`` time points at a time, and each chunk is evolved
+    and reduced into the preallocated outputs while its amplitudes are
+    still in cache.  Chunks run on every core (``map_chunks``), each worker
+    with buffers allocated once, so memory beyond the outputs does not grow
+    with the grid.  The phase conditioning is checked over the whole grid
+    before any chunk runs, the amplitude norm over every chunk and the
+    trace over the assembled arrays, with the same bounds and errors as
+    the whole-grid functions.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    atoms = tuple(atoms)
+    vals = spectrum[0]
+    check_phase_conditioning(vals, grid)
+    nt, n = grid.size, vals.shape[0]
+    _check_span(weights, n)
+    rows = chunk_rows(n)
+    out = {atom: np.empty((3, nt)) for atom in atoms}
+    norm_devs = np.zeros(-(-nt // rows))
+    factors = evolution_factors(spectrum)
+
+    def make_worker():
+        x, phase, trig = np.empty((3, 4, rows, n))
+        scratch = np.empty((2, rows * n))
+
+        def chunk(start: int, stop: int) -> None:
+            r = stop - start
+            xr = x[:, :r]
+            norm_devs[start // rows] = amplitudes_into(
+                factors, grid[start:stop], xr, phase[:, :r], trig[:, :r])
+            for atom in atoms:
+                _reduce_into(weights, xr, l, atom, out[atom][:, start:stop], scratch)
+
+        return chunk
+
+    map_chunks(nt, rows, make_worker)
+    check_norm(float(norm_devs.max(initial=0.0)))
+    states = {}
+    for atom, (p_plus, p_minus, coh_im) in out.items():
+        _check_trace(weights, p_plus, p_minus)
+        states[atom] = p_plus, p_minus, 1j * coh_im
+    return states
+
+
+def _check_span(weights: FockWeights, n: int) -> None:
+    if n != weights.n_max + 1:
         raise TruncationError(
-            f"amplitude table covers {x.shape[-1]} indices, need {weights.n_max + 1}"
+            f"amplitude table covers {n} indices, need {weights.n_max + 1}"
         )
+
+
+def _reduce_into(
+    weights: FockWeights,
+    x: np.ndarray,
+    l: int,
+    atom: AtomId,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Kernel of reduce_arrays: write p_plus, p_minus and the imaginary
+    part of the coherence at the nT times of x (4, nT, N) into out (3, nT),
+    using scratch (2, >= nT * N) for the elementwise products."""
     c = weights.c
     x1, x2, x3, x4 = x
     if atom is AtomId.SECOND:
         x2, x3 = x3, x2
+    nt, n = x1.shape
+    m = max(n - l, 0)
+    a, b = (s[: nt * n].reshape(nt, n) for s in scratch)
     w = c * c
-    p_plus = (x1 * x1 + x2 * x2) @ w
-    p_minus = (x3 * x3 + x4 * x4) @ w
-    m = max(c.size - l, 0)
-    coh_im = (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ (c[l:] * c[:m])
+    for u, v, dest in ((x1, x2, out[0]), (x3, x4, out[1])):
+        np.multiply(u, u, out=a)
+        np.multiply(v, v, out=b)
+        np.matmul(np.add(a, b, out=a), w, out=dest)
+    a, b = (s[: nt * m].reshape(nt, m) for s in scratch)
+    np.multiply(x2[:, l:], x4[:, :m], out=a)
+    np.multiply(x3[:, :m], x1[:, l:], out=b)
+    np.matmul(np.subtract(a, b, out=a), c[l:] * c[:m], out=out[2])
+
+
+def _check_trace(weights: FockWeights, p_plus: np.ndarray, p_minus: np.ndarray) -> None:
     trace_dev = float(np.max(np.abs(p_plus + p_minus - 1.0), initial=0.0))
     if trace_dev > 10.0 * weights.cutoff_eps:
         raise TruncationError(
             f"reduced trace deviates from 1 by {trace_dev:.3e}, beyond "
             "10*cutoff_eps; increase the truncation"
         )
-    return p_plus, p_minus, 1j * coh_im
 
 
 def swap_transform(g: float, T: float) -> tuple[float, float]:

@@ -11,12 +11,12 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import jcm
-from .blocks import eigen_table, evolve_grid
+from .blocks import eigen_table
 from .errors import InvalidParameterError, ResourceRefusalError, UsageError
 from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
     von_neumann
 from .params import ModelParams, coherent_weights
-from .reduced import AtomId, ReducedAtomState, reduce_arrays
+from .reduced import AtomId, ReducedAtomState, reduced_states
 
 # Per-atom channel kinds, each an array expression over the atom's Bloch
 # vector on the whole grid.
@@ -94,11 +94,17 @@ def validate_channels(names: Iterable[str]) -> tuple[str, ...]:
 def run_scan(cfg: ScanConfig) -> TimeSeries:
     """Evaluate every requested channel on the configured time grid.
 
-    Blocks are diagonalized once and shared read-only across the whole
-    grid; single-atom channels come from the analytic reduction, the
-    jcm_* and harmonic_sy channels from the closed-form references.
+    Blocks are diagonalized once and shared read-only by the chunks of the
+    grid, which ``reduced_states`` evolves and reduces on every core in
+    the process's affinity mask; single-atom channels come from that
+    reduction, the jcm_* and harmonic_sy channels from the closed-form
+    references, streamed over the same chunks.  Memory grows with the
+    grid only by grid-length arrays (states, Bloch vectors, channels); a
+    grid whose outputs alone would not fit in physical memory is refused
+    before anything is allocated.
     """
     names = validate_channels(cfg.channels)
+    _check_grid_fits(cfg.steps, len(names) + 1)
     p = cfg.params
     grid = cfg.grid()
     weights = coherent_weights(p.alpha, p.cutoff_eps)
@@ -106,12 +112,11 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
 
     atoms_needed = {n[-1] for n in names if n[:-1] in ATOM_CHANNELS}
     if atoms_needed:
-        blocks = eigen_table(weights.n_max, p.l, p.g)
-        x = evolve_grid(blocks, grid)
-        states = {}
-        for tag in sorted(atoms_needed):
-            atom = AtomId.FIRST if tag == "1" else AtomId.SECOND
-            states[tag] = bloch(ReducedAtomState(*reduce_arrays(weights, x, p.l, atom)))
+        atoms = [AtomId(int(tag)) for tag in sorted(atoms_needed)]
+        reduced = reduced_states(weights, eigen_table(weights.n_max, p.l, p.g), grid, p.l, atoms)
+        states = {
+            str(atom.value): bloch(ReducedAtomState(*state)) for atom, state in reduced.items()
+        }
         for name in names:
             kind, tag = name[:-1], name[-1]
             if kind in ATOM_CHANNELS:
@@ -129,6 +134,19 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
         series["harmonic_sy"] = jcm.tjcm_harmonic_sy(weights, grid)
 
     return TimeSeries(grid=grid, channels={n: series[n] for n in names})
+
+
+def _check_grid_fits(steps: int, columns: int) -> None:
+    """Refuse a run whose grid-length arrays alone (columns of 8-byte
+    values: the grid and one per channel) exceed physical memory; checked
+    before the grid exists."""
+    need = steps * columns * 8
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > phys:
+        raise ResourceRefusalError(
+            f"{steps} steps x {columns} columns need {need:.3e} bytes, beyond "
+            f"physical memory {phys:.3e} bytes; lower steps"
+        )
 
 
 # Frozen figure presets.  fig3 spans two transition parameters (l = 1 and
@@ -239,6 +257,7 @@ def run_verify(
             "lower alpha (or raise --max-dim) to verify this configuration"
         )
 
+    _check_grid_fits(cfg.steps, 1)
     grid = cfg.grid()
     rng = np.random.default_rng(VERIFY_SEED)
     count = min(sample_count, grid.size - 1)
@@ -251,8 +270,7 @@ def run_verify(
     dt = oracle.suggest_dt(weights, h, float(times[-1]))
 
     blocks = eigen_table(weights.n_max, p.l, p.g)
-    x = evolve_grid(blocks, times)
-    analytic = {atom: reduce_arrays(weights, x, p.l, atom) for atom in AtomId}
+    analytic = reduced_states(weights, blocks, times, p.l, AtomId)
     if inject_fault:
         p_plus, p_minus, coh = analytic[AtomId.FIRST]
         coh = coh.copy()

@@ -54,6 +54,11 @@ def test_scan_refuses_ill_conditioned_phases(capsys):
     assert main(args + ["--tmax", "0.1"]) == EXIT_OK
 
 
+def test_scan_refuses_output_beyond_physical_memory(capsys):
+    assert main(["scan", "--steps", str(10**12), "--channels", "inv1"]) == EXIT_REFUSED
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_preset_subcommand(tmp_path):
     out = tmp_path / "fig1.csv"
     code = main(["preset", "fig1", "--steps", "12", "--out", str(out)])
@@ -96,11 +101,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_import_leaves_scipy_sparse_and_special_unloaded():
-    """scipy.sparse (the oracle) loads only for verify; scipy.special never."""
+    """scipy.sparse (the oracle) loads only for verify; scipy.special never;
+    scans start plain threads, so concurrent.futures (and its logging
+    import) stays unloaded too."""
     code = (
         "import sys, tjcm; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.special', 'tjcm.oracle') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.special', 'tjcm.oracle', "
+        "'concurrent.futures') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout

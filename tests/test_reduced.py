@@ -1,13 +1,18 @@
 """Reduced density matrices: per-index summands, traces, oracle agreement."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import tjcm.blocks
+import tjcm.reduced
 from tjcm import (
     AtomId,
     FockWeights,
+    InternalConsistencyError,
     InvalidParameterError,
     TruncationError,
     coherent_weights,
@@ -15,8 +20,8 @@ from tjcm import (
     swap_transform,
 )
 from tjcm import oracle
-from tjcm.blocks import evolve_grid
-from tjcm.reduced import reduce_arrays
+from tjcm.blocks import chunk_rows, evolve_grid, map_chunks
+from tjcm.reduced import reduce_arrays, reduced_states
 
 
 def reduced(weights, l, g, ts, atom):
@@ -226,3 +231,120 @@ def test_reduce_arrays_matches_fsum():
                 assert abs(pp[i] - ref_pp) <= 1e-15
                 assert abs(pm[i] - ref_pm) <= 1e-15
                 assert abs(coh[i] - 1j * ref_coh) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha, g, l, steps", [
+    (5.0, 0.5, 1, 2500),  # fig1
+    (5.0, 0.5, 2, 2500),  # fig2
+    (19.6, 1.3, 2, 500),  # n_max 601: 24 rows per chunk
+])
+def test_streamed_states_bitwise_equal_to_whole_grid(alpha, g, l, steps):
+    """reduced_states gives, bit for bit, what evolve_grid over the whole
+    grid followed by reduce_arrays gives."""
+    w = coherent_weights(alpha)
+    spectrum = eigen_table(w.n_max, l, g)
+    grid = np.linspace(0.0, 25.0, steps)
+    assert steps > 2 * chunk_rows(w.n_max + 1)
+    x = evolve_grid(spectrum, grid)
+    streamed = reduced_states(w, spectrum, grid, l, AtomId)
+    assert list(streamed) == list(AtomId)
+    for atom in AtomId:
+        for got, want in zip(streamed[atom], reduce_arrays(w, x, l, atom)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_chunk_rows_multiple_of_eight():
+    for n in (1, 36, 96, 602, 1221, 5000):
+        rows = chunk_rows(n)
+        assert rows % 8 == 0 and rows >= 8
+        assert rows * n <= tjcm.blocks._CHUNK_ELEMS or rows == 8
+
+
+def test_map_chunks_covers_every_row_once(monkeypatch):
+    """More workers than cores, switching threads every microsecond: every
+    row is still written by exactly one chunk."""
+    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 5)
+    hits = np.zeros(1000, dtype=int)
+    makes = []
+
+    def make_worker():
+        makes.append(1)
+
+        def chunk(start, stop):
+            for i in range(start, stop):
+                hits[i] += 1
+
+        return chunk
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        map_chunks(hits.size, 8, make_worker)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(hits == 1)
+    assert len(makes) == 5  # one set of buffers per worker
+
+
+def test_worker_error_reaches_caller_with_its_type(monkeypatch):
+    class WorkerFault(RuntimeError):
+        pass
+
+    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 2)
+
+    def make_worker():
+        def chunk(start, stop):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerFault(f"chunk at {start}")
+
+        return chunk
+
+    with pytest.raises(WorkerFault, match="chunk at 8"):
+        map_chunks(64, 8, make_worker)
+
+
+def test_streamed_norm_check_covers_every_chunk(monkeypatch):
+    """A norm defect in the chunks of the second worker thread fails the
+    whole call with the amplitude-norm error."""
+    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 2)
+    real = tjcm.reduced.amplitudes_into
+
+    def faulty(factors, t, *bufs):
+        dev = real(factors, t, *bufs)
+        return dev if threading.current_thread() is threading.main_thread() else 1e-6
+
+    monkeypatch.setattr(tjcm.reduced, "amplitudes_into", faulty)
+    w = coherent_weights(5.0)
+    with pytest.raises(InternalConsistencyError, match="amplitude norm deviates"):
+        reduced_states(w, eigen_table(w.n_max, 1, 0.5), np.linspace(0.0, 25.0, 2500), 1,
+                       AtomId)
+
+
+def test_streamed_phase_conditioning_refused_before_any_chunk(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tjcm.reduced, "amplitudes_into", lambda *a: calls.append(a))
+    w = coherent_weights(5.0)
+    spectrum = eigen_table(w.n_max, 8, 1.0)  # conditioning 1.3e-6 over t_max 25
+    with pytest.raises(InvalidParameterError, match="phase conditioning"):
+        reduced_states(w, spectrum, np.linspace(0.0, 25.0, 50), 8, AtomId)
+    assert calls == []
+
+
+def test_streamed_trace_check_over_assembled_arrays(monkeypatch):
+    """Trace lost in one chunk (the dominant block zeroed, as in
+    test_reduced_state_rejects_trace_loss) is refused like reduce_arrays
+    refuses it."""
+    w = coherent_weights(2.0)
+    real = tjcm.reduced.amplitudes_into
+
+    def draining(factors, t, x, *bufs):
+        dev = real(factors, t, x, *bufs)
+        if t[0] > 0.0:
+            x[:, -1, int(np.argmax(w.c))] = 0.0
+        return dev
+
+    monkeypatch.setattr(tjcm.reduced, "amplitudes_into", draining)
+    with pytest.raises(TruncationError, match="reduced trace"):
+        reduced_states(w, eigen_table(w.n_max, 1, 1.0), np.linspace(0.0, 25.0, 2000), 1,
+                       AtomId)

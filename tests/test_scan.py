@@ -1,11 +1,13 @@
 """Scans, presets, CSV round trips, and verification runs."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tjcm.blocks
 from tjcm import (
     AtomId,
     InvalidParameterError,
@@ -137,6 +139,47 @@ def test_phase_conditioning_refused_with_typed_error():
     # so the refusal bounds the conditioning, not the parameters
     ts = run_scan(replace(cfg, t_max=0.1))
     assert np.max(np.abs(ts.channels["inv1"])) <= 1.0 + 1e-12
+
+
+def test_scan_channels_independent_of_worker_count(monkeypatch):
+    """Every channel, analytic and reference, is bitwise the same on one
+    worker, on every available core and on more workers than cores."""
+    cfg = ScanConfig(params=ModelParams(alpha=19.6, g=1.3, l=2), t_max=25.0,
+                     steps=500, channels=CHANNEL_NAMES)
+    every_core = run_scan(cfg)
+    for workers in (1, 3):
+        monkeypatch.setattr(tjcm.blocks, "_WORKERS", workers)
+        ts = run_scan(cfg)
+        for name in CHANNEL_NAMES:
+            assert np.array_equal(ts.channels[name], every_core.channels[name]), (workers, name)
+
+
+def test_scan_memory_does_not_grow_with_steps():
+    """Ten times the steps add at most the output arrays (grid and
+    channels) to the traced peak, plus a fixed slack: no working array
+    spans the grid times the photon index."""
+    channels = tuple(f"{kind}{atom}" for kind in ATOM_CHANNELS for atom in (1, 2))
+
+    def peak(steps):
+        cfg = ScanConfig(params=ModelParams(alpha=5.0, g=0.5, l=1), t_max=25.0,
+                         steps=steps, channels=channels)
+        tracemalloc.start()
+        try:
+            run_scan(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # first-call costs
+    outputs = (20000 - 2000) * (len(channels) + 1) * 8
+    assert peak(20000) - peak(2000) <= outputs + 2**20
+
+
+def test_scan_refuses_output_beyond_physical_memory():
+    with pytest.raises(ResourceRefusalError, match="physical memory"):
+        run_scan(small_cfg(steps=10**12))
+    with pytest.raises(ResourceRefusalError, match="physical memory"):
+        run_verify(small_cfg(steps=10**12), 10)
 
 
 def test_presets_frozen():
