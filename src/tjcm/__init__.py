@@ -19,12 +19,11 @@ from .errors import (
     TruncationError,
     UsageError,
 )
-from .jcm import jcm_bloch, jcm_entropy_squeezing, tjcm_harmonic_sy
+from .jcm import jcm_bloch, tjcm_harmonic_sy
 from .observables import (
     BlochVector,
     binary_entropy_of_mean,
     bloch,
-    e_x_identity_check,
     entropy_squeezing,
     eur_residual,
     variance_squeezing,
@@ -71,14 +70,12 @@ __all__ = [
     "block_matrices",
     "closed_form_x",
     "coherent_weights",
-    "e_x_identity_check",
     "eigen_table",
     "entropy_squeezing",
     "eur_residual",
     "evolve_grid",
     "fock_cutoff",
     "jcm_bloch",
-    "jcm_entropy_squeezing",
     "read_csv",
     "reduce_arrays",
     "run_preset",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import chunk_rows, map_chunks
-from .observables import BlochVector, entropy_squeezing
+from .observables import BlochVector
 from .params import FockWeights
 
 
@@ -68,11 +68,6 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
     sz = _streamed(T, c.size, 1, fill_sz)
     sy = 2.0 * _streamed(T, c.size - 1, 2, fill_sy)
     return BlochVector(sx=np.zeros_like(sz), sy=sy, sz=sz)
-
-
-def jcm_entropy_squeezing(weights: FockWeights, T: float | np.ndarray) -> float | np.ndarray:
-    """Transverse entropy-squeezing witness of the single-atom baseline."""
-    return entropy_squeezing(jcm_bloch(weights, T), "y")
 
 
 def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.ndarray:

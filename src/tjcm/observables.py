@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidParameterError
+from .errors import InvalidParameterError
 from .reduced import ReducedAtomState
 
 LN2 = math.log(2.0)
@@ -116,16 +116,3 @@ def eur_residual(b: BlochVector) -> float | np.ndarray:
         - 2.0 * LN2
     )
 
-
-def e_x_identity_check(b: BlochVector) -> float | np.ndarray:
-    """Residual of the identity E_x = 2 [1 - 1/sqrt(exp H(z))], which holds
-    whenever <x> = 0 (always true here) and pins E_x >= 0.
-
-    Only applicable to states with vanishing x component.
-    """
-    if np.any(np.abs(b.sx) > 1e-12):
-        raise ContractViolationError(
-            f"identity requires sx = 0, got sx = {b.sx}"
-        )
-    dh_z = np.exp(binary_entropy_of_mean(b.sz))
-    return np.abs(entropy_squeezing(b, "x") - 2.0 * (1.0 - 1.0 / np.sqrt(dh_z)))

@@ -180,7 +180,10 @@ def _check_trace(weights: FockWeights, p_plus: np.ndarray, p_minus: np.ndarray) 
 def swap_transform(g: float, T: float) -> tuple[float, float]:
     """Relabeling that exchanges the two atoms: measuring time in units of
     the atom-2 coupling maps (g, T) to (1/g, g*T), so atom-1 observables
-    of one configuration equal atom-2 observables of the transformed one."""
+    of one configuration equal atom-2 observables of the transformed one.
+
+    Public API: it states the model's atom-exchange symmetry, and a caller
+    can use it to read one atom's dynamics off a scan of the other."""
     if not (g > 0.0 and math.isfinite(g)):
         raise InvalidParameterError(f"g must be > 0, got {g}")
     return 1.0 / g, g * T

@@ -263,7 +263,7 @@ def run_verify(
     count = min(sample_count, grid.size - 1)
     times = np.sort(rng.choice(grid[1:], size=count, replace=False))
 
-    from . import oracle  # scipy.sparse: imported only when verifying
+    from . import oracle  # imported only when verifying
 
     h = oracle.build_joint_hamiltonian(p.l, p.g, n_f)
     psi0 = oracle.initial_state(weights, h)
@@ -320,7 +320,10 @@ def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
 
 
 def read_csv(path: str) -> TimeSeries:
-    """Parse a CSV produced by write_csv back into a TimeSeries."""
+    """Parse a CSV produced by write_csv back into a TimeSeries.
+
+    Public API: the inverse of write_csv, so output that `tjcm scan` or
+    `tjcm preset` wrote reads back as the exact doubles it held."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "T":

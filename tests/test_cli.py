@@ -101,14 +101,47 @@ def test_help_exits_zero(capsys):
 
 
 def test_import_leaves_scipy_sparse_and_special_unloaded():
-    """scipy.sparse (the oracle) loads only for verify; scipy.special never;
-    scans start plain threads, so concurrent.futures (and its logging
-    import) stays unloaded too."""
+    """The oracle loads only for verify and needs no scipy module; scans
+    start plain threads, so concurrent.futures (and its logging import)
+    stays unloaded too."""
     code = (
         "import sys, tjcm; "
         "print(sorted(m for m in ('scipy.sparse', 'scipy.special', 'tjcm.oracle', "
-        "'concurrent.futures') if m in sys.modules))"
+        "'concurrent.futures') if m in sys.modules)); "
+        "import tjcm.oracle; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]
+
+
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+    del sys.modules[name]
+try:
+    import scipy.sparse
+except ImportError:
+    pass
+else:
+    sys.exit("scipy.sparse imported despite the block")
+from tjcm.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_verify_runs_without_scipy():
+    args = ["verify", "--alpha", "5", "--g", "0.5", "--l", "2", "--samples", "50",
+            "--tmax", "3"]
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, *args],
+                         capture_output=True, text=True)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.startswith("verify PASS")

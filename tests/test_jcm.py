@@ -9,10 +9,16 @@ from scipy.linalg import expm
 from tjcm import (
     FockWeights,
     coherent_weights,
+    entropy_squeezing,
     jcm_bloch,
-    jcm_entropy_squeezing,
     tjcm_harmonic_sy,
 )
+
+
+def jcm_entropy_squeezing(weights, T):
+    """Transverse entropy-squeezing witness of the single-atom baseline, as
+    the scan's jcm_ey channel computes it."""
+    return entropy_squeezing(jcm_bloch(weights, T), "y")
 
 
 def jcm_bloch_by_matrix_exponential(weights, T):

@@ -14,7 +14,6 @@ from tjcm import (
     ReducedAtomState,
     binary_entropy_of_mean,
     bloch,
-    e_x_identity_check,
     entropy_squeezing,
     eur_residual,
     variance_squeezing,
@@ -24,6 +23,15 @@ from tjcm import (
 LN2 = math.log(2.0)
 E_MIN = 1.0 - math.sqrt(2.0)
 E_MAX = 2.0 - math.sqrt(2.0)
+
+
+def e_x_identity_check(b):
+    """Residual of the identity E_x = 2 [1 - 1/sqrt(exp H(z))], which holds
+    whenever <x> = 0 (always true in this model) and pins E_x >= 0."""
+    if np.any(np.abs(b.sx) > 1e-12):
+        raise ContractViolationError(f"identity requires sx = 0, got sx = {b.sx}")
+    dh_z = np.exp(binary_entropy_of_mean(b.sz))
+    return np.abs(entropy_squeezing(b, "x") - 2.0 * (1.0 - 1.0 / np.sqrt(dh_z)))
 
 
 def disk_states(max_norm=1.0):
