@@ -30,7 +30,7 @@ from .observables import (
     von_neumann,
 )
 from .params import FockWeights, ModelParams, coherent_weights, fock_cutoff
-from .reduced import AtomId, ReducedAtomState, reduce_arrays, swap_transform
+from .reduced import AtomId, ReducedAtomState, reduced_states, swap_transform
 from .scan import (
     PRESET_CONFIGS,
     PRESET_NAMES,
@@ -77,7 +77,7 @@ __all__ = [
     "fock_cutoff",
     "jcm_bloch",
     "read_csv",
-    "reduce_arrays",
+    "reduced_states",
     "run_preset",
     "run_scan",
     "run_verify",

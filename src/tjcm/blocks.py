@@ -14,7 +14,7 @@ arithmetic: the outer two are cosine sums and the middle two sine sums.
 Long grids are streamed rather than evolved whole: chunk_rows sizes a
 chunk of time points to stay in cache, and map_chunks runs the chunks on
 every core in the process's affinity mask, each worker thread with
-buffers allocated once (reduced.reduced_states is the driver scans use).
+buffers allocated once (reduced.reduced_states is their one driver).
 numpy releases the GIL inside each array operation, so the workers overlap.
 """
 
@@ -255,9 +255,9 @@ def evolve_grid(spectrum: tuple[np.ndarray, np.ndarray], t_grid: np.ndarray) -> 
     components 1 and 4 real by construction (cosine sums) and 2 and 3
     imaginary (sine sums); x holds those real and imaginary parts, computed
     in real arithmetic.  A grid whose phase error bound
-    max|w| * max|T| * eps exceeds _PHASE_COND_TOL is refused.  Scans do
-    not call this on their whole grid: reduced.reduced_states streams the
-    same kernel (amplitudes_into) over chunks of it.
+    max|w| * max|T| * eps exceeds _PHASE_COND_TOL is refused.  Reduced
+    states do not come from this table: reduced.reduced_states streams the
+    same kernel (amplitudes_into) over chunks of the grid.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     vals = spectrum[0]

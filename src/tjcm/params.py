@@ -61,32 +61,45 @@ def _vacuum_amplitude(alpha: float) -> float:
     return c0
 
 
-def fock_cutoff(alpha: float, cutoff_eps: float) -> int:
-    """Truncation index n_max: the smallest index whose excluded tail mass
-    sum_{n > n_max} C_n^2 falls below cutoff_eps, floored at
-    ``truncation_floor(alpha)``.
+def _amplitude_table(alpha: float, cutoff_eps: float) -> list[float]:
+    """C_0..C_{n_max} by the stable recurrence C_{n+1} = C_n * alpha /
+    sqrt(n + 1); direct evaluation of alpha^n / sqrt(n!) overflows long
+    before the recurrence loses accuracy.
 
-    Past the Poisson mode the terms fall at least geometrically, with ratio
-    alpha^2 / (m + 2) or less beyond C_{m+1}^2, so the tail beyond m is at
-    most C_{m+1}^2 / (1 - alpha^2 / (m + 2)).  Stopping on that bound,
-    rather than on 1 minus the running mass, cannot stall on the rounding
-    of the mass.
+    n_max is the smallest index whose excluded tail mass
+    sum_{n > n_max} C_n^2 falls below cutoff_eps, floored at
+    ``truncation_floor(alpha)``.  Past the Poisson mode the terms fall at
+    least geometrically, with ratio alpha^2 / (m + 2) or less beyond
+    C_{m+1}^2, so the tail beyond m is at most
+    C_{m+1}^2 / (1 - alpha^2 / (m + 2)).  Stopping on that bound, rather
+    than on 1 minus the running mass, cannot stall on the rounding of the
+    mass.
     """
     _check_alpha_eps(alpha, cutoff_eps)
     lam = alpha * alpha
-    c = _vacuum_amplitude(alpha)
+    c = [_vacuum_amplitude(alpha)]
     m = 0
     while True:
-        c_next = c * alpha / math.sqrt(m + 1.0)
+        c_next = c[m] * alpha / math.sqrt(m + 1.0)
         ratio = lam / (m + 2.0)
         if ratio < 1.0 and c_next * c_next < cutoff_eps * (1.0 - ratio):
-            return max(m, truncation_floor(alpha))
+            break
         if m >= _MAX_FOCK_INDEX:
             raise InvalidParameterError(
                 f"cutoff_eps={cutoff_eps} is below the resolvable tail mass"
             )
+        c.append(c_next)
         m += 1
-        c = c_next
+    for m in range(m, truncation_floor(alpha)):
+        c.append(c[m] * alpha / math.sqrt(m + 1.0))
+    return c
+
+
+def fock_cutoff(alpha: float, cutoff_eps: float) -> int:
+    """Truncation index n_max of the coherent amplitude table: where its
+    excluded tail mass falls below cutoff_eps, floored at
+    ``truncation_floor(alpha)``."""
+    return len(_amplitude_table(alpha, cutoff_eps)) - 1
 
 
 @dataclass(frozen=True)
@@ -146,19 +159,14 @@ class FockWeights:
 
 
 def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> FockWeights:
-    """Coherent-state amplitude table, truncated at ``fock_cutoff``.
+    """Coherent-state amplitude table C_0..C_{n_max}, truncated at
+    ``fock_cutoff``.
 
-    Uses the stable recurrence C_{n+1} = C_n * alpha / sqrt(n + 1); direct
-    evaluation of alpha^n / sqrt(n!) overflows long before the recurrence
-    loses accuracy.  fock_cutoff keeps the dropped tail below cutoff_eps,
-    so a total weight short of 1 - cutoff_eps is the recurrence's own
-    rounding, and a cutoff_eps that fine is refused as such.
+    The truncation keeps the dropped tail below cutoff_eps, so a total
+    weight short of 1 - cutoff_eps is the recurrence's own rounding, and a
+    cutoff_eps that fine is refused as such.
     """
-    n_max = fock_cutoff(alpha, cutoff_eps)
-    c = np.empty(n_max + 1)
-    c[0] = _vacuum_amplitude(alpha)
-    for n in range(n_max):
-        c[n + 1] = c[n] * alpha / math.sqrt(n + 1.0)
+    c = np.array(_amplitude_table(alpha, cutoff_eps))
     mass = float(np.sum(c * c))
     if mass < 1.0 - cutoff_eps:
         raise InvalidParameterError(

@@ -6,10 +6,10 @@ The coherence couples field sectors whose photon numbers differ by l, so
 it is a sum over products of amplitudes from adjacent blocks n and n+l.
 The second atom obeys the same formulas with x2 and x3 interchanged.
 
-Scans do not build the amplitude table of the whole grid: reduced_states
-evolves and reduces one cache-sized chunk of times at a time, on every
-core, into preallocated outputs, with exactly the arithmetic of
-evolve_grid followed by reduce_arrays.
+reduced_states is the one route from a block spectrum to these states.
+It never builds the amplitude table of the whole grid: it evolves and
+reduces one cache-sized chunk of times at a time, on every core, into
+preallocated outputs.
 """
 
 from __future__ import annotations
@@ -42,40 +42,12 @@ class AtomId(Enum):
 class ReducedAtomState:
     """2x2 single-atom density matrix: populations of |+> and |-> plus the
     |+><-| coherence, at one time (scalars) or over a grid (arrays).  The
-    coherence is complex: reduce_arrays and reduced_states build it purely
-    imaginary, as the model makes it, and the oracle's partial trace
-    genuinely complex."""
+    coherence is complex: reduced_states builds it purely imaginary, as the
+    model makes it, and the oracle's partial trace genuinely complex."""
 
     p_plus: float | np.ndarray
     p_minus: float | np.ndarray
     coh: complex | np.ndarray
-
-
-def reduce_arrays(
-    weights: FockWeights,
-    x: np.ndarray,
-    l: int,
-    atom: AtomId,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced density matrix of one atom over a grid of times.
-
-    ``x`` has shape (4, nT, n_max + 1) as produced by ``evolve_grid``.
-    Returns (p_plus, p_minus, coh) arrays of length nT; each is one
-    contraction over the photon index against the weights.  The coherence
-    pairs blocks n and n + l, so indices beyond the truncation contribute
-    nothing to it.
-
-    Raises TruncationError when ``x`` does not span n = 0..n_max, or when
-    the trace strays from 1 by more than ten times the configured tail
-    mass, which signals a cutoff chosen too small for the requested
-    amplitude.
-    """
-    _check_span(weights, x.shape[-1])
-    nt = x.shape[1]
-    p_plus, p_minus, coh_im = out = np.empty((3, nt))
-    _reduce_into(weights, x, l, atom, out, np.empty((2, nt * x.shape[2])))
-    _check_trace(weights, p_plus, p_minus)
-    return p_plus, p_minus, 1j * coh_im
 
 
 def reduced_states(
@@ -84,26 +56,36 @@ def reduced_states(
     grid: np.ndarray,
     l: int,
     atoms: Iterable[AtomId],
-) -> dict[AtomId, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(p_plus, p_minus, coh) over the grid for each atom, streamed.
+) -> dict[AtomId, ReducedAtomState]:
+    """Reduced state of each atom over the grid, as arrays of length nT.
 
-    The same arithmetic as ``evolve_grid`` followed by ``reduce_arrays``,
-    bit for bit, without the (4, nT, N) amplitude table: the grid is cut
-    into ``chunk_rows(N)`` time points at a time, and each chunk is evolved
-    and reduced into the preallocated outputs while its amplitudes are
-    still in cache.  Chunks run on every core (``map_chunks``), each worker
-    with buffers allocated once, so memory beyond the outputs does not grow
-    with the grid.  The phase conditioning is checked over the whole grid
-    before any chunk runs, the amplitude norm over every chunk and the
-    trace over the assembled arrays, with the same bounds and errors as
-    the whole-grid functions.
+    ``spectrum`` is the (vals, vecs) pair of ``eigen_table`` for blocks
+    n = 0..n_max of ``weights``.  Each population is one contraction over
+    the photon index against the weights; the coherence pairs blocks n and
+    n + l, so indices beyond the truncation contribute nothing to it.
+
+    The (4, nT, N) amplitude table of ``evolve_grid`` is never built: the
+    grid is cut into ``chunk_rows(N)`` time points at a time, and each
+    chunk is evolved (the kernel of ``evolve_grid``) and reduced into the
+    preallocated outputs while its amplitudes are still in cache.  Chunks
+    run on every core (``map_chunks``), each worker with buffers allocated
+    once, so memory beyond the outputs does not grow with the grid, and
+    the result is bitwise the same for any chunking.
+
+    The phase conditioning is checked over the whole grid before any chunk
+    runs (InvalidParameterError), and the amplitude norm over every chunk
+    (InternalConsistencyError).  TruncationError is raised when the
+    spectrum does not span n = 0..n_max, or when the trace strays from 1
+    by more than ten times the configured tail mass, which signals a
+    cutoff chosen too small for the requested amplitude.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     atoms = tuple(atoms)
     vals = spectrum[0]
     check_phase_conditioning(vals, grid)
     nt, n = grid.size, vals.shape[0]
-    _check_span(weights, n)
+    if n != weights.n_max + 1:
+        raise TruncationError(f"spectrum covers {n} blocks, need {weights.n_max + 1}")
     rows = chunk_rows(n)
     out = {atom: np.empty((3, nt)) for atom in atoms}
     norm_devs = np.zeros(-(-nt // rows))
@@ -128,15 +110,8 @@ def reduced_states(
     states = {}
     for atom, (p_plus, p_minus, coh_im) in out.items():
         _check_trace(weights, p_plus, p_minus)
-        states[atom] = p_plus, p_minus, 1j * coh_im
+        states[atom] = ReducedAtomState(p_plus, p_minus, 1j * coh_im)
     return states
-
-
-def _check_span(weights: FockWeights, n: int) -> None:
-    if n != weights.n_max + 1:
-        raise TruncationError(
-            f"amplitude table covers {n} indices, need {weights.n_max + 1}"
-        )
 
 
 def _reduce_into(
@@ -147,7 +122,7 @@ def _reduce_into(
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
-    """Kernel of reduce_arrays: write p_plus, p_minus and the imaginary
+    """Kernel of reduced_states: write p_plus, p_minus and the imaginary
     part of the coherence at the nT times of x (4, nT, N) into out (3, nT),
     using scratch (2, >= nT * N) for the elementwise products."""
     c = weights.c

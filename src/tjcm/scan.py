@@ -16,7 +16,7 @@ from .errors import InvalidParameterError, ResourceRefusalError, UsageError
 from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
     von_neumann
 from .params import ModelParams, coherent_weights
-from .reduced import AtomId, ReducedAtomState, reduced_states
+from .reduced import AtomId, reduced_states
 
 # Per-atom channel kinds, each an array expression over the atom's Bloch
 # vector on the whole grid.
@@ -88,6 +88,9 @@ def validate_channels(names: Iterable[str]) -> tuple[str, ...]:
         )
     if not names:
         raise UsageError("at least one channel is required")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise UsageError(f"channel(s) requested more than once: {', '.join(repeated)}")
     return names
 
 
@@ -114,9 +117,7 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     if atoms_needed:
         atoms = [AtomId(int(tag)) for tag in sorted(atoms_needed)]
         reduced = reduced_states(weights, eigen_table(weights.n_max, p.l, p.g), grid, p.l, atoms)
-        states = {
-            str(atom.value): bloch(ReducedAtomState(*state)) for atom, state in reduced.items()
-        }
+        states = {str(atom.value): bloch(state) for atom, state in reduced.items()}
         for name in names:
             kind, tag = name[:-1], name[-1]
             if kind in ATOM_CHANNELS:
@@ -272,26 +273,24 @@ def run_verify(
     blocks = eigen_table(weights.n_max, p.l, p.g)
     analytic = reduced_states(weights, blocks, times, p.l, AtomId)
     if inject_fault:
-        p_plus, p_minus, coh = analytic[AtomId.FIRST]
-        coh = coh.copy()
+        coh = analytic[AtomId.FIRST].coh.copy()
         coh[times.size // 2] += 1e-6j
-        analytic[AtomId.FIRST] = p_plus, p_minus, coh
+        analytic[AtomId.FIRST] = replace(analytic[AtomId.FIRST], coh=coh)
     max_eur_violation = max(
-        float(np.max(-eur_residual(bloch(ReducedAtomState(*state)))))
-        for state in analytic.values()
+        float(np.max(-eur_residual(bloch(state)))) for state in analytic.values()
     )
 
     max_dev = 0.0
     norm_drift = 0.0
     for i, (_, psi) in enumerate(oracle.sample_states(h, psi0, times, dt)):
         norm_drift = max(norm_drift, abs(float(np.linalg.norm(psi)) - 1.0))
-        for atom, (p_plus, p_minus, coh) in analytic.items():
+        for atom, state in analytic.items():
             ref = oracle.partial_trace_atom(psi, n_f, atom)
             max_dev = max(
                 max_dev,
-                abs(float(p_plus[i]) - ref.p_plus),
-                abs(float(p_minus[i]) - ref.p_minus),
-                abs(complex(coh[i]) - ref.coh),
+                abs(float(state.p_plus[i]) - ref.p_plus),
+                abs(float(state.p_minus[i]) - ref.p_minus),
+                abs(complex(state.coh[i]) - ref.coh),
             )
     return VerifyReport(
         times=times,
@@ -312,7 +311,10 @@ def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
     if hasattr(out, "write"):
         stream = nullcontext(out)
     else:
-        stream = open(out, "w", encoding="utf-8", newline="\n")
+        try:
+            stream = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     with stream as fh:
         fh.write(",".join(["T"] + names) + "\n")
         for row in zip(*cols):
@@ -329,9 +331,11 @@ def read_csv(path: str) -> TimeSeries:
         if not header or header[0] != "T":
             raise UsageError(f"{path} is not a scan CSV (missing T column)")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.shape[1] != len(header):
+    if not rows:
+        raise UsageError(f"{path} has no data rows")
+    if any(len(row) != len(header) for row in rows):
         raise UsageError(f"{path}: ragged CSV")
+    data = np.array([[float(v) for v in row] for row in rows])
     return TimeSeries(
         grid=data[:, 0],
         channels={name: data[:, j + 1] for j, name in enumerate(header[1:])},

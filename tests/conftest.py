@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from tjcm import oracle
-from tjcm.blocks import eigen_table, evolve_grid
+from tjcm.blocks import eigen_table
 from tjcm.params import coherent_weights
-from tjcm.reduced import AtomId, reduce_arrays
+from tjcm.reduced import AtomId, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
 
 ALL_ATOM_CHANNELS = (
@@ -60,8 +60,7 @@ def oracle_cross():
         times = np.linspace(cfg.t_max / sample_count, cfg.t_max, sample_count)
 
         blocks = eigen_table(weights.n_max, p.l, p.g)
-        x = evolve_grid(blocks, times)
-        analytic = {atom: reduce_arrays(weights, x, p.l, atom) for atom in AtomId}
+        analytic = reduced_states(weights, blocks, times, p.l, AtomId)
 
         h = oracle.build_joint_hamiltonian(p.l, p.g, weights.n_max + 2 * p.l)
         psi0 = oracle.initial_state(weights, h)
@@ -81,12 +80,12 @@ def oracle_cross():
             )
             for atom in AtomId:
                 ref = oracle.partial_trace_atom(psi, h.n_f, atom)
-                p_plus, p_minus, coh = (arr[i] for arr in analytic[atom])
+                state = analytic[atom]
                 max_dev = max(
                     max_dev,
-                    abs(float(p_plus) - ref.p_plus),
-                    abs(float(p_minus) - ref.p_minus),
-                    abs(complex(coh) - ref.coh),
+                    abs(float(state.p_plus[i]) - ref.p_plus),
+                    abs(float(state.p_minus[i]) - ref.p_minus),
+                    abs(complex(state.coh[i]) - ref.coh),
                 )
         cache[name] = {
             "max_dev": max_dev,

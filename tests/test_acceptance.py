@@ -56,7 +56,6 @@ from tjcm import (
     AtomId,
     BlochVector,
     ModelParams,
-    ReducedAtomState,
     ScanConfig,
     bloch,
     coherent_weights,
@@ -64,9 +63,10 @@ from tjcm import (
     entropy_squeezing,
     evolve_grid,
     oracle,
+    reduced_states,
     run_scan,
 )
-from tjcm.reduced import reduce_arrays, swap_transform
+from tjcm.reduced import swap_transform
 
 LN2 = math.log(2.0)
 E_MIN = 1.0 - math.sqrt(2.0)
@@ -81,29 +81,17 @@ def check(criterion, ok, detail):
     assert ok, line
 
 
-def _reduced_states(params, times, chunk=2500):
-    """Analytic (p_plus, p_minus, coh) arrays of both atoms at ``times``.
-
-    Evaluated a chunk of times at a time through evolve_grid and
-    reduce_arrays, so peak memory does not grow with the grid.
-    """
-    times = np.asarray(times, dtype=float)
+def _reduced_states(params, times):
+    """Analytic ReducedAtomState of both atoms at ``times``, through the
+    streamed driver the scans use."""
     weights = coherent_weights(params.alpha, params.cutoff_eps)
     blocks = eigen_table(weights.n_max, params.l, params.g)
-    parts = {atom: [] for atom in AtomId}
-    for lo in range(0, times.size, chunk):
-        x = evolve_grid(blocks, times[lo:lo + chunk])
-        for atom in AtomId:
-            parts[atom].append(reduce_arrays(weights, x, params.l, atom))
-    return {
-        atom: tuple(np.concatenate(column) for column in zip(*parts[atom]))
-        for atom in AtomId
-    }
+    return reduced_states(weights, blocks, times, params.l, AtomId)
 
 
-def _ey(p_plus, p_minus, coh):
+def _ey(state):
     """E_y at each time, through the same array observables as the scan."""
-    return entropy_squeezing(bloch(ReducedAtomState(p_plus, p_minus, coh)), "y")
+    return entropy_squeezing(bloch(state), "y")
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +247,7 @@ def test_criterion_6_two_photon_structure(preset_series):
 
     def ey1_by_alpha(times, **changes):
         return np.array([
-            _ey(*_reduced_states(replace(fig2, alpha=a, **changes), times)[AtomId.FIRST])
+            _ey(_reduced_states(replace(fig2, alpha=a, **changes), times)[AtomId.FIRST])
             for a in POLE_ALPHAS
         ])
 
@@ -376,7 +364,7 @@ def test_criterion_10_no_squeezing_beyond_two_photons():
     symmetric = ModelParams(alpha=5.0, g=1.0, l=3)
     weak = ModelParams(alpha=5.0, g=0.5, l=3)
     states = {p: _reduced_states(p, grid) for p in (symmetric, weak)}
-    ey = {p: {atom: _ey(*states[p][atom]) for atom in AtomId} for p in states}
+    ey = {p: {atom: _ey(states[p][atom]) for atom in AtomId} for p in states}
 
     # Collapse time of the more weakly coupled atom (coupling g): its
     # l-photon Rabi phase g sqrt((n+l)!/n!) T ~ g n^(l/2) T spreads by
@@ -403,11 +391,11 @@ def test_criterion_10_no_squeezing_beyond_two_photons():
         h, oracle.initial_state(weights, h), t_min, oracle.suggest_dt(weights, h, t_min)
     )
     ref = oracle.partial_trace_atom(psi, h.n_f, AtomId.SECOND)
-    p_plus, p_minus, coh = (arr[i] for arr in states[weak][AtomId.SECOND])
+    state = states[weak][AtomId.SECOND]
     dev = max(
-        abs(float(p_plus) - ref.p_plus),
-        abs(float(p_minus) - ref.p_minus),
-        abs(complex(coh) - ref.coh),
+        abs(float(state.p_plus[i]) - ref.p_plus),
+        abs(float(state.p_minus[i]) - ref.p_minus),
+        abs(complex(state.coh[i]) - ref.coh),
     )
     check(
         "10 no squeezing for l = 3",

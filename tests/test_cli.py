@@ -37,6 +37,9 @@ def test_unknown_channel_is_usage_error(capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "bogus" in err and "inv1" in err  # lists valid channels
+    code = main(["scan", "--channels", "inv1,inv1", "--steps", "8", "--tmax", "1"])
+    assert code == EXIT_USAGE
+    assert "more than once: inv1" in capsys.readouterr().err
 
 
 def test_bad_flag_value_is_usage_error(capsys):
@@ -52,6 +55,16 @@ def test_scan_refuses_ill_conditioned_phases(capsys):
     assert main(args) == EXIT_USAGE  # t_max 25: conditioning 1.3e-6
     assert "phase conditioning" in capsys.readouterr().err
     assert main(args + ["--tmax", "0.1"]) == EXIT_OK
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    for args in (["preset", "fig1", "--steps", "8"],
+                 ["scan", "--steps", "8", "--tmax", "1", "--channels", "inv1"]):
+        assert main(args + ["--out", str(missing)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("tjcm: error: cannot write") and str(missing) in err
+        assert "Traceback" not in err
 
 
 def test_scan_refuses_output_beyond_physical_memory(capsys):

@@ -106,12 +106,12 @@ def test_harmonic_zero_at_t_zero():
 def test_harmonic_tracks_exact_symmetric_case():
     """The approximation must reproduce the exact symmetric-case coherence
     away from large times: pointwise here, envelope checks below."""
-    from tjcm import AtomId, eigen_table, evolve_grid, reduce_arrays
+    from tjcm import AtomId, eigen_table, reduced_states
 
     w = coherent_weights(5.0)
     ts = np.array([0.5, 3.0, 8.0])
-    x = evolve_grid(eigen_table(w.n_max, 1, 1.0), ts)
-    _, _, coh = reduce_arrays(w, x, 1, AtomId.FIRST)
+    spectrum = eigen_table(w.n_max, 1, 1.0)
+    coh = reduced_states(w, spectrum, ts, 1, [AtomId.FIRST])[AtomId.FIRST].coh
     assert np.max(np.abs(tjcm_harmonic_sy(w, ts) - 2.0 * coh.imag)) < 0.02
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,13 +22,12 @@ from tjcm import (
 )
 from tjcm import oracle
 from tjcm.blocks import chunk_rows, evolve_grid, map_chunks
-from tjcm.reduced import reduce_arrays, reduced_states
+from tjcm.reduced import reduced_states
 
 
 def reduced(weights, l, g, ts, atom):
-    """(p_plus, p_minus, coh) of one atom at the times ts."""
-    x = evolve_grid(eigen_table(weights.n_max, l, g), np.asarray(ts, dtype=float))
-    return reduce_arrays(weights, x, l, atom)
+    """ReducedAtomState of one atom at the times ts."""
+    return reduced_states(weights, eigen_table(weights.n_max, l, g), ts, l, [atom])[atom]
 
 
 def field_levels(size, *levels):
@@ -41,17 +41,17 @@ def field_levels(size, *levels):
 def test_q_terms_at_t_zero():
     w = coherent_weights(2.0)
     for atom in AtomId:
-        p_plus, p_minus, coh = reduced(w, 1, 0.7, [0.0], atom)
-        assert p_plus[0] == pytest.approx(float(np.sum(w.c**2)), rel=1e-12)
-        assert p_minus[0] == pytest.approx(0.0, abs=1e-28)
-        assert coh[0] == pytest.approx(0j, abs=1e-15)
+        s = reduced(w, 1, 0.7, [0.0], atom)
+        assert s.p_plus[0] == pytest.approx(float(np.sum(w.c**2)), rel=1e-12)
+        assert s.p_minus[0] == pytest.approx(0.0, abs=1e-28)
+        assert s.coh[0] == pytest.approx(0j, abs=1e-15)
     for n in (0, 3, w.n_max):
         single = field_levels(w.n_max + 1, n)
         for atom in AtomId:
-            p_plus, p_minus, coh = reduced(single, 1, 0.7, [0.0], atom)
-            assert p_plus[0] == pytest.approx(1.0, rel=1e-12)
-            assert p_minus[0] == pytest.approx(0.0, abs=1e-28)
-            assert coh[0] == 0j
+            s = reduced(single, 1, 0.7, [0.0], atom)
+            assert s.p_plus[0] == pytest.approx(1.0, rel=1e-12)
+            assert s.p_minus[0] == pytest.approx(0.0, abs=1e-28)
+            assert s.coh[0] == 0j
 
 
 def test_q_terms_symmetric_coupling_atom_independent():
@@ -60,17 +60,17 @@ def test_q_terms_symmetric_coupling_atom_independent():
         pair = field_levels(w.n_max + 1, n, n + 1)
         a = reduced(pair, 1, 1.0, [2.7], AtomId.FIRST)
         b = reduced(pair, 1, 1.0, [2.7], AtomId.SECOND)
-        for qa, qb in zip(a, b):
+        for qa, qb in zip(astuple(a), astuple(b)):
             assert abs(qa[0] - qb[0]) < 1e-12
 
 
 def test_q_terms_beyond_cutoff_coherence_vanishes():
     # with l = 3, levels 0 and 3 pair through the coherence ...
-    _, _, coh = reduced(field_levels(4, 0, 3), 3, 0.5, [1.0], AtomId.FIRST)
+    coh = reduced(field_levels(4, 0, 3), 3, 0.5, [1.0], AtomId.FIRST).coh
     assert abs(coh[0]) > 1e-3
     # ... but in a table that stops at n = 2 every partner n + 3 lies
     # beyond the truncation
-    _, _, coh = reduced(field_levels(3, 0, 2), 3, 0.5, [1.0], AtomId.FIRST)
+    coh = reduced(field_levels(3, 0, 2), 3, 0.5, [1.0], AtomId.FIRST).coh
     assert coh[0] == 0j
 
 
@@ -85,28 +85,28 @@ def test_q_terms_against_oracle_two_level_field():
     )
     for atom in AtomId:
         ref = oracle.partial_trace_atom(psi, h.n_f, atom)
-        p_plus, p_minus, coh = reduced(w, l, g, [T], atom)
-        assert p_plus[0] == pytest.approx(ref.p_plus, abs=1e-8)
-        assert p_minus[0] == pytest.approx(ref.p_minus, abs=1e-8)
-        assert abs(coh[0] - ref.coh) < 1e-8
+        s = reduced(w, l, g, [T], atom)
+        assert s.p_plus[0] == pytest.approx(ref.p_plus, abs=1e-8)
+        assert s.p_minus[0] == pytest.approx(ref.p_minus, abs=1e-8)
+        assert abs(s.coh[0] - ref.coh) < 1e-8
         # only the n = 24 summand feeds the coherence
-        _, _, coh25 = reduced(field_levels(26, 25), l, g, [T], atom)
+        coh25 = reduced(field_levels(26, 25), l, g, [T], atom).coh
         assert coh25[0] == 0j
 
 
 def test_reduced_state_initial_conditions():
     w = coherent_weights(5.0)
-    p_plus, p_minus, coh = reduced(w, 1, 0.5, [0.0], AtomId.FIRST)
-    assert p_plus[0] == pytest.approx(1.0, abs=1e-11)
-    assert p_minus[0] == pytest.approx(0.0, abs=1e-11)
-    assert coh[0] == pytest.approx(0j, abs=1e-11)
+    s = reduced(w, 1, 0.5, [0.0], AtomId.FIRST)
+    assert s.p_plus[0] == pytest.approx(1.0, abs=1e-11)
+    assert s.p_minus[0] == pytest.approx(0.0, abs=1e-11)
+    assert s.coh[0] == pytest.approx(0j, abs=1e-11)
 
 
 def test_reduced_state_trace_and_positivity_along_trajectory():
     w = coherent_weights(3.0)
     ts = np.linspace(0.0, 20.0, 41)
     for atom in AtomId:
-        p_plus, p_minus, coh = reduced(w, 1, 0.5, ts, atom)
+        p_plus, p_minus, coh = astuple(reduced(w, 1, 0.5, ts, atom))
         assert np.max(np.abs(p_plus + p_minus - 1.0)) < 1e-10
         assert np.all((-1e-10 <= p_plus) & (p_plus <= 1.0 + 1e-10))
         assert np.all(np.abs(coh) ** 2 <= p_plus * p_minus + 1e-10)
@@ -117,7 +117,7 @@ def test_reduced_state_trace_and_positivity_along_trajectory():
 
 
 def test_reduced_state_coherence_purely_imaginary():
-    """reduce_arrays keeps only the imaginary part of the coherence; rebuild
+    """reduced_states keeps only the imaginary part of the coherence; rebuild
     it here from the complex block amplitudes, real part included."""
     w = coherent_weights(4.0)
     l, ts = 2, np.linspace(0.0, 12.0, 25)
@@ -132,7 +132,7 @@ def test_reduced_state_coherence_purely_imaginary():
             c[l:] * c[:m]
         )
         assert np.max(np.abs(full.real)) < 1e-10
-        _, _, coh = reduce_arrays(w, evolve_grid(blocks, ts), l, atom)
+        coh = reduced_states(w, blocks, ts, l, [atom])[atom].coh
         assert np.max(np.abs(coh - full)) < 1e-10
 
 
@@ -141,7 +141,7 @@ def test_reduced_state_symmetric_coupling_atoms_identical():
     ts = [0.5, 4.0, 17.3]
     a = reduced(w, 1, 1.0, ts, AtomId.FIRST)
     b = reduced(w, 1, 1.0, ts, AtomId.SECOND)
-    for qa, qb in zip(a, b):
+    for qa, qb in zip(astuple(a), astuple(b)):
         assert np.max(np.abs(qa - qb)) < 1e-12
 
 
@@ -153,27 +153,17 @@ def test_reduced_state_against_oracle():
         h, oracle.initial_state(w, h), T, oracle.suggest_dt(w, h, T)
     )
     for atom in AtomId:
-        p_plus, p_minus, coh = reduced(w, l, g, [T], atom)
+        s = reduced(w, l, g, [T], atom)
         ref = oracle.partial_trace_atom(psi, h.n_f, atom)
-        assert abs(p_plus[0] - ref.p_plus) < 1e-8
-        assert abs(p_minus[0] - ref.p_minus) < 1e-8
-        assert abs(coh[0] - ref.coh) < 1e-8
+        assert abs(s.p_plus[0] - ref.p_plus) < 1e-8
+        assert abs(s.p_minus[0] - ref.p_minus) < 1e-8
+        assert abs(s.coh[0] - ref.coh) < 1e-8
 
 
 def test_reduced_state_rejects_short_table():
     w = coherent_weights(2.0)
-    x = evolve_grid(eigen_table(w.n_max, 1, 1.0), np.array([1.0]))
-    with pytest.raises(TruncationError):
-        reduce_arrays(w, x[..., :-2], 1, AtomId.FIRST)
-
-
-def test_reduced_state_rejects_trace_loss():
-    # zeroing the dominant block's amplitudes drains visible trace mass
-    w = coherent_weights(2.0)
-    x = evolve_grid(eigen_table(w.n_max, 1, 1.0), np.array([0.0, 1.0]))
-    x[:, 1, int(np.argmax(w.c))] = 0.0
-    with pytest.raises(TruncationError):
-        reduce_arrays(w, x, 1, AtomId.FIRST)
+    with pytest.raises(TruncationError, match="spectrum covers"):
+        reduced_states(w, eigen_table(w.n_max - 2, 1, 1.0), [1.0], 1, AtomId)
 
 
 def test_atom_swap_symmetry_pointwise():
@@ -184,7 +174,7 @@ def test_atom_swap_symmetry_pointwise():
     g_swapped, ts_swapped = swap_transform(g, ts)
     a = reduced(w, 1, g, ts, AtomId.FIRST)
     b = reduced(w, 1, g_swapped, ts_swapped, AtomId.SECOND)
-    for qa, qb in zip(a, b):
+    for qa, qb in zip(astuple(a), astuple(b)):
         assert np.max(np.abs(qa - qb)) < 1e-9
 
 
@@ -195,32 +185,32 @@ def test_swap_transform_rejects_nonpositive_or_infinite_g():
             swap_transform(g, 1.0)
 
 
-def test_reduce_arrays_matches_scalar_route():
+def test_reduced_states_grid_matches_single_times():
     """A grid of times reduces to what each time gives on its own."""
     w = coherent_weights(2.5)
     blocks = eigen_table(w.n_max, 2, 0.8)
     ts = np.array([0.0, 1.3, 6.6])
-    x = evolve_grid(blocks, ts)
-    for atom in AtomId:
-        pp, pm, coh = reduce_arrays(w, x, 2, atom)
-        for i, T in enumerate(ts):
-            spp, spm, scoh = reduce_arrays(w, evolve_grid(blocks, np.array([T])), 2, atom)
-            assert abs(spp[0] - pp[i]) <= 1e-15
-            assert abs(spm[0] - pm[i]) <= 1e-15
-            assert abs(scoh[0] - coh[i]) <= 1e-15
+    grid = reduced_states(w, blocks, ts, 2, AtomId)
+    for i, T in enumerate(ts):
+        single = reduced_states(w, blocks, [T], 2, AtomId)
+        for atom in AtomId:
+            for got, want in zip(astuple(single[atom]), astuple(grid[atom])):
+                assert abs(got[0] - want[i]) <= 1e-15
 
 
-def test_reduce_arrays_matches_fsum():
+def test_reduced_states_match_fsum():
     """The photon-index contraction against an exactly rounded per-time
-    sum (math.fsum), up to alpha = 30 (n_max = 1220)."""
+    sum (math.fsum) over the amplitudes of evolve_grid, up to alpha = 30
+    (n_max = 1220)."""
     for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (20.0, 1, 1.7),
                         (20.0, 2, 1.7), (30.0, 1, 0.4), (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
         ts = np.array([0.0, 1.3, 6.6, 17.9])
-        x = evolve_grid(eigen_table(w.n_max, l, g), ts)
+        spectrum = eigen_table(w.n_max, l, g)
+        x = evolve_grid(spectrum, ts)
         c, m = w.c, w.c.size - l
-        for atom in AtomId:
-            pp, pm, coh = reduce_arrays(w, x, l, atom)
+        for atom, state in reduced_states(w, spectrum, ts, l, AtomId).items():
+            pp, pm, coh = astuple(state)
             x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
             for i in range(ts.size):
                 ref_pp = math.fsum(c * c * (x1[i] ** 2 + x2[i] ** 2))
@@ -238,18 +228,21 @@ def test_reduce_arrays_matches_fsum():
     (5.0, 0.5, 2, 2500),  # fig2
     (19.6, 1.3, 2, 500),  # n_max 601: 24 rows per chunk
 ])
-def test_streamed_states_bitwise_equal_to_whole_grid(alpha, g, l, steps):
-    """reduced_states gives, bit for bit, what evolve_grid over the whole
-    grid followed by reduce_arrays gives."""
+def test_streamed_states_bitwise_equal_to_whole_grid(alpha, g, l, steps, monkeypatch):
+    """reduced_states in cache-sized chunks on every worker gives, bit for
+    bit, what it gives as one chunk over the whole grid on one worker."""
     w = coherent_weights(alpha)
     spectrum = eigen_table(w.n_max, l, g)
     grid = np.linspace(0.0, 25.0, steps)
     assert steps > 2 * chunk_rows(w.n_max + 1)
-    x = evolve_grid(spectrum, grid)
     streamed = reduced_states(w, spectrum, grid, l, AtomId)
+    monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", (steps + 8) * (w.n_max + 1))
+    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 1)
+    assert chunk_rows(w.n_max + 1) >= steps
+    whole = reduced_states(w, spectrum, grid, l, AtomId)
     assert list(streamed) == list(AtomId)
     for atom in AtomId:
-        for got, want in zip(streamed[atom], reduce_arrays(w, x, l, atom)):
+        for got, want in zip(astuple(streamed[atom]), astuple(whole[atom])):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -332,9 +325,8 @@ def test_streamed_phase_conditioning_refused_before_any_chunk(monkeypatch):
 
 
 def test_streamed_trace_check_over_assembled_arrays(monkeypatch):
-    """Trace lost in one chunk (the dominant block zeroed, as in
-    test_reduced_state_rejects_trace_loss) is refused like reduce_arrays
-    refuses it."""
+    """Trace lost in one chunk (the dominant block's amplitudes zeroed,
+    which drains visible trace mass) is refused."""
     w = coherent_weights(2.0)
     real = tjcm.reduced.amplitudes_into
 

@@ -15,13 +15,11 @@ from tjcm import (
     ResourceRefusalError,
     ScanConfig,
     TimeSeries,
-    ReducedAtomState,
     UsageError,
     coherent_weights,
     eigen_table,
-    evolve_grid,
     read_csv,
-    reduce_arrays,
+    reduced_states,
     run_preset,
     run_scan,
     run_verify,
@@ -51,6 +49,9 @@ def test_channel_validation():
         assert name in str(err.value)
     with pytest.raises(UsageError):
         validate_channels(())
+    # a repeated name would collapse into one CSV column
+    with pytest.raises(UsageError, match="more than once: inv1"):
+        validate_channels(("inv1", "ey2", "inv1"))
 
 
 def test_config_validation():
@@ -71,14 +72,12 @@ def test_scan_initial_values():
 
 
 def test_scan_matches_pointwise_pipeline():
-    """Every channel is an observable of the reduce_arrays output."""
+    """Every channel is an observable of the reduced_states output."""
     cfg = small_cfg()
     ts = run_scan(cfg)
     w = coherent_weights(1.5)
-    x = evolve_grid(eigen_table(w.n_max, 1, 0.5), ts.grid)
-    s1 = ReducedAtomState(*reduce_arrays(w, x, 1, AtomId.FIRST))
-    s2 = ReducedAtomState(*reduce_arrays(w, x, 1, AtomId.SECOND))
-    b1, b2 = bloch(s1), bloch(s2)
+    states = reduced_states(w, eigen_table(w.n_max, 1, 0.5), ts.grid, 1, AtomId)
+    b1, b2 = bloch(states[AtomId.FIRST]), bloch(states[AtomId.SECOND])
     expected = {
         "inv1": b1.sz,
         "inv2": b2.sz,
@@ -118,9 +117,8 @@ def test_strong_coupling_and_many_photons_give_physical_output(alpha, g, l):
                      steps=200, channels=channels)
     ts = run_scan(cfg)
     w = coherent_weights(alpha)
-    x = evolve_grid(eigen_table(w.n_max, l, g), ts.grid)
-    for atom in AtomId:
-        state = ReducedAtomState(*reduce_arrays(w, x, l, atom))
+    for atom, state in reduced_states(w, eigen_table(w.n_max, l, g), ts.grid, l,
+                                      AtomId).items():
         assert np.max(np.abs(state.p_plus + state.p_minus - 1.0)) <= 1e-12
         assert np.max(bloch(state).norm()) <= 1.0 + 1e-12
         tag = str(atom.value)
@@ -232,6 +230,12 @@ def test_csv_rejects_foreign_file(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("a,b\n1,2\n")
     with pytest.raises(UsageError):
+        read_csv(str(p))
+    p.write_text("T,inv1\n0,1\n1,0.5,7\n")
+    with pytest.raises(UsageError, match="ragged CSV"):
+        read_csv(str(p))
+    p.write_text("T,inv1\n")
+    with pytest.raises(UsageError, match="no data rows"):
         read_csv(str(p))
 
 
