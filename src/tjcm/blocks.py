@@ -13,9 +13,10 @@ arithmetic: the outer two are cosine sums and the middle two sine sums.
 
 Long grids are streamed rather than evolved whole: chunk_rows sizes a
 chunk of time points to stay in cache, and map_chunks runs the chunks on
-every core in the process's affinity mask, each worker thread with
-buffers allocated once (reduced.reduced_states is their one driver).
-numpy releases the GIL inside each array operation, so the workers overlap.
+every core in the process's affinity mask, each worker thread with one
+scratch array it allocates once (reduced.reduced_states and the jcm
+references stream this way).  numpy releases the GIL inside each array
+operation, so the workers overlap.
 """
 
 from __future__ import annotations
@@ -153,17 +154,17 @@ def chunk_rows(n_blocks: int) -> int:
 
 
 def map_chunks(
-    size: int, rows: int, make_worker: Callable[[], Callable[[int, int], None]]
+    size: int, rows: int, scratch_shape: tuple[int, ...], fill: Callable[..., None]
 ) -> None:
     """Run range(size) in chunks of ``rows`` on every available core.
 
     Chunks are dealt round-robin to min(_WORKERS, chunk count) workers.
-    Each worker calls make_worker() once, which allocates its buffers and
-    returns the per-chunk function, and then calls that on (start, stop)
-    of each of its chunks; chunks write disjoint slices of preallocated
-    outputs, so they share nothing mutable.  One worker runs inline.
-    The calling thread is worker 0; the first exception raised by any
-    worker is re-raised here after every worker has stopped.
+    Each worker allocates one scratch array of ``scratch_shape`` and calls
+    fill(start, stop, scratch) for each of its chunks; chunks write
+    disjoint slices of preallocated outputs, so they share nothing
+    mutable.  The calling thread is worker 0 (one worker runs inline); the
+    first exception raised by any worker is re-raised here after every
+    worker has stopped.
     """
     starts = range(0, size, rows)
     workers = max(1, min(_WORKERS, len(starts)))
@@ -171,11 +172,11 @@ def map_chunks(
 
     def work(k: int) -> None:
         try:
-            chunk = make_worker()
+            scratch = np.empty(scratch_shape)
             for start in starts[k::workers]:
                 if errors:
                     return
-                chunk(start, min(start + rows, size))
+                fill(start, min(start + rows, size), scratch)
         except Exception as exc:  # handed to the caller below
             errors.append(exc)
 

@@ -7,6 +7,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ResourceRefusalError, TjcmError
@@ -109,6 +110,12 @@ def main(argv: list[str] | None = None) -> int:
                                 inject_fault=args.inject_fault)
             print(report.summary())
             return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    except BrokenPipeError:
+        # The reader closed stdout (tjcm preset fig1 | head -1): stop
+        # quietly, and point stdout at devnull so the flush at exit cannot
+        # fail again.  The exit status stays 1, as for an uncaught error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ResourceRefusalError as exc:
         print(f"tjcm: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

@@ -17,29 +17,22 @@ from .observables import BlochVector
 from .params import FockWeights
 
 
-def _streamed(T: float | np.ndarray, cols: int, buffers: int, fill) -> np.ndarray:
-    """One reference channel over the times T, evaluated in row chunks on
+def _streamed(T: float | np.ndarray, cols: int, buffers: int, channels: int, fill) -> list:
+    """Reference channels over the times T, evaluated in row chunks on
     every core (blocks.map_chunks), so no (T, n) phase matrix over the
-    whole grid exists.  ``fill(t, bufs, out)`` writes the values at the
-    chunk's times t (r, 1) into out (r,), using ``buffers`` scratch
-    matrices (r, cols).  Returns the channel with the shape of T."""
-    t = np.asarray(T, dtype=float)
-    times = t.reshape(-1)
-    out = np.empty(times.size)
+    whole grid exists.  ``fill(t, scratch, out)`` writes the ``channels``
+    values at the chunk's times t (r, 1) into out (channels, r), using
+    the rows of scratch (buffers, >= r * cols) as matrices (r, <= cols).
+    Returns the channels, each with the shape of T."""
+    times = np.asarray(T, dtype=float).reshape(-1)
+    out = np.empty((channels, times.size))
     rows = chunk_rows(cols)
 
-    def make_worker():
-        scratch = np.empty((buffers, rows * cols))
+    def chunk(start: int, stop: int, scratch: np.ndarray) -> None:
+        fill(times[start:stop, None], scratch, out[:, start:stop])
 
-        def chunk(start: int, stop: int) -> None:
-            r = stop - start
-            bufs = [b[: r * cols].reshape(r, cols) for b in scratch]
-            fill(times[start:stop, None], bufs, out[start:stop])
-
-        return chunk
-
-    map_chunks(times.size, rows, make_worker)
-    return out.reshape(t.shape)[()]
+    map_chunks(times.size, rows, (buffers, rows * cols), chunk)
+    return [channel.reshape(np.shape(T))[()] for channel in out]
 
 
 def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
@@ -55,19 +48,16 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
     root = np.sqrt(np.arange(1.0, c.size + 1.0))  # sqrt(n + 1)
     pop, pair = c * c, c[:-1] * c[1:]
 
-    def fill_sz(t, bufs, out):
-        (a,) = bufs
-        np.matmul(np.cos(np.multiply(2.0 * t, root, out=a), out=a), pop, out=out)
-
-    def fill_sy(t, bufs, out):
-        a, b = bufs
+    def fill(t, scratch, out):
+        a = scratch[0, : t.size * pop.size].reshape(t.size, pop.size)
+        np.matmul(np.cos(np.multiply(2.0 * t, root, out=a), out=a), pop, out=out[0])
+        a, b = (s[: t.size * pair.size].reshape(t.size, pair.size) for s in scratch)
         np.cos(np.multiply(t, root[1:], out=a), out=a)
         np.sin(np.multiply(t, root[:-1], out=b), out=b)
-        np.matmul(np.multiply(a, b, out=a), pair, out=out)
+        np.matmul(np.multiply(a, b, out=a), pair, out=out[1])
 
-    sz = _streamed(T, c.size, 1, fill_sz)
-    sy = 2.0 * _streamed(T, c.size - 1, 2, fill_sy)
-    return BlochVector(sx=np.zeros_like(sz), sy=sy, sz=sz)
+    sz, sy = _streamed(T, c.size, buffers=2, channels=2, fill=fill)
+    return BlochVector(sx=np.zeros_like(sz), sy=2.0 * sy, sz=sz)
 
 
 def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.ndarray:
@@ -86,13 +76,13 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     wn1 = np.sqrt(4.0 * n + 10.0)
     diff, total, pair = wn - wn1, wn + wn1, c[:-1] * c[1:]
 
-    def fill(t, bufs, out):
-        a, b, e = bufs
+    def fill(t, scratch, out):
+        a, b, e = (s[: t.size * diff.size].reshape(t.size, diff.size) for s in scratch)
         np.multiply(t, diff, out=a)
         np.cos(np.divide(a, 2.0, out=b), out=b)
         np.multiply(np.sin(a, out=a), 0.5, out=a)
         np.sin(np.divide(np.multiply(t, total, out=e), 2.0, out=e), out=e)
         np.add(a, np.multiply(e, b, out=e), out=a)
-        np.matmul(a, pair, out=out)
+        np.matmul(a, pair, out=out[0])
 
-    return _streamed(T, c.size - 1, 3, fill)
+    return _streamed(T, diff.size, buffers=3, channels=1, fill=fill)[0]

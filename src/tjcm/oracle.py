@@ -178,13 +178,8 @@ def initial_state(weights: FockWeights, h: JointHamiltonian) -> np.ndarray:
     return psi
 
 
-def suggest_dt(
-    weights: FockWeights,
-    h: JointHamiltonian,
-    t_total: float,
-    phase_tol: float = PHASE_TOL,
-) -> float:
-    """Step size keeping the weighted RK4 phase error below phase_tol.
+def suggest_dt(weights: FockWeights, h: JointHamiltonian, t_total: float) -> float:
+    """Step size keeping the weighted RK4 phase error below PHASE_TOL.
 
     A block with base photon number n has spectral radius at most
     lam(n) = sqrt((1 + g^2)(f1^2 + f2^2)); the accumulated RK4 phase error
@@ -200,7 +195,7 @@ def suggest_dt(
     f2 = transition_strength(n + h.l, h.l)
     lam = np.sqrt((1.0 + h.g * h.g) * (f1 * f1 + f2 * f2))
     lam5 = float(np.sum(c * c * lam ** 5))
-    dt_acc = (120.0 * phase_tol / (max(t_total, 1e-12) * lam5)) ** 0.25
+    dt_acc = (120.0 * PHASE_TOL / (max(t_total, 1e-12) * lam5)) ** 0.25
     return min(DT_MAX, dt_acc, 0.1 / h.norm_inf)
 
 
@@ -286,17 +281,3 @@ def partial_trace_atom(psi: np.ndarray, n_f: int, atom: AtomId) -> ReducedAtomSt
     p_minus = float(np.sum(np.abs(amp[1]) ** 2))
     coh = complex(np.sum(amp[0] * np.conj(amp[1])))
     return ReducedAtomState(p_plus=p_plus, p_minus=p_minus, coh=coh)
-
-
-def excitation_expectation(psi: np.ndarray, n_f: int, l: int) -> float:
-    """Expectation of the conserved excitation number
-    n + (l/2)(sz1 + sz2 + 2); constant along exact trajectories."""
-    amp = np.asarray(psi).reshape(2, 2, n_f + 1)
-    n = np.arange(n_f + 1, dtype=float)
-    out = 0.0
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            sz_sum = (1.0 - 2.0 * s1) + (1.0 - 2.0 * s2)
-            weight = n + 0.5 * l * (sz_sum + 2.0)
-            out += float(np.sum(np.abs(amp[s1, s2]) ** 2 * weight))
-    return out

@@ -68,9 +68,10 @@ def reduced_states(
     grid is cut into ``chunk_rows(N)`` time points at a time, and each
     chunk is evolved (the kernel of ``evolve_grid``) and reduced into the
     preallocated outputs while its amplitudes are still in cache.  Chunks
-    run on every core (``map_chunks``), each worker with buffers allocated
-    once, so memory beyond the outputs does not grow with the grid, and
-    the result is bitwise the same for any chunking.
+    run on every core (``map_chunks``), each worker with one scratch block
+    for amplitudes, phases and trig values, so memory beyond the outputs
+    does not grow with the grid, and the result is bitwise the same for
+    any chunking.
 
     The phase conditioning is checked over the whole grid before any chunk
     runs (InvalidParameterError), and the amplitude norm over every chunk
@@ -91,21 +92,13 @@ def reduced_states(
     norm_devs = np.zeros(-(-nt // rows))
     factors = evolution_factors(spectrum)
 
-    def make_worker():
-        x, phase, trig = np.empty((3, 4, rows, n))
-        scratch = np.empty((2, rows * n))
+    def fill(start: int, stop: int, scratch: np.ndarray) -> None:
+        x, phase, trig = scratch.reshape(3, 4, rows, n)[:, :, : stop - start]
+        norm_devs[start // rows] = amplitudes_into(factors, grid[start:stop], x, phase, trig)
+        for atom in atoms:  # products in the trig rows, free once x is written
+            _reduce_into(weights, x, l, atom, out[atom][:, start:stop], scratch[8:10])
 
-        def chunk(start: int, stop: int) -> None:
-            r = stop - start
-            xr = x[:, :r]
-            norm_devs[start // rows] = amplitudes_into(
-                factors, grid[start:stop], xr, phase[:, :r], trig[:, :r])
-            for atom in atoms:
-                _reduce_into(weights, xr, l, atom, out[atom][:, start:stop], scratch)
-
-        return chunk
-
-    map_chunks(nt, rows, make_worker)
+    map_chunks(nt, rows, (12, rows * n), fill)
     check_norm(float(norm_devs.max(initial=0.0)))
     states = {}
     for atom, (p_plus, p_minus, coh_im) in out.items():
@@ -124,7 +117,8 @@ def _reduce_into(
 ) -> None:
     """Kernel of reduced_states: write p_plus, p_minus and the imaginary
     part of the coherence at the nT times of x (4, nT, N) into out (3, nT),
-    using scratch (2, >= nT * N) for the elementwise products."""
+    using scratch (2, >= nT * N) for the elementwise products: in
+    reduced_states, the trig rows, which amplitudes_into is done with."""
     c = weights.c
     x1, x2, x3, x4 = x
     if atom is AtomId.SECOND:

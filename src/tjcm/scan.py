@@ -116,8 +116,10 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     atoms_needed = {n[-1] for n in names if n[:-1] in ATOM_CHANNELS}
     if atoms_needed:
         atoms = [AtomId(int(tag)) for tag in sorted(atoms_needed)]
-        reduced = reduced_states(weights, eigen_table(weights.n_max, p.l, p.g), grid, p.l, atoms)
-        states = {str(atom.value): bloch(state) for atom, state in reduced.items()}
+        spectrum = eigen_table(weights.n_max, p.l, p.g)
+        # the reduced states are dropped once their Bloch vectors exist
+        states = {str(atom.value): bloch(state) for atom, state in
+                  reduced_states(weights, spectrum, grid, p.l, atoms).items()}
         for name in names:
             kind, tag = name[:-1], name[-1]
             if kind in ATOM_CHANNELS:

@@ -85,6 +85,20 @@ def test_preset_subcommand(tmp_path):
     assert list(read_csv(str(out3)).channels) == ["gamma2_l1", "gamma2_l2"]
 
 
+def test_closed_stdout_pipe_ends_quietly():
+    """A reader that closes the pipe early (tjcm preset fig1 | head -1)
+    stops the CSV with exit 1 and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from tjcm.cli import run; run()", "preset", "fig1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"T,")
+    proc.stdout.close()  # the CSV is far larger than the pipe's buffer
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert err == b""
+
+
 def test_preset_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["preset", "fig4", "--steps", "10", "--out", str(a)]) == EXIT_OK

@@ -9,6 +9,8 @@ from tjcm import AtomId, FockWeights, StepSizeError, TruncationError, coherent_w
 from tjcm import oracle
 from tjcm.blocks import transition_strength
 
+from conftest import excitation_expectation
+
 
 def dense(pattern, values):
     """The operator with the given values on the pattern, as a dense array."""
@@ -272,12 +274,12 @@ def test_norm_and_excitation_conserved():
     l, g = 1, 0.5
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
     psi0 = oracle.initial_state(w, h)
-    exc0 = oracle.excitation_expectation(psi0, h.n_f, l)
+    exc0 = excitation_expectation(psi0, h.n_f, l)
     psi = psi0
     for t_prev, t in zip((0.0, 6.0, 15.0), (6.0, 15.0, 25.0)):
         psi = oracle.rk4_evolve(h, psi, t - t_prev, 1e-3)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-7
-        assert abs(oracle.excitation_expectation(psi, h.n_f, l) - exc0) < 1e-8
+        assert abs(excitation_expectation(psi, h.n_f, l) - exc0) < 1e-8
 
 
 def test_sample_states_walks_one_trajectory():

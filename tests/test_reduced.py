@@ -256,28 +256,26 @@ def test_chunk_rows_multiple_of_eight():
 
 def test_map_chunks_covers_every_row_once(monkeypatch):
     """More workers than cores, switching threads every microsecond: every
-    row is still written by exactly one chunk."""
+    row is still written by exactly one chunk, and each worker allocates
+    its scratch once."""
     monkeypatch.setattr(tjcm.blocks, "_WORKERS", 5)
     hits = np.zeros(1000, dtype=int)
-    makes = []
+    scratches = {}  # address -> array; holding each keeps addresses unique
 
-    def make_worker():
-        makes.append(1)
-
-        def chunk(start, stop):
-            for i in range(start, stop):
-                hits[i] += 1
-
-        return chunk
+    def fill(start, stop, scratch):
+        assert scratch.shape == (2, 8)
+        scratches.setdefault(scratch.ctypes.data, scratch)
+        for i in range(start, stop):
+            hits[i] += 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        map_chunks(hits.size, 8, make_worker)
+        map_chunks(hits.size, 8, (2, 8), fill)
     finally:
         sys.setswitchinterval(interval)
     assert np.all(hits == 1)
-    assert len(makes) == 5  # one set of buffers per worker
+    assert len(scratches) == 5  # one scratch array per worker
 
 
 def test_worker_error_reaches_caller_with_its_type(monkeypatch):
@@ -286,15 +284,12 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
 
     monkeypatch.setattr(tjcm.blocks, "_WORKERS", 2)
 
-    def make_worker():
-        def chunk(start, stop):
-            if threading.current_thread() is not threading.main_thread():
-                raise WorkerFault(f"chunk at {start}")
-
-        return chunk
+    def fill(start, stop, scratch):
+        if threading.current_thread() is not threading.main_thread():
+            raise WorkerFault(f"chunk at {start}")
 
     with pytest.raises(WorkerFault, match="chunk at 8"):
-        map_chunks(64, 8, make_worker)
+        map_chunks(64, 8, (1,), fill)
 
 
 def test_streamed_norm_check_covers_every_chunk(monkeypatch):
