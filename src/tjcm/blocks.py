@@ -12,12 +12,12 @@ x4) of the initial basis vector follow from the eigenpairs, in real
 arithmetic (amplitudes_into): the outer two are cosine sums and the
 middle two sine sums.
 
-Grids are streamed, never evolved whole: chunk_rows sizes a
-chunk of time points to stay in cache, and map_chunks runs the chunks on
-every core in the process's affinity mask, each worker thread with one
-scratch array it allocates once (reduced.reduced_states and the jcm
-references stream this way).  numpy releases the GIL inside each array
-operation, so the workers overlap.
+Grids are streamed, never evolved whole: map_chunks cuts the times into
+cache-sized chunks (chunk_rows) and runs them on every core in the
+process's affinity mask, each worker thread with one scratch array it
+allocates once, filling the columns of one output array that it returns
+(reduced.reduced_states and the jcm references stream this way).  numpy
+releases the GIL inside each array operation, so the workers overlap.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
 
 _NORM_TOL = 1e-10
-_EPS = np.finfo(float).eps
+_EPS, _MAX = np.finfo(float).eps, np.finfo(float).max
 # phase error bound max|w|*max|T|*eps: the accuracy verify promises (STATE_DEV_TOL)
 _PHASE_COND_TOL = 1e-8
 _JACOBI_TOL = 1e-14
@@ -71,6 +71,7 @@ def block_matrices(n_max: int, l: int, g: float) -> np.ndarray:
         raise InvalidParameterError(f"l must be an integer >= 1, got {l}")
     if not (g >= 0.0 and math.isfinite(g)):
         raise InvalidParameterError(f"g must be >= 0, got {g}")
+    check_coupling(n_max, l, g)
     n = np.arange(n_max + 1, dtype=float)
     f1 = transition_strength(n, l)
     f2 = transition_strength(n + l, l)
@@ -78,6 +79,22 @@ def block_matrices(n_max: int, l: int, g: float) -> np.ndarray:
     for (i, j), f in (((0, 1), g * f1), ((0, 2), f1), ((1, 3), f2), ((2, 3), g * f2)):
         h[:, i, j] = h[:, j, i] = f
     return h
+
+
+def check_coupling(n_max: int, l: int, g: float) -> None:
+    """Refuse couplings whose largest block, n = n_max, has a squared
+    Frobenius norm 2 (1 + g^2) (f(n, l)^2 + f(n + l, l)^2) beyond the
+    largest double, where the Jacobi scale overflows; in logarithms, with
+    log f(n, l)^2 = lgamma(n + l + 1) - lgamma(n + 1), so nothing overflows."""
+    log_f1, log_f2 = (math.lgamma(n + l + 1) - math.lgamma(n + 1) for n in (n_max, n_max + l))
+    log_sq = (math.log(2.0) + 2.0 * math.log(math.hypot(1.0, g))
+              + log_f2 + math.log1p(math.exp(log_f1 - log_f2)))
+    if log_sq > math.log(_MAX):
+        raise InvalidParameterError(
+            f"coupling too strong: the squared norm of block n = {n_max}, about "
+            f"1e{log_sq / math.log(10.0):.0f}, exceeds the largest double "
+            f"{_MAX:.1e}; lower g, l or alpha"
+        )
 
 
 def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +112,10 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
     v = np.broadcast_to(np.eye(4), a.shape).copy()
-    scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+    if not np.all(np.isfinite(scale)):
+        raise ContractViolationError("blocks must have finite Frobenius norms")
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) * 2.0)
         live = off > _JACOBI_TOL * scale
@@ -155,29 +175,34 @@ def chunk_rows(n_blocks: int) -> int:
 
 
 def map_chunks(
-    size: int, rows: int, scratch_shape: tuple[int, ...], fill: Callable[..., None]
-) -> None:
-    """Run range(size) in chunks of ``rows`` on every available core.
+    times: np.ndarray, cols: int, buffers: int, channels: int, fill: Callable[..., None]
+) -> np.ndarray:
+    """Output (channels, len(times)) filled in chunks of rows =
+    chunk_rows(cols) times on every available core.
 
     Chunks are dealt round-robin to min(_WORKERS, chunk count) workers.
-    Each worker allocates one scratch array of ``scratch_shape`` and calls
-    fill(start, stop, scratch) for each of its chunks; chunks write
-    disjoint slices of preallocated outputs, so they share nothing
-    mutable.  The calling thread is worker 0 (one worker runs inline); the
-    first exception raised by any worker is re-raised here after every
-    worker has stopped.
+    Each worker allocates one scratch array (buffers, rows * cols) and
+    calls fill(t, scratch, out) for each of its chunks, with t its times
+    and out its columns of the output, so chunks share nothing mutable.
+    The calling thread is worker 0 (one worker runs inline); the first
+    exception raised by any worker is re-raised here after every worker
+    has stopped.
     """
-    starts = range(0, size, rows)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    out = np.empty((channels, times.size))
+    rows = chunk_rows(cols)
+    starts = range(0, times.size, rows)
     workers = max(1, min(_WORKERS, len(starts)))
     errors: list[Exception] = []
 
     def work(k: int) -> None:
         try:
-            scratch = np.empty(scratch_shape)
+            scratch = np.empty((buffers, rows * cols))
             for start in starts[k::workers]:
                 if errors:
                     return
-                fill(start, min(start + rows, size), scratch)
+                chunk = slice(start, start + rows)
+                fill(times[chunk], scratch, out[:, chunk])
         except Exception as exc:  # handed to the caller below
             errors.append(exc)
 
@@ -191,12 +216,14 @@ def map_chunks(
             t.join()
     if errors:
         raise errors[0]
+    return out
 
 
 def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray) -> None:
     """Refuse a grid whose phase error bound max|w| * max|T| * eps exceeds
     _PHASE_COND_TOL."""
-    cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
+    with np.errstate(over="ignore"):  # an infinite bound is refused below
+        cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
     if cond > _PHASE_COND_TOL:
         raise InvalidParameterError(
             f"phase conditioning max|w|*max|T|*eps = {cond:.3e} exceeds "

@@ -5,34 +5,18 @@ field level n, the amplitudes are cos(T sqrt(n+1)) on |+, n> and
 -i sin(T sqrt(n+1)) on |-, n+1>.  The two-atom symmetric case admits a
 strong-field (alpha >> 1) approximation for the transverse coherence in
 terms of the block frequencies w_n = sqrt(4n + 6); both live here as
-references against the exact two-atom pipeline.
+references against the exact two-atom pipeline.  Both stream their
+times in chunks (blocks.map_chunks), so no (T, n) phase matrix over the
+whole grid exists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import chunk_rows, map_chunks
+from .blocks import map_chunks
 from .observables import BlochVector
 from .params import FockWeights
-
-
-def _streamed(T: float | np.ndarray, cols: int, buffers: int, channels: int, fill) -> list:
-    """Reference channels over the times T, evaluated in row chunks on
-    every core (blocks.map_chunks), so no (T, n) phase matrix over the
-    whole grid exists.  ``fill(t, scratch, out)`` writes the ``channels``
-    values at the chunk's times t (r, 1) into out (channels, r), using
-    the rows of scratch (buffers, >= r * cols) as matrices (r, <= cols).
-    Returns the channels, each with the shape of T."""
-    times = np.asarray(T, dtype=float).reshape(-1)
-    out = np.empty((channels, times.size))
-    rows = chunk_rows(cols)
-
-    def chunk(start: int, stop: int, scratch: np.ndarray) -> None:
-        fill(times[start:stop, None], scratch, out[:, start:stop])
-
-    map_chunks(times.size, rows, (buffers, rows * cols), chunk)
-    return [channel.reshape(np.shape(T))[()] for channel in out]
 
 
 def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
@@ -49,6 +33,7 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
     pop, pair = c * c, c[:-1] * c[1:]
 
     def fill(t, scratch, out):
+        t = t[:, None]
         a = scratch[0, : t.size * pop.size].reshape(t.size, pop.size)
         np.matmul(np.cos(np.multiply(2.0 * t, root, out=a), out=a), pop, out=out[0])
         a, b = (s[: t.size * pair.size].reshape(t.size, pair.size) for s in scratch)
@@ -56,7 +41,7 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
         np.sin(np.multiply(t, root[:-1], out=b), out=b)
         np.matmul(np.multiply(a, b, out=a), pair, out=out[1])
 
-    sz, sy = _streamed(T, c.size, buffers=2, channels=2, fill=fill)
+    sz, sy = (ch.reshape(np.shape(T))[()] for ch in map_chunks(T, c.size, 2, 2, fill))
     return BlochVector(sx=0.0, sy=2.0 * sy, sz=sz)
 
 
@@ -77,6 +62,7 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     diff, total, pair = wn - wn1, wn + wn1, c[:-1] * c[1:]
 
     def fill(t, scratch, out):
+        t = t[:, None]
         a, b, e = (s[: t.size * diff.size].reshape(t.size, diff.size) for s in scratch)
         np.multiply(t, diff, out=a)
         np.cos(np.divide(a, 2.0, out=b), out=b)
@@ -85,4 +71,4 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
         np.add(a, np.multiply(e, b, out=e), out=a)
         np.matmul(a, pair, out=out[0])
 
-    return _streamed(T, diff.size, buffers=3, channels=1, fill=fill)[0]
+    return map_chunks(T, diff.size, 3, 1, fill)[0].reshape(np.shape(T))[()]

@@ -39,6 +39,7 @@ from .reduced import AtomId, ReducedAtomState
 NORM_DRIFT_TOL = 1e-7
 PHASE_TOL = 1e-9
 DT_MAX = 1e-3
+_LAM_MAX = (0.5 * np.finfo(float).max) ** 0.2
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,19 @@ def suggest_dt(weights: FockWeights, h: JointHamiltonian, t_total: float) -> flo
     Weighting lam^5 by the initial photon distribution bounds the error
     actually visible in reduced-state entries, which is what the
     cross-path tolerance constrains.  Capped by DT_MAX and by a stability
-    margin against the full matrix norm.
+    margin against the full matrix norm.  A lam beyond _LAM_MAX, whose
+    fifth power would overflow, is refused with InvalidParameterError.
     """
     c = weights.c
     n = np.arange(c.size, dtype=float)
     f1 = transition_strength(n, h.l)
     f2 = transition_strength(n + h.l, h.l)
     lam = np.sqrt((1.0 + h.g * h.g) * (f1 * f1 + f2 * f2))
+    if not lam.max() <= _LAM_MAX:
+        raise InvalidParameterError(
+            f"block frequency bound {lam.max():.3e} exceeds {_LAM_MAX:.3e}, beyond "
+            "which the RK4 step-size estimate overflows; lower g, l or alpha"
+        )
     lam5 = float(np.sum(c * c * lam ** 5))
     dt_acc = (120.0 * PHASE_TOL / (max(t_total, 1e-12) * lam5)) ** 0.25
     return min(DT_MAX, dt_acc, 0.1 / h.norm_inf)

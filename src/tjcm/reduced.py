@@ -6,10 +6,11 @@ The coherence couples field sectors whose photon numbers differ by l, so
 it is a sum over products of amplitudes from adjacent blocks n and n+l.
 The second atom obeys the same formulas with x2 and x3 interchanged.
 
-reduced_states is the one route from a block spectrum to these states.
-It never builds the amplitude table of the whole grid: it evolves and
-reduces one cache-sized chunk of times at a time, on every core, into
-preallocated outputs.  max_deviation compares two such states.
+reduced_states is the one route from the model parameters to these
+states.  It diagonalizes the blocks itself and never builds the amplitude
+table of the whole grid: it evolves and reduces one cache-sized chunk of
+times at a time, on every core, into the columns of one output array.
+max_deviation compares two such states.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .blocks import (
     amplitudes_into,
     check_norm,
     check_phase_conditioning,
-    chunk_rows,
+    eigen_table,
     evolution_factors,
     map_chunks,
 )
@@ -64,56 +65,68 @@ def max_deviation(a: ReducedAtomState, b: ReducedAtomState) -> float:
 
 def reduced_states(
     weights: FockWeights,
-    spectrum: tuple[np.ndarray, np.ndarray],
-    grid: np.ndarray,
     l: int,
+    g: float,
+    grid: np.ndarray,
     atoms: Iterable[AtomId],
 ) -> dict[AtomId, ReducedAtomState]:
     """Reduced state of each atom over the grid, as arrays of length nT,
-    with the scalar coh_re = 0.0.
+    with the scalar coh_re = 0.0, for transition parameter l and coupling
+    ratio g.
 
-    ``spectrum`` is the (vals, vecs) pair of ``eigen_table`` for blocks
-    n = 0..n_max of ``weights``.  Each population is one contraction over
-    the photon index against the weights; the coherence pairs blocks n and
-    n + l, so indices beyond the truncation contribute nothing to it.
+    The blocks n = 0..n_max of ``weights`` are diagonalized once
+    (``eigen_table``).  Each population is one contraction over the photon
+    index against the weights; the coherence pairs blocks n and n + l, so
+    indices beyond the truncation contribute nothing to it.
 
-    No (4, nT, N) amplitude table over the whole grid is built: the grid is
-    cut into ``chunk_rows(N)`` time points at a time, and each chunk is
-    evolved (``amplitudes_into``) and reduced into the preallocated outputs
-    while its amplitudes are still in cache.  Chunks run on every core
-    (``map_chunks``), each worker with one scratch block for amplitudes,
-    phases and trig values, so memory beyond the outputs does not grow
-    with the grid, and the result is bitwise the same for any chunking.
+    No (4, nT, N) amplitude table over the whole grid is built: chunks of
+    the grid (``map_chunks``) are evolved (``amplitudes_into``) and reduced
+    into their columns of one output array, three rows per atom plus one
+    of amplitude-norm deviations, while their amplitudes are in cache.
+    Each worker has one scratch block for amplitudes, phases and trig
+    values, so memory beyond the outputs does not grow with the grid, and
+    the result is bitwise the same for any chunking.
 
-    The phase conditioning is checked over the whole grid before any chunk
-    runs (InvalidParameterError), and the amplitude norm over every chunk
-    (InternalConsistencyError).  TruncationError is raised when the
-    spectrum does not span n = 0..n_max, or when the trace strays from 1
-    by more than ten times the configured tail mass, which signals a
-    cutoff chosen too small for the requested amplitude.
+    The coupling and the phase conditioning over the whole grid are
+    checked before any chunk runs (InvalidParameterError), and the
+    amplitude norm over every chunk (InternalConsistencyError).
+    TruncationError is raised when the trace strays from 1 by more than
+    ten times the configured tail mass, which signals a cutoff chosen too
+    small for the requested amplitude.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     atoms = tuple(atoms)
-    vals = spectrum[0]
-    check_phase_conditioning(vals, grid)
-    nt, n = grid.size, vals.shape[0]
-    if n != weights.n_max + 1:
-        raise TruncationError(f"spectrum covers {n} blocks, need {weights.n_max + 1}")
-    rows = chunk_rows(n)
-    out = {atom: np.empty((3, nt)) for atom in atoms}
-    norm_devs = np.zeros(-(-nt // rows))
+    spectrum = eigen_table(weights.n_max, l, g)
+    check_phase_conditioning(spectrum[0], grid)
+    c = weights.c
+    n, m = c.size, max(c.size - l, 0)
+    pop, pair = c * c, c[l:] * c[:m]
     factors = evolution_factors(spectrum)
 
-    def fill(start: int, stop: int, scratch: np.ndarray) -> None:
-        x, phase, trig = scratch.reshape(3, 4, rows, n)[:, :, : stop - start]
-        norm_devs[start // rows] = amplitudes_into(factors, grid[start:stop], x, phase, trig)
-        for atom in atoms:  # products in the trig rows, free once x is written
-            _reduce_into(weights, x, l, atom, out[atom][:, start:stop], scratch[8:10])
+    def fill(t: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+        x, phase, trig = scratch.reshape(3, 4, -1, n)[:, :, : t.size]
+        out[-1] = amplitudes_into(factors, t, x, phase, trig)
+        # elementwise products in the trig rows, free once x is written
+        a, b = (s[: t.size * n].reshape(t.size, n) for s in scratch[8:10])
+        u, v = (s[: t.size * m].reshape(t.size, m) for s in scratch[8:10])
+        for k, atom in enumerate(atoms):
+            x1, x2, x3, x4 = x
+            if atom is AtomId.SECOND:
+                x2, x3 = x3, x2
+            p_plus, p_minus, coh_im = out[3 * k : 3 * k + 3]
+            for y, z, dest in ((x1, x2, p_plus), (x3, x4, p_minus)):
+                np.multiply(y, y, out=a)
+                np.multiply(z, z, out=b)
+                np.matmul(np.add(a, b, out=a), pop, out=dest)
+            np.multiply(x2[:, l:], x4[:, :m], out=u)
+            np.multiply(x3[:, :m], x1[:, l:], out=v)
+            np.matmul(np.subtract(u, v, out=u), pair, out=coh_im)
 
-    map_chunks(nt, rows, (12, rows * n), fill)
-    check_norm(float(norm_devs.max(initial=0.0)))
+    out = map_chunks(grid, n, 12, 3 * len(atoms) + 1, fill)
+    check_norm(float(out[-1].max(initial=0.0)))
     states = {}
-    for atom, (p_plus, p_minus, coh_im) in out.items():
+    for k, atom in enumerate(atoms):
+        p_plus, p_minus, coh_im = out[3 * k : 3 * k + 3]
         trace_dev = float(np.max(np.abs(p_plus + p_minus - 1.0), initial=0.0))
         if trace_dev > 10.0 * weights.cutoff_eps:
             raise TruncationError(
@@ -122,36 +135,6 @@ def reduced_states(
             )
         states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, coh_im)
     return states
-
-
-def _reduce_into(
-    weights: FockWeights,
-    x: np.ndarray,
-    l: int,
-    atom: AtomId,
-    out: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """Kernel of reduced_states: write p_plus, p_minus and the imaginary
-    part of the coherence at the nT times of x (4, nT, N) into out (3, nT),
-    using scratch (2, >= nT * N) for the elementwise products: in
-    reduced_states, the trig rows, which amplitudes_into is done with."""
-    c = weights.c
-    x1, x2, x3, x4 = x
-    if atom is AtomId.SECOND:
-        x2, x3 = x3, x2
-    nt, n = x1.shape
-    m = max(n - l, 0)
-    a, b = (s[: nt * n].reshape(nt, n) for s in scratch)
-    w = c * c
-    for u, v, dest in ((x1, x2, out[0]), (x3, x4, out[1])):
-        np.multiply(u, u, out=a)
-        np.multiply(v, v, out=b)
-        np.matmul(np.add(a, b, out=a), w, out=dest)
-    a, b = (s[: nt * m].reshape(nt, m) for s in scratch)
-    np.multiply(x2[:, l:], x4[:, :m], out=a)
-    np.multiply(x3[:, :m], x1[:, l:], out=b)
-    np.matmul(np.subtract(a, b, out=a), c[l:] * c[:m], out=out[2])
 
 
 def swap_transform(g: float, T: float) -> tuple[float, float]:

@@ -11,7 +11,6 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import jcm
-from .blocks import eigen_table
 from .errors import InvalidParameterError, ResourceRefusalError, UsageError
 from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
     von_neumann
@@ -97,14 +96,13 @@ def validate_channels(names: Iterable[str]) -> tuple[str, ...]:
 def run_scan(cfg: ScanConfig) -> TimeSeries:
     """Evaluate every requested channel on the configured time grid.
 
-    Blocks are diagonalized once and shared read-only by the chunks of the
-    grid, which ``reduced_states`` evolves and reduces on every core in
-    the process's affinity mask; single-atom channels come from that
-    reduction, the jcm_* and harmonic_sy channels from the closed-form
-    references, streamed over the same chunks.  Memory grows with the
-    grid only by grid-length arrays (states, Bloch vectors, channels); a
-    grid whose outputs alone would not fit in physical memory is refused
-    before anything is allocated.
+    Single-atom channels come from ``reduced_states``, which diagonalizes
+    the blocks once and evolves and reduces chunks of the grid on every
+    core in the process's affinity mask; the jcm_* and harmonic_sy
+    channels come from the closed-form references, streamed the same
+    way.  Memory grows with the grid only by grid-length arrays (states,
+    Bloch vectors, channels); a grid whose outputs alone would not fit in
+    physical memory is refused before anything is allocated.
     """
     names = validate_channels(cfg.channels)
     _check_grid_fits(cfg.steps, len(names) + 1)
@@ -116,10 +114,9 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     atoms_needed = {n[-1] for n in names if n[:-1] in ATOM_CHANNELS}
     if atoms_needed:
         atoms = [AtomId(int(tag)) for tag in sorted(atoms_needed)]
-        spectrum = eigen_table(weights.n_max, p.l, p.g)
         # the reduced states are dropped once their Bloch vectors exist
         states = {str(atom.value): bloch(state) for atom, state in
-                  reduced_states(weights, spectrum, grid, p.l, atoms).items()}
+                  reduced_states(weights, p.l, p.g, grid, atoms).items()}
         for name in names:
             kind, tag = name[:-1], name[-1]
             if kind in ATOM_CHANNELS:
@@ -242,14 +239,22 @@ def run_verify(
 ) -> VerifyReport:
     """Cross-check the analytic pipeline against the brute-force oracle.
 
-    Draws sample_count times from the configured grid (deterministic seed),
-    integrates the full product-space trajectory once, and compares the
-    reduced states of both atoms entrywise at every sample.  Also scans the
-    entropic-uncertainty residual of the analytic states.  inject_fault
-    corrupts one analytic coherence, for exercising the failure path.
+    Draws sample_count times from the configured grid after T = 0
+    (deterministic seed), integrates the full product-space trajectory
+    once, and compares the reduced states of both atoms entrywise at every
+    sample.  The analytic states come first, so its coupling and phase
+    checks refuse an input before the oracle's arithmetic could overflow.
+    Also scans the entropic-uncertainty residual of the analytic states.
+    inject_fault corrupts one analytic coherence, for exercising the
+    failure path.
     """
     if sample_count < 10:
         raise UsageError(f"sample_count must be >= 10, got {sample_count}")
+    if cfg.steps - 1 < sample_count:
+        raise UsageError(
+            f"the grid has {cfg.steps - 1} times after T = 0, fewer than the "
+            f"{sample_count} samples requested; raise steps or lower samples"
+        )
     p = cfg.params
     weights = coherent_weights(p.alpha, p.cutoff_eps)
     n_f = weights.n_max + 2 * p.l
@@ -263,17 +268,9 @@ def run_verify(
     _check_grid_fits(cfg.steps, 1)
     grid = cfg.grid()
     rng = np.random.default_rng(VERIFY_SEED)
-    count = min(sample_count, grid.size - 1)
-    times = np.sort(rng.choice(grid[1:], size=count, replace=False))
+    times = np.sort(rng.choice(grid[1:], size=sample_count, replace=False))
 
-    from . import oracle  # imported only when verifying
-
-    h = oracle.build_joint_hamiltonian(p.l, p.g, n_f)
-    psi0 = oracle.initial_state(weights, h)
-    dt = oracle.suggest_dt(weights, h, float(times[-1]))
-
-    blocks = eigen_table(weights.n_max, p.l, p.g)
-    analytic = reduced_states(weights, blocks, times, p.l, AtomId)
+    analytic = reduced_states(weights, p.l, p.g, times, AtomId)
     if inject_fault:
         coh_im = analytic[AtomId.FIRST].coh_im.copy()
         coh_im[times.size // 2] += 1e-6
@@ -282,7 +279,11 @@ def run_verify(
         float(np.max(-eur_residual(bloch(state)))) for state in analytic.values()
     )
 
-    traced = oracle.trace_trajectory(h, psi0, times, dt)
+    from . import oracle  # imported only when verifying
+
+    h = oracle.build_joint_hamiltonian(p.l, p.g, n_f)
+    dt = oracle.suggest_dt(weights, h, float(times[-1]))
+    traced = oracle.trace_trajectory(h, oracle.initial_state(weights, h), times, dt)
     return VerifyReport(
         times=times,
         max_state_dev=max(max_deviation(analytic[a], traced[a]) for a in AtomId),
@@ -324,9 +325,15 @@ def read_csv(path: str) -> TimeSeries:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if not rows:
         raise UsageError(f"{path} has no data rows")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise UsageError(f"{path}: column(s) named more than once: {', '.join(repeated)}")
     if any(len(row) != len(header) for row in rows):
         raise UsageError(f"{path}: ragged CSV")
-    data = np.array([[float(v) for v in row] for row in rows])
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise UsageError(f"{path}: non-numeric cell: {exc}") from exc
     return TimeSeries(
         grid=data[:, 0],
         channels={name: data[:, j + 1] for j, name in enumerate(header[1:])},

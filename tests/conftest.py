@@ -17,7 +17,6 @@ from tjcm.blocks import (
     amplitudes_into,
     check_norm,
     check_phase_conditioning,
-    eigen_table,
     evolution_factors,
 )
 from tjcm.params import coherent_weights
@@ -87,8 +86,7 @@ def oracle_cross():
         weights = coherent_weights(p.alpha, p.cutoff_eps)
         times = np.linspace(cfg.t_max / sample_count, cfg.t_max, sample_count)
 
-        blocks = eigen_table(weights.n_max, p.l, p.g)
-        analytic = reduced_states(weights, blocks, times, p.l, AtomId)
+        analytic = reduced_states(weights, p.l, p.g, times, AtomId)
 
         h = oracle.build_joint_hamiltonian(p.l, p.g, weights.n_max + 2 * p.l)
         psi0 = oracle.initial_state(weights, h)

@@ -86,8 +86,7 @@ def _reduced_states(params, times):
     """Analytic ReducedAtomState of both atoms at ``times``, through the
     streamed driver the scans use."""
     weights = coherent_weights(params.alpha, params.cutoff_eps)
-    blocks = eigen_table(weights.n_max, params.l, params.g)
-    return reduced_states(weights, blocks, times, params.l, AtomId)
+    return reduced_states(weights, params.l, params.g, times, AtomId)
 
 
 def _ey(state):

@@ -1,6 +1,7 @@
 """Interaction blocks, Jacobi eigensolver, and evolution amplitudes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ def test_block_matrices_rejects_bad_parameters():
             block_matrices(*args)
 
 
+def test_block_matrices_refuses_overflowing_coupling():
+    """Couplings whose largest block has a squared norm beyond the largest
+    double are refused before any arithmetic overflows; one just inside
+    the bound still diagonalizes to a finite spectrum."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_max, l, g in ((95, 1, 1e300), (95, 1, 1e154), (95, 200, 1.0), (0, 10**6, 0.0)):
+            with pytest.raises(InvalidParameterError, match="exceeds the largest double"):
+                block_matrices(n_max, l, g)
+        # squared norm of block 95 at g = 5e151: about 9.3e307
+        vals, vecs = eigen_table(95, 1, 5e151)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
+
+
 def test_transition_strength_matches_factorials():
     for n in range(12):
         for l in range(1, 5):
@@ -126,6 +141,14 @@ def test_diagonalize_rejects_non_symmetric():
     for shape in ((4, 4), (2, 3, 3), (2, 4, 5)):
         with pytest.raises(ContractViolationError):
             jacobi_eigh(np.zeros(shape))
+    # a stack whose norm overflows is never reported as converged
+    for entry in (1e200, math.inf):
+        h = np.zeros((2, 4, 4))
+        h[1, 0, 1] = h[1, 1, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="finite Frobenius norms"):
+                jacobi_eigh(h)
 
 
 def test_diagonalize_deterministic_and_sign_fixed():

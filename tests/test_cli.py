@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import tjcm.cli
 from tjcm.cli import EXIT_OK, EXIT_REFUSED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
@@ -141,6 +142,31 @@ def test_verify_pass_and_exit_codes(capsys):
 
     assert main(["verify", "--samples", "3", "--steps", "40", "--tmax", "4",
                  "--alpha", "1.0"]) == EXIT_USAGE
+
+
+def test_verify_refuses_fewer_grid_times_than_samples(capsys):
+    args = ["verify", "--alpha", "1.0", "--tmax", "4", "--samples", "10"]
+    assert main(args + ["--steps", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "1 times after T = 0" in err and "10 samples" in err
+    assert main(args + ["--steps", "11"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--g", "1e300", "--steps", "5"],
+    ["scan", "--l", "200", "--steps", "5"],
+    ["verify", "--g", "1e300", "--tmax", "3"],
+    ["verify", "--l", "200", "--tmax", "3"],
+])
+def test_overflowing_coupling_is_one_error_line(args):
+    """Couplings whose block norm overflows exit 1 with one error line:
+    no traceback, no RuntimeWarning, no CSV of frozen atoms."""
+    run = subprocess.run([sys.executable, "-c", "from tjcm.cli import run; run()", *args],
+                         capture_output=True, text=True)
+    assert run.returncode == EXIT_USAGE
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tjcm: error: coupling too strong")
 
 
 def test_help_exits_zero(capsys):

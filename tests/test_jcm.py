@@ -106,12 +106,11 @@ def test_harmonic_zero_at_t_zero():
 def test_harmonic_tracks_exact_symmetric_case():
     """The approximation must reproduce the exact symmetric-case coherence
     away from large times: pointwise here, envelope checks below."""
-    from tjcm import AtomId, eigen_table, reduced_states
+    from tjcm import AtomId, reduced_states
 
     w = coherent_weights(5.0)
     ts = np.array([0.5, 3.0, 8.0])
-    spectrum = eigen_table(w.n_max, 1, 1.0)
-    coh = reduced_states(w, spectrum, ts, 1, [AtomId.FIRST])[AtomId.FIRST].coh_im
+    coh = reduced_states(w, 1, 1.0, ts, [AtomId.FIRST])[AtomId.FIRST].coh_im
     assert np.max(np.abs(tjcm_harmonic_sy(w, ts) - 2.0 * coh)) < 0.02
 
 

@@ -6,7 +6,14 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from tjcm import AtomId, FockWeights, StepSizeError, TruncationError, coherent_weights
+from tjcm import (
+    AtomId,
+    FockWeights,
+    InvalidParameterError,
+    StepSizeError,
+    TruncationError,
+    coherent_weights,
+)
 from tjcm import oracle
 from tjcm.blocks import transition_strength
 
@@ -364,3 +371,12 @@ def test_suggest_dt_caps():
     assert dt_long < dt_short <= oracle.DT_MAX
     assert h.norm_inf == np.abs(dense_h(h)).sum(axis=1).max()
     assert dt_short <= 0.1 / h.norm_inf or dt_short <= oracle.DT_MAX
+
+
+def test_suggest_dt_refuses_overflowing_estimate():
+    """A block frequency bound whose fifth power overflows is refused
+    rather than turned into a zero step."""
+    w = coherent_weights(5.0)
+    h = oracle.build_joint_hamiltonian(1, 1e70, w.n_max + 2)
+    with pytest.raises(InvalidParameterError, match="step-size estimate overflows"):
+        oracle.suggest_dt(w, h, 1e-70)

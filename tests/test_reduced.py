@@ -29,7 +29,7 @@ from conftest import amplitudes
 
 def reduced(weights, l, g, ts, atom):
     """ReducedAtomState of one atom at the times ts."""
-    return reduced_states(weights, eigen_table(weights.n_max, l, g), ts, l, [atom])[atom]
+    return reduced_states(weights, l, g, ts, [atom])[atom]
 
 
 def field_levels(size, *levels):
@@ -117,8 +117,7 @@ def test_reduced_state_coherence_purely_imaginary():
     coherence here from the complex block amplitudes, real part included."""
     w = coherent_weights(4.0)
     l, ts = 2, np.linspace(0.0, 12.0, 25)
-    blocks = eigen_table(w.n_max, l, 0.5)
-    vals, vecs = blocks
+    vals, vecs = eigen_table(w.n_max, l, 0.5)
     phases = np.exp(-1j * ts[:, None, None] * vals[None, :, :])
     a = np.einsum("tnk,nk,njk->jtn", phases, vecs[:, 0, :], vecs)
     c, m = w.c, w.c.size - l
@@ -128,7 +127,7 @@ def test_reduced_state_coherence_purely_imaginary():
             c[l:] * c[:m]
         )
         assert np.max(np.abs(full.real)) < 1e-10
-        s = reduced_states(w, blocks, ts, l, [atom])[atom]
+        s = reduced_states(w, l, 0.5, ts, [atom])[atom]
         assert s.coh_re == 0.0
         assert np.max(np.abs(s.coh_re + 1j * s.coh_im - full)) < 1e-10
 
@@ -149,12 +148,6 @@ def test_reduced_state_against_oracle():
     ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), [T], oracle.suggest_dt(w, h, T))
     for atom in AtomId:
         assert max_deviation(reduced(w, l, g, [T], atom), ref[atom]) < 1e-8
-
-
-def test_reduced_state_rejects_short_table():
-    w = coherent_weights(2.0)
-    with pytest.raises(TruncationError, match="spectrum covers"):
-        reduced_states(w, eigen_table(w.n_max - 2, 1, 1.0), [1.0], 1, AtomId)
 
 
 def test_atom_swap_symmetry_pointwise():
@@ -179,11 +172,10 @@ def test_swap_transform_rejects_nonpositive_or_infinite_g():
 def test_reduced_states_grid_matches_single_times():
     """A grid of times reduces to what each time gives on its own."""
     w = coherent_weights(2.5)
-    blocks = eigen_table(w.n_max, 2, 0.8)
     ts = np.array([0.0, 1.3, 6.6])
-    grid = reduced_states(w, blocks, ts, 2, AtomId)
+    grid = reduced_states(w, 2, 0.8, ts, AtomId)
     for i, T in enumerate(ts):
-        single = reduced_states(w, blocks, [T], 2, AtomId)
+        single = reduced_states(w, 2, 0.8, [T], AtomId)
         for atom in AtomId:
             assert single[atom].coh_re == grid[atom].coh_re == 0.0
             for field in ("p_plus", "p_minus", "coh_im"):
@@ -199,10 +191,9 @@ def test_reduced_states_match_fsum():
                         (20.0, 2, 1.7), (30.0, 1, 0.4), (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
         ts = np.array([0.0, 1.3, 6.6, 17.9])
-        spectrum = eigen_table(w.n_max, l, g)
-        x = amplitudes(spectrum, ts)
+        x = amplitudes(eigen_table(w.n_max, l, g), ts)
         c, m = w.c, w.c.size - l
-        for atom, state in reduced_states(w, spectrum, ts, l, AtomId).items():
+        for atom, state in reduced_states(w, l, g, ts, AtomId).items():
             pp, pm, coh_re, coh_im = astuple(state)
             assert coh_re == 0.0
             x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
@@ -226,14 +217,13 @@ def test_streamed_states_bitwise_equal_to_whole_grid(alpha, g, l, steps, monkeyp
     """reduced_states in cache-sized chunks on every worker gives, bit for
     bit, what it gives as one chunk over the whole grid on one worker."""
     w = coherent_weights(alpha)
-    spectrum = eigen_table(w.n_max, l, g)
     grid = np.linspace(0.0, 25.0, steps)
     assert steps > 2 * chunk_rows(w.n_max + 1)
-    streamed = reduced_states(w, spectrum, grid, l, AtomId)
+    streamed = reduced_states(w, l, g, grid, AtomId)
     monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", (steps + 8) * (w.n_max + 1))
     monkeypatch.setattr(tjcm.blocks, "_WORKERS", 1)
     assert chunk_rows(w.n_max + 1) >= steps
-    whole = reduced_states(w, spectrum, grid, l, AtomId)
+    whole = reduced_states(w, l, g, grid, AtomId)
     assert list(streamed) == list(AtomId)
     for atom in AtomId:
         for got, want in zip(astuple(streamed[atom]), astuple(whole[atom])):
@@ -250,25 +240,28 @@ def test_chunk_rows_multiple_of_eight():
 
 def test_map_chunks_covers_every_row_once(monkeypatch):
     """More workers than cores, switching threads every microsecond: every
-    row is still written by exactly one chunk, and each worker allocates
-    its scratch once."""
+    time is still filled by exactly one chunk, into its own output column,
+    and each worker allocates its scratch once."""
     monkeypatch.setattr(tjcm.blocks, "_WORKERS", 5)
-    hits = np.zeros(1000, dtype=int)
+    monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", 8)  # 8 rows per chunk
+    times = np.arange(1000.0)
+    hits = np.zeros(times.size, dtype=int)
     scratches = {}  # address -> array; holding each keeps addresses unique
 
-    def fill(start, stop, scratch):
-        assert scratch.shape == (2, 8)
+    def fill(t, scratch, out):
+        assert scratch.shape == (3, 8) and out.shape == (2, t.size) and t.size <= 8
         scratches.setdefault(scratch.ctypes.data, scratch)
-        for i in range(start, stop):
-            hits[i] += 1
+        hits[t.astype(int)] += 1
+        out[0], out[1] = t, -t
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        map_chunks(hits.size, 8, (2, 8), fill)
+        out = map_chunks(times, 1, 3, 2, fill)
     finally:
         sys.setswitchinterval(interval)
     assert np.all(hits == 1)
+    assert np.array_equal(out, np.stack([times, -times]))
     assert len(scratches) == 5  # one scratch array per worker
 
 
@@ -278,12 +271,14 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
 
     monkeypatch.setattr(tjcm.blocks, "_WORKERS", 2)
 
-    def fill(start, stop, scratch):
+    monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", 8)  # 8 rows per chunk
+
+    def fill(t, scratch, out):
         if threading.current_thread() is not threading.main_thread():
-            raise WorkerFault(f"chunk at {start}")
+            raise WorkerFault(f"chunk at {t[0]:.0f}")
 
     with pytest.raises(WorkerFault, match="chunk at 8"):
-        map_chunks(64, 8, (1,), fill)
+        map_chunks(np.arange(64.0), 1, 1, 1, fill)
 
 
 def test_streamed_norm_check_covers_every_chunk(monkeypatch):
@@ -299,17 +294,16 @@ def test_streamed_norm_check_covers_every_chunk(monkeypatch):
     monkeypatch.setattr(tjcm.reduced, "amplitudes_into", faulty)
     w = coherent_weights(5.0)
     with pytest.raises(InternalConsistencyError, match="amplitude norm deviates"):
-        reduced_states(w, eigen_table(w.n_max, 1, 0.5), np.linspace(0.0, 25.0, 2500), 1,
-                       AtomId)
+        reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
 
 
 def test_streamed_phase_conditioning_refused_before_any_chunk(monkeypatch):
     calls = []
     monkeypatch.setattr(tjcm.reduced, "amplitudes_into", lambda *a: calls.append(a))
     w = coherent_weights(5.0)
-    spectrum = eigen_table(w.n_max, 8, 1.0)  # conditioning 1.3e-6 over t_max 25
     with pytest.raises(InvalidParameterError, match="phase conditioning"):
-        reduced_states(w, spectrum, np.linspace(0.0, 25.0, 50), 8, AtomId)
+        # l = 8: conditioning 1.3e-6 over t_max 25
+        reduced_states(w, 8, 1.0, np.linspace(0.0, 25.0, 50), AtomId)
     assert calls == []
 
 
@@ -327,5 +321,4 @@ def test_streamed_trace_check_over_assembled_arrays(monkeypatch):
 
     monkeypatch.setattr(tjcm.reduced, "amplitudes_into", draining)
     with pytest.raises(TruncationError, match="reduced trace"):
-        reduced_states(w, eigen_table(w.n_max, 1, 1.0), np.linspace(0.0, 25.0, 2000), 1,
-                       AtomId)
+        reduced_states(w, 1, 1.0, np.linspace(0.0, 25.0, 2000), AtomId)

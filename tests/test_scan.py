@@ -17,7 +17,6 @@ from tjcm import (
     TimeSeries,
     UsageError,
     coherent_weights,
-    eigen_table,
     read_csv,
     reduced_states,
     run_preset,
@@ -76,7 +75,7 @@ def test_scan_matches_pointwise_pipeline():
     cfg = small_cfg()
     ts = run_scan(cfg)
     w = coherent_weights(1.5)
-    states = reduced_states(w, eigen_table(w.n_max, 1, 0.5), ts.grid, 1, AtomId)
+    states = reduced_states(w, 1, 0.5, ts.grid, AtomId)
     b1, b2 = bloch(states[AtomId.FIRST]), bloch(states[AtomId.SECOND])
     expected = {
         "inv1": b1.sz,
@@ -117,8 +116,7 @@ def test_strong_coupling_and_many_photons_give_physical_output(alpha, g, l):
                      steps=200, channels=channels)
     ts = run_scan(cfg)
     w = coherent_weights(alpha)
-    for atom, state in reduced_states(w, eigen_table(w.n_max, l, g), ts.grid, l,
-                                      AtomId).items():
+    for atom, state in reduced_states(w, l, g, ts.grid, AtomId).items():
         assert np.max(np.abs(state.p_plus + state.p_minus - 1.0)) <= 1e-12
         assert np.max(bloch(state).norm()) <= 1.0 + 1e-12
         tag = str(atom.value)
@@ -241,6 +239,12 @@ def test_csv_rejects_foreign_file(tmp_path):
     p.write_text("T,inv1\n")
     with pytest.raises(UsageError, match="no data rows"):
         read_csv(str(p))
+    p.write_text("T,inv1\n0,1\n1,abc\n")
+    with pytest.raises(UsageError, match="non-numeric cell"):
+        read_csv(str(p))
+    p.write_text("T,a,a\n0,1,2\n")
+    with pytest.raises(UsageError, match="more than once: a"):
+        read_csv(str(p))
 
 
 def test_time_series_shape_guard():
@@ -273,6 +277,8 @@ def test_verify_detects_injected_fault():
 def test_verify_sample_count_guard():
     with pytest.raises(UsageError):
         run_verify(small_cfg(), 9)
+    with pytest.raises(UsageError, match="32 times after T = 0, fewer than the 40"):
+        run_verify(small_cfg(), 40)
 
 
 def test_verify_resource_refusal():
