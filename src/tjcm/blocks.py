@@ -6,11 +6,13 @@ interaction couples only the four product states
     |+,+,n>,  |+,-,n+l>,  |-,+,n+l>,  |-,-,n+2l>
 
 so the joint dynamics factorizes into independent 4x4 blocks labelled by
-the base photon number n.  All blocks are diagonalized at once by a
-batched cyclic Jacobi eigensolver; the evolution amplitudes (x1, x2, x3,
-x4) of the initial basis vector follow from the eigenpairs, in real
-arithmetic (amplitudes_into): the outer two are cosine sums and the
-middle two sine sums.
+the base photon number n.  Callers pass the base range n_min..n_max of
+the coherent weights' window (params.FockWeights.window): the blocks below
+n_min carry at most 1e-8 * cutoff_eps of the weight together.  All blocks
+are diagonalized at once by a batched cyclic Jacobi eigensolver; the
+evolution amplitudes (x1, x2, x3, x4) of the initial basis vector follow
+from the eigenpairs, in real arithmetic (amplitudes_into): the outer two
+are cosine sums and the middle two sine sums.
 
 Grids are streamed, never evolved whole: map_chunks cuts the times into
 cache-sized chunks (chunk_rows) and runs them on every core in the
@@ -57,8 +59,9 @@ def transition_strength(n: int | np.ndarray, l: int) -> float | np.ndarray:
     return np.sqrt(p)
 
 
-def block_matrices(n_max: int, l: int, g: float) -> np.ndarray:
-    """Interaction blocks for base photon numbers 0..n_max, shape (N, 4, 4).
+def block_matrices(n_max: int, l: int, g: float, n_min: int = 0) -> np.ndarray:
+    """Interaction blocks for base photon numbers n_min..n_max, shape
+    (N, 4, 4) with N = n_max - n_min + 1.
 
     Atom 1 couples |+,+,n> to |-,+,n+l> (and |+,-,n+l> to |-,-,n+2l>)
     with unit weight; atom 2 couples the corresponding pair with weight g.
@@ -67,12 +70,16 @@ def block_matrices(n_max: int, l: int, g: float) -> np.ndarray:
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise InvalidParameterError(f"n_max must be an integer >= 0, got {n_max}")
+    if not isinstance(n_min, int) or not 0 <= n_min <= n_max:
+        raise InvalidParameterError(
+            f"n_min must be an integer in [0, n_max = {n_max}], got {n_min}"
+        )
     if not isinstance(l, int) or l < 1:
         raise InvalidParameterError(f"l must be an integer >= 1, got {l}")
     if not (g >= 0.0 and math.isfinite(g)):
         raise InvalidParameterError(f"g must be >= 0, got {g}")
     check_coupling(n_max, l, g)
-    n = np.arange(n_max + 1, dtype=float)
+    n = np.arange(n_min, n_max + 1, dtype=float)
     f1 = transition_strength(n, l)
     f2 = transition_strength(n + l, l)
     h = np.zeros((n.size, 4, 4))
@@ -159,10 +166,13 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def eigen_table(n_max: int, l: int, g: float) -> tuple[np.ndarray, np.ndarray]:
+def eigen_table(
+    n_max: int, l: int, g: float, n_min: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Block spectrum (vals (N, 4), vecs (N, 4, 4)) for every base photon
-    number 0..n_max, all blocks diagonalized at once."""
-    return jacobi_eigh(block_matrices(n_max, l, g))
+    number n_min..n_max, all blocks diagonalized at once.  Jacobi treats
+    each block alone, so these rows are bitwise those of the table from 0."""
+    return jacobi_eigh(block_matrices(n_max, l, g, n_min))
 
 
 def chunk_rows(n_blocks: int) -> int:

@@ -7,7 +7,10 @@ strong-field (alpha >> 1) approximation for the transverse coherence in
 terms of the block frequencies w_n = sqrt(4n + 6); both live here as
 references against the exact two-atom pipeline.  Both stream their
 times in chunks (blocks.map_chunks), so no (T, n) phase matrix over the
-whole grid exists.
+whole grid exists, and both sum over n = n_min..n_max with
+n_min = weights.window(1): the terms below it carry at most
+1e-8 * cutoff_eps of the population and pair weight, and no term exceeds
+twice its weight, so no output moves by more than twice that.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
     and the scalar sx = 0.0 for the excited-state start, as in
     reduced_states.  sz and sy have the shape of T.
     """
-    c = weights.c
-    root = np.sqrt(np.arange(1.0, c.size + 1.0))  # sqrt(n + 1)
+    n_min = weights.window(1)
+    c = weights.c[n_min:]
+    root = np.sqrt(np.arange(n_min + 1.0, weights.n_max + 2.0))  # sqrt(n + 1)
     pop, pair = c * c, c[:-1] * c[1:]
 
     def fill(t, scratch, out):
@@ -55,8 +59,9 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     with w_n = sqrt(4n + 6).  Valid when the photon distribution is sharply
     peaked (alpha >> 1); evaluable for any weights.  Has the shape of T.
     """
-    c = weights.c
-    n = np.arange(c.size - 1.0)
+    n_min = weights.window(1)
+    c = weights.c[n_min:]
+    n = np.arange(n_min, weights.n_max, dtype=float)
     wn = np.sqrt(4.0 * n + 6.0)
     wn1 = np.sqrt(4.0 * n + 10.0)
     diff, total, pair = wn - wn1, wn + wn1, c[:-1] * c[1:]

@@ -3,7 +3,10 @@
 The field starts in a coherent state with real amplitude ``alpha``; its
 Fock-basis amplitudes C_n = alpha^n / sqrt(n!) * exp(-alpha^2 / 2) carry
 Poissonian weight C_n^2.  All dynamics below a tail mass of ``cutoff_eps``
-is dropped, so every downstream sum over photon number is finite.
+is dropped, so every downstream sum over photon number is finite.  The
+table always starts at n = 0; the analytic sums start later, at
+``FockWeights.window``, past a lower tail of at most
+``WINDOW_FRACTION * cutoff_eps`` of the weight.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 from .errors import InvalidParameterError
 
 DEFAULT_CUTOFF_EPS = 1e-12
+# Share of cutoff_eps that the lower photon-number window may drop.
+WINDOW_FRACTION = 1e-8
 
 # Hard stop for the tail search; Poissonian mass at alpha <= 30 is long gone
 # by here, so hitting it means cutoff_eps was set below machine resolution.
@@ -135,7 +140,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class FockWeights:
-    """Truncated table of real field amplitudes c[n] for n = 0..n_max."""
+    """Truncated table of real field amplitudes c[n] for n = 0..n_max; the
+    analytic sums over it start at window(l)."""
 
     c: np.ndarray
     cutoff_eps: float = DEFAULT_CUTOFF_EPS
@@ -156,6 +162,22 @@ class FockWeights:
     @property
     def n_max(self) -> int:
         return self.c.size - 1
+
+    def window(self, l: int) -> int:
+        """First base photon number n_min that the analytic sums keep: the
+        largest n with both sum_{k<n} c_k^2 and sum_{k<n} c_k c_{k+l} at
+        most WINDOW_FRACTION * cutoff_eps.  Every amplitude of a block has
+        modulus <= 1, so these two sums bound what starting a population or
+        a coherence sum (pairs n, n + l) at n_min instead of 0 can change.
+        The window keeps n_max."""
+        bound = WINDOW_FRACTION * self.cutoff_eps
+        c = self.c
+        pair = c * np.concatenate([c[l:], np.zeros(min(l, c.size))])  # c_{n+l} = 0 past n_max
+        return int(min(
+            np.searchsorted(np.cumsum(c * c), bound, side="right"),
+            np.searchsorted(np.cumsum(pair), bound, side="right"),
+            self.n_max,
+        ))
 
 
 def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> FockWeights:

@@ -7,7 +7,8 @@ it is a sum over products of amplitudes from adjacent blocks n and n+l.
 The second atom obeys the same formulas with x2 and x3 interchanged.
 
 reduced_states is the one route from the model parameters to these
-states.  It diagonalizes the blocks itself and never builds the amplitude
+states.  It diagonalizes the blocks of the weights' photon-number window
+itself (params.FockWeights.window) and never builds the amplitude
 table of the whole grid: it evolves and reduces one cache-sized chunk of
 times at a time, on every core, into the columns of one output array.
 max_deviation compares two such states.
@@ -74,10 +75,14 @@ def reduced_states(
     with the scalar coh_re = 0.0, for transition parameter l and coupling
     ratio g.
 
-    The blocks n = 0..n_max of ``weights`` are diagonalized once
-    (``eigen_table``).  Each population is one contraction over the photon
-    index against the weights; the coherence pairs blocks n and n + l, so
-    indices beyond the truncation contribute nothing to it.
+    The blocks n = n_min..n_max of ``weights`` are diagonalized once
+    (``eigen_table``), with n_min = ``weights.window(l)``.  Each population
+    is one contraction over the photon index against the weights; the
+    coherence pairs blocks n and n + l, so indices beyond the truncation
+    contribute nothing to it.  The blocks below n_min are left out: they
+    carry at most 1e-8 * cutoff_eps of the population weight and of the
+    coherence pair weight, and every amplitude has modulus <= 1, so
+    leaving them out moves no entry of a state by more than that.
 
     No (4, nT, N) amplitude table over the whole grid is built: chunks of
     the grid (``map_chunks``) are evolved (``amplitudes_into``) and reduced
@@ -96,9 +101,10 @@ def reduced_states(
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     atoms = tuple(atoms)
-    spectrum = eigen_table(weights.n_max, l, g)
+    n_min = weights.window(l)
+    spectrum = eigen_table(weights.n_max, l, g, n_min)
     check_phase_conditioning(spectrum[0], grid)
-    c = weights.c
+    c = weights.c[n_min:]
     n, m = c.size, max(c.size - l, 0)
     pop, pair = c * c, c[l:] * c[:m]
     factors = evolution_factors(spectrum)

@@ -13,6 +13,7 @@ from tjcm import (
     InvalidParameterError,
     block_matrices,
     closed_form_x,
+    coherent_weights,
     eigen_table,
 )
 from tjcm.blocks import jacobi_eigh, transition_strength
@@ -21,10 +22,9 @@ from conftest import amplitudes
 
 
 def block(n, l, g):
-    """Spectrum (vals (1, 4), vecs (1, 4, 4)) of block n alone, sliced
-    from the batched eigen_table."""
-    vals, vecs = eigen_table(n, l, g)
-    return vals[n:], vecs[n:]
+    """Spectrum (vals (1, 4), vecs (1, 4, 4)) of block n alone: the base
+    range n..n of eigen_table."""
+    return eigen_table(n, l, g, n)
 
 
 def evolve_one(spectrum, T):
@@ -63,9 +63,26 @@ def test_build_block_factorial_ratios():
 
 
 def test_block_matrices_rejects_bad_parameters():
-    for args in ((-1, 1, 1.0), (2.0, 1, 1.0), (3, 0, 1.0), (3, 1, -0.5), (3, 1, math.inf)):
+    for args in ((-1, 1, 1.0), (2.0, 1, 1.0), (3, 0, 1.0), (3, 1, -0.5), (3, 1, math.inf),
+                 (3, 1, 1.0, -1), (3, 1, 1.0, 4), (3, 1, 1.0, 1.0)):
         with pytest.raises(InvalidParameterError):
             block_matrices(*args)
+
+
+@pytest.mark.parametrize("alpha, l", [(12.0, 1), (12.0, 2), (20.0, 1), (20.0, 2)])
+def test_windowed_eigen_table_bitwise_rows_of_full_table(alpha, l):
+    """The spectrum of blocks n_min..n_max is, bit for bit, those rows of
+    the spectrum from n = 0: the window changes no block's arithmetic."""
+    w = coherent_weights(alpha)
+    n_min = w.window(l)
+    assert n_min > 0
+    for g in (0.5, 1.0, 3.0):
+        full_vals, full_vecs = eigen_table(w.n_max, l, g)
+        vals, vecs = eigen_table(w.n_max, l, g, n_min)
+        assert np.array_equal(block_matrices(w.n_max, l, g, n_min),
+                              block_matrices(w.n_max, l, g)[n_min:])
+        assert np.array_equal(vals, full_vals[n_min:])
+        assert np.array_equal(vecs, full_vecs[n_min:])
 
 
 def test_block_matrices_refuses_overflowing_coupling():

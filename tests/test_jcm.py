@@ -98,6 +98,28 @@ def test_array_times_match_scalar_times():
         assert abs(ey[i] - jcm_entropy_squeezing(w, float(T))) <= 1e-15
 
 
+def test_references_match_fsum_from_n_zero():
+    """At alpha 12 both references sum only their window (n_min 48); an
+    exactly rounded sum over every n from 0 agrees with them to 1e-15."""
+    w = coherent_weights(12.0)
+    assert w.window(1) == 48
+    ts = np.array([0.0, 1.3, 6.6, 17.9])
+    b, harm = jcm_bloch(w, ts), tjcm_harmonic_sy(w, ts)
+    c = w.c
+    n = np.arange(w.n_max + 1.0)
+    pair = c[:-1] * c[1:]
+    wn, wn1 = np.sqrt(4.0 * n[:-1] + 6.0), np.sqrt(4.0 * n[:-1] + 10.0)
+    for i, T in enumerate(ts):
+        sz = math.fsum(c * c * np.cos(2.0 * T * np.sqrt(n + 1.0)))
+        sy = 2.0 * math.fsum(pair * np.cos(T * np.sqrt(n[:-1] + 2.0))
+                             * np.sin(T * np.sqrt(n[:-1] + 1.0)))
+        h = math.fsum(pair * (np.sin(T * (wn - wn1)) / 2.0
+                              + np.sin(T * (wn + wn1) / 2.0) * np.cos(T * (wn - wn1) / 2.0)))
+        assert abs(b.sz[i] - sz) <= 1e-15
+        assert abs(b.sy[i] - sy) <= 1e-15
+        assert abs(harm[i] - h) <= 1e-15
+
+
 def test_harmonic_zero_at_t_zero():
     w = coherent_weights(5.0)
     assert tjcm_harmonic_sy(w, 0.0) == 0.0

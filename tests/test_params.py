@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tjcm import FockWeights, InvalidParameterError, ModelParams, coherent_weights, fock_cutoff
-from tjcm.params import truncation_floor
+from tjcm.params import WINDOW_FRACTION, truncation_floor
 
 
 def test_vacuum_limit():
@@ -127,3 +127,51 @@ def test_weights_invariants(alpha, eps):
     mass = float(np.sum(w.c**2))
     assert 1.0 - eps <= mass <= 1.0 + 1e-12
     assert w.n_max >= truncation_floor(alpha)
+    # every accepted table has a window, within its bound
+    for l in (1, 2):
+        assert_window_maximal(w, l)
+
+
+def dropped_sums(w, l, n):
+    """Population and coherence-pair weight below base photon number n,
+    each exactly rounded (c_k = 0 past n_max)."""
+    c = np.concatenate([w.c, np.zeros(l)])
+    return math.fsum(c[:n] ** 2), math.fsum(c[:n] * c[l : n + l])
+
+
+def assert_window_maximal(w, l):
+    """Both sums that the window drops are within WINDOW_FRACTION *
+    cutoff_eps, and one more block would break one of them."""
+    n_min, bound = w.window(l), WINDOW_FRACTION * w.cutoff_eps
+    assert 0 <= n_min <= w.n_max
+    assert max(dropped_sums(w, l, n_min)) <= bound
+    if n_min < w.n_max:
+        assert max(dropped_sums(w, l, n_min + 1)) > bound
+
+
+def test_window_drops_at_most_its_bound_and_is_maximal():
+    for alpha in (0.0, 1.0, 5.0, 7.0, 12.0, 19.6, 20.0, 30.0, 37.5):
+        for eps in (1e-4, 1e-8, 1e-12):
+            w = coherent_weights(alpha, eps)
+            for l in (1, 2, 3, 6):
+                assert_window_maximal(w, l)
+    # at alpha 20 the 229 lowest blocks hold less than 1e-20 of the weight
+    assert coherent_weights(20.0).window(1) == 229
+
+
+def test_window_empty_up_to_alpha_6_9():
+    """At the default cutoff the sums start at n = 0 for alpha <= 6.9, so
+    the presets and verify at alpha 5 sum every block."""
+    for alpha in np.linspace(0.0, 6.9, 70):
+        w = coherent_weights(float(alpha))
+        assert [w.window(l) for l in range(1, 7)] == [0] * 6
+    assert coherent_weights(7.0).window(1) > 0
+
+
+def test_window_of_sparse_weights():
+    # zero weight below the first occupied level is dropped; a pair sum that
+    # is empty (l beyond the table) drops nothing
+    w = FockWeights(c=np.array([0.0, 0.0, 0.6, 0.8]))
+    assert w.window(1) == 2
+    assert w.window(5) == 2
+    assert FockWeights(c=np.array([1.0])).window(1) == 0

@@ -185,11 +185,15 @@ def test_reduced_states_grid_matches_single_times():
 
 def test_reduced_states_match_fsum():
     """The photon-index contraction against an exactly rounded per-time
-    sum (math.fsum) over the block amplitudes, up to alpha = 30
-    (n_max = 1220)."""
-    for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (20.0, 1, 1.7),
-                        (20.0, 2, 1.7), (30.0, 1, 0.4), (30.0, 2, 0.4)):
+    sum (math.fsum) over the amplitudes of every block from n = 0, up to
+    alpha = 30 (n_max = 1220): from alpha 12 on, reduced_states sums only
+    its window n_min..n_max, and the blocks it leaves out move nothing
+    beyond the bound."""
+    for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (12.0, 1, 2.0),
+                        (12.0, 2, 2.0), (20.0, 1, 1.7), (20.0, 2, 1.7), (30.0, 1, 0.4),
+                        (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
+        assert (w.window(l) > 0) == (alpha >= 12.0)
         ts = np.array([0.0, 1.3, 6.6, 17.9])
         x = amplitudes(eigen_table(w.n_max, l, g), ts)
         c, m = w.c, w.c.size - l

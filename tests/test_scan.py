@@ -1,5 +1,6 @@
 """Scans, presets, CSV round trips, and verification runs."""
 
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import tjcm.blocks
+import tjcm.scan
 from tjcm import (
     AtomId,
     InvalidParameterError,
@@ -226,6 +228,37 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[0] == "T"
+
+
+def per_value_csv(series):
+    """The CSV as formatted one value at a time with f"{v:.17g}": the
+    definition of write_csv's bytes."""
+    names = list(series.channels)
+    cols = [series.grid] + [series.channels[n] for n in names]
+    lines = [",".join(["T"] + names)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*cols)]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_csv_bytes_equal_per_value_formatting(monkeypatch):
+    """write_csv's row formats give the bytes of per-value formatting, on
+    random doubles of every exponent and on the special values, across
+    blocks of _CSV_ROWS rows."""
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, math.inf,
+               -math.inf, math.nan, -math.nan, 1.8e308, -1.8e308, np.finfo(float).max,
+               -np.finfo(float).max, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0]
+    steps = 3 * len(special) + 5
+    bits = rng.integers(0, 2**64, size=(4, steps), dtype=np.uint64).view(float)
+    channels = {f"c{k}": bits[k] for k in range(4)}
+    channels["special"] = np.resize(np.array(special), steps)
+    channels["normal"] = rng.standard_normal(steps) * 10.0 ** rng.integers(-300, 300, steps)
+    series = TimeSeries(grid=np.linspace(0.0, 25.0, steps), channels=channels)
+    for rows in (tjcm.scan._CSV_ROWS, 7, 1):
+        monkeypatch.setattr(tjcm.scan, "_CSV_ROWS", rows)
+        out = io.StringIO()
+        write_csv(series, out)
+        assert out.getvalue() == per_value_csv(series)
 
 
 def test_csv_rejects_foreign_file(tmp_path):
