@@ -58,7 +58,8 @@ def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
     """Shannon entropy, in nats, of the two-outcome distribution with mean m.
 
     Symmetric under m -> -m, zero at m = +-1, ln 2 at m = 0.  Inputs a hair
-    outside [-1, 1] (roundoff) are clamped; anything worse is rejected.
+    outside [-1, 1] (roundoff, as the inversion at T = 0: see reduced_states)
+    are clamped; anything beyond 1e-12 is rejected.
     """
     m = np.asarray(m, dtype=float)
     if (abs(m) > 1.0 + 1e-12).any():

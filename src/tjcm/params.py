@@ -5,8 +5,8 @@ Fock-basis amplitudes C_n = alpha^n / sqrt(n!) * exp(-alpha^2 / 2) carry
 Poissonian weight C_n^2.  All dynamics below a tail mass of ``cutoff_eps``
 is dropped, so every downstream sum over photon number is finite.  The
 table always starts at n = 0; the analytic sums start later, at
-``FockWeights.window``, past a lower tail of at most
-``WINDOW_FRACTION * cutoff_eps`` of the weight.
+``FockWeights.window``, past a lower tail of at most ``WINDOW_FRACTION *
+cutoff_eps`` of the weight, and take their weights from it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ def truncation_floor(alpha: float) -> int:
     return math.ceil(alpha * alpha + 10.0 * alpha + 20.0)
 
 
-def _check_alpha_eps(alpha: float, cutoff_eps: float) -> None:
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
+def _check_cutoff_eps(cutoff_eps: float) -> None:
     if not (0.0 < cutoff_eps < 1.0):
         raise InvalidParameterError(
             f"cutoff_eps must lie in (0, 1), got {cutoff_eps}"
@@ -80,7 +78,9 @@ def _amplitude_table(alpha: float, cutoff_eps: float) -> list[float]:
     than on 1 minus the running mass, cannot stall on the rounding of the
     mass.
     """
-    _check_alpha_eps(alpha, cutoff_eps)
+    if not (alpha >= 0.0 and math.isfinite(alpha)):
+        raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
+    _check_cutoff_eps(cutoff_eps)
     lam = alpha * alpha
     c = [_vacuum_amplitude(alpha)]
     m = 0
@@ -147,6 +147,7 @@ class FockWeights:
     cutoff_eps: float = DEFAULT_CUTOFF_EPS
 
     def __post_init__(self) -> None:
+        _check_cutoff_eps(self.cutoff_eps)
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise InvalidParameterError("weights must be a non-empty 1-d table")
@@ -163,21 +164,24 @@ class FockWeights:
     def n_max(self) -> int:
         return self.c.size - 1
 
-    def window(self, l: int) -> int:
-        """First base photon number n_min that the analytic sums keep: the
-        largest n with both sum_{k<n} c_k^2 and sum_{k<n} c_k c_{k+l} at
-        most WINDOW_FRACTION * cutoff_eps.  Every amplitude of a block has
-        modulus <= 1, so these two sums bound what starting a population or
-        a coherence sum (pairs n, n + l) at n_min instead of 0 can change.
-        The window keeps n_max."""
+    def window(self, l: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(n_min, pop, pair): the first base photon number that the analytic
+        sums keep, the largest n with sum_{k<n} c_k^2 and sum_{k<n} c_k c_{k+l}
+        both at most WINDOW_FRACTION * cutoff_eps, and their weights c_n^2 and
+        c_n c_{n+l} from n_min on.  Every amplitude of a block has modulus
+        <= 1, so the two sums bound what starting a population or a coherence
+        sum (pairs n, n + l) at n_min instead of 0 can change.  The window
+        keeps n_max."""
         bound = WINDOW_FRACTION * self.cutoff_eps
         c = self.c
+        pop = c * c
         pair = c * np.concatenate([c[l:], np.zeros(min(l, c.size))])  # c_{n+l} = 0 past n_max
-        return int(min(
-            np.searchsorted(np.cumsum(c * c), bound, side="right"),
+        n_min = int(min(
+            np.searchsorted(np.cumsum(pop), bound, side="right"),
             np.searchsorted(np.cumsum(pair), bound, side="right"),
             self.n_max,
         ))
+        return n_min, pop[n_min:], pair[n_min:][:-l]
 
 
 def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> FockWeights:

@@ -76,13 +76,15 @@ def reduced_states(
     ratio g.
 
     The blocks n = n_min..n_max of ``weights`` are diagonalized once
-    (``eigen_table``), with n_min = ``weights.window(l)``.  Each population
-    is one contraction over the photon index against the weights; the
-    coherence pairs blocks n and n + l, so indices beyond the truncation
-    contribute nothing to it.  The blocks below n_min are left out: they
-    carry at most 1e-8 * cutoff_eps of the population weight and of the
-    coherence pair weight, and every amplitude has modulus <= 1, so
-    leaving them out moves no entry of a state by more than that.
+    (``eigen_table``), with n_min, pop = c_n^2 and pair = c_n c_{n+l} from
+    ``weights.window(l)``.  A population contracts two squared amplitudes,
+    squared once for both atoms, against pop; the coherence pairs blocks n
+    and n + l against pair, so indices past the truncation add nothing.
+    The blocks below n_min carry at most 1e-8 * cutoff_eps of either
+    weight, and every amplitude has modulus <= 1, so leaving them out
+    moves no entry of a state by more than that.  At T = 0 the trace is
+    the window mass sum pop, a few eps from 1; the observables clamp an
+    inversion past 1 as rounding.
 
     No (4, nT, N) amplitude table over the whole grid is built: chunks of
     the grid (``map_chunks``) are evolved (``amplitudes_into``) and reduced
@@ -101,29 +103,25 @@ def reduced_states(
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     atoms = tuple(atoms)
-    n_min = weights.window(l)
+    n_min, pop, pair = weights.window(l)
     spectrum = eigen_table(weights.n_max, l, g, n_min)
     check_phase_conditioning(spectrum[0], grid)
-    c = weights.c[n_min:]
-    n, m = c.size, max(c.size - l, 0)
-    pop, pair = c * c, c[l:] * c[:m]
+    n, m = pop.size, pair.size
     factors = evolution_factors(spectrum)
 
     def fill(t: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
         x, phase, trig = scratch.reshape(3, 4, -1, n)[:, :, : t.size]
         out[-1] = amplitudes_into(factors, t, x, phase, trig)
-        # elementwise products in the trig rows, free once x is written
-        a, b = (s[: t.size * n].reshape(t.size, n) for s in scratch[8:10])
+        # squares in the phase rows and sums in the trig rows, free once x is written
+        sq = np.multiply(x, x, out=phase)
+        a = scratch[8, : t.size * n].reshape(t.size, n)
         u, v = (s[: t.size * m].reshape(t.size, m) for s in scratch[8:10])
         for k, atom in enumerate(atoms):
-            x1, x2, x3, x4 = x
-            if atom is AtomId.SECOND:
-                x2, x3 = x3, x2
+            i2, i3 = (1, 2) if atom is AtomId.FIRST else (2, 1)  # atom 2: x2 <-> x3
+            x1, x2, x3, x4 = x[0], x[i2], x[i3], x[3]
             p_plus, p_minus, coh_im = out[3 * k : 3 * k + 3]
-            for y, z, dest in ((x1, x2, p_plus), (x3, x4, p_minus)):
-                np.multiply(y, y, out=a)
-                np.multiply(z, z, out=b)
-                np.matmul(np.add(a, b, out=a), pop, out=dest)
+            np.matmul(np.add(sq[0], sq[i2], out=a), pop, out=p_plus)
+            np.matmul(np.add(sq[i3], sq[3], out=a), pop, out=p_minus)
             np.multiply(x2[:, l:], x4[:, :m], out=u)
             np.multiply(x3[:, :m], x1[:, l:], out=v)
             np.matmul(np.subtract(u, v, out=u), pair, out=coh_im)

@@ -74,7 +74,7 @@ def test_windowed_eigen_table_bitwise_rows_of_full_table(alpha, l):
     """The spectrum of blocks n_min..n_max is, bit for bit, those rows of
     the spectrum from n = 0: the window changes no block's arithmetic."""
     w = coherent_weights(alpha)
-    n_min = w.window(l)
+    n_min = w.window(l)[0]
     assert n_min > 0
     for g in (0.5, 1.0, 3.0):
         full_vals, full_vecs = eigen_table(w.n_max, l, g)

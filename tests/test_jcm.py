@@ -100,9 +100,11 @@ def test_array_times_match_scalar_times():
 
 def test_references_match_fsum_from_n_zero():
     """At alpha 12 both references sum only their window (n_min 48); an
-    exactly rounded sum over every n from 0 agrees with them to 1e-15."""
+    exactly rounded sum over every n from 0 agrees with them to 1e-15.
+    The harmonic reference is taken in its sum form, which the
+    implementation evaluates (see the product-form test below)."""
     w = coherent_weights(12.0)
-    assert w.window(1) == 48
+    assert w.window(1)[0] == 48
     ts = np.array([0.0, 1.3, 6.6, 17.9])
     b, harm = jcm_bloch(w, ts), tjcm_harmonic_sy(w, ts)
     c = w.c
@@ -113,11 +115,29 @@ def test_references_match_fsum_from_n_zero():
         sz = math.fsum(c * c * np.cos(2.0 * T * np.sqrt(n + 1.0)))
         sy = 2.0 * math.fsum(pair * np.cos(T * np.sqrt(n[:-1] + 2.0))
                              * np.sin(T * np.sqrt(n[:-1] + 1.0)))
-        h = math.fsum(pair * (np.sin(T * (wn - wn1)) / 2.0
-                              + np.sin(T * (wn + wn1) / 2.0) * np.cos(T * (wn - wn1) / 2.0)))
+        h = 0.5 * math.fsum(pair * (np.sin(T * (wn - wn1)) + np.sin(T * wn) + np.sin(T * wn1)))
         assert abs(b.sz[i] - sz) <= 1e-15
         assert abs(b.sy[i] - sy) <= 1e-15
         assert abs(harm[i] - h) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [5.0, 12.0, 20.0])
+def test_harmonic_sum_form_matches_product_form(alpha):
+    """The sum form the implementation evaluates equals the documented
+    product form sin[T(w_n + w_{n+1})/2] cos[T(w_n - w_{n+1})/2] up to the
+    rounding of the trig arguments: each argument of size T w is off by
+    about eps T w, so the two forms differ by at most
+    4 eps max|T| max w sum_n C_n C_{n+1}."""
+    w = coherent_weights(alpha)
+    ts = np.linspace(0.0, 25.0, 2500)
+    n = np.arange(w.n_max + 1.0)
+    wn, wn1 = np.sqrt(4.0 * n[:-1] + 6.0), np.sqrt(4.0 * n[:-1] + 10.0)
+    pair = w.c[:-1] * w.c[1:]
+    t = ts[:, None]
+    product = (np.sin(t * (wn - wn1)) / 2.0
+               + np.sin(t * (wn + wn1) / 2.0) * np.cos(t * (wn - wn1) / 2.0)) @ pair
+    bound = 4.0 * np.finfo(float).eps * ts.max() * wn1.max() * math.fsum(pair)
+    assert np.max(np.abs(tjcm_harmonic_sy(w, ts) - product)) <= bound
 
 
 def test_harmonic_zero_at_t_zero():

@@ -107,6 +107,12 @@ def test_weights_validation():
         FockWeights(c=np.array([0.5, 0.5]))  # mass 0.5
     with pytest.raises(InvalidParameterError):
         FockWeights(c=np.array([-1.0, 0.0]))
+    # cutoff_eps is checked as coherent_weights checks it: with
+    # cutoff_eps >= 1 an all-zero table would pass the mass check
+    for eps in (2.0, 0.0, -1.0, math.nan):
+        for c in (np.zeros(4), np.array([1.0])):
+            with pytest.raises(InvalidParameterError, match=r"cutoff_eps must lie in \(0, 1\)"):
+                FockWeights(c=c, cutoff_eps=eps)
 
 
 def test_model_params_derives_n_max():
@@ -142,7 +148,7 @@ def dropped_sums(w, l, n):
 def assert_window_maximal(w, l):
     """Both sums that the window drops are within WINDOW_FRACTION *
     cutoff_eps, and one more block would break one of them."""
-    n_min, bound = w.window(l), WINDOW_FRACTION * w.cutoff_eps
+    n_min, bound = w.window(l)[0], WINDOW_FRACTION * w.cutoff_eps
     assert 0 <= n_min <= w.n_max
     assert max(dropped_sums(w, l, n_min)) <= bound
     if n_min < w.n_max:
@@ -156,7 +162,19 @@ def test_window_drops_at_most_its_bound_and_is_maximal():
             for l in (1, 2, 3, 6):
                 assert_window_maximal(w, l)
     # at alpha 20 the 229 lowest blocks hold less than 1e-20 of the weight
-    assert coherent_weights(20.0).window(1) == 229
+    assert coherent_weights(20.0).window(1)[0] == 229
+
+
+def test_window_weights_bitwise_those_of_the_table():
+    """window(l) hands out pop = c_n^2 and pair = c_n c_{n+l} over its
+    photon numbers, bit for bit the products of the table's entries."""
+    for alpha in (0.0, 5.0, 12.0, 20.0):
+        w = coherent_weights(alpha)
+        for l in (1, 2, 6):
+            n_min, pop, pair = w.window(l)
+            c = w.c[n_min:]
+            assert np.array_equal(pop, c**2)
+            assert np.array_equal(pair, c[:-l] * w.c[n_min + l :])
 
 
 def test_window_empty_up_to_alpha_6_9():
@@ -164,14 +182,15 @@ def test_window_empty_up_to_alpha_6_9():
     the presets and verify at alpha 5 sum every block."""
     for alpha in np.linspace(0.0, 6.9, 70):
         w = coherent_weights(float(alpha))
-        assert [w.window(l) for l in range(1, 7)] == [0] * 6
-    assert coherent_weights(7.0).window(1) > 0
+        assert [w.window(l)[0] for l in range(1, 7)] == [0] * 6
+    assert coherent_weights(7.0).window(1)[0] > 0
 
 
 def test_window_of_sparse_weights():
     # zero weight below the first occupied level is dropped; a pair sum that
     # is empty (l beyond the table) drops nothing
     w = FockWeights(c=np.array([0.0, 0.0, 0.6, 0.8]))
-    assert w.window(1) == 2
-    assert w.window(5) == 2
-    assert FockWeights(c=np.array([1.0])).window(1) == 0
+    assert w.window(1)[0] == 2
+    n_min, pop, pair = w.window(5)
+    assert (n_min, pop.tolist(), pair.size) == (2, [0.6 * 0.6, 0.8 * 0.8], 0)
+    assert FockWeights(c=np.array([1.0])).window(1)[0] == 0

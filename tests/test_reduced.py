@@ -112,6 +112,23 @@ def test_reduced_state_trace_and_positivity_along_trajectory():
         assert np.all(0.5 * (1.0 + r) <= 1.0 + 1e-10)
 
 
+def test_trace_at_t_zero_is_window_mass():
+    """At T = 0 each block sits in its initial state, so p_plus + p_minus,
+    and with p_minus ~ 1e-32 the inversion, is the window mass sum pop up
+    to rounding: within 4 eps of it, and so below 1e-14, a hundredth of the
+    1e-12 that the observables clamp as rounding."""
+    eps = np.finfo(float).eps
+    for alpha in (0.5, 1.0, 5.0, 12.0, 20.0):
+        w = coherent_weights(alpha)
+        for l in (1, 2):
+            mass_dev = abs(math.fsum(w.window(l)[1]) - 1.0)
+            for g in (0.5, 1.0, 2.0):
+                for state in reduced_states(w, l, g, np.array([0.0]), AtomId).values():
+                    inv_dev = abs(state.p_plus[0] - state.p_minus[0] - 1.0)
+                    assert inv_dev <= mass_dev + 4.0 * eps
+                    assert inv_dev < 1e-14
+
+
 def test_reduced_state_coherence_purely_imaginary():
     """reduced_states gives the coherence a real part of 0.0; rebuild the
     coherence here from the complex block amplitudes, real part included."""
@@ -193,7 +210,7 @@ def test_reduced_states_match_fsum():
                         (12.0, 2, 2.0), (20.0, 1, 1.7), (20.0, 2, 1.7), (30.0, 1, 0.4),
                         (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
-        assert (w.window(l) > 0) == (alpha >= 12.0)
+        assert (w.window(l)[0] > 0) == (alpha >= 12.0)
         ts = np.array([0.0, 1.3, 6.6, 17.9])
         x = amplitudes(eigen_table(w.n_max, l, g), ts)
         c, m = w.c, w.c.size - l
