@@ -117,6 +117,7 @@ class ModelParams:
     l           photons exchanged per atomic flip (integer >= 1)
     cutoff_eps  Fock tail mass dropped by the truncation
     n_max       derived truncation index
+    weights     derived coherent_weights(alpha, cutoff_eps), not compared
 
     Energies are measured in units of the atom-1 coupling, times in units
     of its inverse; resonance (atomic splitting = 2 l field quanta) is
@@ -129,13 +130,16 @@ class ModelParams:
     l: int
     cutoff_eps: float = DEFAULT_CUTOFF_EPS
     n_max: int = field(init=False)
+    weights: FockWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.l, int) or self.l < 1:
             raise InvalidParameterError(f"l must be an integer >= 1, got {self.l}")
         if not (self.g > 0.0 and math.isfinite(self.g)):
             raise InvalidParameterError(f"g must be > 0, got {self.g}")
-        object.__setattr__(self, "n_max", fock_cutoff(self.alpha, self.cutoff_eps))
+        weights = coherent_weights(self.alpha, self.cutoff_eps)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "n_max", weights.n_max)
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ class FockWeights:
 
     c: np.ndarray
     cutoff_eps: float = DEFAULT_CUTOFF_EPS
+    # window(l) of each l asked for, read-only, formed once
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_cutoff_eps(self.cutoff_eps)
@@ -171,17 +177,18 @@ class FockWeights:
         c_n c_{n+l} from n_min on.  Every amplitude of a block has modulus
         <= 1, so the two sums bound what starting a population or a coherence
         sum (pairs n, n + l) at n_min instead of 0 can change.  The window
-        keeps n_max."""
-        bound = WINDOW_FRACTION * self.cutoff_eps
-        c = self.c
-        pop = c * c
-        pair = c * np.concatenate([c[l:], np.zeros(min(l, c.size))])  # c_{n+l} = 0 past n_max
-        n_min = int(min(
-            np.searchsorted(np.cumsum(pop), bound, side="right"),
-            np.searchsorted(np.cumsum(pair), bound, side="right"),
-            self.n_max,
-        ))
-        return n_min, pop[n_min:], pair[n_min:][:-l]
+        keeps n_max.  Formed once per l; the arrays are read-only."""
+        if l not in self._windows:
+            bound = WINDOW_FRACTION * self.cutoff_eps
+            c = self.c
+            pop = c * c
+            pair = c * np.concatenate([c[l:], np.zeros(min(l, c.size))])  # c_{n+l} = 0 past n_max
+            n_min = int(min(np.searchsorted(np.cumsum(pop), bound, side="right"),
+                            np.searchsorted(np.cumsum(pair), bound, side="right"), self.n_max))
+            pop, pair = pop[n_min:], pair[n_min:][:-l]
+            pop.flags.writeable = pair.flags.writeable = False
+            self._windows[l] = n_min, pop, pair
+        return self._windows[l]
 
 
 def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> FockWeights:

@@ -1,16 +1,12 @@
 """Single-atom reduced density matrices assembled from block amplitudes.
 
 Tracing the pure joint state over the field and the other atom leaves a
-2x2 matrix in the {|+>, |->} basis: two populations and one coherence.
-The coherence couples field sectors whose photon numbers differ by l, so
-it is a sum over products of amplitudes from adjacent blocks n and n+l.
-The second atom obeys the same formulas with x2 and x3 interchanged.
-
-reduced_states is the one route from the model parameters to these
-states.  It diagonalizes the blocks of the weights' photon-number window
-itself (params.FockWeights.window) and never builds the amplitude
-table of the whole grid: it evolves and reduces one cache-sized chunk of
-times at a time, on every core, into the columns of one output array.
+2x2 matrix in the {|+>, |->} basis: two populations and one coherence,
+which couples blocks n and n+l; the second atom obeys the same formulas
+with components 2 and 3 interchanged.  reduced_states is the one route
+from the model parameters to these states: it diagonalizes the blocks of
+the weights' window (params.FockWeights.window) and evaluates every entry
+as a trig sum over the spectrum on the whole grid (blocks.trig_sum).
 max_deviation compares two such states.
 """
 
@@ -23,14 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .blocks import (
-    amplitudes_into,
-    check_norm,
-    check_phase_conditioning,
-    eigen_table,
-    evolution_factors,
-    map_chunks,
-)
+from .blocks import check_phase_conditioning, check_spectrum, eigen_table, exp_i, trig_sum
 from .errors import InvalidParameterError, TruncationError
 from .params import FockWeights
 
@@ -71,32 +60,36 @@ def reduced_states(
     grid: np.ndarray,
     atoms: Iterable[AtomId],
 ) -> dict[AtomId, ReducedAtomState]:
-    """Reduced state of each atom over the grid, as arrays of length nT,
-    with the scalar coh_re = 0.0, for transition parameter l and coupling
-    ratio g.
+    """Reduced state of each atom over a uniform time grid (or one time),
+    as arrays of length nT, with the scalar coh_re = 0.0, for transition
+    parameter l and coupling ratio g.
 
     The blocks n = n_min..n_max of ``weights`` are diagonalized once
     (``eigen_table``), with n_min, pop = c_n^2 and pair = c_n c_{n+l} from
-    ``weights.window(l)``.  A population contracts two squared amplitudes,
-    squared once for both atoms, against pop; the coherence pairs blocks n
-    and n + l against pair, so indices past the truncation add nothing.
-    The blocks below n_min carry at most 1e-8 * cutoff_eps of either
-    weight, and every amplitude has modulus <= 1, so leaving them out
-    moves no entry of a state by more than that.  At T = 0 the trace is
-    the window mass sum pop, a few eps from 1; the observables clamp an
-    inversion past 1 as rounding.
+    ``weights.window(l)``.  Block n's amplitudes are
+    psi_b = sum_k R_bk exp(-i w_k T), R_bk = <v_k|e1> v_bk, so a
+    population, pop against two
 
-    No (4, nT, N) amplitude table over the whole grid is built: chunks of
-    the grid (``map_chunks``) are evolved (``amplitudes_into``) and reduced
-    into their columns of one output array, three rows per atom plus one
-    of amplitude-norm deviations, while their amplitudes are in cache.
-    Each worker has one scratch block for amplitudes, phases and trig
-    values, so memory beyond the outputs does not grow with the grid, and
-    the result is bitwise the same for any chunking.
+        |psi_b|^2 = sum_k R_bk^2 + sum_{k<k'} 2 R_bk R_bk' cos((w_k - w_k') T),
 
-    The coupling and the phase conditioning over the whole grid are
-    checked before any chunk runs (InvalidParameterError), and the
-    amplitude norm over every chunk (InternalConsistencyError).
+    is a trig sum over 6 frequencies per block, and atom 1's coherence,
+    pairing blocks n + l and n against pair (none past the truncation),
+
+        coh_im = Im sum_{k,k'} [R_0(n+l,k) R_2(n,k') + R_1(n+l,k) R_3(n,k')]
+                 exp(-i (w_k(n+l) - w_k'(n)) T),
+
+    one over 16 per pair; atom 2 swaps components 1 and 2.  ``trig_sum``
+    evaluates them on the grid as differences from the first time, where
+    the state is formed from the amplitudes themselves: a population that
+    starts at 0 starts at about 1e-32.  The blocks below n_min carry at
+    most 1e-8 * cutoff_eps of either weight and every amplitude has
+    modulus <= 1, so leaving them out moves no entry by more than that.
+    At T = 0 the trace is the window mass sum pop, a few eps from 1; the
+    observables clamp an inversion past 1 as rounding.
+
+    The coupling and the phase conditioning are checked before any sum
+    runs, and so is the grid's uniformity (InvalidParameterError), and
+    the spectrum's orthonormality (InternalConsistencyError).
     TruncationError is raised when the trace strays from 1 by more than
     ten times the configured tail mass, which signals a cutoff chosen too
     small for the requested amplitude.
@@ -104,40 +97,43 @@ def reduced_states(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     atoms = tuple(atoms)
     n_min, pop, pair = weights.window(l)
-    spectrum = eigen_table(weights.n_max, l, g, n_min)
-    check_phase_conditioning(spectrum[0], grid)
-    n, m = pop.size, pair.size
-    factors = evolution_factors(spectrum)
-
-    def fill(t: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-        x, phase, trig = scratch.reshape(3, 4, -1, n)[:, :, : t.size]
-        out[-1] = amplitudes_into(factors, t, x, phase, trig)
-        # squares in the phase rows and sums in the trig rows, free once x is written
-        sq = np.multiply(x, x, out=phase)
-        a = scratch[8, : t.size * n].reshape(t.size, n)
-        u, v = (s[: t.size * m].reshape(t.size, m) for s in scratch[8:10])
-        for k, atom in enumerate(atoms):
-            i2, i3 = (1, 2) if atom is AtomId.FIRST else (2, 1)  # atom 2: x2 <-> x3
-            x1, x2, x3, x4 = x[0], x[i2], x[i3], x[3]
-            p_plus, p_minus, coh_im = out[3 * k : 3 * k + 3]
-            np.matmul(np.add(sq[0], sq[i2], out=a), pop, out=p_plus)
-            np.matmul(np.add(sq[i3], sq[3], out=a), pop, out=p_minus)
-            np.multiply(x2[:, l:], x4[:, :m], out=u)
-            np.multiply(x3[:, :m], x1[:, l:], out=v)
-            np.matmul(np.subtract(u, v, out=u), pair, out=coh_im)
-
-    out = map_chunks(grid, n, 12, 3 * len(atoms) + 1, fill)
-    check_norm(float(out[-1].max(initial=0.0)))
+    vals, vecs = eigen_table(weights.n_max, l, g, n_min)
+    check_phase_conditioning(vals, grid)
+    check_spectrum(vecs)
+    if not atoms:
+        return {}
+    m = pair.size
+    r = vecs[:, :1, :] * vecs  # r[n, b, k] = <v_k|e1> v_bk
+    w = vals.astype(np.longdouble)  # so that differences are exact
+    psi = np.einsum("nbk,nk->nb", r, exp_i(-w * grid[0]))  # amplitudes at grid[0]
+    sq = psi.real ** 2 + psi.imag ** 2
+    k, k2 = np.triu_indices(4, 1)
+    two_rr = 2.0 * r[:, :, k] * r[:, :, k2]  # (N, 4, 6)
+    comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
+    pops = [(0, i2) for i2, _ in comps] + [(i3, 3) for _, i3 in comps]  # p_plus, then p_minus
+    p = trig_sum((w[:, k] - w[:, k2]).ravel(),
+                 [(pop[:, None] * (two_rr[:, b] + two_rr[:, c])).ravel() for b, c in pops], grid)
+    p0 = [pop @ (sq[:, b] + sq[:, c]) for b, c in pops]
+    # Im sum c exp(...) = Re sum -i c exp(...)
+    coh = trig_sum((w[:m, None, :] - w[l:, :, None]).ravel(),
+                   [-1j * (pair[:, None, None] * (r[l:, 0, :, None] * r[:m, i3, None, :]
+                                                  + r[l:, i2, :, None] * r[:m, 3, None, :])).ravel()
+                    for i2, i3 in comps], grid)
+    coh0 = [pair @ (psi[l:, 0] * psi[:m, i3].conj() + psi[l:, i2] * psi[:m, 3].conj()).imag
+            for i2, i3 in comps]
+    for sums, first in ((p, p0), (coh, coh0)):
+        sums -= sums[:, :1]
+        sums += np.array(first)[:, None]
     states = {}
-    for k, atom in enumerate(atoms):
-        p_plus, p_minus, coh_im = out[3 * k : 3 * k + 3]
+    for a, atom in enumerate(atoms):
+        p_plus, p_minus = p[a], p[len(atoms) + a]
         trace_dev = float(np.max(np.abs(p_plus + p_minus - 1.0), initial=0.0))
         if trace_dev > 10.0 * weights.cutoff_eps:
             raise TruncationError(
                 f"reduced trace deviates from 1 by {trace_dev:.3e}, beyond "
                 "10*cutoff_eps; increase the truncation"
             )
-        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, coh_im)
+        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, coh[a])
     return states
 
 

@@ -14,8 +14,8 @@ from . import jcm
 from .errors import InvalidParameterError, ResourceRefusalError, UsageError
 from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
     von_neumann
-from .params import ModelParams, coherent_weights
-from .reduced import AtomId, max_deviation, reduced_states
+from .params import ModelParams
+from .reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 
 # Per-atom channel kinds, each an array expression over the atom's Bloch
 # vector on the whole grid.
@@ -99,18 +99,18 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     """Evaluate every requested channel on the configured time grid.
 
     Single-atom channels come from ``reduced_states``, which diagonalizes
-    the blocks once and evolves and reduces chunks of the grid on every
-    core in the process's affinity mask; the jcm_* and harmonic_sy
-    channels come from the closed-form references, streamed the same
-    way.  Memory grows with the grid only by grid-length arrays (states,
-    Bloch vectors, channels); a grid whose outputs alone would not fit in
+    the blocks once and evaluates each entry of the states on the whole
+    grid as a trig sum over the spectrum (``blocks.trig_sum``); the jcm_*
+    and harmonic_sy channels are trig sums too.  The weight table is the
+    one ``ModelParams`` built.  Memory grows with the grid only by
+    grid-length arrays; a grid whose outputs alone would not fit in
     physical memory is refused before anything is allocated.
     """
     names = validate_channels(cfg.channels)
     _check_grid_fits(cfg.steps, len(names) + 1)
     p = cfg.params
     grid = cfg.grid()
-    weights = coherent_weights(p.alpha, p.cutoff_eps)
+    weights = p.weights
     series: dict[str, np.ndarray] = {}
 
     atoms_needed = {n[-1] for n in names if n[:-1] in ATOM_CHANNELS}
@@ -244,7 +244,8 @@ def run_verify(
     Draws sample_count times from the configured grid after T = 0
     (deterministic seed), integrates the full product-space trajectory
     once, and compares the reduced states of both atoms entrywise at every
-    sample.  The analytic states come first, so its coupling and phase
+    sample.  The analytic states are evaluated on the whole grid and
+    indexed at the samples; they come first, so their coupling and phase
     checks refuse an input before the oracle's arithmetic could overflow.
     Also scans the entropic-uncertainty residual of the analytic states.
     inject_fault corrupts one analytic coherence, for exercising the
@@ -258,7 +259,7 @@ def run_verify(
             f"{sample_count} samples requested; raise steps or lower samples"
         )
     p = cfg.params
-    weights = coherent_weights(p.alpha, p.cutoff_eps)
+    weights = p.weights
     n_f = weights.n_max + 2 * p.l
     dim = 4 * (n_f + 1)
     if dim > max_oracle_dim:
@@ -267,16 +268,20 @@ def run_verify(
             "lower alpha (or raise --max-dim) to verify this configuration"
         )
 
-    _check_grid_fits(cfg.steps, 1)
+    _check_grid_fits(cfg.steps, 7)
     grid = cfg.grid()
     rng = np.random.default_rng(VERIFY_SEED)
-    times = np.sort(rng.choice(grid[1:], size=sample_count, replace=False))
+    # the index draw that rng.choice(grid[1:], ...) makes
+    samples = 1 + np.sort(rng.choice(cfg.steps - 1, size=sample_count, replace=False))
+    times = grid[samples]
 
-    analytic = reduced_states(weights, p.l, p.g, times, AtomId)
-    if inject_fault:
-        coh_im = analytic[AtomId.FIRST].coh_im.copy()
-        coh_im[times.size // 2] += 1e-6
-        analytic[AtomId.FIRST] = replace(analytic[AtomId.FIRST], coh_im=coh_im)
+    analytic = {
+        atom: ReducedAtomState(state.p_plus[samples], state.p_minus[samples],
+                               state.coh_re, state.coh_im[samples])
+        for atom, state in reduced_states(weights, p.l, p.g, grid, AtomId).items()
+    }
+    if inject_fault:  # the indexed states are copies
+        analytic[AtomId.FIRST].coh_im[times.size // 2] += 1e-6
     max_eur_violation = max(
         float(np.max(-eur_residual(bloch(state)))) for state in analytic.values()
     )

@@ -7,18 +7,14 @@ suite share one computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tjcm import oracle
-from tjcm.blocks import (
-    amplitudes_into,
-    check_norm,
-    check_phase_conditioning,
-    evolution_factors,
-)
+from tjcm import InternalConsistencyError, oracle
+from tjcm.blocks import _NORM_TOL, check_phase_conditioning, eigen_table
 from tjcm.params import coherent_weights
 from tjcm.reduced import AtomId, max_deviation, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
@@ -45,16 +41,67 @@ def excitation_expectation(psi: np.ndarray, n_f: int, l: int) -> float:
                         * (np.arange(n_f + 1.0) + l * excited)))
 
 
-def amplitudes(spectrum, ts) -> np.ndarray:
-    """(x1, x2, x3, x4) of every block of ``spectrum`` at the times ts, shape
-    (4, nT, N), through the kernel that reduced_states streams
-    (evolution_factors + amplitudes_into) run on the whole grid at once,
-    with the same phase-conditioning and norm checks."""
+def amplitudes(spectrum, ts, long_double=False) -> np.ndarray:
+    """(x1, x2, x3, x4) of every block of ``spectrum`` at any times ts, shape
+    (4, nT, N), evaluated directly, with the phases w T and their cosines
+    and sines in float64 or, with long_double, in long double (as the
+    package's trig sums take them): block n's amplitude vector is
+    sum_k exp(-i w_k T) <v_k|e1> v_k, whose components 1 and 4 are real
+    (cosine sums) and 2 and 3 imaginary (sine sums) for the bipartite
+    blocks; x holds those parts.  The reference the package's trig sums
+    are checked against, with the package's phase-conditioning check and
+    a per-(T, n) norm check (InternalConsistencyError) that catches a
+    spectrum the real split does not fit."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    check_phase_conditioning(spectrum[0], ts)
-    x, phase, trig = np.empty((3, 4, ts.size, spectrum[0].shape[0]))
-    check_norm(amplitudes_into(evolution_factors(spectrum), ts, x, phase, trig))
+    vals, vecs = spectrum
+    check_phase_conditioning(vals, ts)
+    dtype = np.longdouble if long_double else float
+    phase = -ts.astype(dtype)[None, :, None] * vals.T[:, None, :]  # (4, nT, N): exp(-i w T)
+    cos, sin = np.cos(phase).astype(float), np.sin(phase).astype(float)
+    overlap = vecs[:, 0, :].T
+    x = np.empty((4, ts.size, vals.shape[0]))
+    x[::3] = np.einsum("ktn,kn,jkn->jtn", cos, overlap, vecs[:, (0, 3), :].transpose(1, 2, 0))
+    x[1:3] = np.einsum("ktn,kn,jkn->jtn", sin, overlap, vecs[:, (1, 2), :].transpose(1, 2, 0))
+    norm_dev = float(np.max(np.abs(np.einsum("jtn,jtn->tn", x, x) - 1.0), initial=0.0))
+    if norm_dev > _NORM_TOL:
+        raise InternalConsistencyError(f"amplitude norm deviates from 1 by {norm_dev:.3e}")
     return x
+
+
+def reduced_direct(weights, l, g, ts):
+    """{atom: (p_plus, p_minus, coh_im)} at any times ts, contracted directly
+    from the amplitudes of the same Jacobi spectrum reduced_states uses
+    (its window, its eigen_table), with long-double phases: the reference
+    for its trig sums."""
+    n_min, pop, pair = weights.window(l)
+    x = amplitudes(eigen_table(weights.n_max, l, g, n_min), ts, long_double=True)
+    m = pair.size
+    out = {}
+    for atom in AtomId:
+        x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
+        out[atom] = ((x1 ** 2 + x2 ** 2) @ pop, (x3 ** 2 + x4 ** 2) @ pop,
+                     (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ pair)
+    return out
+
+
+def closed_form_x(n: int, T) -> np.ndarray:
+    """Closed-form amplitudes (x1, x2, x3, x4) for the single-photon
+    symmetric case (l = 1, g = 1), where the block spectrum is
+    {0, 0, +w, -w} with w = sqrt(4n + 6):
+
+        x1 = [(n+1) cos(wT) + (n+2)] / (2n+3)
+        x2 = x3 = -sqrt(n+1) sin(wT) / w
+        x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
+
+    An array of shape (4,) + shape(T): the independent reference the
+    Jacobi spectrum is checked against."""
+    w = math.sqrt(4.0 * n + 6.0)
+    T = np.asarray(T, dtype=float)
+    c, s = np.cos(T * w), np.sin(T * w)
+    x1 = ((n + 1.0) * c + (n + 2.0)) / (2.0 * n + 3.0)
+    x23 = -math.sqrt(n + 1.0) / w * s
+    x4 = math.sqrt((n + 1.0) * (n + 2.0)) / (2.0 * n + 3.0) * (c - 1.0)
+    return np.stack([x1, x23, x23, x4])
 
 
 def full_preset_config(name: str):

@@ -242,8 +242,9 @@ def test_criterion_6_two_photon_structure(preset_series):
     grid = preset_series["fig2"].grid
 
     fig2 = PRESET_CONFIGS["fig2"].params
-    s = np.array([1.0, 2.0, 3.0])
-    at_pi, off_pi = s * math.pi, (s + 0.5) * math.pi
+    # pi, 3pi/2, ..., 7pi/2: the poles s pi (s = 1, 2, 3) at the even
+    # entries, half a period off them at the odd ones
+    times = np.linspace(1.0, 3.5, 6) * math.pi
 
     def ey1_by_alpha(times, **changes):
         return np.array([
@@ -251,8 +252,8 @@ def test_criterion_6_two_photon_structure(preset_series):
             for a in POLE_ALPHAS
         ])
 
-    ey1_l2 = ey1_by_alpha(np.concatenate([at_pi, off_pi]))
-    ey1_l1 = ey1_by_alpha(at_pi, l=1)
+    ey1_l2 = ey1_by_alpha(times)[:, [0, 2, 4, 1, 3, 5]]
+    ey1_l1 = ey1_by_alpha(times[::2], l=1)
     clause_a = _pole_return(ey1_l2[:, :3])
     # Negative controls: half a period off the poles, and one-photon data.
     controls_fail = not _pole_return(ey1_l2[:, 3:]) and not _pole_return(ey1_l1)

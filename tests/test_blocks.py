@@ -1,4 +1,5 @@
-"""Interaction blocks, Jacobi eigensolver, and evolution amplitudes."""
+"""Interaction blocks, Jacobi eigensolver, and evolution amplitudes (evaluated
+directly by conftest.amplitudes, the reference for the package's trig sums)."""
 
 import math
 import warnings
@@ -9,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tjcm import (
+    AtomId,
     ContractViolationError,
     InvalidParameterError,
     block_matrices,
-    closed_form_x,
     coherent_weights,
     eigen_table,
+    reduced_states,
 )
 from tjcm.blocks import jacobi_eigh, transition_strength
 
-from conftest import amplitudes
+from conftest import amplitudes, closed_form_x
 
 
 def block(n, l, g):
@@ -285,6 +287,15 @@ def test_backward_evolution_allowed():
     back = evolve_one(spectrum, -0.9)
     # time reversal flips the imaginary components only
     assert np.max(np.abs(back - fwd * np.array([1.0, -1.0, -1.0, 1.0]))) < 1e-12
+    # so on a grid with a negative step the reduced states keep their
+    # populations and flip their coherence
+    w = coherent_weights(3.0)
+    ts = np.linspace(0.0, 9.0, 300)
+    fwd, back = (reduced_states(w, 1, 0.8, grid, AtomId) for grid in (ts, -ts))
+    for atom in AtomId:
+        assert np.max(np.abs(back[atom].p_plus - fwd[atom].p_plus)) < 1e-12
+        assert np.max(np.abs(back[atom].p_minus - fwd[atom].p_minus)) < 1e-12
+        assert np.max(np.abs(back[atom].coh_im + fwd[atom].coh_im)) < 1e-12
 
 
 @given(

@@ -1,14 +1,11 @@
 """Reduced density matrices: per-index summands, traces, oracle agreement."""
 
 import math
-import sys
-import threading
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-import tjcm.blocks
 import tjcm.reduced
 from tjcm import (
     AtomId,
@@ -21,10 +18,9 @@ from tjcm import (
     swap_transform,
 )
 from tjcm import oracle
-from tjcm.blocks import chunk_rows, map_chunks
 from tjcm.reduced import max_deviation, reduced_states
 
-from conftest import amplitudes
+from conftest import amplitudes, reduced_direct
 
 
 def reduced(weights, l, g, ts, atom):
@@ -151,7 +147,7 @@ def test_reduced_state_coherence_purely_imaginary():
 
 def test_reduced_state_symmetric_coupling_atoms_identical():
     w = coherent_weights(3.0)
-    ts = [0.5, 4.0, 17.3]
+    ts = np.linspace(0.5, 17.3, 8)
     a = reduced(w, 1, 1.0, ts, AtomId.FIRST)
     b = reduced(w, 1, 1.0, ts, AtomId.SECOND)
     for qa, qb in zip(astuple(a), astuple(b)):
@@ -171,7 +167,7 @@ def test_atom_swap_symmetry_pointwise():
     """Atom 1 at (g, T) matches atom 2 at (1/g, g T)."""
     w = coherent_weights(3.0)
     g = 0.5
-    ts = np.array([0.8, 3.0, 9.5])
+    ts = np.linspace(0.8, 9.5, 4)
     g_swapped, ts_swapped = swap_transform(g, ts)
     a = reduced(w, 1, g, ts, AtomId.FIRST)
     b = reduced(w, 1, g_swapped, ts_swapped, AtomId.SECOND)
@@ -187,140 +183,103 @@ def test_swap_transform_rejects_nonpositive_or_infinite_g():
 
 
 def test_reduced_states_grid_matches_single_times():
-    """A grid of times reduces to what each time gives on its own."""
-    w = coherent_weights(2.5)
-    ts = np.array([0.0, 1.3, 6.6])
-    grid = reduced_states(w, 2, 0.8, ts, AtomId)
-    for i, T in enumerate(ts):
-        single = reduced_states(w, 2, 0.8, [T], AtomId)
+    """A single time is summed directly, to the rounding of the direct
+    contraction of the same spectrum with long-double phases
+    (conftest.reduced_direct); on a grid the trig sums reproduce that
+    contraction at every time to 4e-14: trig_sum's worst case, 3.5e-14
+    per unit of sum |c|, and these sums have sum |c| <= 1.02."""
+    for alpha, l, g, steps in ((2.5, 2, 0.8, 41), (5.0, 1, 0.5, 2500), (5.0, 2, 0.5, 2500),
+                               (12.0, 2, 2.0, 500), (19.6, 2, 1.3, 500)):
+        w = coherent_weights(alpha)
+        grid = np.linspace(0.0, 25.0, steps)
+        states = reduced_states(w, l, g, grid, AtomId)
+        ref = reduced_direct(w, l, g, grid)
         for atom in AtomId:
-            assert single[atom].coh_re == grid[atom].coh_re == 0.0
-            for field in ("p_plus", "p_minus", "coh_im"):
-                got, want = getattr(single[atom], field), getattr(grid[atom], field)
-                assert abs(got[0] - want[i]) <= 1e-15
+            got = states[atom]
+            assert got.coh_re == 0.0
+            for field, want in zip(("p_plus", "p_minus", "coh_im"), ref[atom]):
+                assert np.max(np.abs(getattr(got, field) - want)) <= 4e-14, (alpha, l, field)
+        for i in (0, 1, steps // 2, steps - 1):
+            single = reduced_states(w, l, g, grid[i:i + 1], AtomId)
+            for atom in AtomId:
+                for field, want in zip(("p_plus", "p_minus", "coh_im"), ref[atom]):
+                    assert abs(getattr(single[atom], field)[0] - want[i]) <= 1e-15
+
+
+def test_reduced_states_on_a_backward_grid():
+    """A grid that runs backward (negative step) is a uniform grid: it gives
+    the forward grid's states, reversed, to twice the trig sums' 4e-14."""
+    w = coherent_weights(5.0)
+    grid = np.linspace(0.0, 25.0, 500)
+    fwd = reduced_states(w, 2, 0.5, grid, AtomId)
+    back = reduced_states(w, 2, 0.5, grid[::-1], AtomId)
+    for atom in AtomId:
+        for field in ("p_plus", "p_minus", "coh_im"):
+            got, want = getattr(back[atom], field), getattr(fwd[atom], field)
+            assert np.max(np.abs(got[::-1] - want)) <= 8e-14
+
+
+def test_reduced_states_refuse_times_off_a_uniform_grid():
+    w = coherent_weights(3.0)
+    for ts in ([0.0, 1.3, 6.6], [0.5, 4.0, 17.3], np.linspace(0.0, 25.0, 500) + np.r_[1e-9, [0.0] * 499]):
+        with pytest.raises(InvalidParameterError, match="uniform grid"):
+            reduced_states(w, 1, 0.5, ts, AtomId)
 
 
 def test_reduced_states_match_fsum():
     """The photon-index contraction against an exactly rounded per-time
     sum (math.fsum) over the amplitudes of every block from n = 0, up to
-    alpha = 30 (n_max = 1220): from alpha 12 on, reduced_states sums only
-    its window n_min..n_max, and the blocks it leaves out move nothing
-    beyond the bound."""
+    alpha = 30 (n_max = 1220), one time at a time (a single time is summed
+    directly): from alpha 12 on, reduced_states sums only its window
+    n_min..n_max, and the blocks it leaves out move nothing beyond the
+    bound."""
     for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (12.0, 1, 2.0),
                         (12.0, 2, 2.0), (20.0, 1, 1.7), (20.0, 2, 1.7), (30.0, 1, 0.4),
                         (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
         assert (w.window(l)[0] > 0) == (alpha >= 12.0)
         ts = np.array([0.0, 1.3, 6.6, 17.9])
-        x = amplitudes(eigen_table(w.n_max, l, g), ts)
+        x = amplitudes(eigen_table(w.n_max, l, g), ts, long_double=True)
         c, m = w.c, w.c.size - l
-        for atom, state in reduced_states(w, l, g, ts, AtomId).items():
-            pp, pm, coh_re, coh_im = astuple(state)
-            assert coh_re == 0.0
-            x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
-            for i in range(ts.size):
+        for i, T in enumerate(ts):
+            for atom, state in reduced_states(w, l, g, [T], AtomId).items():
+                pp, pm, coh_re, coh_im = astuple(state)
+                assert coh_re == 0.0
+                x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
                 ref_pp = math.fsum(c * c * (x1[i] ** 2 + x2[i] ** 2))
                 ref_pm = math.fsum(c * c * (x3[i] ** 2 + x4[i] ** 2))
                 ref_coh = math.fsum(
                     c[l:] * c[:m] * (x2[i, l:] * x4[i, :m] - x3[i, :m] * x1[i, l:])
                 )
-                assert abs(pp[i] - ref_pp) <= 1e-15
-                assert abs(pm[i] - ref_pm) <= 1e-15
-                assert abs(coh_im[i] - ref_coh) <= 1e-15
+                assert abs(pp[0] - ref_pp) <= 1e-15
+                assert abs(pm[0] - ref_pm) <= 1e-15
+                assert abs(coh_im[0] - ref_coh) <= 1e-15
 
 
-@pytest.mark.parametrize("alpha, g, l, steps", [
-    (5.0, 0.5, 1, 2500),  # fig1
-    (5.0, 0.5, 2, 2500),  # fig2
-    (19.6, 1.3, 2, 500),  # n_max 601: 24 rows per chunk
-])
-def test_streamed_states_bitwise_equal_to_whole_grid(alpha, g, l, steps, monkeypatch):
-    """reduced_states in cache-sized chunks on every worker gives, bit for
-    bit, what it gives as one chunk over the whole grid on one worker."""
-    w = coherent_weights(alpha)
-    grid = np.linspace(0.0, 25.0, steps)
-    assert steps > 2 * chunk_rows(w.n_max + 1)
-    streamed = reduced_states(w, l, g, grid, AtomId)
-    monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", (steps + 8) * (w.n_max + 1))
-    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 1)
-    assert chunk_rows(w.n_max + 1) >= steps
-    whole = reduced_states(w, l, g, grid, AtomId)
-    assert list(streamed) == list(AtomId)
-    for atom in AtomId:
-        for got, want in zip(astuple(streamed[atom]), astuple(whole[atom])):
-            assert np.result_type(got) == np.result_type(want)
-            assert np.array_equal(got, want)
-
-
-def test_chunk_rows_multiple_of_eight():
-    for n in (1, 36, 96, 602, 1221, 5000):
-        rows = chunk_rows(n)
-        assert rows % 8 == 0 and rows >= 8
-        assert rows * n <= tjcm.blocks._CHUNK_ELEMS or rows == 8
-
-
-def test_map_chunks_covers_every_row_once(monkeypatch):
-    """More workers than cores, switching threads every microsecond: every
-    time is still filled by exactly one chunk, into its own output column,
-    and each worker allocates its scratch once."""
-    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 5)
-    monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", 8)  # 8 rows per chunk
-    times = np.arange(1000.0)
-    hits = np.zeros(times.size, dtype=int)
-    scratches = {}  # address -> array; holding each keeps addresses unique
-
-    def fill(t, scratch, out):
-        assert scratch.shape == (3, 8) and out.shape == (2, t.size) and t.size <= 8
-        scratches.setdefault(scratch.ctypes.data, scratch)
-        hits[t.astype(int)] += 1
-        out[0], out[1] = t, -t
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = map_chunks(times, 1, 3, 2, fill)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.all(hits == 1)
-    assert np.array_equal(out, np.stack([times, -times]))
-    assert len(scratches) == 5  # one scratch array per worker
-
-
-def test_worker_error_reaches_caller_with_its_type(monkeypatch):
-    class WorkerFault(RuntimeError):
-        pass
-
-    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 2)
-
-    monkeypatch.setattr(tjcm.blocks, "_CHUNK_ELEMS", 8)  # 8 rows per chunk
-
-    def fill(t, scratch, out):
-        if threading.current_thread() is not threading.main_thread():
-            raise WorkerFault(f"chunk at {t[0]:.0f}")
-
-    with pytest.raises(WorkerFault, match="chunk at 8"):
-        map_chunks(np.arange(64.0), 1, 1, 1, fill)
-
-
-def test_streamed_norm_check_covers_every_chunk(monkeypatch):
-    """A norm defect in the chunks of the second worker thread fails the
-    whole call with the amplitude-norm error."""
-    monkeypatch.setattr(tjcm.blocks, "_WORKERS", 2)
-    real = tjcm.reduced.amplitudes_into
-
-    def faulty(factors, t, *bufs):
-        dev = real(factors, t, *bufs)
-        return dev if threading.current_thread() is threading.main_thread() else 1e-6
-
-    monkeypatch.setattr(tjcm.reduced, "amplitudes_into", faulty)
-    w = coherent_weights(5.0)
-    with pytest.raises(InternalConsistencyError, match="amplitude norm deviates"):
-        reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
-
-
-def test_streamed_phase_conditioning_refused_before_any_chunk(monkeypatch):
+def test_non_orthonormal_spectrum_refused(monkeypatch):
+    """A spectrum whose eigenvectors are not orthonormal (one block's
+    scaled by 1 + 1e-6) fails the call with InternalConsistencyError
+    before any trig sum runs."""
+    real = tjcm.reduced.eigen_table
     calls = []
-    monkeypatch.setattr(tjcm.reduced, "amplitudes_into", lambda *a: calls.append(a))
+
+    def skewed(*args):
+        vals, vecs = real(*args)
+        vecs = vecs.copy()
+        vecs[vecs.shape[0] // 2] *= 1.0 + 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(tjcm.reduced, "eigen_table", skewed)
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a: calls.append(a))
+    w = coherent_weights(5.0)
+    with pytest.raises(InternalConsistencyError, match="orthonormal"):
+        reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
+    assert calls == []
+
+
+def test_phase_conditioning_refused_before_any_transform(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a: calls.append(a))
     w = coherent_weights(5.0)
     with pytest.raises(InvalidParameterError, match="phase conditioning"):
         # l = 8: conditioning 1.3e-6 over t_max 25
@@ -328,18 +287,17 @@ def test_streamed_phase_conditioning_refused_before_any_chunk(monkeypatch):
     assert calls == []
 
 
-def test_streamed_trace_check_over_assembled_arrays(monkeypatch):
-    """Trace lost in one chunk (the dominant block's amplitudes zeroed,
-    which drains visible trace mass) is refused."""
+def test_trace_check_refuses_lost_mass(monkeypatch):
+    """Trace lost at one time (a population sum drained there by 1e-9, far
+    beyond 10 * cutoff_eps) is refused over the assembled arrays."""
     w = coherent_weights(2.0)
-    real = tjcm.reduced.amplitudes_into
+    real = tjcm.reduced.trig_sum
 
-    def draining(factors, t, x, *bufs):
-        dev = real(factors, t, x, *bufs)
-        if t[0] > 0.0:
-            x[:, -1, int(np.argmax(w.c))] = 0.0
-        return dev
+    def draining(freqs, coefs, times):
+        out = real(freqs, coefs, times)
+        out[0, -1] -= 1e-9
+        return out
 
-    monkeypatch.setattr(tjcm.reduced, "amplitudes_into", draining)
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", draining)
     with pytest.raises(TruncationError, match="reduced trace"):
         reduced_states(w, 1, 1.0, np.linspace(0.0, 25.0, 2000), AtomId)

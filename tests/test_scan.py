@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import tjcm.blocks
 import tjcm.scan
 from tjcm import (
     AtomId,
@@ -137,19 +136,6 @@ def test_phase_conditioning_refused_with_typed_error():
     # so the refusal bounds the conditioning, not the parameters
     ts = run_scan(replace(cfg, t_max=0.1))
     assert np.max(np.abs(ts.channels["inv1"])) <= 1.0 + 1e-12
-
-
-def test_scan_channels_independent_of_worker_count(monkeypatch):
-    """Every channel, analytic and reference, is bitwise the same on one
-    worker, on every available core and on more workers than cores."""
-    cfg = ScanConfig(params=ModelParams(alpha=19.6, g=1.3, l=2), t_max=25.0,
-                     steps=500, channels=CHANNEL_NAMES)
-    every_core = run_scan(cfg)
-    for workers in (1, 3):
-        monkeypatch.setattr(tjcm.blocks, "_WORKERS", workers)
-        ts = run_scan(cfg)
-        for name in CHANNEL_NAMES:
-            assert np.array_equal(ts.channels[name], every_core.channels[name]), (workers, name)
 
 
 def test_scan_memory_does_not_grow_with_steps():
