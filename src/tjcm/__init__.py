@@ -8,7 +8,7 @@ space plus a direct partial trace) verifies it.  A CLI emits the standard
 figure presets and free parameter scans as CSV time series.
 """
 
-from .blocks import block_matrices, eigen_table
+from .blocks import block_matrices, closed_form_x, eigen_table
 from .errors import (
     ContractViolationError,
     InternalConsistencyError,
@@ -68,6 +68,7 @@ __all__ = [
     "binary_entropy_of_mean",
     "bloch",
     "block_matrices",
+    "closed_form_x",
     "coherent_weights",
     "eigen_table",
     "entropy_squeezing",

@@ -32,10 +32,14 @@ _PHASE_COND_TOL = 1e-8
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
 # trig_sum: kernel widths (sum, rounding correction) and beta per point;
-# fine points per time, at least _MIN_FINE (free on short grids, where it
-# takes 41 points from 1.1e-14 to 7e-16); allowed stray in eps * max|T|.
-_ES_WIDTH, _CORRECTION_WIDTH, _ES_BETA_PER_POINT = 16, 4, 2.30
-_UPSAMPLE, _MIN_FINE = 2, 256
+# fine points per time, at least _MIN_FINE (well over a kernel width, and
+# free on short grids); allowed stray in eps * max|T|.  At upsampling 3
+# the kernel's transform at the grid's end modes is within 2.4x of its
+# centre (7x at upsampling 2, where single frequencies erred by 1.8e-14
+# at the ends of a grid), and beta 2.50 per point, not 2.30, brings its
+# relative error at every mode from 1.7e-15 to 7e-16.
+_ES_WIDTH, _CORRECTION_WIDTH, _ES_BETA_PER_POINT = 16, 4, 2.50
+_UPSAMPLE, _MIN_FINE = 3, 256
 _UNIFORM_ULPS = 16
 # float64 2 pi is off by 2.4e-16 per turn, which grows along the grid
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
@@ -210,6 +214,29 @@ def check_spectrum(vecs: np.ndarray) -> None:
         raise InternalConsistencyError(f"block spectrum deviates from orthonormal by {dev:.3e}")
 
 
+def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
+    """Closed-form amplitudes (x1, x2, x3, x4) for the single-photon
+    symmetric case (l = 1, g = 1), where the block spectrum is
+    {0, 0, +w, -w} with w = sqrt(4n + 6):
+
+        x1 = [(n+1) cos(wT) + (n+2)] / (2n+3)
+        x2 = x3 = -sqrt(n+1) sin(wT) / w
+        x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
+
+    Returns an array of shape (4,) + shape(T).  Kept as an independent
+    validation reference for the numerical path.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParameterError(f"n must be an integer >= 0, got {n}")
+    w = math.sqrt(4.0 * n + 6.0)
+    T = np.asarray(T, dtype=float)
+    c, s = np.cos(T * w), np.sin(T * w)
+    x1 = ((n + 1.0) * c + (n + 2.0)) / (2.0 * n + 3.0)
+    x23 = -math.sqrt(n + 1.0) / w * s
+    x4 = math.sqrt((n + 1.0) * (n + 2.0)) / (2.0 * n + 3.0) * (c - 1.0)
+    return np.stack([x1, x23, x23, x4])
+
+
 def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Re sum_m coefs[..., m] exp(i freqs[m] T_j) on a uniform grid
     T_j = T_0 + j h (h may be negative; one time is a grid), shape
@@ -223,18 +250,22 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
     are long double, and the grid's rounding delta_j = T_j - (T_0 + j h)
     (about an ulp in np.linspace) is corrected to first order by a second
     transform, of i freqs a_m: each is worth 1e-12.  With sum |c| = 1 the
-    error is below 5e-15 for random frequencies up to nT = 20000 and
-    3.5e-14 for one frequency, at the ends of the grid.  The first time is
-    summed directly and the rest are differences from it, so a single time
-    has no transform error.  Rows of coefs share one plan and are
-    transformed in turn, so working memory is a few grid-length arrays.
-    Times off a uniform grid by more than _UNIFORM_ULPS * eps * max|T|
+    error is below 2.5e-15 for random frequencies up to nT = 20000 and for
+    one frequency at any position.  The first time is summed directly, so
+    neither one time nor the start of a grid has transform error (an
+    entropy of sz near 1, as at T = 0, magnifies 1e-16 to several 1e-15).
+    Rows of coefs share one plan and are transformed in turn, so working
+    memory is a few grid-length arrays.  An empty grid gives empty rows;
+    times off a uniform grid by more than _UNIFORM_ULPS * eps * max|T|
     raise InvalidParameterError.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     w = np.asarray(freqs, dtype=np.longdouble)
     coefs = np.asarray(coefs)
     n_t = times.size
+    out = np.empty(coefs.shape[:-1] + (n_t,))
+    if n_t == 0:
+        return out
     t0 = np.longdouble(times[0])
     h = (np.longdouble(times[-1]) - t0) / max(n_t - 1, 1)
     delta = (times - (t0 + np.arange(n_t) * h)).astype(float)
@@ -246,23 +277,23 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
     x = np.mod(w * h, _TWO_PI)
     j0 = n_t // 2  # output j is mode k = j - j0 of the transform
     n_fine = max(_UPSAMPLE * n_t, _MIN_FINE)
-    u = x * (n_fine / _TWO_PI)  # positions in fine-grid points
+    u = np.mod(x * (n_fine / _TWO_PI), n_fine)  # positions in fine-grid points, < n_fine
     main, fix = (_plan(u, n_fine, width, n_t) for width in (_ES_WIDTH, _CORRECTION_WIDTH))
     a = coefs * exp_i(w * t0)
-    first = a.sum(axis=-1).real
-    a = a * exp_i(j0 * x)
-    out = np.empty(a.shape[:-1] + (n_t,))
+    first = a.sum(axis=-1).real  # the first time, summed directly
+    a *= exp_i(j0 * x)
     modes = np.empty(n_t, dtype=complex)
 
     def transform(a_row: np.ndarray, index: np.ndarray, kernel: np.ndarray,
                   inv_ft: np.ndarray) -> np.ndarray:
-        # spread onto the fine grid padded by half a kernel at each end, the
-        # real and imaginary parts in turn; fold the pads, inverse FFT, and
-        # the modes over the kernel's Fourier transform
+        # spread onto the fine grid padded by half a kernel at each end, in
+        # place (a bincount returns a grid-length temporary) and the real
+        # and imaginary parts in turn; fold the pads, inverse FFT, and the
+        # modes over the kernel's Fourier transform
         half = kernel.shape[1] // 2
-        padded = np.empty(n_fine + 2 * half, dtype=complex)
-        padded.real = np.bincount(index, (a_row.real[:, None] * kernel).reshape(-1), padded.size)
-        padded.imag = np.bincount(index, (a_row.imag[:, None] * kernel).reshape(-1), padded.size)
+        padded = np.zeros(n_fine + 2 * half, dtype=complex)
+        np.add.at(padded.real, index, (a_row.real[:, None] * kernel).reshape(-1))
+        np.add.at(padded.imag, index, (a_row.imag[:, None] * kernel).reshape(-1))
         fine = padded[half:half + n_fine]
         fine[:half] += padded[n_fine + half:]
         fine[n_fine - half:] += padded[:half]
@@ -271,13 +302,11 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
         np.multiply(modes, inv_ft, out=modes)
         return modes.real
 
-    for row, a_row, d in zip(out.reshape(-1, n_t), a.reshape(first.size, w.size),
-                             first.reshape(-1)):
+    for row, a_row in zip(out.reshape(-1, n_t), a.reshape(first.size, w.size)):
         row[:] = transform(a_row, *main)
         fixed = transform(1j * w.astype(float) * a_row, *fix)
         row += np.multiply(fixed, delta, out=fixed)
-        row -= row[0]
-        row += d
+    out[..., 0] = first
     return out
 
 
@@ -291,18 +320,20 @@ def exp_i(phase: np.ndarray) -> np.ndarray:
 
 def _plan(u: np.ndarray, n_fine: int, width: int, n_t: int) -> tuple[np.ndarray, ...]:
     """What trig_sum's transforms with one kernel width share: each kernel
-    point's index on the fine grid padded by width / 2 at each end, the kernel values (M, width) at offsets from the long-double
-    positions u, and 1 / the kernel's Fourier transform at the modes,
+    point's index on the fine grid padded by width / 2 at each end; the
+    kernel values (M, width) at offsets from the long-double positions u;
+    and 1 / the kernel's Fourier transform at the modes,
     (width / 2) int_{-1}^{1} exp(beta (sqrt(1 - z^2) - 1)) cos(k z width pi / n_fine) dz.
     """
     beta = _ES_BETA_PER_POINT * width
     half = width // 2
-    start = np.ceil(u.astype(float) - half)  # first kernel point, in [-half, n_fine - half]
-    # clipped where rounding u moved start across an integer
-    off = np.clip((start - u).astype(float), -half, 1 - half)
-    z = (off[:, None] + np.arange(width)) * (2.0 / width)  # in [-1, 1)
+    # first kernel point floor(u) + 1 - half, in [1 - half, n_fine - half]
+    # (the cast truncates u >= 0; np.floor is slow in long double)
+    start = u.astype(np.int64) + (1 - half)
+    off = (start - u).astype(float)  # in (-half, 1 - half]
+    z = (off[:, None] + np.arange(width)) * (2.0 / width)  # in (-1, 1]
     kernel = np.exp(-beta * z * z / (1.0 + np.sqrt(1.0 - z * z)))  # without cancellation
-    index = ((start.astype(np.int64) + half)[:, None] + np.arange(width)).reshape(-1)
+    index = ((start + half)[:, None] + np.arange(width)).reshape(-1)
     j0 = n_t // 2
     k = np.arange(max(j0, n_t - 1 - j0) + 1.0)
     ft = np.zeros(k.size)

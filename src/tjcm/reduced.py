@@ -79,11 +79,13 @@ def reduced_states(
                  exp(-i (w_k(n+l) - w_k'(n)) T),
 
     one over 16 per pair; atom 2 swaps components 1 and 2.  ``trig_sum``
-    evaluates them on the grid as differences from the first time, where
-    the state is formed from the amplitudes themselves: a population that
-    starts at 0 starts at about 1e-32.  The blocks below n_min carry at
-    most 1e-8 * cutoff_eps of either weight and every amplitude has
-    modulus <= 1, so leaving them out moves no entry by more than that.
+    evaluates them on the grid.  At the first time the state is formed
+    from the amplitudes psi_b instead, so a population that starts at 0
+    starts at about 1e-32 (the expanded sums, whose coefficients are
+    rounded, miss the inversion there by up to 1.1e-15).  The blocks
+    below n_min carry at most 1e-8 * cutoff_eps of either weight and every
+    amplitude has modulus <= 1, so leaving them out moves no entry by more
+    than that.
     At T = 0 the trace is the window mass sum pop, a few eps from 1; the
     observables clamp an inversion past 1 as rounding.
 
@@ -105,25 +107,25 @@ def reduced_states(
     m = pair.size
     r = vecs[:, :1, :] * vecs  # r[n, b, k] = <v_k|e1> v_bk
     w = vals.astype(np.longdouble)  # so that differences are exact
-    psi = np.einsum("nbk,nk->nb", r, exp_i(-w * grid[0]))  # amplitudes at grid[0]
-    sq = psi.real ** 2 + psi.imag ** 2
     k, k2 = np.triu_indices(4, 1)
     two_rr = 2.0 * r[:, :, k] * r[:, :, k2]  # (N, 4, 6)
+    r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2
     comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
     pops = [(0, i2) for i2, _ in comps] + [(i3, 3) for _, i3 in comps]  # p_plus, then p_minus
     p = trig_sum((w[:, k] - w[:, k2]).ravel(),
                  [(pop[:, None] * (two_rr[:, b] + two_rr[:, c])).ravel() for b, c in pops], grid)
-    p0 = [pop @ (sq[:, b] + sq[:, c]) for b, c in pops]
+    p += np.array([pop @ (r_sq[:, b] + r_sq[:, c]) for b, c in pops])[:, None]
     # Im sum c exp(...) = Re sum -i c exp(...)
     coh = trig_sum((w[:m, None, :] - w[l:, :, None]).ravel(),
                    [-1j * (pair[:, None, None] * (r[l:, 0, :, None] * r[:m, i3, None, :]
                                                   + r[l:, i2, :, None] * r[:m, 3, None, :])).ravel()
                     for i2, i3 in comps], grid)
-    coh0 = [pair @ (psi[l:, 0] * psi[:m, i3].conj() + psi[l:, i2] * psi[:m, 3].conj()).imag
-            for i2, i3 in comps]
-    for sums, first in ((p, p0), (coh, coh0)):
-        sums -= sums[:, :1]
-        sums += np.array(first)[:, None]
+    # the state at the first time (if any) from the amplitudes psi_b
+    psi = np.einsum("nbk,nkt->nbt", r, exp_i(-w[:, :, None] * grid[:1]))
+    sq = psi.real ** 2 + psi.imag ** 2
+    p[:, :1] = [pop @ (sq[:, b] + sq[:, c]) for b, c in pops]
+    coh[:, :1] = [pair @ (psi[l:, 0] * psi[:m, i3].conj() + psi[l:, i2] * psi[:m, 3].conj()).imag
+                  for i2, i3 in comps]
     states = {}
     for a, atom in enumerate(atoms):
         p_plus, p_minus = p[a], p[len(atoms) + a]

@@ -7,7 +7,6 @@ suite share one computation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -82,26 +81,6 @@ def reduced_direct(weights, l, g, ts):
         out[atom] = ((x1 ** 2 + x2 ** 2) @ pop, (x3 ** 2 + x4 ** 2) @ pop,
                      (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ pair)
     return out
-
-
-def closed_form_x(n: int, T) -> np.ndarray:
-    """Closed-form amplitudes (x1, x2, x3, x4) for the single-photon
-    symmetric case (l = 1, g = 1), where the block spectrum is
-    {0, 0, +w, -w} with w = sqrt(4n + 6):
-
-        x1 = [(n+1) cos(wT) + (n+2)] / (2n+3)
-        x2 = x3 = -sqrt(n+1) sin(wT) / w
-        x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
-
-    An array of shape (4,) + shape(T): the independent reference the
-    Jacobi spectrum is checked against."""
-    w = math.sqrt(4.0 * n + 6.0)
-    T = np.asarray(T, dtype=float)
-    c, s = np.cos(T * w), np.sin(T * w)
-    x1 = ((n + 1.0) * c + (n + 2.0)) / (2.0 * n + 3.0)
-    x23 = -math.sqrt(n + 1.0) / w * s
-    x4 = math.sqrt((n + 1.0) * (n + 2.0)) / (2.0 * n + 3.0) * (c - 1.0)
-    return np.stack([x1, x23, x23, x4])
 
 
 def full_preset_config(name: str):

@@ -14,13 +14,14 @@ from tjcm import (
     ContractViolationError,
     InvalidParameterError,
     block_matrices,
+    closed_form_x,
     coherent_weights,
     eigen_table,
     reduced_states,
 )
 from tjcm.blocks import jacobi_eigh, transition_strength
 
-from conftest import amplitudes, closed_form_x
+from conftest import amplitudes
 
 
 def block(n, l, g):

@@ -85,9 +85,6 @@ def test_bloch_norm_bounded():
 
 
 def test_array_times_match_scalar_times():
-    """A single time is summed directly and a grid by the transform, so the
-    two agree to trig_sum's 1e-14 bound rather than bit for bit (measured:
-    7e-16 for sz, sy and harmonic_sy, 1.6e-15 for ey)."""
     w = coherent_weights(5.0)
     ts = np.linspace(0.0, 25.0, 41)
     b = jcm_bloch(w, ts)
@@ -96,35 +93,42 @@ def test_array_times_match_scalar_times():
     ey = jcm_entropy_squeezing(w, ts)
     for i, T in enumerate(ts):
         s = jcm_bloch(w, float(T))
-        assert abs(b.sz[i] - s.sz) <= 1e-14 and abs(b.sy[i] - s.sy) <= 1e-14
-        assert abs(harm[i] - tjcm_harmonic_sy(w, float(T))) <= 1e-14
-        assert abs(ey[i] - jcm_entropy_squeezing(w, float(T))) <= 1e-14
+        assert abs(b.sz[i] - s.sz) <= 1e-15 and abs(b.sy[i] - s.sy) <= 1e-15
+        assert abs(harm[i] - tjcm_harmonic_sy(w, float(T))) <= 1e-15
+        assert abs(ey[i] - jcm_entropy_squeezing(w, float(T))) <= 1e-15
 
 
 def test_references_match_fsum_from_n_zero():
     """At alpha 12 both references sum only their window (n_min 48); an
-    exactly rounded sum over every n from 0, with its phases in long
-    double as the references take them, agrees with them to 1e-15 at each
-    single time (summed directly).  The harmonic reference is taken in its
+    exactly rounded sum over every n from 0 agrees with them to 1e-15 at
+    every time of a grid through 1.3, 6.6 and 17.9.  The reference takes
+    its phases T w in long double: rounded to float64 they move these sums
+    by up to 4.4e-15 on this grid.  The harmonic reference is taken in its
     sum form, which the implementation evaluates (see the product-form
     test below)."""
     w = coherent_weights(12.0)
     assert w.window(1)[0] == 48
+    ts = np.linspace(0.0, 17.9, 180)
+    b, harm = jcm_bloch(w, ts), tjcm_harmonic_sy(w, ts)
     c = w.c
     n = np.arange(w.n_max + 1.0)
     pair = c[:-1] * c[1:]
     wn, wn1 = np.sqrt(4.0 * n[:-1] + 6.0), np.sqrt(4.0 * n[:-1] + 10.0)
-    for T in (0.0, 1.3, 6.6, 17.9):
-        b, harm = jcm_bloch(w, T), tjcm_harmonic_sy(w, T)
-        t = np.longdouble(T)
-        sz = math.fsum(c * c * np.cos(2.0 * t * np.sqrt(n + 1.0)).astype(float))
-        sy = 2.0 * math.fsum(pair * (np.cos(t * np.sqrt(n[:-1] + 2.0))
-                                     * np.sin(t * np.sqrt(n[:-1] + 1.0))).astype(float))
-        h = 0.5 * math.fsum(pair * (np.sin(t * (wn - wn1)) + np.sin(t * wn)
-                                    + np.sin(t * wn1)).astype(float))
-        assert abs(b.sz - sz) <= 1e-15
-        assert abs(b.sy - sy) <= 1e-15
-        assert abs(harm - h) <= 1e-15
+    for i, T in enumerate(ts.astype(np.longdouble)):
+        sz = math.fsum(c * c * np.cos(2.0 * T * np.sqrt(n + 1.0)).astype(float))
+        sy = 2.0 * math.fsum(pair * (np.cos(T * np.sqrt(n[:-1] + 2.0))
+                                     * np.sin(T * np.sqrt(n[:-1] + 1.0))).astype(float))
+        h = 0.5 * math.fsum(pair * (np.sin(T * (wn - wn1)) + np.sin(T * wn)
+                                    + np.sin(T * wn1)).astype(float))
+        assert abs(b.sz[i] - sz) <= 1e-15
+        assert abs(b.sy[i] - sy) <= 1e-15
+        assert abs(harm[i] - h) <= 1e-15
+
+
+def test_references_on_an_empty_grid():
+    w = coherent_weights(5.0)
+    b = jcm_bloch(w, np.zeros(0))
+    assert b.sz.shape == b.sy.shape == tjcm_harmonic_sy(w, np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("alpha", [5.0, 12.0, 20.0])

@@ -147,7 +147,7 @@ def test_reduced_state_coherence_purely_imaginary():
 
 def test_reduced_state_symmetric_coupling_atoms_identical():
     w = coherent_weights(3.0)
-    ts = np.linspace(0.5, 17.3, 8)
+    ts = np.linspace(0.5, 17.3, 169)  # through 0.5, 4.0 and 17.3
     a = reduced(w, 1, 1.0, ts, AtomId.FIRST)
     b = reduced(w, 1, 1.0, ts, AtomId.SECOND)
     for qa, qb in zip(astuple(a), astuple(b)):
@@ -167,7 +167,7 @@ def test_atom_swap_symmetry_pointwise():
     """Atom 1 at (g, T) matches atom 2 at (1/g, g T)."""
     w = coherent_weights(3.0)
     g = 0.5
-    ts = np.linspace(0.8, 9.5, 4)
+    ts = np.linspace(0.8, 9.5, 88)  # through 0.8, 3.0 and 9.5
     g_swapped, ts_swapped = swap_transform(g, ts)
     a = reduced(w, 1, g, ts, AtomId.FIRST)
     b = reduced(w, 1, g_swapped, ts_swapped, AtomId.SECOND)
@@ -183,32 +183,38 @@ def test_swap_transform_rejects_nonpositive_or_infinite_g():
 
 
 def test_reduced_states_grid_matches_single_times():
-    """A single time is summed directly, to the rounding of the direct
-    contraction of the same spectrum with long-double phases
-    (conftest.reduced_direct); on a grid the trig sums reproduce that
-    contraction at every time to 4e-14: trig_sum's worst case, 3.5e-14
-    per unit of sum |c|, and these sums have sum |c| <= 1.02."""
-    for alpha, l, g, steps in ((2.5, 2, 0.8, 41), (5.0, 1, 0.5, 2500), (5.0, 2, 0.5, 2500),
+    """A grid of times reduces to what each time gives on its own (a grid
+    through 1.3 and 6.6, every time checked)."""
+    w = coherent_weights(2.5)
+    ts = np.linspace(0.0, 6.6, 67)
+    grid = reduced_states(w, 2, 0.8, ts, AtomId)
+    for i, T in enumerate(ts):
+        single = reduced_states(w, 2, 0.8, [T], AtomId)
+        for atom in AtomId:
+            assert single[atom].coh_re == grid[atom].coh_re == 0.0
+            for field in ("p_plus", "p_minus", "coh_im"):
+                got, want = getattr(single[atom], field), getattr(grid[atom], field)
+                assert abs(got[0] - want[i]) <= 1e-15
+
+
+def test_reduced_states_match_direct_contraction_on_long_grids():
+    """Up to 2500 times (fig1 and fig2) and alpha 19.6: at every time within
+    1e-15 of the direct contraction of the same Jacobi spectrum
+    (conftest.reduced_direct)."""
+    for alpha, l, g, steps in ((5.0, 1, 0.5, 2500), (5.0, 2, 0.5, 2500),
                                (12.0, 2, 2.0, 500), (19.6, 2, 1.3, 500)):
         w = coherent_weights(alpha)
         grid = np.linspace(0.0, 25.0, steps)
         states = reduced_states(w, l, g, grid, AtomId)
         ref = reduced_direct(w, l, g, grid)
         for atom in AtomId:
-            got = states[atom]
-            assert got.coh_re == 0.0
             for field, want in zip(("p_plus", "p_minus", "coh_im"), ref[atom]):
-                assert np.max(np.abs(getattr(got, field) - want)) <= 4e-14, (alpha, l, field)
-        for i in (0, 1, steps // 2, steps - 1):
-            single = reduced_states(w, l, g, grid[i:i + 1], AtomId)
-            for atom in AtomId:
-                for field, want in zip(("p_plus", "p_minus", "coh_im"), ref[atom]):
-                    assert abs(getattr(single[atom], field)[0] - want[i]) <= 1e-15
+                assert np.max(np.abs(getattr(states[atom], field) - want)) <= 1e-15, (alpha, l)
 
 
 def test_reduced_states_on_a_backward_grid():
     """A grid that runs backward (negative step) is a uniform grid: it gives
-    the forward grid's states, reversed, to twice the trig sums' 4e-14."""
+    the forward grid's states, reversed."""
     w = coherent_weights(5.0)
     grid = np.linspace(0.0, 25.0, 500)
     fwd = reduced_states(w, 2, 0.5, grid, AtomId)
@@ -216,7 +222,14 @@ def test_reduced_states_on_a_backward_grid():
     for atom in AtomId:
         for field in ("p_plus", "p_minus", "coh_im"):
             got, want = getattr(back[atom], field), getattr(fwd[atom], field)
-            assert np.max(np.abs(got[::-1] - want)) <= 8e-14
+            assert np.max(np.abs(got[::-1] - want)) <= 1e-15
+
+
+def test_reduced_states_on_an_empty_grid():
+    states = reduced_states(coherent_weights(3.0), 1, 0.5, np.zeros(0), AtomId)
+    assert list(states) == list(AtomId)
+    for state in states.values():
+        assert state.p_plus.shape == state.p_minus.shape == state.coh_im.shape == (0,)
 
 
 def test_reduced_states_refuse_times_off_a_uniform_grid():
@@ -229,31 +242,32 @@ def test_reduced_states_refuse_times_off_a_uniform_grid():
 def test_reduced_states_match_fsum():
     """The photon-index contraction against an exactly rounded per-time
     sum (math.fsum) over the amplitudes of every block from n = 0, up to
-    alpha = 30 (n_max = 1220), one time at a time (a single time is summed
-    directly): from alpha 12 on, reduced_states sums only its window
+    alpha = 30 (n_max = 1220), at every time of a grid through 1.3, 6.6
+    and 17.9: from alpha 12 on, reduced_states sums only its window
     n_min..n_max, and the blocks it leaves out move nothing beyond the
-    bound."""
+    bound.  The amplitudes take their phases in long double: rounded to
+    float64 they move these sums by up to 9e-14 on this grid."""
     for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (12.0, 1, 2.0),
                         (12.0, 2, 2.0), (20.0, 1, 1.7), (20.0, 2, 1.7), (30.0, 1, 0.4),
                         (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
         assert (w.window(l)[0] > 0) == (alpha >= 12.0)
-        ts = np.array([0.0, 1.3, 6.6, 17.9])
+        ts = np.linspace(0.0, 17.9, 180)
         x = amplitudes(eigen_table(w.n_max, l, g), ts, long_double=True)
         c, m = w.c, w.c.size - l
-        for i, T in enumerate(ts):
-            for atom, state in reduced_states(w, l, g, [T], AtomId).items():
-                pp, pm, coh_re, coh_im = astuple(state)
-                assert coh_re == 0.0
-                x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
+        for atom, state in reduced_states(w, l, g, ts, AtomId).items():
+            pp, pm, coh_re, coh_im = astuple(state)
+            assert coh_re == 0.0
+            x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
+            for i in range(ts.size):
                 ref_pp = math.fsum(c * c * (x1[i] ** 2 + x2[i] ** 2))
                 ref_pm = math.fsum(c * c * (x3[i] ** 2 + x4[i] ** 2))
                 ref_coh = math.fsum(
                     c[l:] * c[:m] * (x2[i, l:] * x4[i, :m] - x3[i, :m] * x1[i, l:])
                 )
-                assert abs(pp[0] - ref_pp) <= 1e-15
-                assert abs(pm[0] - ref_pm) <= 1e-15
-                assert abs(coh_im[0] - ref_coh) <= 1e-15
+                assert abs(pp[i] - ref_pp) <= 1e-15
+                assert abs(pm[i] - ref_pm) <= 1e-15
+                assert abs(coh_im[i] - ref_coh) <= 1e-15
 
 
 def test_non_orthonormal_spectrum_refused(monkeypatch):
