@@ -29,7 +29,7 @@ from .observables import (
     variance_squeezing,
     von_neumann,
 )
-from .params import FockWeights, ModelParams, coherent_weights, fock_cutoff
+from .params import FockWeights, ModelParams, coherent_weights
 from .reduced import AtomId, ReducedAtomState, reduced_states, swap_transform
 from .scan import (
     PRESET_CONFIGS,
@@ -73,7 +73,6 @@ __all__ = [
     "eigen_table",
     "entropy_squeezing",
     "eur_residual",
-    "fock_cutoff",
     "jcm_bloch",
     "read_csv",
     "reduced_states",

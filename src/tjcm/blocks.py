@@ -41,6 +41,9 @@ _JACOBI_MAX_SWEEPS = 50
 _ES_WIDTH, _CORRECTION_WIDTH, _ES_BETA_PER_POINT = 16, 4, 2.50
 _UPSAMPLE, _MIN_FINE = 3, 256
 _UNIFORM_ULPS = 16
+# kernel points trig_sum evaluates and spreads at a time: a 64 kB block,
+# which stays in cache (its results do not depend on the count)
+_SPREAD_BLOCK = 8192
 # float64 2 pi is off by 2.4e-16 per turn, which grows along the grid
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 
@@ -120,36 +123,76 @@ def check_coupling(n_max: int, l: int, g: float) -> None:
         )
 
 
+# jacobi_eigh's packed state, one column per block: rows 0..9 the upper
+# triangle of a (row-major), rows 10..25 v[r, c] at 10 + 4 r + c
+_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+def _packed_row(i: int, j: int) -> int:
+    """Row of a[i, j] (= a[j, i]) in jacobi_eigh's packed state."""
+    return _UPPER.index((min(i, j), max(i, j)))
+
+
+_DIAG_ROWS = [_packed_row(i, i) for i in range(4)]
+# a[0, 2], a[1, 2], a[0, 1], a[0, 3], a[1, 3], a[2, 3]: the order in which
+# np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) adds their squares
+_OFF_ROWS = [_packed_row(i, j) for i, j in ((0, 2), (1, 2), (0, 1), (0, 3), (1, 3), (2, 3))]
+# per cyclic rotation (p, q): the rows of a[p, p], a[q, q] and a[p, q], and
+# of the pairs (x, y) it turns, x's 6 rows then y's: (a[i, p], a[i, q]) for
+# i not p or q, and (v[r, p], v[r, q]) for every r
+_ROTATIONS = [
+    (_packed_row(p, p), _packed_row(q, q), _packed_row(p, q), np.array(
+        [[_packed_row(i, k) for i in range(4) if i != p and i != q] + [10 + 4 * r + k for r in range(4)]
+         for k in (p, q)]).reshape(-1))
+    for p, q in itertools.combinations(range(4), 2)
+]
+
+
 def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigensolver for a stack of real symmetric 4x4 matrices.
 
     Each matrix is swept until its off-diagonal Frobenius norm drops below
     _JACOBI_TOL relative to its norm; a converged matrix takes no further
-    rotations, so every matrix gets the arithmetic it would get alone.
-    Rotation-based, so degenerate eigenvalues (the symmetric-coupling case
-    has a double zero) need no special handling.  Returns (vals (N, 4),
-    vecs (N, 4, 4)): eigenvalues ascending, orthonormal eigenvectors as
-    columns, each signed so that its largest-magnitude entry is positive.
+    rotations, and none zeroes an a[p, q] that is already 0, so every
+    matrix gets the arithmetic it would get alone.  Rotation-based, so
+    degenerate eigenvalues (the symmetric-coupling case has a double zero)
+    need no special handling.  Returns (vals (N, 4), vecs (N, 4, 4)):
+    eigenvalues ascending, orthonormal eigenvectors as columns, each signed
+    so that its largest-magnitude entry is positive.
+
+    The stack is held as one packed (26, N) state: the 10 entries of a's
+    upper triangle (a stays exactly symmetric) and the 16 of v, a row per
+    entry.  A rotation (p, q) updates a[p, p] and a[q, q], zeroes a[p, q]
+    and turns 6 pairs (x, y) into (c x - s y, s x + c y) with one gather
+    and one scatter; it works on the whole state in place while every
+    block takes it, and on a gathered copy of the blocks that do once
+    some have converged.  Working memory is a few (26, N) arrays.
     """
     a = np.array(h, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
-    v = np.broadcast_to(np.eye(4), a.shape).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
     if not np.all(np.isfinite(scale)):
         raise ContractViolationError("blocks must have finite Frobenius norms")
+    n = a.shape[0]
+    state = np.empty((26, n))
+    state[:10] = a.reshape(n, 16)[:, [4 * i + j for i, j in _UPPER]].T
+    state[10:] = np.eye(4).reshape(16, 1)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) * 2.0)
+        sq = state[_OFF_ROWS] ** 2
+        off = np.sqrt(((sq[0] + sq[1]) + (((sq[2] + sq[3]) + sq[4]) + sq[5])) * 2.0)
         live = off > _JACOBI_TOL * scale
         if not live.any():
             break
-        for p, q in itertools.combinations(range(4), 2):
+        for pp, qq, pq, pairs in _ROTATIONS:
             # one two-sided rotation zeroing a[p, q] in every live block
             # where it is nonzero, accumulated into v
-            idx = np.flatnonzero(live & (a[:, p, q] != 0.0))
-            s_a, s_v = a[idx], v[idx]
-            apq, app, aqq = s_a[:, p, q].copy(), s_a[:, p, p].copy(), s_a[:, q, q].copy()
+            idx = (live & (state[pq] != 0.0)).nonzero()[0]
+            if idx.size == 0:
+                continue
+            sub = state if idx.size == n else state[:, idx]
+            apq, app, aqq = sub[pq], sub[pp], sub[qq]
             # libm atan2, not np.arctan2: on an AVX-512 Xeon numpy's SIMD
             # arctan2 differs from libm in the last bit on about 7% of
             # inputs, and using it changed every spectrum and moved the
@@ -157,25 +200,29 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # reference (62% of its 1e-12 gate).  np.cos/np.sin matched
             # math.cos/math.sin on all 1e6 inputs tested.
             y, x = (2.0 * apq).tolist(), (aqq - app).tolist()
-            phi = 0.5 * np.array(list(map(math.atan2, y, x)))
+            phi = 0.5 * np.fromiter(map(math.atan2, y, x), float, idx.size)
             c, s = np.cos(phi), np.sin(phi)
-            s_a[:, p, p] = c * c * app + s * s * aqq - 2.0 * s * c * apq
-            s_a[:, q, q] = s * s * app + c * c * aqq + 2.0 * s * c * apq
-            s_a[:, p, q] = s_a[:, q, p] = 0.0
-            rest = [i for i in range(4) if i != p and i != q]
-            aip, aiq = s_a[:, rest, p], s_a[:, rest, q]
-            c, s = c[:, None], s[:, None]
-            s_a[:, rest, p] = s_a[:, p, rest] = c * aip - s * aiq
-            s_a[:, rest, q] = s_a[:, q, rest] = c * aiq + s * aip
-            vip, viq = s_v[:, :, p].copy(), s_v[:, :, q].copy()
-            s_v[:, :, p] = c * vip - s * viq
-            s_v[:, :, q] = s * vip + c * viq
-            a[idx], v[idx] = s_a, s_v
+            sc2 = 2.0 * s * c * apq
+            ends = sub[[pp, qq]]
+            c_diag, s_diag = (c * c) * ends, (s * s) * ends
+            np.add(c_diag[0], s_diag[1], out=app)  # c^2 app + s^2 aqq - 2 s c apq
+            app -= sc2
+            np.add(s_diag[0], c_diag[1], out=aqq)  # s^2 app + c^2 aqq + 2 s c apq
+            aqq += sc2
+            apq[:] = 0.0
+            xy = sub[pairs]
+            cxy, sxy = c * xy, s * xy
+            np.subtract(cxy[:6], sxy[6:], out=xy[:6])
+            np.add(sxy[:6], cxy[6:], out=xy[6:])
+            sub[pairs] = xy
+            if sub is not state:
+                state[:, idx] = sub
     else:
         raise InternalConsistencyError("Jacobi sweeps failed to converge")
-    diag = np.diagonal(a, axis1=1, axis2=2)
+    diag = state[_DIAG_ROWS].T
     order = np.argsort(diag, axis=1, kind="stable")
     vals = np.take_along_axis(diag, order, axis=1)
+    v = state[10:].reshape(4, 4, n).transpose(2, 0, 1)
     vecs = np.take_along_axis(v, order[:, None, :], axis=2)
     pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
     vecs *= np.where(pivot < 0.0, -1.0, 1.0)
@@ -254,8 +301,12 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
     one frequency at any position.  The first time is summed directly, so
     neither one time nor the start of a grid has transform error (an
     entropy of sz near 1, as at T = 0, magnifies 1e-16 to several 1e-15).
-    Rows of coefs share one plan and are transformed in turn, so working
-    memory is a few grid-length arrays.  An empty grid gives empty rows;
+    Rows of coefs share one plan per kernel width (_plan: an M x width
+    kernel table, 20 doubles per term for the two widths) and are
+    transformed in turn, each spread _SPREAD_BLOCK kernel points at a time
+    (the same additions in the same order at any block size), so beside
+    the plans working memory is a few grid-length arrays and cache-sized
+    blocks, and no M x width temporary.  An empty grid gives empty rows;
     times off a uniform grid by more than _UNIFORM_ULPS * eps * max|T|
     raise InvalidParameterError.
     """
@@ -277,23 +328,36 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
     x = np.mod(w * h, _TWO_PI)
     j0 = n_t // 2  # output j is mode k = j - j0 of the transform
     n_fine = max(_UPSAMPLE * n_t, _MIN_FINE)
-    u = np.mod(x * (n_fine / _TWO_PI), n_fine)  # positions in fine-grid points, < n_fine
+    # positions in fine-grid points, in [0, n_fine): x < 2 pi, but the
+    # product may round up to n_fine, which wraps to 0 as np.mod would
+    u = x * (n_fine / _TWO_PI)
+    u[u >= n_fine] -= n_fine
     main, fix = (_plan(u, n_fine, width, n_t) for width in (_ES_WIDTH, _CORRECTION_WIDTH))
-    a = coefs * exp_i(w * t0)
+    a = coefs.astype(complex) if t0 == 0.0 else coefs * exp_i(w * t0)  # exp_i(0) is 1
     first = a.sum(axis=-1).real  # the first time, summed directly
     a *= exp_i(j0 * x)
     modes = np.empty(n_t, dtype=complex)
 
-    def transform(a_row: np.ndarray, index: np.ndarray, kernel: np.ndarray,
+    def transform(a_row: np.ndarray, starts: np.ndarray, kernel: np.ndarray,
                   inv_ft: np.ndarray) -> np.ndarray:
         # spread onto the fine grid padded by half a kernel at each end, in
-        # place (a bincount returns a grid-length temporary) and the real
-        # and imaginary parts in turn; fold the pads, inverse FFT, and the
-        # modes over the kernel's Fourier transform
-        half = kernel.shape[1] // 2
+        # place (a bincount returns a grid-length temporary), the real and
+        # imaginary parts of _SPREAD_BLOCK kernel points at a time; fold
+        # the pads, inverse FFT, and the modes over the kernel's Fourier
+        # transform
+        m, width = kernel.shape
+        half = width // 2
         padded = np.zeros(n_fine + 2 * half, dtype=complex)
-        np.add.at(padded.real, index, (a_row.real[:, None] * kernel).reshape(-1))
-        np.add.at(padded.imag, index, (a_row.imag[:, None] * kernel).reshape(-1))
+        rows, points = max(_SPREAD_BLOCK // width, 1), np.arange(width)
+        spread = np.empty((min(rows, m), width))
+        index = np.empty((min(rows, m), width), dtype=np.int64)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            block = spread[:hi - lo]
+            at = np.add(starts[lo:hi, None], points, out=index[:hi - lo]).reshape(-1)
+            for part, grid in ((a_row.real, padded.real), (a_row.imag, padded.imag)):
+                np.multiply(part[lo:hi, None], kernel[lo:hi], out=block)
+                np.add.at(grid, at, block.reshape(-1))
         fine = padded[half:half + n_fine]
         fine[:half] += padded[n_fine + half:]
         fine[n_fine - half:] += padded[:half]
@@ -302,9 +366,10 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
         np.multiply(modes, inv_ft, out=modes)
         return modes.real
 
+    i_w = 1j * w.astype(float)
     for row, a_row in zip(out.reshape(-1, n_t), a.reshape(first.size, w.size)):
         row[:] = transform(a_row, *main)
-        fixed = transform(1j * w.astype(float) * a_row, *fix)
+        fixed = transform(i_w * a_row, *fix)
         row += np.multiply(fixed, delta, out=fixed)
     out[..., 0] = first
     return out
@@ -319,11 +384,15 @@ def exp_i(phase: np.ndarray) -> np.ndarray:
 
 
 def _plan(u: np.ndarray, n_fine: int, width: int, n_t: int) -> tuple[np.ndarray, ...]:
-    """What trig_sum's transforms with one kernel width share: each kernel
-    point's index on the fine grid padded by width / 2 at each end; the
-    kernel values (M, width) at offsets from the long-double positions u;
-    and 1 / the kernel's Fourier transform at the modes,
+    """What trig_sum's transforms with one kernel width share: the index of
+    each term's first kernel point on the fine grid padded by width / 2 at
+    each end, (M,); the kernel values (M, width) at offsets from the
+    long-double positions u; and 1 / the kernel's Fourier transform at the
+    modes,
     (width / 2) int_{-1}^{1} exp(beta (sqrt(1 - z^2) - 1)) cos(k z width pi / n_fine) dz.
+    The kernel table is filled _SPREAD_BLOCK points at a time and the
+    transform from (nodes, modes) cosine tables of about as many entries,
+    so beside the M x width table the working memory is a few such blocks.
     """
     beta = _ES_BETA_PER_POINT * width
     half = width // 2
@@ -331,14 +400,37 @@ def _plan(u: np.ndarray, n_fine: int, width: int, n_t: int) -> tuple[np.ndarray,
     # (the cast truncates u >= 0; np.floor is slow in long double)
     start = u.astype(np.int64) + (1 - half)
     off = (start - u).astype(float)  # in (-half, 1 - half]
-    z = (off[:, None] + np.arange(width)) * (2.0 / width)  # in (-1, 1]
-    kernel = np.exp(-beta * z * z / (1.0 + np.sqrt(1.0 - z * z)))  # without cancellation
-    index = ((start + half)[:, None] + np.arange(width)).reshape(-1)
+    m = u.size
+    kernel = np.empty((m, width))
+    rows, points = max(_SPREAD_BLOCK // width, 1), np.arange(width)
+    z, den = np.empty((2, min(rows, m), width))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        zb, db, kb = z[:hi - lo], den[:hi - lo], kernel[lo:hi]
+        np.add(off[lo:hi, None], points, out=zb)
+        zb *= 2.0 / width  # in (-1, 1]
+        # exp(-beta z^2 / (1 + sqrt(1 - z^2))): without cancellation
+        np.multiply(zb, -beta, out=kb)
+        kb *= zb
+        np.multiply(zb, zb, out=db)
+        np.subtract(1.0, db, out=db)
+        np.sqrt(db, out=db)
+        db += 1.0
+        kb /= db
+        np.exp(kb, out=kb)
     j0 = n_t // 2
     k = np.arange(max(j0, n_t - 1 - j0) + 1.0)
-    ft = np.zeros(k.size)
-    for node, weight in zip(_GL_Z * (width * np.pi / n_fine), _GL_W * np.exp(-2.0 * beta * _GL_HALF_SQ)):
-        ft += weight * np.cos(node * k)  # node by node: no (modes, nodes) table
+    nodes = _GL_Z * (width * np.pi / n_fine)
+    weights = (_GL_W * np.exp(-2.0 * beta * _GL_HALF_SQ))[:, None]
+    ft = np.empty(k.size)
+    # add.reduce over axis 0 adds node by node, but sums a one-mode table
+    # pairwise: the last chunk takes a lone last mode along, and only a
+    # one-time grid, whose sum trig_sum takes directly, has one mode
+    chunk = max(_SPREAD_BLOCK // nodes.size, 2)
+    for lo in range(0, max(k.size - 1, 1), chunk):
+        hi = k.size if k.size - lo < chunk + 2 else lo + chunk
+        table = np.cos(np.multiply.outer(nodes, k[lo:hi]))
+        table *= weights
+        np.add.reduce(table, axis=0, out=ft[lo:hi])
     inv_ft = 1.0 / (width * ft)
-    return index, kernel, np.concatenate([inv_ft[j0:0:-1], inv_ft[:n_t - j0]])
-
+    return start + half, kernel, np.concatenate([inv_ft[j0:0:-1], inv_ft[:n_t - j0]])

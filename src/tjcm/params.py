@@ -100,13 +100,6 @@ def _amplitude_table(alpha: float, cutoff_eps: float) -> list[float]:
     return c
 
 
-def fock_cutoff(alpha: float, cutoff_eps: float) -> int:
-    """Truncation index n_max of the coherent amplitude table: where its
-    excluded tail mass falls below cutoff_eps, floored at
-    ``truncation_floor(alpha)``."""
-    return len(_amplitude_table(alpha, cutoff_eps)) - 1
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical configuration of the two-atom multiphoton model.
@@ -192,8 +185,9 @@ class FockWeights:
 
 
 def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> FockWeights:
-    """Coherent-state amplitude table C_0..C_{n_max}, truncated at
-    ``fock_cutoff``.
+    """Coherent-state amplitude table C_0..C_{n_max}, truncated where its
+    excluded tail mass falls below cutoff_eps, floored at
+    ``truncation_floor(alpha)``.
 
     The truncation keeps the dropped tail below cutoff_eps, so a total
     weight short of 1 - cutoff_eps is the recurrence's own rounding, and a

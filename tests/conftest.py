@@ -7,12 +7,14 @@ suite share one computation.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tjcm import InternalConsistencyError, oracle
+from tjcm import ContractViolationError, InternalConsistencyError, blocks, oracle
 from tjcm.blocks import _NORM_TOL, check_phase_conditioning, eigen_table
 from tjcm.params import coherent_weights
 from tjcm.reduced import AtomId, max_deviation, reduced_states
@@ -65,6 +67,56 @@ def amplitudes(spectrum, ts, long_double=False) -> np.ndarray:
     if norm_dev > _NORM_TOL:
         raise InternalConsistencyError(f"amplitude norm deviates from 1 by {norm_dev:.3e}")
     return x
+
+
+def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """blocks.jacobi_eigh as it was written on the (N, 4, 4) stack: the same
+    cyclic rotations, formulas, convergence mask, sort and sign fix, about
+    60 fancy-indexed operations per rotation.  jacobi_eigh must give its
+    eigenvalues and eigenvectors bit for bit."""
+    a = np.array(h, dtype=float)
+    if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
+        raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
+    v = np.broadcast_to(np.eye(4), a.shape).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+    if not np.all(np.isfinite(scale)):
+        raise ContractViolationError("blocks must have finite Frobenius norms")
+    for _ in range(blocks._JACOBI_MAX_SWEEPS):
+        off = np.sqrt(np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) * 2.0)
+        live = off > blocks._JACOBI_TOL * scale
+        if not live.any():
+            break
+        for p, q in itertools.combinations(range(4), 2):
+            # one two-sided rotation zeroing a[p, q] in every live block
+            # where it is nonzero, accumulated into v
+            idx = np.flatnonzero(live & (a[:, p, q] != 0.0))
+            s_a, s_v = a[idx], v[idx]
+            apq, app, aqq = s_a[:, p, q].copy(), s_a[:, p, p].copy(), s_a[:, q, q].copy()
+            y, x = (2.0 * apq).tolist(), (aqq - app).tolist()
+            phi = 0.5 * np.array(list(map(math.atan2, y, x)))  # libm atan2
+            c, s = np.cos(phi), np.sin(phi)
+            s_a[:, p, p] = c * c * app + s * s * aqq - 2.0 * s * c * apq
+            s_a[:, q, q] = s * s * app + c * c * aqq + 2.0 * s * c * apq
+            s_a[:, p, q] = s_a[:, q, p] = 0.0
+            rest = [i for i in range(4) if i != p and i != q]
+            aip, aiq = s_a[:, rest, p], s_a[:, rest, q]
+            c, s = c[:, None], s[:, None]
+            s_a[:, rest, p] = s_a[:, p, rest] = c * aip - s * aiq
+            s_a[:, rest, q] = s_a[:, q, rest] = c * aiq + s * aip
+            vip, viq = s_v[:, :, p].copy(), s_v[:, :, q].copy()
+            s_v[:, :, p] = c * vip - s * viq
+            s_v[:, :, q] = s * vip + c * viq
+            a[idx], v[idx] = s_a, s_v
+    else:
+        raise InternalConsistencyError("Jacobi sweeps failed to converge")
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(diag, axis=1, kind="stable")
+    vals = np.take_along_axis(diag, order, axis=1)
+    vecs = np.take_along_axis(v, order[:, None, :], axis=2)
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
+    vecs *= np.where(pivot < 0.0, -1.0, 1.0)
+    return vals, vecs
 
 
 def reduced_direct(weights, l, g, ts):

@@ -3,6 +3,7 @@ directly by conftest.amplitudes, the reference for the package's trig sums)."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tjcm import (
     AtomId,
     ContractViolationError,
+    InternalConsistencyError,
     InvalidParameterError,
     block_matrices,
     closed_form_x,
@@ -19,9 +21,12 @@ from tjcm import (
     eigen_table,
     reduced_states,
 )
+from tjcm import blocks as blocks_module
 from tjcm.blocks import jacobi_eigh, transition_strength
 
-from conftest import amplitudes
+from conftest import amplitudes, jacobi_reference
+
+SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "sweep.npz"
 
 
 def block(n, l, g):
@@ -193,6 +198,74 @@ def test_batched_spectrum_matches_each_block_alone(l):
             one_vals, one_vecs = jacobi_eigh(h[n:n + 1])
             assert np.array_equal(vals[n:n + 1], one_vals)
             assert np.array_equal(vecs[n:n + 1], one_vecs)
+
+
+def assert_reference_arithmetic(h):
+    """jacobi_eigh gives jacobi_reference's eigenvalues and eigenvectors
+    bit for bit."""
+    vals, vecs = jacobi_eigh(h)
+    ref_vals, ref_vecs = jacobi_reference(h)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def test_jacobi_bitwise_reference_on_sweep_stacks():
+    """The blocks of the benchmark's 24 default-seed sweep ops, over the
+    window reduced_states diagonalizes and from n = 0."""
+    with np.load(SWEEP_REFERENCE) as z:
+        params = z["params"]
+    assert params.shape == (24, 3)
+    for alpha, g, l in params:
+        w = coherent_weights(float(alpha))
+        for n_min in {0, w.window(int(l))[0]}:
+            assert_reference_arithmetic(block_matrices(w.n_max, int(l), float(g), n_min))
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-3, 1.0, 1e3])
+def test_jacobi_bitwise_reference_across_couplings(g):
+    for l in (1, 2, 3):
+        assert_reference_arithmetic(block_matrices(150, l, g))
+
+
+def test_jacobi_bitwise_reference_when_blocks_converge_at_different_sweeps(monkeypatch):
+    """Dense random blocks interleaved with nearly and exactly diagonal
+    ones, over six decades of scale, so that after the first sweep only
+    some blocks still rotate (the gathered path): the nearly diagonal
+    blocks converge within three sweeps, where the dense ones do not."""
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 60, 1, 1))
+    m = rng.normal(size=(60, 4, 4))
+    dense = scale[0] * (m + m.transpose(0, 2, 1))
+    e = 1e-9 * rng.normal(size=(60, 4, 4))
+    near = scale[1] * (np.eye(4) * rng.normal(size=(60, 1, 4)) + e + e.transpose(0, 2, 1))
+    diagonal = scale[2] * np.eye(4) * rng.normal(size=(60, 1, 4))
+    h = np.stack([dense, near, diagonal], axis=1).reshape(180, 4, 4)
+    assert_reference_arithmetic(h)
+    monkeypatch.setattr(blocks_module, "_JACOBI_MAX_SWEEPS", 3)
+    jacobi_eigh(np.concatenate([near, diagonal]))
+    with pytest.raises(InternalConsistencyError):
+        jacobi_eigh(dense)
+
+
+def test_jacobi_bitwise_reference_with_exact_zero_off_diagonals():
+    """Blocks whose off-diagonal entries are exactly 0 in every pattern
+    (each of the 64 subsets of the 6 pairs), which rotations skip until
+    another rotation fills them, and all-zero blocks."""
+    rng = np.random.default_rng(12)
+    rows, cols = np.triu_indices(4, 1)
+    h = np.zeros((64, 4, 4))
+    for n in range(64):
+        h[n] = np.diag(rng.normal(size=4))
+        on = [(n >> bit) & 1 == 1 for bit in range(6)]
+        h[n, rows[on], cols[on]] = h[n, cols[on], rows[on]] = rng.normal(size=sum(on))
+    assert_reference_arithmetic(h)
+    assert_reference_arithmetic(np.zeros((3, 4, 4)))
+
+
+def test_jacobi_refuses_sweeps_that_do_not_converge(monkeypatch):
+    monkeypatch.setattr(blocks_module, "_JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(InternalConsistencyError, match="failed to converge"):
+        jacobi_eigh(block_matrices(30, 1, 0.5))
 
 
 def test_evolve_identity_at_t_zero():

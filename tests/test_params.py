@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tjcm import FockWeights, InvalidParameterError, ModelParams, coherent_weights, fock_cutoff
+from tjcm import FockWeights, InvalidParameterError, ModelParams, coherent_weights
 from tjcm.params import WINDOW_FRACTION, truncation_floor
 
 
@@ -50,9 +50,9 @@ def test_truncation_floor_applied():
 
 def test_tail_rule_dominates_floor_for_tiny_eps():
     # at alpha = 5 the floor (95) exceeds any reasonable tail index
-    assert fock_cutoff(5.0, 1e-12) == 95
+    assert coherent_weights(5.0, 1e-12).n_max == 95
     # a loose eps still keeps the floor
-    assert fock_cutoff(5.0, 1e-2) == 95
+    assert coherent_weights(5.0, 1e-2).n_max == 95
 
 
 def test_invalid_parameters_rejected():
@@ -92,7 +92,7 @@ def running_mass_cutoff(alpha, eps):
 def test_tail_bound_keeps_running_mass_truncation():
     for alpha in np.linspace(0.0, 30.0, 121):
         for eps in (1e-4, 1e-8, 1e-12):
-            assert fock_cutoff(float(alpha), eps) == running_mass_cutoff(float(alpha), eps)
+            assert coherent_weights(float(alpha), eps).n_max == running_mass_cutoff(float(alpha), eps)
 
 
 def test_eps_below_weight_rounding_is_named():
@@ -117,7 +117,7 @@ def test_weights_validation():
 
 def test_model_params_derives_n_max():
     p = ModelParams(alpha=5.0, g=0.5, l=2)
-    assert p.n_max == fock_cutoff(5.0, p.cutoff_eps) == 95
+    assert p.n_max == coherent_weights(5.0, p.cutoff_eps).n_max == 95
 
 
 @given(

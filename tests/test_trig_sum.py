@@ -12,7 +12,7 @@ these tests), under a four-hundredth of what any of the four losses costs.
 import numpy as np
 import pytest
 
-from tjcm import InvalidParameterError
+from tjcm import InvalidParameterError, blocks
 from tjcm.blocks import trig_sum
 
 LD = np.longdouble
@@ -75,6 +75,25 @@ def test_trig_sum_one_frequency_worst_case():
             freq = np.array([(point + frac) * 2.0 * np.pi / 7500.0 / 2.0 ** -7])
             err = np.abs(trig_sum(freq, [1.0], times) - direct(freq, [1.0], times))
             assert np.max(err) <= TOL, (point, frac)
+
+
+def test_trig_sum_bitwise_independent_of_block_size(monkeypatch):
+    """The kernel table is filled, and the terms spread, _SPREAD_BLOCK
+    kernel points at a time, and the kernel's transform is summed from
+    cosine tables of about as many entries: the same operations in the
+    same order at any size.  One kernel row per block (two modes per
+    table), and one block for the whole table, give the default's sums bit
+    for bit, on grids of 2, 3 and 700 times (351 modes, more than one
+    table at the default), forward and backward, from T = 0 and not."""
+    freqs, coefs = random_sum(8, 300, 0.0, 400.0)
+    rows = np.stack([coefs, -1j * coefs.real, coefs.conj()])
+    cases = [(rows, np.linspace(0.0, 25.0, 700)), (coefs, np.linspace(7.5, -17.5, 700)),
+             (coefs.real, np.linspace(0.0, 1.0, 2)), (rows, np.linspace(-1.0, 2.0, 3))]
+    default = [trig_sum(freqs, c, times) for c, times in cases]
+    for block in (1, 1000, 10**9, blocks._SPREAD_BLOCK):
+        monkeypatch.setattr(blocks, "_SPREAD_BLOCK", block)
+        for (c, times), expected in zip(cases, default):
+            assert np.array_equal(trig_sum(freqs, c, times), expected)
 
 
 def test_trig_sum_on_an_empty_grid():
