@@ -341,23 +341,20 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndar
     def transform(a_row: np.ndarray, starts: np.ndarray, kernel: np.ndarray,
                   inv_ft: np.ndarray) -> np.ndarray:
         # spread onto the fine grid padded by half a kernel at each end, in
-        # place (a bincount returns a grid-length temporary), the real and
-        # imaginary parts of _SPREAD_BLOCK kernel points at a time; fold
-        # the pads, inverse FFT, and the modes over the kernel's Fourier
-        # transform
+        # place (a bincount returns a grid-length temporary),
+        # _SPREAD_BLOCK complex kernel points at a time; fold the pads,
+        # inverse FFT, and the modes over the kernel's Fourier transform
         m, width = kernel.shape
         half = width // 2
         padded = np.zeros(n_fine + 2 * half, dtype=complex)
         rows, points = max(_SPREAD_BLOCK // width, 1), np.arange(width)
-        spread = np.empty((min(rows, m), width))
+        spread = np.empty((min(rows, m), width), dtype=complex)
         index = np.empty((min(rows, m), width), dtype=np.int64)
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
-            block = spread[:hi - lo]
+            block = np.multiply(a_row[lo:hi, None], kernel[lo:hi], out=spread[:hi - lo])
             at = np.add(starts[lo:hi, None], points, out=index[:hi - lo]).reshape(-1)
-            for part, grid in ((a_row.real, padded.real), (a_row.imag, padded.imag)):
-                np.multiply(part[lo:hi, None], kernel[lo:hi], out=block)
-                np.add.at(grid, at, block.reshape(-1))
+            np.add.at(padded, at, block.reshape(-1))
         fine = padded[half:half + n_fine]
         fine[:half] += padded[n_fine + half:]
         fine[n_fine - half:] += padded[:half]

@@ -9,15 +9,16 @@ structure: it shares only the weight table, the reduced-state types and
 transition_strength (tested on its own against exact factorials), so
 agreement with the analytic route is evidence rather than tautology.
 
-Operators are numpy arrays of values on one CSR sparsity pattern S, the
-fixed point of S <- S | pattern(S S) seeded with pattern(I + H).  S is
-found from the nonzeros of H alone; since H conserves excitation number,
-it stays as sparse as one RK4 step, while a general H would only make it
-denser.  Because S is closed under products, H, I, the one-step operator
-and all its powers live on S, and the plan of the product S S (which
-pairs of slots meet in which output slot) is computed once, symbolically
-(Gustavson, ACM TOMS 4 (1978) 250).  A numeric product is then one
-gather-multiply and one segmented sum, and so is a matvec.
+Every operator is a polynomial in H, so it vanishes between the
+connected components of H's nonzeros: held dense on each component, the
+stack of blocks is the smallest storage closed under products.  The
+components come from the nonzeros of H alone, by label propagation, not
+from the block basis; since H conserves excitation number they stay
+small, while a general H would merge them into one.  H, the one-step
+operator and its powers are (K, s, s) stacks over the components' index
+(K, s), padded to the largest component s by a slot coupled to nothing.
+A product is one stacked np.matmul; a matvec is a gather, one stacked
+product and a scatter.
 
 State layout: amp[s1, s2, n] with s = 0 for |+> and 1 for |->, flattened
 C-order into a vector of length 4 (n_f + 1).
@@ -42,88 +43,41 @@ DT_MAX = 1e-3
 _LAM_MAX = (0.5 * np.finfo(float).max) ** 0.2
 
 
-@dataclass(frozen=True)
-class ClosedPattern:
-    """CSR sparsity pattern S with pattern(S S) = S, plus the plan of S S.
-
-    Slot k holds entry (rows[k], indices[k]); slots are sorted by row, then
-    column.  The product of two operators on S sums a[left[q]] * b[right[q]]
-    over the pairs q in [starts[k], starts[k + 1]) into slot k.  Every row
-    holds its diagonal, so no row and no output segment is empty.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    starts: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.indptr.size - 1
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-    def identity(self) -> np.ndarray:
-        return (self.rows == self.indices).astype(float)
-
-    def slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Slot of each entry (rows[i], cols[i]), all of which lie on S."""
-        return np.searchsorted(self.rows * self.dim + self.indices, rows * self.dim + cols)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Values on S of the product of the operators with values a, b."""
-        return np.add.reduceat(a[self.left] * b[self.right], self.starts)
-
-    def matvec(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The operator with values a applied to the vector x."""
-        return np.add.reduceat(a * x[self.indices], self.indptr[:-1])
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal sorted keys (a
-    hand-rolled np.unique, which would import numpy.ma on first use)."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-
-
-def close_pattern(dim: int, rows: np.ndarray, cols: np.ndarray) -> ClosedPattern:
-    """Smallest pattern closed under products that holds the diagonal and
-    the given entries, found by repeated expand-sort-compress products."""
-    keys = np.sort(np.concatenate([np.arange(dim) * (dim + 1), rows * dim + cols]))
-    keys = keys[_run_starts(keys)]
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on range(dim) with the edges
+    (rows[i], cols[i]), as an index (K, s): row k lists component k's
+    nodes in ascending order, padded with dim to the largest size s.
+    Components come in the order of their smallest nodes, which label
+    propagation with pointer jumping finds as each node's label."""
+    label = np.arange(dim)
     while True:
-        slot_rows, indices = np.divmod(keys, dim)
-        indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slot_rows, minlength=dim), out=indptr[1:])
-        # every pair of slots (a, b) with column(a) == row(b): slot a once
-        # per slot of row column(a), and b running along that row
-        counts = np.diff(indptr)[indices]
-        first = np.cumsum(counts) - counts
-        left = np.repeat(np.arange(keys.size), counts)
-        right = np.arange(left.size) + np.repeat(indptr[indices] - first, counts)
-        out = slot_rows[left] * dim + indices[right]
-        order = np.argsort(out, kind="stable")
-        out = out[order]
-        starts = _run_starts(out)
-        # the diagonal puts S inside pattern(S S): equal sizes mean a fixed point
-        if starts.size == keys.size:
-            return ClosedPattern(indptr, indices, slot_rows, left[order], right[order], starts)
-        keys = out[starts]
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # a hand-rolled np.unique, which would import numpy.ma on first use
+    order = np.argsort(label, kind="stable")
+    comp = np.searchsorted(np.flatnonzero(label == np.arange(dim)), label[order])
+    sizes = np.bincount(comp)
+    index = np.full((sizes.size, sizes.max(initial=0)), dim)
+    index[comp, np.arange(dim) - (np.cumsum(sizes) - sizes)[comp]] = order
+    return index
 
 
 @dataclass(frozen=True)
 class JointHamiltonian:
-    """Real symmetric interaction matrix on the product space, as values
-    on the product-closed pattern of its nonzeros."""
+    """Real symmetric interaction matrix on the product space, as dense
+    blocks over the connected components of its nonzeros: blocks[k] is H
+    on the nodes index[k], whose pad slots dim are coupled to nothing."""
 
     l: int
     g: float
     n_f: int
-    pattern: ClosedPattern
-    values: np.ndarray
+    index: np.ndarray
+    blocks: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -132,7 +86,7 @@ class JointHamiltonian:
     @cached_property
     def norm_inf(self) -> float:
         """||H||_inf, the largest absolute row sum."""
-        return float(np.add.reduceat(np.abs(self.values), self.pattern.indptr[:-1]).max())
+        return float(np.abs(self.blocks).sum(axis=2).max(initial=0.0))
 
 
 def build_joint_hamiltonian(l: int, g: float, n_f: int) -> JointHamiltonian:
@@ -159,13 +113,17 @@ def build_joint_hamiltonian(l: int, g: float, n_f: int) -> JointHamiltonian:
     upper = np.concatenate([b * n1 + n + l for _, b, _ in flips])
     weights = np.concatenate([w * f for _, _, w in flips])
     # each (row, column) appears once, as each coupling flips one atom
-    nonzero = np.tile(weights != 0.0, 2)
-    rows = np.concatenate([upper, lower])[nonzero]
-    cols = np.concatenate([lower, upper])[nonzero]
-    pattern = close_pattern(4 * n1, rows, cols)
-    values = np.zeros(pattern.nnz)
-    values[pattern.slots(rows, cols)] = np.tile(weights, 2)[nonzero]
-    return JointHamiltonian(l=l, g=g, n_f=n_f, pattern=pattern, values=values)
+    nonzero = weights != 0.0
+    lower, upper, weights = lower[nonzero], upper[nonzero], weights[nonzero]
+    index = _components(4 * n1, lower, upper)
+    # each node's flat position (component, slot) in index; the pad's is moot
+    at = np.empty(4 * n1 + 1, dtype=np.int64)
+    at[index] = np.arange(index.size).reshape(index.shape)
+    k, i = np.divmod(at[lower], index.shape[1])
+    j = at[upper] % index.shape[1]
+    blocks = np.zeros(index.shape + index.shape[1:])
+    blocks[k, i, j] = blocks[k, j, i] = weights
+    return JointHamiltonian(l=l, g=g, n_f=n_f, index=index, blocks=blocks)
 
 
 def initial_state(weights: FockWeights, h: JointHamiltonian) -> np.ndarray:
@@ -213,7 +171,7 @@ def rk4_evolve(h: JointHamiltonian, psi0: np.ndarray, T: float, dt: float) -> np
     P = R(-i step H) and R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4
     stability polynomial, by binary powering: about log2(m) products
     instead of 4m matvecs.  P and its powers are polynomials in H, so they
-    all live on H's closed pattern.  No renormalization is applied: the
+    all live on H's component blocks.  No renormalization is applied: the
     norm drift is itself a diagnostic, and a drift beyond NORM_DRIFT_TOL
     raises StepSizeError.  The requested dt must respect the stability
     margin dt <= 0.5 / ||H||_inf.
@@ -230,18 +188,20 @@ def rk4_evolve(h: JointHamiltonian, psi0: np.ndarray, T: float, dt: float) -> np
         return psi
     steps = max(1, math.ceil(T / dt))
     z = -1j * (T / steps)
-    pattern = h.pattern
-    eye = pattern.identity()
-    p = eye + (z / 4.0) * h.values
+    eye = np.eye(h.index.shape[1])
+    p = eye + (z / 4.0) * h.blocks
     for d in (3.0, 2.0, 1.0):
-        p = eye + (z / d) * pattern.matmul(h.values, p)
+        p = eye + (z / d) * (h.blocks @ p)
+    # psi padded by the slot dim, which P maps to 0 from 0
+    psi = np.append(psi, 0.0)
     k = steps
     while k:
         if k & 1:
-            psi = pattern.matvec(p, psi)
+            psi[h.index] = (p @ psi[h.index][..., None])[..., 0]
         k >>= 1
         if k:
-            p = pattern.matmul(p, p)
+            p = p @ p
+    psi = psi[:-1]
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if drift > NORM_DRIFT_TOL:
         raise StepSizeError(
@@ -260,7 +220,7 @@ def sample_states(
 
     Times must be non-decreasing; integration continues from the previous
     sample with one rk4_evolve per interval, so each interval keeps its own
-    step size and costs about log2(steps) products on the closed pattern.
+    step size and costs about log2(steps) products of the component blocks.
     """
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) < 0.0):

@@ -20,15 +20,17 @@ from tjcm.blocks import transition_strength
 from conftest import excitation_expectation
 
 
-def dense(pattern, values):
-    """The operator with the given values on the pattern, as a dense array."""
-    out = np.zeros((pattern.dim, pattern.dim), dtype=np.asarray(values).dtype)
-    out[pattern.rows, pattern.indices] = values
-    return out
+def dense(h, blocks):
+    """The operator with the given (K, s, s) blocks over h's components, as
+    a dense array (the pad slot dim is dropped)."""
+    blocks = np.asarray(blocks)
+    out = np.zeros((h.dim + 1, h.dim + 1), dtype=blocks.dtype)
+    out[h.index[:, :, None], h.index[:, None, :]] = blocks
+    return out[:-1, :-1]
 
 
 def dense_h(h):
-    return dense(h.pattern, h.values)
+    return dense(h, h.blocks)
 
 
 def test_joint_hamiltonian_symmetric():
@@ -222,21 +224,22 @@ def test_rk4_powering_matches_stepped_reference(alpha, g, l, T, steps):
     assert np.max(np.abs(psi - _stepped_rk4(h, psi0, T, dt))) < 1e-12
 
 
-# nnz of the closed pattern at dim 392 (l = 1) and 400 (l = 2) for g > 0:
-# the one-step operator's nnz, as excitation conservation keeps it sparse
+# sum of squared component sizes at dim 392 (l = 1) and 400 (l = 2) for
+# g > 0: the nnz of the smallest product-closed pattern, which is the one-step
+# operator's, as excitation conservation keeps the components small
 CLOSED_NNZ = {392: 1556, 400: 1576}
 
 
 @pytest.mark.parametrize("alpha, g, l, T, steps", POWERING_CASES)
 def test_rk4_step_operator_powers_stay_sparse(alpha, g, l, T, steps):
-    # S S lies inside S, and every power of the one-step operator that
-    # binary powering forms, computed densely, vanishes off S
+    # the component cliques S are closed under products, and every power of
+    # the one-step operator that binary powering forms, computed densely,
+    # vanishes off S
     h, _, dt = _case(alpha, g, l, T, steps)
-    s = h.pattern
-    on_s = dense(s, np.ones(s.nnz, dtype=int))
+    on_s = dense(h, np.ones(h.blocks.shape, dtype=int))
     assert np.all(on_s[(on_s @ on_s) > 0] == 1)
     if g > 0.0:
-        assert s.nnz == CLOSED_NNZ[h.dim]
+        assert np.sum(np.sum(h.index < h.dim, axis=1) ** 2) == CLOSED_NNZ[h.dim]
     steps = max(1, math.ceil(T / dt))
     zh = (-1j * (T / steps)) * dense_h(h)
     term = np.eye(h.dim, dtype=complex)
@@ -251,29 +254,27 @@ def test_rk4_step_operator_powers_stay_sparse(alpha, g, l, T, steps):
 
 @pytest.mark.parametrize("alpha, g, l", [(5.0, 0.5, 1), (5.0, 0.5, 2), (5.0, 0.0, 1)])
 def test_closed_pattern_products_match_dense(alpha, g, l):
+    # the stacked product of the component blocks is H H, and nothing
+    # couples to the pad slot
     w = coherent_weights(alpha)
-    s = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l).pattern
-    rng = np.random.default_rng(3)
-    a, b, x = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (s.nnz, s.nnz, s.dim))
-    ab = dense(s, a) @ dense(s, b)
-    assert np.max(np.abs(dense(s, s.matmul(a, b)) - ab)) < 1e-12 * np.max(np.abs(ab))
-    assert np.max(np.abs(s.matvec(a, x) - dense(s, a) @ x)) < 1e-12 * np.max(np.abs(x))
-    assert np.array_equal(dense(s, s.identity()), np.eye(s.dim))
+    h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
+    hh = dense_h(h) @ dense_h(h)
+    assert np.max(np.abs(dense(h, h.blocks @ h.blocks) - hh)) < 1e-12 * np.max(np.abs(hh))
+    pad = h.index == h.dim
+    assert np.all(h.blocks[pad] == 0.0) and np.all(h.blocks.transpose(0, 2, 1)[pad] == 0.0)
 
 
-def test_closed_pattern_of_a_general_matrix():
-    # a path 0 - 1 - ... - 5 conserves nothing: both directions close to the
-    # full 6 x 6 pattern, one direction to the upper triangle, and products
-    # on either still match dense arithmetic
+def test_components():
+    # a path 0 - 1 - ... - 5 conserves nothing and is one component; no edges
+    # leave singletons; two disjoint paths and a lone node are three
+    # components, padded by dim
     up, down = np.arange(5), np.arange(1, 6)
-    rng = np.random.default_rng(4)
-    for rows, cols, nnz in [(np.r_[up, down], np.r_[down, up], 36), (up, down, 21)]:
-        s = oracle.close_pattern(6, rows, cols)
-        assert s.nnz == nnz
-        a, b = rng.normal(size=(2, nnz))
-        assert np.max(np.abs(dense(s, s.matmul(a, b)) - dense(s, a) @ dense(s, b))) < 1e-14
-    # no entries close to the diagonal
-    assert oracle.close_pattern(3, np.array([], int), np.array([], int)).nnz == 3
+    assert np.array_equal(oracle._components(6, up, down), [np.arange(6)])
+    assert np.array_equal(oracle._components(6, down, up), [np.arange(6)])
+    none = np.array([], dtype=int)
+    assert np.array_equal(oracle._components(3, none, none), [[0], [1], [2]])
+    rows, cols = np.array([4, 0, 5]), np.array([2, 3, 4])
+    assert np.array_equal(oracle._components(6, rows, cols), [[0, 3, 6], [1, 6, 6], [2, 4, 5]])
 
 
 def test_norm_and_excitation_conserved():
