@@ -38,8 +38,32 @@ DEFAULT_MAX_ORACLE_DIM = 8192
 VERIFY_SEED = 0
 STATE_DEV_TOL = 1e-8
 EUR_TOL = 1e-10
-# Rows that write_csv converts to Python floats at a time.
-_CSV_ROWS = 128
+# Values that write_csv formats at a time.
+_CSV_VALUES = 4096
+# The exact digits need a long double with a 64-bit significand (x87).
+_FAST_DIGITS = np.finfo(np.longdouble).nmant >= 63
+# 2**7 * 10**k for k = 0..27, each exact: 5**27 < 2**63.
+_DIGIT_SCALE = 128 * np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+_EXPONENTS = range(-11, 16)
+_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+# The decimal digits of 0..9999, most significant first.
+_QUAD = np.indices((10,) * 4, np.uint8).reshape(4, 10000)
+
+
+def _byte_columns(texts: list[str], width: int) -> np.ndarray:
+    """ASCII texts as the columns of a (width, len(texts)) uint8 table,
+    padded with NUL."""
+    table = np.array(texts, dtype=f"S{width}").view(np.uint8)
+    return table.reshape(-1, width).T.copy()
+
+
+# Per decimal exponent x of the fast range, and sign: the sign and the
+# "0.000" of -4 <= x < 0; per x: the "e-XX" of x < -4, and the digit that
+# the point follows (17: none, the point is in the prefix).
+_HEAD = _byte_columns([sign + ("0." + "0" * (-x - 1) if -4 <= x < 0 else "")
+                       for x in _EXPONENTS for sign in ("", "-")], 6)
+_TAIL = _byte_columns([f"e-{-x:02d}" if x < -4 else "" for x in _EXPONENTS], 4)
+_POINT = np.array([x if x >= 0 else 17 if x >= -4 else 0 for x in _EXPONENTS], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -301,15 +325,81 @@ def run_verify(
     )
 
 
+def _format_17g(block: np.ndarray) -> str:
+    """The rows of a (rows, cols) float block as CSV lines: the bytes of
+    f"{v:.17g}" for each value, joined by "," and ended by "\\n".
+
+    Values with 1e-11 <= |v| < 1e16 get their 17 significant digits in
+    numpy: with x = floor(log10 |v|), q = |v| * 2**7 * 10**(16 - x) is one
+    long-double product (the factor is exact), so q is within 1/2 of the
+    exact value, and d = q >> 7, rounded up when q & 127 > 64, is the
+    correctly rounded digit string whenever it has 17 digits before and
+    after rounding.  The remainder 64 (a tie within q's error), a
+    misestimated x, every value outside the range and every value on a
+    platform without a 64-bit long double take f"{v:.17g}" itself.  Each
+    field is laid out in one column of a (29, n) byte table padded with
+    NUL: sign and "0.000" prefix, 18 slots for the digits and the point,
+    "e-XX", separator.  Apart from uint8 products it keeps to the numpy
+    loops that a scan runs anyway, so it faults in little more of numpy's
+    code."""
+    cols = block.shape[1]
+    v = block.ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= 1e-11) & (a < 1e16) & _FAST_DIGITS
+    a = np.where(fast, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)).astype(np.intp), -11, 15)
+    q = a.astype(np.longdouble)
+    q *= np.take(_DIGIT_SCALE, 16 - x)
+    fast &= (q >= _DIGIT_SCALE[16]) & (q < _DIGIT_SCALE[17] - 128)
+    q = np.where(fast, q, _DIGIT_SCALE[16]).astype(np.uint64)
+    fast &= q - (q >> 7 << 7) != 64
+    d = ((q + 63) >> 7).view(np.int64)
+    # d = 10**16 lead + the 4-digit groups quad; the long-double quotient
+    # d / 1e8 cannot round up to the next integer
+    hi = (d.astype(np.longdouble) / 1e8).astype(np.int64)
+    halves = np.stack([hi, d - hi * 100000000]).astype(np.float64)
+    tops = np.floor(halves / 1e4)
+    lead = np.floor(tops[0] / 1e4)
+    quad = np.stack([tops[0] - 1e4 * lead, halves[0] - 1e4 * tops[0], tops[1],
+                     halves[1] - 1e4 * tops[1]]).astype(np.intp)
+    # digit k in row k + 1 of a (19, n) table with a zero row either side
+    digits = np.zeros((19, n), np.uint8)
+    digits[1] = lead
+    digits[2:18].reshape(4, 4, n)[...] = np.take(_QUAD, quad, axis=1).transpose(1, 0, 2)
+    # %g drops trailing zeros, except those of an integer part
+    last = ((digits[1:18] != 0) * _SLOT[:17]).max(axis=0)
+    keep = np.maximum(x, last).astype(np.uint8)
+    digits[1:18] += 48
+    digits[1:18] *= _SLOT[:17] <= keep
+    xi = x + 11
+    p = np.take(_POINT, xi)
+    point = 46 * (keep > p).astype(np.uint8)
+    out = np.empty((29, n), np.uint8)
+    np.take(_HEAD, 2 * xi + (v < 0), axis=1, out=out[:6])
+    run = out[6:24]
+    np.multiply(digits[1:], _SLOT <= p, out=run)
+    run += digits[:-1] * (_SLOT > p + 1)
+    run += point * (_SLOT == p + 1)
+    np.take(_TAIL, xi, axis=1, out=out[24:28])
+    out[28] = 44
+    out[28, cols - 1::cols] = 10
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[:28, slow] = _byte_columns([f"{w:.17g}" for w in v[slow].tolist()], 28)
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
     """Emit the series as CSV to a path (UTF-8) or an open text stream:
     column T first, then each channel, all values with 17 significant
-    digits so parsing reproduces the exact doubles.  Each row is formatted
-    whole, by one "%.17g,...,%.17g" format over Python floats (the bytes
-    of f"{v:.17g}" for each value), in blocks of _CSV_ROWS rows so the
-    Python floats never span the grid."""
+    digits so parsing reproduces the exact doubles: the bytes of
+    f"{v:.17g}" for each value.  _format_17g formats the rows in blocks
+    of about _CSV_VALUES values, so no working array spans the grid, and
+    the bytes do not depend on the block size."""
     names = list(series.channels)
     cols = [series.grid] + [series.channels[n] for n in names]
+    rows = max(1, _CSV_VALUES // len(cols))
     if hasattr(out, "write"):
         stream = nullcontext(out)
     else:
@@ -319,10 +409,8 @@ def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
             raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     with stream as fh:
         fh.write(",".join(["T"] + names) + "\n")
-        fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-        for start in range(0, series.grid.size, _CSV_ROWS):
-            rows = zip(*(c[start : start + _CSV_ROWS].tolist() for c in cols))
-            fh.writelines(fmt % row for row in rows)
+        for start in range(0, series.grid.size, rows):
+            fh.write(_format_17g(np.stack([c[start : start + rows] for c in cols], axis=1)))
 
 
 def read_csv(path: str) -> TimeSeries:

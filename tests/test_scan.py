@@ -4,6 +4,7 @@ import io
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -226,25 +227,90 @@ def per_value_csv(series):
     return "".join(line + "\n" for line in lines)
 
 
+def exact_ties(rng, per_exponent=20):
+    """Doubles (2k+1) 2**-n whose exact decimal expansion has 18
+    significant digits, the last a 5: ties at 17 digits, for every
+    exponent from 15 down to -8."""
+    values = []
+    for n in range(2, 26):
+        lo, hi = -(-10 ** 17 * 2**n // 10**n), min(2**53, 10 ** 18 * 2**n // 10**n)
+        odd = rng.integers(lo // 2, (hi - 1) // 2, per_exponent) * 2 + 1
+        values += [math.ldexp(int(m), -n) for m in odd]
+    for v in values:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return np.array(values)
+
+
 def test_csv_bytes_equal_per_value_formatting(monkeypatch):
-    """write_csv's row formats give the bytes of per-value formatting, on
-    random doubles of every exponent and on the special values, across
-    blocks of _CSV_ROWS rows."""
+    """write_csv's numpy digits give the bytes of per-value formatting on
+    random doubles of every exponent, the neighbours of every power of ten
+    and of the fast range's edges, exact and near 18-digit ties and the
+    special values, for any block size, and with the long-double digits
+    switched off."""
     rng = np.random.default_rng(7)
     special = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, math.inf,
                -math.inf, math.nan, -math.nan, 1.8e308, -1.8e308, np.finfo(float).max,
                -np.finfo(float).max, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0]
-    steps = 3 * len(special) + 5
+    powers = np.concatenate([10.0 ** np.arange(-13, 18), [1e-11, 1e16]])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    near_ties = np.array([float(f"{d}5e{e}") for d, e in zip(
+        rng.integers(10**16, 10**17, 600).tolist(), rng.integers(-28, 18, 600).tolist())])
+    edge = np.concatenate([special, neighbours, exact_ties(rng), near_ties])
+    steps = edge.size
     bits = rng.integers(0, 2**64, size=(4, steps), dtype=np.uint64).view(float)
     channels = {f"c{k}": bits[k] for k in range(4)}
     channels["special"] = np.resize(np.array(special), steps)
     channels["normal"] = rng.standard_normal(steps) * 10.0 ** rng.integers(-300, 300, steps)
+    channels["decades"] = rng.standard_normal(steps) * 10.0 ** rng.integers(-20, 20, steps)
+    channels["edge"] = edge
+    channels["-edge"] = -edge
     series = TimeSeries(grid=np.linspace(0.0, 25.0, steps), channels=channels)
-    for rows in (tjcm.scan._CSV_ROWS, 7, 1):
-        monkeypatch.setattr(tjcm.scan, "_CSV_ROWS", rows)
+    expected = per_value_csv(series)
+    for values in (tjcm.scan._CSV_VALUES, 20, 7, 1):
+        monkeypatch.setattr(tjcm.scan, "_CSV_VALUES", values)
         out = io.StringIO()
         write_csv(series, out)
-        assert out.getvalue() == per_value_csv(series)
+        assert out.getvalue() == expected
+    monkeypatch.setattr(tjcm.scan, "_FAST_DIGITS", False)
+    out = io.StringIO()
+    write_csv(series, out)
+    assert out.getvalue() == expected
+
+
+def test_csv_bytes_survive_misestimated_exponents(monkeypatch):
+    """An exponent estimate floor(log10 |v|) that is one too high or one
+    too low puts the long-double product out of its range, so the value
+    takes the exact fallback and keeps its bytes."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(500) * 10.0 ** rng.integers(-12, 17, 500)
+    series = TimeSeries(grid=np.linspace(0.0, 1.0, 500), channels={"v": values})
+    expected = per_value_csv(series)
+    log10 = np.log10
+    for shift in (1.0, -1.0):
+        monkeypatch.setattr(np, "log10", lambda a, shift=shift: log10(a) + shift)
+        out = io.StringIO()
+        write_csv(series, out)
+        assert out.getvalue() == expected
+
+
+def test_write_csv_memory_does_not_grow_with_steps(tmp_path):
+    """write_csv's working memory is a fixed number of blocks: ten times
+    the steps add less than 1 MiB to its traced peak (stacking the whole
+    table adds about 20 MiB)."""
+    def peak(steps):
+        grid = np.linspace(0.0, 25.0, steps)
+        channels = {name: np.sin((k + 1) * grid) for k, name in enumerate(CHANNEL_NAMES[:14])}
+        series = TimeSeries(grid=grid, channels=channels)
+        tracemalloc.start()
+        try:
+            write_csv(series, str(tmp_path / "series.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # first-call costs
+    assert peak(200000) - peak(20000) < 2**20
 
 
 def test_csv_rejects_foreign_file(tmp_path):
