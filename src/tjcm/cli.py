@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     )
     _add_model_flags(verify)
     verify.add_argument("--samples", type=int, default=50,
-                        help="number of random grid times to compare")
+                        help="number of evenly spaced grid times to compare")
     verify.add_argument("--max-dim", type=int, default=DEFAULT_MAX_ORACLE_DIM,
                         help="refuse oracle runs above this state dimension")
     verify.add_argument("--inject-fault", action="store_true",

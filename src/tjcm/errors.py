@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises them."""
+
+import operator
 
 
 class TjcmError(Exception):
@@ -31,3 +34,12 @@ class UsageError(TjcmError):
 
 class ResourceRefusalError(TjcmError):
     """A run was refused because it would exceed a configured resource bound."""
+
+
+def integer_at_least(value, low: int, name: str, error=InvalidParameterError) -> int:
+    """value as a Python int, numpy integers included, or error naming the
+    bound when it is not an integer >= low."""
+    n = operator.index(value) if hasattr(type(value), "__index__") else low - 1
+    if n < low:
+        raise error(f"{name} must be an integer >= {low}, got {value}")
+    return n

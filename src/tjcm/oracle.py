@@ -1,24 +1,23 @@
 """Brute-force verification path for the analytic pipeline.
 
 Integrates the Schroedinger equation on the full (atom1 x atom2 x field)
-product space with fixed-step RK4 and extracts single-atom states by a
-direct partial trace.  The m fixed steps of one interval are applied as
-R(-ihH)^m, with R the RK4 stability polynomial, by binary powering of
-the one-step operator.  Deliberately ignorant of the 4x4 block
-structure: it shares only the weight table, the reduced-state types and
-transition_strength (tested on its own against exact factorials), so
-agreement with the analytic route is evidence rather than tautology.
+product space with fixed-step RK4, walked once over a uniform time grid
+(walk_grid), and extracts single-atom states by a direct partial trace.
+Deliberately ignorant of the 4x4 block structure: it shares only the
+weight table, the reduced-state types and transition_strength (tested on
+its own against exact factorials), so agreement with the analytic route
+is evidence rather than tautology.
 
 Every operator is a polynomial in H, so it vanishes between the
 connected components of H's nonzeros: held dense on each component, the
 stack of blocks is the smallest storage closed under products.  The
 components come from the nonzeros of H alone, by label propagation, not
 from the block basis; since H conserves excitation number they stay
-small, while a general H would merge them into one.  H, the one-step
-operator and its powers are (K, s, s) stacks over the components' index
-(K, s), padded to the largest component s by a slot coupled to nothing.
-A product is one stacked np.matmul; a matvec is a gather, one stacked
-product and a scatter.
+small, while a general H would merge them into one.  H, P and its
+squarings are (K, s, s) stacks over the components' index (K, s),
+padded to the largest component s by a slot coupled to nothing.  A
+product is one stacked np.matmul, and the state is held gathered onto
+the components as a (K, s, 1) stack, scattered back at each sample.
 
 State layout: amp[s1, s2, n] with s = 0 for |+> and 1 for |->, flattened
 C-order into a vector of length 4 (n_f + 1).
@@ -164,86 +163,72 @@ def suggest_dt(weights: FockWeights, h: JointHamiltonian, t_total: float) -> flo
     return min(DT_MAX, dt_acc, 0.1 / h.norm_inf)
 
 
-def rk4_evolve(h: JointHamiltonian, psi0: np.ndarray, T: float, dt: float) -> np.ndarray:
-    """Classic fixed-step RK4 for d psi / dT = -i H psi.
-
-    The m = ceil(T / dt) steps of size T / m are applied as P^m psi0, with
-    P = R(-i step H) and R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4
-    stability polynomial, by binary powering: about log2(m) products
-    instead of 4m matvecs.  P and its powers are polynomials in H, so they
-    all live on H's component blocks.  No renormalization is applied: the
-    norm drift is itself a diagnostic, and a drift beyond NORM_DRIFT_TOL
-    raises StepSizeError.  The requested dt must respect the stability
-    margin dt <= 0.5 / ||H||_inf.
-    """
-    norm_inf = h.norm_inf
-    if norm_inf > 0.0 and dt > 0.5 / norm_inf:
-        raise StepSizeError(
-            f"dt = {dt} exceeds stability margin {0.5 / norm_inf:.3e}"
-        )
-    if T < 0.0:
-        raise InvalidParameterError("backward oracle evolution not supported")
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if T == 0.0:
-        return psi
-    steps = max(1, math.ceil(T / dt))
-    z = -1j * (T / steps)
-    eye = np.eye(h.index.shape[1])
-    p = eye + (z / 4.0) * h.blocks
-    for d in (3.0, 2.0, 1.0):
-        p = eye + (z / d) * (h.blocks @ p)
-    # psi padded by the slot dim, which P maps to 0 from 0
-    psi = np.append(psi, 0.0)
-    k = steps
-    while k:
-        if k & 1:
-            psi[h.index] = (p @ psi[h.index][..., None])[..., 0]
-        k >>= 1
-        if k:
-            p = p @ p
-    psi = psi[:-1]
-    drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    if drift > NORM_DRIFT_TOL:
-        raise StepSizeError(
-            f"norm drifted by {drift:.3e} > {NORM_DRIFT_TOL}; reduce dt"
-        )
-    return psi
-
-
-def sample_states(
-    h: JointHamiltonian,
-    psi0: np.ndarray,
-    times: np.ndarray,
-    dt: float,
+def walk_grid(
+    h: JointHamiltonian, psi0: np.ndarray, step: float, counts, dt: float
 ):
-    """Yield (T, psi) at each requested time along one trajectory.
+    """Yield psi at the times step * counts along one trajectory, for
+    non-decreasing integer counts >= 0.
 
-    Times must be non-decreasing; integration continues from the previous
-    sample with one rk4_evolve per interval, so each interval keeps its own
-    step size and costs about log2(steps) products of the component blocks.
+    Classic fixed-step RK4 for d psi / dT = -i H psi: one grid step is
+    m = ceil(step / dt) RK4 steps of size step / m, applied as
+    P = R(-i (step / m) H)^m with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    the RK4 stability polynomial.  P is built once, by binary powering,
+    and so are its squarings P^(2^j) up to the largest gap; an interval of
+    d grid steps then costs popcount(d) stacked block products.  No
+    renormalization is applied: the norm drift is itself a diagnostic
+    (trace_trajectory checks it).  The requested dt must respect the
+    stability margin dt <= 0.5 / ||H||_inf.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and np.any(np.diff(times) < 0.0):
-        raise InvalidParameterError("sample times must be non-decreasing")
-    psi = np.asarray(psi0, dtype=complex).copy()
-    t_prev = 0.0
-    for t in times:
-        if t > t_prev:
-            psi = rk4_evolve(h, psi, t - t_prev, dt)
-            t_prev = t
-        yield float(t), psi
+    if h.norm_inf > 0.0 and dt > 0.5 / h.norm_inf:
+        raise StepSizeError(f"dt = {dt} exceeds stability margin {0.5 / h.norm_inf:.3e}")
+    counts = np.asarray(counts)
+    gaps = np.diff(counts, prepend=0)
+    if counts.dtype.kind != "i" or np.any(gaps < 0) or not step >= 0.0:
+        raise InvalidParameterError("grid step counts must be non-decreasing integers "
+                                    ">= 0 and the step >= 0: no backward evolution")
+    m = max(1, math.ceil(step / dt))
+    z = -1j * (step / m)
+    eye = np.eye(h.index.shape[1])
+    r = eye + (z / 4.0) * h.blocks
+    for d in (3.0, 2.0, 1.0):
+        r = eye + (z / d) * (h.blocks @ r)
+    powers = _squarings(_power(_squarings(r, m), m, eye), int(gaps.max(initial=0)))
+    # psi gathered onto the components, padded by the slot dim, which
+    # every operator maps to 0 from 0
+    x = np.append(np.asarray(psi0, dtype=complex), 0.0)[h.index][..., None]
+    for d in gaps:
+        x = _power(powers, int(d), x)
+        psi = np.empty(h.dim + 1, dtype=complex)
+        psi[h.index] = x[..., 0]
+        yield psi[:-1]
+
+
+def _squarings(p: np.ndarray, n: int) -> list[np.ndarray]:
+    """p^(2^j) for the bits j of n."""
+    out = [p] if n else []
+    for _ in range(1, n.bit_length()):
+        out.append(out[-1] @ out[-1])
+    return out
+
+
+def _power(squares: list[np.ndarray], n: int, x: np.ndarray) -> np.ndarray:
+    """p^n x, with squares the squarings of p up to n's bits."""
+    for j, sq in enumerate(squares):
+        if n >> j & 1:
+            x = sq @ x
+    return x
 
 
 def trace_trajectory(
-    h: JointHamiltonian, psi0: np.ndarray, times: np.ndarray, dt: float
+    h: JointHamiltonian, psi0: np.ndarray, step: float, counts, dt: float
 ) -> dict[AtomId, ReducedAtomState]:
-    """Reduced states of both atoms at the sample times of one trajectory
-    (sample_states), by direct partial trace into arrays over the times:
-    psi as rows (s1, s2) by photon number is a 4 x (n_f + 1) matrix A, and
-    each atom's 2x2 state is the trace of A A^H over the other atom.  A
-    norm_drift beyond NORM_DRIFT_TOL raises StepSizeError."""
-    out = np.empty((2, 4, np.size(times)))
-    for i, (_, psi) in enumerate(sample_states(h, psi0, times, dt)):
+    """Reduced states of both atoms at the times step * counts of one
+    trajectory (walk_grid), by direct partial trace into arrays over the
+    times: psi as rows (s1, s2) by photon number is a 4 x (n_f + 1)
+    matrix A, and each atom's 2x2 state is the trace of A A^H over the
+    other atom.  A norm_drift beyond NORM_DRIFT_TOL raises StepSizeError."""
+    out = np.empty((2, 4, np.size(counts)))
+    for i, psi in enumerate(walk_grid(h, psi0, step, counts, dt)):
         amp = psi.reshape(4, h.n_f + 1)
         rho = (amp @ amp.conj().T).reshape(2, 2, 2, 2)
         for dest, r in zip(out, (rho.trace(axis1=1, axis2=3), rho.trace(axis1=0, axis2=2))):
@@ -251,7 +236,8 @@ def trace_trajectory(
     states = {atom: ReducedAtomState(*values) for atom, values in zip(AtomId, out)}
     drift = norm_drift(states[AtomId.FIRST])
     if drift > NORM_DRIFT_TOL:
-        raise StepSizeError(f"state norm deviates from 1 by {drift:.3e} > {NORM_DRIFT_TOL}")
+        raise StepSizeError(
+            f"state norm deviates from 1 by {drift:.3e} > {NORM_DRIFT_TOL}; reduce dt")
     return states
 
 

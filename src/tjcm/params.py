@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer_at_least
 
 DEFAULT_CUTOFF_EPS = 1e-12
 # Share of cutoff_eps that the lower photon-number window may drop.
@@ -126,8 +126,7 @@ class ModelParams:
     weights: FockWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 1:
-            raise InvalidParameterError(f"l must be an integer >= 1, got {self.l}")
+        object.__setattr__(self, "l", integer_at_least(self.l, 1, "l"))
         if not (self.g > 0.0 and math.isfinite(self.g)):
             raise InvalidParameterError(f"g must be > 0, got {self.g}")
         weights = coherent_weights(self.alpha, self.cutoff_eps)

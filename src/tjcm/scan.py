@@ -11,7 +11,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import jcm
-from .errors import InvalidParameterError, ResourceRefusalError, UsageError
+from .errors import InvalidParameterError, ResourceRefusalError, UsageError, \
+    integer_at_least
 from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
     von_neumann
 from .params import ModelParams
@@ -35,7 +36,6 @@ CHANNEL_NAMES = tuple(
 ) + FIELD_CHANNELS
 
 DEFAULT_MAX_ORACLE_DIM = 8192
-VERIFY_SEED = 0
 STATE_DEV_TOL = 1e-8
 EUR_TOL = 1e-10
 # Values that write_csv formats at a time.
@@ -78,8 +78,7 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise InvalidParameterError(f"t_max must be > 0, got {self.t_max}")
-        if not isinstance(self.steps, int) or self.steps < 2:
-            raise InvalidParameterError(f"steps must be an integer >= 2, got {self.steps}")
+        object.__setattr__(self, "steps", integer_at_least(self.steps, 2, "steps"))
         object.__setattr__(self, "channels", tuple(self.channels))
 
     def grid(self) -> np.ndarray:
@@ -265,9 +264,11 @@ def run_verify(
 ) -> VerifyReport:
     """Cross-check the analytic pipeline against the brute-force oracle.
 
-    Draws sample_count times from the configured grid after T = 0
-    (deterministic seed), integrates the full product-space trajectory
-    once, and compares the reduced states of both atoms entrywise at every
+    Compares at sample_count evenly spaced grid times after T = 0, the
+    grid indices (j * (steps - 1)) // sample_count for j = 1..sample_count,
+    which end at the last grid time.  The oracle walks the full
+    product-space trajectory once over the grid (oracle.trace_trajectory),
+    and the reduced states of both atoms are compared entrywise at every
     sample.  The analytic states are evaluated on the whole grid and
     indexed at the samples; they come first, so their coupling and phase
     checks refuse an input before the oracle's arithmetic could overflow.
@@ -275,8 +276,7 @@ def run_verify(
     inject_fault corrupts one analytic coherence, for exercising the
     failure path.
     """
-    if sample_count < 10:
-        raise UsageError(f"sample_count must be >= 10, got {sample_count}")
+    sample_count = integer_at_least(sample_count, 10, "sample_count", UsageError)
     if cfg.steps - 1 < sample_count:
         raise UsageError(
             f"the grid has {cfg.steps - 1} times after T = 0, fewer than the "
@@ -294,9 +294,7 @@ def run_verify(
 
     _check_grid_fits(cfg.steps, 7)
     grid = cfg.grid()
-    rng = np.random.default_rng(VERIFY_SEED)
-    # the index draw that rng.choice(grid[1:], ...) makes
-    samples = 1 + np.sort(rng.choice(cfg.steps - 1, size=sample_count, replace=False))
+    samples = np.arange(1, sample_count + 1) * (cfg.steps - 1) // sample_count
     times = grid[samples]
 
     analytic = {
@@ -314,7 +312,9 @@ def run_verify(
 
     h = oracle.build_joint_hamiltonian(p.l, p.g, n_f)
     dt = oracle.suggest_dt(weights, h, float(times[-1]))
-    traced = oracle.trace_trajectory(h, oracle.initial_state(weights, h), times, dt)
+    # grid[k] is k times linspace's step t_max / (steps - 1), to rounding
+    traced = oracle.trace_trajectory(h, oracle.initial_state(weights, h),
+                                     cfg.t_max / (cfg.steps - 1), samples, dt)
     return VerifyReport(
         times=times,
         max_state_dev=max(max_deviation(analytic[a], traced[a]) for a in AtomId),

@@ -162,14 +162,16 @@ def oracle_cross():
         cfg = PRESET_CONFIGS[name]
         p = cfg.params
         weights = coherent_weights(p.alpha, p.cutoff_eps)
-        times = np.linspace(cfg.t_max / sample_count, cfg.t_max, sample_count)
+        step = cfg.t_max / sample_count
+        counts = np.arange(1, sample_count + 1)
+        times = step * counts
 
         analytic = reduced_states(weights, p.l, p.g, times, AtomId)
 
         h = oracle.build_joint_hamiltonian(p.l, p.g, weights.n_max + 2 * p.l)
         psi0 = oracle.initial_state(weights, h)
         dt = oracle.suggest_dt(weights, h, float(times[-1]))
-        traced = oracle.trace_trajectory(h, psi0, times, dt)
+        traced = oracle.trace_trajectory(h, psi0, step, counts, dt)
         cache[name] = {
             "max_dev": max(max_deviation(analytic[a], traced[a]) for a in AtomId),
             "dt": dt,

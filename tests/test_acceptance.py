@@ -389,7 +389,8 @@ def test_criterion_10_no_squeezing_beyond_two_photons():
     weights = coherent_weights(weak.alpha, weak.cutoff_eps)
     h = oracle.build_joint_hamiltonian(weak.l, weak.g, weights.n_max + 2 * weak.l)
     ref = oracle.trace_trajectory(
-        h, oracle.initial_state(weights, h), [t_min], oracle.suggest_dt(weights, h, t_min)
+        h, oracle.initial_state(weights, h), t_min, [1],
+        oracle.suggest_dt(weights, h, t_min),
     )[AtomId.SECOND]
     state = states[weak][AtomId.SECOND]
     dev = max_deviation(

@@ -190,6 +190,19 @@ def test_import_leaves_scipy_sparse_and_special_unloaded():
     assert out.split() == ["[]", "[]"]
 
 
+def test_verify_leaves_numpy_random_unloaded():
+    """verify samples its grid evenly, so numpy.random is never imported."""
+    code = (
+        "import sys; from tjcm.cli import main; "
+        "code = main(['verify', '--alpha', '1.5', '--tmax', '4', '--steps', '40', "
+        "'--samples', '10']); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 NO_SCIPY = """
 import sys
 

@@ -1,4 +1,4 @@
-"""Brute-force route: joint Hamiltonian, RK4 integrator, partial trace."""
+"""Brute-force route: joint Hamiltonian, RK4 grid walk, partial trace."""
 
 import math
 from dataclasses import astuple
@@ -129,10 +129,11 @@ def test_initial_state_and_truncation_guard():
 
 
 def test_rk4_zero_time_identity():
+    # count 0 takes no step
     w = coherent_weights(1.0)
     h = oracle.build_joint_hamiltonian(1, 1.0, w.n_max + 2)
     psi0 = oracle.initial_state(w, h)
-    psi = oracle.rk4_evolve(h, psi0, 0.0, 1e-3)
+    psi = next(oracle.walk_grid(h, psi0, 1.0, [0], 1e-3))
     assert np.array_equal(psi, psi0)
 
 
@@ -143,41 +144,40 @@ def test_rk4_two_level_rabi():
     w = FockWeights(c=c)
     h = oracle.build_joint_hamiltonian(1, 0.0, 2)
     psi0 = oracle.initial_state(w, h)
-    T, dt = 1.3, 1e-3
+    step, counts, dt = 0.13, [0, 5, 10], 1e-3
 
     def idx(s1, s2, n):
         return (s1 * 2 + s2) * 3 + n
 
-    psi = oracle.rk4_evolve(h, psi0, T, dt)
-    assert psi[idx(0, 0, 0)] == pytest.approx(math.cos(T), abs=1e-10)
-    assert psi[idx(1, 0, 1)] == pytest.approx(-1j * math.sin(T), abs=1e-10)
     mask = np.ones(h.dim, bool)
     mask[[idx(0, 0, 0), idx(1, 0, 1)]] = False
-    assert np.max(np.abs(psi[mask])) < 1e-12
+    for n, psi in zip(counts, oracle.walk_grid(h, psi0, step, counts, dt)):
+        T = n * step
+        assert psi[idx(0, 0, 0)] == pytest.approx(math.cos(T), abs=1e-10)
+        assert psi[idx(1, 0, 1)] == pytest.approx(-1j * math.sin(T), abs=1e-10)
+        assert np.max(np.abs(psi[mask])) < 1e-12
 
 
 def test_rk4_rejects_unstable_step():
     h = oracle.build_joint_hamiltonian(1, 1.0, 30)
     norm_inf = h.norm_inf
     cases = [
-        # (start state, T, dt, match)
+        # (start state, grid step, dt, match)
         # dt beyond the stability margin 0.5 / ||H||_inf
         (0, 1.0, 1.0 / norm_inf, "stability margin"),
         # inside the margin, but two steps this coarse from |+,-,28>
         # (row sum near ||H||_inf) lose 8.7e-5 of the norm
-        (28, 0.98 / norm_inf, 0.49 / norm_inf, "norm drifted"),
+        (28, 0.98 / norm_inf, 0.49 / norm_inf, "norm deviates"),
     ]
-    for start, T, dt, match in cases:
+    for start, step, dt, match in cases:
         psi0 = np.zeros(h.dim, dtype=complex)
         psi0[start] = 1.0
         with pytest.raises(StepSizeError, match=match):
-            oracle.rk4_evolve(h, psi0, T, dt)
+            oracle.trace_trajectory(h, psi0, step, [1], dt)
 
 
-def _stepped_rk4(h, psi0, T, dt):
+def _stepped_rk4(h, psi0, steps, step):
     """Reference: the classic RK4 stages, one step at a time, on dense H."""
-    steps = max(1, math.ceil(T / dt))
-    step = T / steps
     m = dense_h(h)
 
     def mul(v):
@@ -194,34 +194,40 @@ def _stepped_rk4(h, psi0, T, dt):
     return psi
 
 
-# (alpha, g, l, T, steps): the fig1, fig2 and fig4 verify sets over T = 3
-# at their suggested dt (steps None), the decoupled g = 0 limit, and an
-# odd (every bit set) and a power-of-two step count
+# (alpha, g, l, T, grid steps, RK4 steps per grid step): the fig1, fig2
+# and fig4 verify sets over T = 3 at their suggested dt (None), the
+# decoupled g = 0 limit, and an odd (every bit set) and a power-of-two
+# count, of grid steps in one interval and of RK4 steps in one grid step
 POWERING_CASES = [
-    pytest.param(5.0, 0.5, 1, 3.0, None, id="fig1"),
-    pytest.param(5.0, 0.5, 2, 3.0, None, id="fig2"),
-    pytest.param(5.0, 1.0, 1, 3.0, None, id="fig4"),
-    pytest.param(5.0, 0.0, 1, 3.0, None, id="g0"),
-    pytest.param(5.0, 0.5, 1, 1.0, 1023, id="odd"),
-    pytest.param(5.0, 0.5, 1, 1.0, 1024, id="pow2"),
+    pytest.param(5.0, 0.5, 1, 3.0, 3, None, id="fig1"),
+    pytest.param(5.0, 0.5, 2, 3.0, 3, None, id="fig2"),
+    pytest.param(5.0, 1.0, 1, 3.0, 3, None, id="fig4"),
+    pytest.param(5.0, 0.0, 1, 3.0, 3, None, id="g0"),
+    pytest.param(5.0, 0.5, 1, 1.0, 1023, 1, id="odd"),
+    pytest.param(5.0, 0.5, 1, 1.0, 1024, 1, id="pow2"),
+    pytest.param(5.0, 0.5, 1, 1.0, 1, 1023, id="odd_m"),
+    pytest.param(5.0, 0.5, 1, 1.0, 1, 1024, id="pow2_m"),
 ]
 
 
-def _case(alpha, g, l, T, steps):
+def _case(alpha, g, l, T, grid, m):
     w = coherent_weights(alpha)
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
-    # dt = T / (steps - 0.5) makes ceil(T / dt) == steps exactly
-    dt = oracle.suggest_dt(w, h, T) if steps is None else T / (steps - 0.5)
-    return h, oracle.initial_state(w, h), dt
+    step = T / grid
+    # dt = step / (m - 0.5) makes ceil(step / dt) == m exactly
+    dt = oracle.suggest_dt(w, h, T) if m is None else step / (m - 0.5)
+    return h, oracle.initial_state(w, h), step, dt
 
 
-@pytest.mark.parametrize("alpha, g, l, T, steps", POWERING_CASES)
-def test_rk4_powering_matches_stepped_reference(alpha, g, l, T, steps):
-    h, psi0, dt = _case(alpha, g, l, T, steps)
-    if steps is not None:
-        assert math.ceil(T / dt) == steps
-    psi = oracle.rk4_evolve(h, psi0, T, dt)
-    assert np.max(np.abs(psi - _stepped_rk4(h, psi0, T, dt))) < 1e-12
+@pytest.mark.parametrize("alpha, g, l, T, grid, m", POWERING_CASES)
+def test_rk4_powering_matches_stepped_reference(alpha, g, l, T, grid, m):
+    h, psi0, step, dt = _case(alpha, g, l, T, grid, m)
+    m_walk = math.ceil(step / dt)
+    if m is not None:
+        assert m_walk == m
+    psi = next(oracle.walk_grid(h, psi0, step, [grid], dt))
+    ref = _stepped_rk4(h, psi0, grid * m_walk, step / m_walk)
+    assert np.max(np.abs(psi - ref)) < 1e-12
 
 
 # sum of squared component sizes at dim 392 (l = 1) and 400 (l = 2) for
@@ -230,26 +236,37 @@ def test_rk4_powering_matches_stepped_reference(alpha, g, l, T, steps):
 CLOSED_NNZ = {392: 1556, 400: 1576}
 
 
-@pytest.mark.parametrize("alpha, g, l, T, steps", POWERING_CASES)
-def test_rk4_step_operator_powers_stay_sparse(alpha, g, l, T, steps):
-    # the component cliques S are closed under products, and every power of
-    # the one-step operator that binary powering forms, computed densely,
-    # vanishes off S
-    h, _, dt = _case(alpha, g, l, T, steps)
+@pytest.mark.parametrize("alpha, g, l, T, grid, m", POWERING_CASES)
+def test_rk4_step_operator_powers_stay_sparse(alpha, g, l, T, grid, m):
+    # the component cliques S are closed under products, and every operator
+    # that walk_grid forms, computed densely, vanishes off S: the RK4 step
+    # R, its squarings and their products towards P = R^m, and the
+    # squarings of P up to the interval of grid steps
+    h, _, step, dt = _case(alpha, g, l, T, grid, m)
     on_s = dense(h, np.ones(h.blocks.shape, dtype=int))
     assert np.all(on_s[(on_s @ on_s) > 0] == 1)
     if g > 0.0:
         assert np.sum(np.sum(h.index < h.dim, axis=1) ** 2) == CLOSED_NNZ[h.dim]
-    steps = max(1, math.ceil(T / dt))
-    zh = (-1j * (T / steps)) * dense_h(h)
+    m = math.ceil(step / dt)
+    zh = (-1j * (step / m)) * dense_h(h)
     term = np.eye(h.dim, dtype=complex)
-    p = term
+    r = term
     for k in range(1, 5):
         term = (zh @ term) / k
-        p = p + term
-    for _ in range(steps.bit_length()):
-        assert np.all(p[on_s == 0] == 0.0)
+        r = r + term
+    p = np.eye(h.dim, dtype=complex)
+    formed = []
+    for j in range(m.bit_length()):
+        if m >> j & 1:
+            p = r @ p
+            formed.append(p)
+        formed.append(r)
+        r = r @ r
+    for _ in range(grid.bit_length()):
+        formed.append(p)
         p = p @ p
+    for x in formed:
+        assert np.all(x[on_s == 0] == 0.0)
 
 
 @pytest.mark.parametrize("alpha, g, l", [(5.0, 0.5, 1), (5.0, 0.5, 2), (5.0, 0.0, 1)])
@@ -284,34 +301,36 @@ def test_norm_and_excitation_conserved():
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
     psi0 = oracle.initial_state(w, h)
     exc0 = excitation_expectation(psi0, h.n_f, l)
-    psi = psi0
-    for t_prev, t in zip((0.0, 6.0, 15.0), (6.0, 15.0, 25.0)):
-        psi = oracle.rk4_evolve(h, psi, t - t_prev, 1e-3)
+    for psi in oracle.walk_grid(h, psi0, 1.0, [6, 15, 25], 1e-3):
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-7
         assert abs(excitation_expectation(psi, h.n_f, l) - exc0) < 1e-8
 
 
-def test_sample_states_walks_one_trajectory():
+def test_walk_grid_continues_one_trajectory():
     w = coherent_weights(1.0)
     h = oracle.build_joint_hamiltonian(1, 1.0, w.n_max + 2)
     psi0 = oracle.initial_state(w, h)
-    times = np.array([0.0, 0.5, 0.5, 1.25])
-    dt = oracle.suggest_dt(w, h, 1.25)
-    samples = list(oracle.sample_states(h, psi0, times, dt))
-    assert [t for t, _ in samples] == [0.0, 0.5, 0.5, 1.25]
-    direct = oracle.rk4_evolve(h, psi0, 1.25, dt)
-    # trajectory continuation differs from one straight run only through
-    # step-count rounding at the segment joints
-    assert np.max(np.abs(samples[-1][1] - direct)) < 1e-9
-    with pytest.raises(Exception):
-        list(oracle.sample_states(h, psi0, np.array([1.0, 0.5]), dt))
+    step, dt = 0.25, oracle.suggest_dt(w, h, 1.25)
+    walked = list(oracle.walk_grid(h, psi0, step, [0, 2, 2, 5], dt))
+    assert np.array_equal(walked[0], psi0)
+    assert np.array_equal(walked[1], walked[2])
+    # the same grid steps grouped as one interval, or taken one at a time,
+    # differ only by the rounding of the products
+    direct = next(oracle.walk_grid(h, psi0, step, [5], dt))
+    single = list(oracle.walk_grid(h, psi0, step, range(6), dt))
+    assert np.max(np.abs(walked[-1] - direct)) < 1e-14
+    assert np.max(np.abs(walked[1] - single[2])) < 1e-14
+    assert np.max(np.abs(walked[-1] - single[-1])) < 1e-14
+    for counts in ([2, 1], [-1, 0], [0.0, 0.5]):
+        with pytest.raises(InvalidParameterError, match="non-decreasing integers"):
+            list(oracle.walk_grid(h, psi0, step, counts, dt))
 
 
 def trace_at_zero(psi, n_f):
     """Both atoms' states of psi (a sample at T = 0, so no RK4 step runs)
     through trace_trajectory, as scalars."""
     h = oracle.build_joint_hamiltonian(1, 1.0, n_f)
-    traced = oracle.trace_trajectory(h, psi, [0.0], 1e-3)
+    traced = oracle.trace_trajectory(h, psi, 1.0, [0], 1e-3)
     return {atom: [float(v[0]) for v in astuple(s)] for atom, s in traced.items()}
 
 
@@ -351,10 +370,10 @@ def test_trace_trajectory_matches_dense_partial_trace():
     w = coherent_weights(1.5)
     h = oracle.build_joint_hamiltonian(2, 0.7, w.n_max + 4)
     psi0 = oracle.initial_state(w, h)
-    times = np.array([0.0, 0.4, 1.1, 2.5])
+    step, counts = 0.1, [0, 4, 11, 25]
     dt = oracle.suggest_dt(w, h, 2.5)
-    traced = oracle.trace_trajectory(h, psi0, times, dt)
-    for i, (_, psi) in enumerate(oracle.sample_states(h, psi0, times, dt)):
+    traced = oracle.trace_trajectory(h, psi0, step, counts, dt)
+    for i, psi in enumerate(oracle.walk_grid(h, psi0, step, counts, dt)):
         rho = np.outer(psi, psi.conj()).reshape(2, 2, h.n_f + 1, 2, 2, h.n_f + 1)
         for atom, ref in ((AtomId.FIRST, np.einsum("ajnbjn->ab", rho)),
                           (AtomId.SECOND, np.einsum("janjbn->ab", rho))):

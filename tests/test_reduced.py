@@ -77,7 +77,8 @@ def test_q_terms_against_oracle_two_level_field():
     w = field_levels(26, 24, 25)
     l, g, T = 1, 0.5, 2.0
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
-    ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), [T], oracle.suggest_dt(w, h, T))
+    ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), T, [1],
+                                 oracle.suggest_dt(w, h, T))
     for atom in AtomId:
         assert max_deviation(reduced(w, l, g, [T], atom), ref[atom]) < 1e-8
         # only the n = 24 summand feeds the coherence
@@ -158,7 +159,8 @@ def test_reduced_state_against_oracle():
     w = coherent_weights(5.0)
     l, g, T = 1, 0.5, 5.0
     h = oracle.build_joint_hamiltonian(l, g, w.n_max + 2 * l)
-    ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), [T], oracle.suggest_dt(w, h, T))
+    ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), T, [1],
+                                 oracle.suggest_dt(w, h, T))
     for atom in AtomId:
         assert max_deviation(reduced(w, l, g, [T], atom), ref[atom]) < 1e-8
 

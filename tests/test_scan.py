@@ -372,11 +372,32 @@ def test_verify_resource_refusal():
     assert "alpha" in str(err.value)
 
 
-def test_verify_deterministic_times():
-    a = run_verify(small_cfg(), 12)
-    b = run_verify(small_cfg(), 12)
-    assert np.array_equal(a.times, b.times)
-    assert a.max_state_dev == b.max_state_dev
+def test_verify_samples_evenly_spaced():
+    """The samples are the grid indices (j * 32) // 12 for j = 1..12: their
+    gaps differ by at most one step, and the last is the last grid time."""
+    cfg = small_cfg()
+    report = run_verify(cfg, 12)
+    samples = [2, 5, 8, 10, 13, 16, 18, 21, 24, 26, 29, 32]
+    assert np.array_equal(report.times, cfg.grid()[samples])
+    assert report.times[-1] == cfg.t_max
+    every = run_verify(cfg, cfg.steps - 1)
+    assert np.array_equal(every.times, cfg.grid()[1:]) and every.passed
+
+
+def test_numpy_integers_are_normalized():
+    """numpy integers are taken as the Python ints they equal; other
+    non-integers are refused with the typed error naming the bound."""
+    cfg = small_cfg(params=ModelParams(alpha=1.5, g=0.5, l=np.int64(1)),
+                    steps=np.int64(33))
+    assert type(cfg.params.l) is int and type(cfg.steps) is int
+    assert cfg == small_cfg()
+    assert run_verify(cfg, np.int32(10)).passed
+    with pytest.raises(InvalidParameterError, match="l must be an integer >= 1, got 1.0"):
+        ModelParams(alpha=1.5, g=0.5, l=1.0)
+    with pytest.raises(InvalidParameterError, match="steps must be an integer >= 2"):
+        small_cfg(steps=33.0)
+    with pytest.raises(UsageError, match="sample_count must be an integer >= 10, got 10.5"):
+        run_verify(cfg, 10.5)
 
 
 def test_preset_fig1_second_atom_squeezing_profile(preset_series):
