@@ -9,17 +9,19 @@ coherent weights' window (params.FockWeights.window): the blocks below
 n_min carry at most 1e-8 * cutoff_eps of the weight together.  All blocks
 are diagonalized at once by a batched cyclic Jacobi eigensolver.  Block
 n's amplitudes are sum_k exp(-i w_k T) <v_k|e1> v_k, so every analytic
-output is a finite sum of c_m exp(i w_m T); trig_sum evaluates one on a
-uniform grid as a type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci.
-Comput. 14 (1993) 1368) with the "exponential of semicircle" kernel of
-Barnett, Magland & af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), in
-O(M w + nT log nT) for M terms on nT times instead of O(M nT) cosines.
+output is a finite cosine or sine sum with real coefficients; trig_sum
+evaluates one on a uniform grid as a one-sided type-1 nonuniform FFT
+(Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993) 1368) with the
+"exponential of semicircle" kernel of Barnett, Magland & af Klinteberg
+(SIAM J. Sci. Comput. 41 (2019) C479), in O(M w + nT log nT) for M terms
+on nT times instead of O(M nT) cosines.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,14 +34,13 @@ _PHASE_COND_TOL = 1e-8
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
 # trig_sum: kernel widths (sum, rounding correction) and beta per point;
-# fine points per time, at least _MIN_FINE (well over a kernel width, and
-# free on short grids); allowed stray in eps * max|T|.  At upsampling 3
-# the kernel's transform at the grid's end modes is within 2.4x of its
-# centre (7x at upsampling 2, where single frequencies erred by 1.8e-14
-# at the ends of a grid), and beta 2.50 per point, not 2.30, brings its
-# relative error at every mode from 1.7e-15 to 7e-16.
+# fine points per time, at least _MIN_FINE (well over a kernel width);
+# allowed stray in eps * max|T|.  At 6 points per time the kernel's
+# transform at the last mode is within 2.4x of its centre (7x at 4, where
+# one frequency erred by 1.8e-14), and beta 2.50 per point, not 2.30,
+# brings its relative error at every mode from 1.7e-15 to 7e-16.
 _ES_WIDTH, _CORRECTION_WIDTH, _ES_BETA_PER_POINT = 16, 4, 2.50
-_UPSAMPLE, _MIN_FINE = 3, 256
+_UPSAMPLE, _MIN_FINE = 6, 256
 _UNIFORM_ULPS = 16
 # kernel points trig_sum evaluates and spreads at a time: a 64 kB block,
 # which stays in cache (its results do not depend on the count)
@@ -284,91 +285,75 @@ def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
     return np.stack([x1, x23, x23, x4])
 
 
-def trig_sum(freqs: np.ndarray, coefs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Re sum_m coefs[..., m] exp(i freqs[m] T_j) on a uniform grid
-    T_j = T_0 + j h (h may be negative; one time is a grid), shape
-    coefs.shape[:-1] + (nT,).  Complex coefs give sines (-i c); long-double
-    freqs let sums and differences of float64 frequencies enter exactly.
+# trig_sum's view of a uniform grid T_j = t0 + j h + delta_j, j < nT: t0 and h
+# in long double, the roundings delta_j, the fine grid's size, the _mode_tables.
+GridPlan = namedtuple("GridPlan", "t0 h delta n_fine tables")
 
-    a_m = coefs[m] exp(i freqs[m] T_0) is spread from x_m = freqs[m] h
-    mod 2 pi onto a fine grid by the kernel exp(beta (sqrt(1 - z^2) - 1)),
-    |z| <= 1, and one FFT over the kernel's Fourier transform gives every
-    j.  x_m, the kernel offsets and the index shift exp(i (nT // 2) x_m)
-    are long double, and the grid's rounding delta_j = T_j - (T_0 + j h)
-    (about an ulp in np.linspace) is corrected to first order by a second
-    transform, of i freqs a_m: each is worth 1e-12.  With sum |c| = 1 the
-    error is below 2.5e-15 for random frequencies up to nT = 20000 and for
-    one frequency at any position.  The first time is summed directly, so
-    neither one time nor the start of a grid has transform error (an
-    entropy of sz near 1, as at T = 0, magnifies 1e-16 to several 1e-15).
-    Rows of coefs share one plan per kernel width (_plan: an M x width
-    kernel table, 20 doubles per term for the two widths) and are
-    transformed in turn, each spread _SPREAD_BLOCK kernel points at a time
-    (the same additions in the same order at any block size), so beside
-    the plans working memory is a few grid-length arrays and cache-sized
-    blocks, and no M x width temporary.  An empty grid gives empty rows;
-    times off a uniform grid by more than _UNIFORM_ULPS * eps * max|T|
-    raise InvalidParameterError.
-    """
+
+def grid_plan(times: np.ndarray) -> GridPlan:
+    """The GridPlan of times (one time is a grid); times off a uniform grid
+    by more than _UNIFORM_ULPS * eps * max|T| raise InvalidParameterError."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    w = np.asarray(freqs, dtype=np.longdouble)
-    coefs = np.asarray(coefs)
     n_t = times.size
+    t0, t_end = (times[[0, -1]] if n_t else np.zeros(2)).astype(np.longdouble)
+    h = (t_end - t0) / max(n_t - 1, 1)
+    delta = (times - (t0 + np.arange(n_t) * h)).astype(float)
+    stray = float(np.abs(delta).max(initial=0.0))
+    if not stray <= _UNIFORM_ULPS * _EPS * float(np.abs(times).max(initial=0.0)):
+        raise InvalidParameterError(f"times must form a uniform grid: they stray by {stray:.3e}")
+    n_fine = max(_UPSAMPLE * n_t, _MIN_FINE)
+    return GridPlan(t0, h, delta, n_fine, _mode_tables(n_t, n_fine))
+
+
+def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
+             sine: bool = False) -> np.ndarray:
+    """sum_m coefs[..., m] cos(freqs[m] T_j), or sin for sine, for real
+    coefs on a uniform grid T_j = T_0 + j h (h may be negative; one time is
+    a grid), shape coefs.shape[:-1] + (nT,).  grid is the times or their
+    GridPlan, which sums on one grid share; long-double freqs let sums and
+    differences of float64 frequencies enter exactly.
+
+    From T_0 = 0 a row is a one-sided type-1 transform: c_m is spread from
+    x_m = freqs[m] h mod 2 pi onto a real grid of 6 nT points by the kernel
+    exp(beta (sqrt(1 - z^2) - 1)), |z| <= 1, and one complex FFT of half
+    its length gives F_k = phi(k) sum_m c_m exp(i k x_m), k < nT; the row
+    is Re F_k / phi(k), or Im for sine.  x_m and the kernel offsets are
+    long double, and the rounding delta_j (an ulp in np.linspace) is
+    corrected to first order by the other part of the transform of
+    freqs c_m: each is worth 1e-12.  From T_0 != 0 a row splits by angle
+    addition.  With sum |c| = 1 the error is below 2.5e-15 for random
+    frequencies up to nT = 20000 and for one frequency at any position.
+    The first time is summed directly (an entropy of sz near 1, as at
+    T = 0, magnifies 1e-16 to several 1e-15).  The rows share a kernel
+    table per width (_kernel_table) and spread _SPREAD_BLOCK kernel points
+    at a time: the same additions in the same order at any block size.
+    """
+    plan = grid if isinstance(grid, GridPlan) else grid_plan(grid)
+    w = np.asarray(freqs, dtype=np.longdouble)
+    coefs = np.asarray(coefs, dtype=float)
+    n_t = plan.delta.size
+    if plan.t0 != 0.0:  # (cos, sin) w (T_0 + t) = (c cos - s sin, s cos + c sin) w t
+        c, s = (turn := exp_i(w * plan.t0)).real, turn.imag
+        out = trig_sum(w, coefs * (s if sine else c), zero := plan._replace(t0=np.longdouble(0)))
+        out += trig_sum(w, coefs * (c if sine else -s), zero, sine=True)
+        return out
     out = np.empty(coefs.shape[:-1] + (n_t,))
     if n_t == 0:
         return out
-    t0 = np.longdouble(times[0])
-    h = (np.longdouble(times[-1]) - t0) / max(n_t - 1, 1)
-    delta = (times - (t0 + np.arange(n_t) * h)).astype(float)
-    stray = float(np.abs(delta).max())
-    if not stray <= _UNIFORM_ULPS * _EPS * float(np.abs(times).max()):
-        raise InvalidParameterError(
-            f"times must form a uniform grid: they stray from one by {stray:.3e}"
-        )
-    x = np.mod(w * h, _TWO_PI)
-    j0 = n_t // 2  # output j is mode k = j - j0 of the transform
-    n_fine = max(_UPSAMPLE * n_t, _MIN_FINE)
     # positions in fine-grid points, in [0, n_fine): x < 2 pi, but the
     # product may round up to n_fine, which wraps to 0 as np.mod would
-    u = x * (n_fine / _TWO_PI)
-    u[u >= n_fine] -= n_fine
-    main, fix = (_plan(u, n_fine, width, n_t) for width in (_ES_WIDTH, _CORRECTION_WIDTH))
-    a = coefs.astype(complex) if t0 == 0.0 else coefs * exp_i(w * t0)  # exp_i(0) is 1
-    first = a.sum(axis=-1).real  # the first time, summed directly
-    a *= exp_i(j0 * x)
-    modes = np.empty(n_t, dtype=complex)
-
-    def transform(a_row: np.ndarray, starts: np.ndarray, kernel: np.ndarray,
-                  inv_ft: np.ndarray) -> np.ndarray:
-        # spread onto the fine grid padded by half a kernel at each end, in
-        # place (a bincount returns a grid-length temporary),
-        # _SPREAD_BLOCK complex kernel points at a time; fold the pads,
-        # inverse FFT, and the modes over the kernel's Fourier transform
-        m, width = kernel.shape
-        half = width // 2
-        padded = np.zeros(n_fine + 2 * half, dtype=complex)
-        rows, points = max(_SPREAD_BLOCK // width, 1), np.arange(width)
-        spread = np.empty((min(rows, m), width), dtype=complex)
-        index = np.empty((min(rows, m), width), dtype=np.int64)
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            block = np.multiply(a_row[lo:hi, None], kernel[lo:hi], out=spread[:hi - lo])
-            at = np.add(starts[lo:hi, None], points, out=index[:hi - lo]).reshape(-1)
-            np.add.at(padded, at, block.reshape(-1))
-        fine = padded[half:half + n_fine]
-        fine[:half] += padded[n_fine + half:]
-        fine[n_fine - half:] += padded[:half]
-        np.fft.ifft(fine, norm="forward", out=fine)
-        modes[:j0], modes[j0:] = fine[n_fine - j0:], fine[:n_t - j0]
-        np.multiply(modes, inv_ft, out=modes)
-        return modes.real
-
-    i_w = 1j * w.astype(float)
-    for row, a_row in zip(out.reshape(-1, n_t), a.reshape(first.size, w.size)):
-        row[:] = transform(a_row, *main)
-        fixed = transform(i_w * a_row, *fix)
-        row += np.multiply(fixed, delta, out=fixed)
-    out[..., 0] = first
+    u = np.mod(w * plan.h, _TWO_PI) * (plan.n_fine / _TWO_PI)
+    u[u >= plan.n_fine] -= plan.n_fine
+    main, fix = (_kernel_table(u, width) for width in (_ES_WIDTH, _CORRECTION_WIDTH))
+    # the fine grid, padded by half a main kernel at each end
+    buf = np.empty(plan.n_fine // 2 + _ES_WIDTH // 2, dtype=complex).view(float)
+    w = w.astype(float)
+    for row, a in zip(out.reshape(-1, n_t), coefs.reshape(math.prod(coefs.shape[:-1]), w.size)):
+        row[:] = _modes(a, *main, plan, 0, sine, buf)
+        # d/dT (cos, sin) w T = w (-sin, cos) w T
+        modes = _modes((w if sine else -w) * a, *fix, plan, 1, not sine, buf)
+        row += np.multiply(modes, plan.delta, out=modes)
+    out[..., 0] = 0.0 if sine else coefs.sum(axis=-1)
     return out
 
 
@@ -380,17 +365,47 @@ def exp_i(phase: np.ndarray) -> np.ndarray:
     return (np.cos(hi) + 1j * np.sin(hi)) * (1.0 + 1j * (phase - hi).astype(float))
 
 
-def _plan(u: np.ndarray, n_fine: int, width: int, n_t: int) -> tuple[np.ndarray, ...]:
-    """What trig_sum's transforms with one kernel width share: the index of
-    each term's first kernel point on the fine grid padded by width / 2 at
-    each end, (M,); the kernel values (M, width) at offsets from the
-    long-double positions u; and 1 / the kernel's Fourier transform at the
-    modes,
-    (width / 2) int_{-1}^{1} exp(beta (sqrt(1 - z^2) - 1)) cos(k z width pi / n_fine) dz.
-    The kernel table is filled _SPREAD_BLOCK points at a time and the
-    transform from (nodes, modes) cosine tables of about as many entries,
-    so beside the M x width table the working memory is a few such blocks.
-    """
+def _modes(values: np.ndarray, starts: np.ndarray, kernel: np.ndarray, plan: GridPlan,
+           width_index: int, sine: bool, buf: np.ndarray) -> np.ndarray:
+    """Re (Im for sine) sum_m values[m] exp(i k x_m), k < nT, as a view of buf:
+    spread in place (a bincount returns a grid-length temporary), transformed."""
+    m, width = kernel.shape
+    half, pad, n_fine, n_t = width // 2, _ES_WIDTH // 2, plan.n_fine, plan.delta.size
+    padded = buf[pad - half:pad + n_fine + half]
+    padded.fill(0.0)
+    rows, points = max(_SPREAD_BLOCK // width, 1), np.arange(width)
+    spread = np.empty((min(rows, m), width))
+    index = np.empty((min(rows, m), width), dtype=np.int64)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        block = np.multiply(values[lo:hi, None], kernel[lo:hi], out=spread[:hi - lo])
+        at = np.add(starts[lo:hi, None], points, out=index[:hi - lo]).reshape(-1)
+        np.add.at(padded, at, block.reshape(-1))
+    fine = padded[half:half + n_fine]
+    fine[:half] += padded[n_fine + half:]
+    fine[n_fine - half:] += padded[:half]
+    # the transform Z of the points as complex ones, even + i odd, gives with
+    # Z'_k = Z_{n_fine/2 - k} (Z_{n_fine/2} = Z_0, in the pad) and twiddles c, s
+    # 2 Re F_k = (Zr + Z'r) + c (Zi + Z'i) + s (Zr - Z'r) and
+    # 2 Im F_k = (Zi - Z'i) + s (Zi + Z'i) - c (Zr - Z'r), in the middle third
+    z = buf[pad:pad + n_fine + 2].view(complex)
+    np.fft.ifft(z[:-1], norm="forward", out=z[:-1])
+    z[-1] = z[0]
+    zk, zk_ = z[:n_t], z[n_fine // 2 - n_t + 1:][::-1]
+    t1, t2 = buf[pad + 2 * n_t:pad + 4 * n_t].reshape(2, n_t)
+    c, s = plan.tables[1::-1] if sine else plan.tables[:2]
+    op, own, own_ = (np.subtract, zk.imag, zk_.imag) if sine else (np.add, zk.real, zk_.real)
+    np.multiply(np.add(zk.imag, zk_.imag, out=t1), c, out=t1)
+    op(t1, np.multiply(np.subtract(zk.real, zk_.real, out=t2), s, out=t2), out=t1)
+    t1 += op(own, own_, out=t2)
+    t1 *= plan.tables[2 + width_index]
+    return t1
+
+
+def _kernel_table(u: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's first kernel point on the fine grid padded by width / 2
+    at each end, (M,), and the kernel values (M, width) at offsets from the
+    long-double positions u, filled _SPREAD_BLOCK points at a time."""
     beta = _ES_BETA_PER_POINT * width
     half = width // 2
     # first kernel point floor(u) + 1 - half, in [1 - half, n_fine - half]
@@ -407,27 +422,25 @@ def _plan(u: np.ndarray, n_fine: int, width: int, n_t: int) -> tuple[np.ndarray,
         np.add(off[lo:hi, None], points, out=zb)
         zb *= 2.0 / width  # in (-1, 1]
         # exp(-beta z^2 / (1 + sqrt(1 - z^2))): without cancellation
-        np.multiply(zb, -beta, out=kb)
-        kb *= zb
-        np.multiply(zb, zb, out=db)
-        np.subtract(1.0, db, out=db)
-        np.sqrt(db, out=db)
+        np.multiply(np.multiply(zb, -beta, out=kb), zb, out=kb)
+        np.sqrt(np.subtract(1.0, np.multiply(zb, zb, out=db), out=db), out=db)
         db += 1.0
-        kb /= db
-        np.exp(kb, out=kb)
-    j0 = n_t // 2
-    k = np.arange(max(j0, n_t - 1 - j0) + 1.0)
-    nodes = _GL_Z * (width * np.pi / n_fine)
-    weights = (_GL_W * np.exp(-2.0 * beta * _GL_HALF_SQ))[:, None]
-    ft = np.empty(k.size)
-    # add.reduce over axis 0 adds node by node, but sums a one-mode table
-    # pairwise: the last chunk takes a lone last mode along, and only a
-    # one-time grid, whose sum trig_sum takes directly, has one mode
-    chunk = max(_SPREAD_BLOCK // nodes.size, 2)
-    for lo in range(0, max(k.size - 1, 1), chunk):
-        hi = k.size if k.size - lo < chunk + 2 else lo + chunk
-        table = np.cos(np.multiply.outer(nodes, k[lo:hi]))
-        table *= weights
-        np.add.reduce(table, axis=0, out=ft[lo:hi])
-    inv_ft = 1.0 / (width * ft)
-    return start + half, kernel, np.concatenate([inv_ft[j0:0:-1], inv_ft[:n_t - j0]])
+        np.exp(np.divide(kb, db, out=kb), out=kb)
+    return start + half, kernel
+
+
+def _mode_tables(n_t: int, n_fine: int) -> np.ndarray:
+    """cos, sin 2 pi k / n_fine and 1 / (2 phi(k)) per kernel width at the
+    modes k < n_t, (4, n_t); phi(k) = (width / 2) int_{-1}^{1} exp(beta
+    (sqrt(1 - z^2) - 1)) cos(k z width pi / n_fine) dz = width Re sum_i
+    W_i e^(i k nu_i) (Gauss-Legendre) is, with k = s B + b and B about
+    sqrt(n_t), one product of tables W_i e^(i s B nu_i) and e^(i b nu_i)."""
+    widths = np.array([_ES_WIDTH, _CORRECTION_WIDTH])
+    b = math.isqrt(max(n_t - 1, 0)) + 1
+    nu = np.multiply.outer(widths * (np.pi / n_fine), _GL_Z)
+    weight = _GL_W * np.exp(-2.0 * _ES_BETA_PER_POINT * np.multiply.outer(widths, _GL_HALF_SQ))
+    coarse = weight[:, None] * np.exp(1j * np.arange(0.0, n_t, b)[:, None] * nu[:, None])
+    ft = (coarse[:, :, None, :] @ np.exp(1j * nu[:, None, :, None] * np.arange(b, dtype=float))).real
+    theta = np.arange(n_t) * (2.0 * np.pi / n_fine)
+    return np.concatenate([[np.cos(theta), np.sin(theta)],
+                           0.5 / (widths[:, None] * ft.reshape(2, -1)[:, :n_t])])

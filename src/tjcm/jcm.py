@@ -5,8 +5,8 @@ field level n, the amplitudes are cos(T sqrt(n+1)) on |+, n> and
 -i sin(T sqrt(n+1)) on |-, n+1>.  The two-atom symmetric case admits a
 strong-field (alpha >> 1) approximation for the transverse coherence in
 terms of the block frequencies w_n = sqrt(4n + 6); both live here as
-references against the exact two-atom pipeline.  Each is a finite trig
-sum over known frequencies, evaluated on the time grid by
+references against the exact two-atom pipeline.  Each is a real cosine
+or sine sum over known frequencies, evaluated on the time grid by
 blocks.trig_sum, so no (T, n) phase matrix over the grid exists.  Both
 sum over n = n_min..n_max, with n_min and the
 weights C_n^2 and C_n C_{n+1} from weights.window(1): the terms below it
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import trig_sum
+from .blocks import grid_plan, trig_sum
 from .observables import BlochVector
 from .params import FockWeights
 
@@ -33,14 +33,14 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
     have the shape of T, a uniform grid or one time.  sy is evaluated as
     sum_n C_n C_{n+1} [sin T(sqrt(n+1) + sqrt(n+2)) + sin T(sqrt(n+1) - sqrt(n+2))],
     so sz is a cosine sum at the frequencies 2 sqrt(n+1) and sy a sine sum
-    at sqrt(n+1) +- sqrt(n+2).
+    at sqrt(n+1) +- sqrt(n+2), both on one grid_plan.
     """
     n_min, pop, pair = weights.window(1)
     # sqrt(n + 1), in long double so that sums of roots enter exactly
     root = np.sqrt(np.arange(n_min + 1.0, weights.n_max + 2.0)).astype(np.longdouble)
-    sz = trig_sum(2.0 * root, pop, T)
+    sz = trig_sum(2.0 * root, pop, plan := grid_plan(T))
     sy = trig_sum(np.concatenate([root[:-1] + root[1:], root[:-1] - root[1:]]),
-                  -1j * np.concatenate([pair, pair]), T)
+                  np.concatenate([pair, pair]), plan, sine=True)
     return BlochVector(sx=0.0, sy=sy.reshape(np.shape(T))[()], sz=sz.reshape(np.shape(T))[()])
 
 
@@ -60,5 +60,5 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     n_min, _, pair = weights.window(1)
     w = np.sqrt(4.0 * np.arange(n_min, weights.n_max + 1.0) + 6.0)
     sy = trig_sum(np.concatenate([w[:-1] - w[1:], w[:-1], w[1:]]),
-                  -1j * np.concatenate([pair, pair, pair]), T)
+                  np.concatenate([pair, pair, pair]), T, sine=True)
     return 0.5 * sy.reshape(np.shape(T))[()]

@@ -49,9 +49,9 @@ def bloch(state: ReducedAtomState) -> BlochVector:
     )
 
 
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    """p ln p, continued by its limit 0 at p = 0 (where the log sees 1)."""
-    return p * np.log(p + (p == 0.0))
+def _xlogx(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x ln x into out (not x), continued by 0 at x = 0 (where the log sees 1)."""
+    return np.multiply(np.log(np.add(x, x == 0.0, out=out), out=out), x, out=out)
 
 
 def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
@@ -59,16 +59,19 @@ def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
 
     Symmetric under m -> -m, zero at m = +-1, ln 2 at m = 0.  Inputs a hair
     outside [-1, 1] (roundoff, as the inversion at T = 0: see reduced_states)
-    are clamped; anything beyond 1e-12 is rejected.
+    are clamped; anything beyond 1e-12 is rejected.  Evaluated in place, with
+    two working arrays beside the result.
     """
     m = np.asarray(m, dtype=float)
-    if (abs(m) > 1.0 + 1e-12).any():
-        raise InvalidParameterError(
-            f"mean {m.flat[np.argmax(abs(m))]} outside [-1, 1]"
-        )
-    p = np.minimum(np.maximum(0.5 * (1.0 + m), 0.0), 1.0)
-    # from +0.0, so that a pure state gives +0 rather than -0
-    return 0.0 - _xlogx(p) - _xlogx(1.0 - p)
+    p = np.abs(m, out=np.empty_like(m))
+    if (p > 1.0 + 1e-12).any():
+        raise InvalidParameterError(f"mean {m.flat[np.argmax(p)]} outside [-1, 1]")
+    np.minimum(np.maximum(np.multiply(np.add(1.0, m, out=p), 0.5, out=p), 0.0, out=p), 1.0, out=p)
+    q = np.subtract(1.0, p, out=np.empty_like(p))
+    h = _xlogx(p, np.empty_like(p))
+    np.subtract(0.0, h, out=h)  # from +0.0, so that a pure state gives +0, not -0
+    h -= _xlogx(q, p)
+    return h[()]
 
 
 def _axis_mean(b: BlochVector, axis: Axis) -> float | np.ndarray:

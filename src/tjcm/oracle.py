@@ -25,6 +25,7 @@ C-order into a vector of length 4 (n_f + 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -224,15 +225,18 @@ def trace_trajectory(
 ) -> dict[AtomId, ReducedAtomState]:
     """Reduced states of both atoms at the times step * counts of one
     trajectory (walk_grid), by direct partial trace into arrays over the
-    times: psi as rows (s1, s2) by photon number is a 4 x (n_f + 1)
-    matrix A, and each atom's 2x2 state is the trace of A A^H over the
-    other atom.  A norm_drift beyond NORM_DRIFT_TOL raises StepSizeError."""
+    times: psi as rows (s1, s2) by photon number is a 4 x (n_f + 1) matrix
+    A, and each atom's 2x2 state is the trace of A A^H over the other atom,
+    64 kB of states at a time by one stacked product.  A norm_drift beyond
+    NORM_DRIFT_TOL raises StepSizeError."""
     out = np.empty((2, 4, np.size(counts)))
-    for i, psi in enumerate(walk_grid(h, psi0, step, counts, dt)):
-        amp = psi.reshape(4, h.n_f + 1)
-        rho = (amp @ amp.conj().T).reshape(2, 2, 2, 2)
-        for dest, r in zip(out, (rho.trace(axis1=1, axis2=3), rho.trace(axis1=0, axis2=2))):
-            dest[:, i] = r[0, 0].real, r[1, 1].real, r[0, 1].real, r[0, 1].imag
+    walk, rows = walk_grid(h, psi0, step, counts, dt), max(1, 2**16 // (16 * h.dim))
+    for lo in range(0, out.shape[2], rows):
+        amp = np.array(list(itertools.islice(walk, rows))).reshape(-1, 4, h.n_f + 1)
+        rho = (amp @ amp.conj().transpose(0, 2, 1)).reshape(-1, 2, 2, 2, 2)
+        for dest, r in zip(out[..., lo:lo + len(rho)],
+                           (rho.trace(axis1=2, axis2=4), rho.trace(axis1=1, axis2=3))):
+            dest[:] = r[:, 0, 0].real, r[:, 1, 1].real, r[:, 0, 1].real, r[:, 0, 1].imag
     states = {atom: ReducedAtomState(*values) for atom, values in zip(AtomId, out)}
     drift = norm_drift(states[AtomId.FIRST])
     if drift > NORM_DRIFT_TOL:

@@ -6,7 +6,7 @@ which couples blocks n and n+l; the second atom obeys the same formulas
 with components 2 and 3 interchanged.  reduced_states is the one route
 from the model parameters to these states: it diagonalizes the blocks of
 the weights' window (params.FockWeights.window) and evaluates every entry
-as a trig sum over the spectrum on the whole grid (blocks.trig_sum).
+as a real cosine or sine sum on one grid plan (blocks.trig_sum).
 max_deviation compares two such states.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .blocks import check_phase_conditioning, check_spectrum, eigen_table, exp_i, trig_sum
+from .blocks import check_phase_conditioning, check_spectrum, eigen_table, exp_i, grid_plan, trig_sum
 from .errors import InvalidParameterError, TruncationError
 from .params import FockWeights
 
@@ -72,17 +72,17 @@ def reduced_states(
 
         |psi_b|^2 = sum_k R_bk^2 + sum_{k<k'} 2 R_bk R_bk' cos((w_k - w_k') T),
 
-    is a trig sum over 6 frequencies per block, and atom 1's coherence,
+    is a cosine sum over 6 frequencies per block, and atom 1's coherence,
     pairing blocks n + l and n against pair (none past the truncation),
 
-        coh_im = Im sum_{k,k'} [R_0(n+l,k) R_2(n,k') + R_1(n+l,k) R_3(n,k')]
-                 exp(-i (w_k(n+l) - w_k'(n)) T),
+        coh_im = sum_{k,k'} [R_0(n+l,k) R_2(n,k') + R_1(n+l,k) R_3(n,k')]
+                 sin((w_k'(n) - w_k(n+l)) T),
 
-    one over 16 per pair; atom 2 swaps components 1 and 2.  ``trig_sum``
-    evaluates them on the grid.  At the first time the state is formed
-    from the amplitudes psi_b instead, so a population that starts at 0
-    starts at about 1e-32 (the expanded sums, whose coefficients are
-    rounded, miss the inversion there by up to 1.1e-15).  The blocks
+    a sine sum over 16 per pair; atom 2 swaps components 1 and 2.  Both
+    ``trig_sum`` calls share one ``grid_plan``.  At the first time the
+    state is formed from the amplitudes psi_b instead, so a population that
+    starts at 0 starts at about 1e-32 (the expanded sums, whose coefficients
+    are rounded, miss the inversion there by up to 1.1e-15).  The blocks
     below n_min carry at most 1e-8 * cutoff_eps of either weight and every
     amplitude has modulus <= 1, so leaving them out moves no entry by more
     than that.
@@ -112,14 +112,14 @@ def reduced_states(
     r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2
     comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
     pops = [(0, i2) for i2, _ in comps] + [(i3, 3) for _, i3 in comps]  # p_plus, then p_minus
+    plan = grid_plan(grid)
     p = trig_sum((w[:, k] - w[:, k2]).ravel(),
-                 [(pop[:, None] * (two_rr[:, b] + two_rr[:, c])).ravel() for b, c in pops], grid)
+                 [(pop[:, None] * (two_rr[:, b] + two_rr[:, c])).ravel() for b, c in pops], plan)
     p += np.array([pop @ (r_sq[:, b] + r_sq[:, c]) for b, c in pops])[:, None]
-    # Im sum c exp(...) = Re sum -i c exp(...)
     coh = trig_sum((w[:m, None, :] - w[l:, :, None]).ravel(),
-                   [-1j * (pair[:, None, None] * (r[l:, 0, :, None] * r[:m, i3, None, :]
-                                                  + r[l:, i2, :, None] * r[:m, 3, None, :])).ravel()
-                    for i2, i3 in comps], grid)
+                   [(pair[:, None, None] * (r[l:, 0, :, None] * r[:m, i3, None, :]
+                                            + r[l:, i2, :, None] * r[:m, 3, None, :])).ravel()
+                    for i2, i3 in comps], plan, sine=True)
     # the state at the first time (if any) from the amplitudes psi_b
     psi = np.einsum("nbk,nkt->nbt", r, exp_i(-w[:, :, None] * grid[:1]))
     sq = psi.real ** 2 + psi.imag ** 2

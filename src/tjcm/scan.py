@@ -44,6 +44,8 @@ _CSV_VALUES = 4096
 _FAST_DIGITS = np.finfo(np.longdouble).nmant >= 63
 # 2**7 * 10**k for k = 0..27, each exact: 5**27 < 2**63.
 _DIGIT_SCALE = 128 * np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+# Veltkamp's split of long doubles into halves with exact products.
+_SPLIT = np.longdouble(2 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1)
 _EXPONENTS = range(-11, 16)
 _SLOT = np.arange(18, dtype=np.uint8)[:, None]
 # The decimal digits of 0..9999, most significant first.
@@ -334,9 +336,10 @@ def _format_17g(block: np.ndarray) -> str:
     long-double product (the factor is exact), so q is within 1/2 of the
     exact value, and d = q >> 7, rounded up when q & 127 > 64, is the
     correctly rounded digit string whenever it has 17 digits before and
-    after rounding.  The remainder 64 (a tie within q's error), a
-    misestimated x, every value outside the range and every value on a
-    platform without a 64-bit long double take f"{v:.17g}" itself.  Each
+    after rounding.  At the remainder 64, a tie within q's error, the
+    product's exact error decides (to even on an exact tie).  A misestimated
+    x, every value outside the range and every value on a platform without
+    a 64-bit long double take f"{v:.17g}" itself.  Each
     field is laid out in one column of a (29, n) byte table padded with
     NUL: sign and "0.000" prefix, 18 slots for the digits and the point,
     "e-XX", separator.  Apart from uint8 products it keeps to the numpy
@@ -349,12 +352,19 @@ def _format_17g(block: np.ndarray) -> str:
     fast = (a >= 1e-11) & (a < 1e16) & _FAST_DIGITS
     a = np.where(fast, a, 1.0)
     x = np.clip(np.floor(np.log10(a)).astype(np.intp), -11, 15)
-    q = a.astype(np.longdouble)
-    q *= np.take(_DIGIT_SCALE, 16 - x)
-    fast &= (q >= _DIGIT_SCALE[16]) & (q < _DIGIT_SCALE[17] - 128)
-    q = np.where(fast, q, _DIGIT_SCALE[16]).astype(np.uint64)
-    fast &= q - (q >> 7 << 7) != 64
+    scale = np.take(_DIGIT_SCALE, 16 - x)
+    product = a * scale  # in long double, as scale
+    fast &= (product >= _DIGIT_SCALE[16]) & (product < _DIGIT_SCALE[17] - 128)
+    q = np.where(fast, product, _DIGIT_SCALE[16]).astype(np.uint64)
     d = ((q + 63) >> 7).view(np.int64)
+    # remainder 64: the product's exact rounding error (Dekker) gives the
+    # sign of |v| scale - (q >> 7 << 7 | 64); d rounds up, or to even on 0
+    tie = np.flatnonzero(fast & (q - (q >> 7 << 7) == 64))
+    p, qt, y = product[tie], q[tie], np.stack([a[tie], scale[tie]])
+    a_hi, s_hi = y_hi = y * _SPLIT - (y * _SPLIT - y)
+    a_lo, s_lo = y - y_hi
+    above = (p - qt) + (((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo)
+    d[tie] += (above > 0) | ((above == 0) & (qt >> 7 != qt >> 8 << 1))
     # d = 10**16 lead + the 4-digit groups quad; the long-double quotient
     # d / 1e8 cannot round up to the next integer
     hi = (d.astype(np.longdouble) / 1e8).astype(np.int64)

@@ -242,11 +242,46 @@ def exact_ties(rng, per_exponent=20):
     return np.array(values)
 
 
+def remainder_ties(rng, size=20000):
+    """Doubles v of the fast range, 1e-11 <= |v| < 1e16, whose exact
+    v * 10**(16 - floor(log10 |v|)) lies within 1/64 of a half-integer:
+    17-digit near-ties, in exact decimal arithmetic, with both signs."""
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(-11, 16, size)
+    v = v[(np.abs(v) >= 1e-11) & (np.abs(v) < 1e16)]
+    picked = []
+    for w in v.tolist():
+        exact = abs(Decimal(w))
+        scaled = exact.scaleb(16 - exact.adjusted())
+        if abs(scaled - scaled.to_integral_value(rounding="ROUND_FLOOR") - Decimal("0.5")) < Decimal(1) / 64:
+            picked.append(w)
+    return np.array(picked)
+
+
+def test_csv_near_ties_take_the_fast_digits(monkeypatch):
+    """17-digit near-ties, which leave the long-double product the
+    remainder 64, and exact ties get their digits from the product's
+    exact rounding error: none of them takes f"{v:.17g}", and the bytes
+    are its bytes."""
+    rng = np.random.default_rng(12)
+    values = np.concatenate([remainder_ties(rng), exact_ties(rng)])
+    assert values.size > 500
+    formatted = []
+    real = tjcm.scan._byte_columns
+    monkeypatch.setattr(tjcm.scan, "_byte_columns",
+                        lambda texts, width: real(formatted.extend(texts) or texts, width))
+    series = TimeSeries(grid=np.linspace(0.0, 25.0, values.size), channels={"v": values})
+    out = io.StringIO()
+    write_csv(series, out)
+    assert out.getvalue() == per_value_csv(series)
+    if tjcm.scan._FAST_DIGITS:
+        assert [t for t in formatted if t != "0"] == []
+
+
 def test_csv_bytes_equal_per_value_formatting(monkeypatch):
     """write_csv's numpy digits give the bytes of per-value formatting on
     random doubles of every exponent, the neighbours of every power of ten
-    and of the fast range's edges, exact and near 18-digit ties and the
-    special values, for any block size, and with the long-double digits
+    and of the fast range's edges, exact and near 18-digit ties, 17-digit
+    near-ties and the special values, for any block size, and with the long-double digits
     switched off."""
     rng = np.random.default_rng(7)
     special = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, math.inf,
@@ -256,7 +291,7 @@ def test_csv_bytes_equal_per_value_formatting(monkeypatch):
     neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
     near_ties = np.array([float(f"{d}5e{e}") for d, e in zip(
         rng.integers(10**16, 10**17, 600).tolist(), rng.integers(-28, 18, 600).tolist())])
-    edge = np.concatenate([special, neighbours, exact_ties(rng), near_ties])
+    edge = np.concatenate([special, neighbours, exact_ties(rng), near_ties, remainder_ties(rng)])
     steps = edge.size
     bits = rng.integers(0, 2**64, size=(4, steps), dtype=np.uint64).view(float)
     channels = {f"c{k}": bits[k] for k in range(4)}

@@ -1,105 +1,167 @@
 """blocks.trig_sum against direct long-double sums.
 
-Each of the last four tests sits where one way of losing precision in the
+Each of the last three tests sits where one way of losing precision in the
 transform costs 1e-12 or more, so that it fails if that precision is lost:
-reducing positions by a float64 2 pi, taking kernel offsets or the index
-shift's phase in float64, and dropping (or flipping the sign of) the
-first-order correction for the rounding of np.linspace.  They allow
-TOL, trig_sum's worst case per unit of sum |c| (measured: 1.4e-15 over
-these tests), under a four-hundredth of what any of the four losses costs.
+reducing positions by a float64 2 pi, taking kernel offsets in float64,
+and dropping (or flipping the sign of) the first-order correction for the
+rounding of np.linspace.  They allow TOL, trig_sum's worst case per unit
+of sum |c| (measured: 1.4e-15 over these tests), under a four-hundredth of
+what any of the three losses costs.  The one-sided transform has no index
+shift, so the test of its long-double phase went with it.
 """
 
 import numpy as np
 import pytest
 
 from tjcm import InvalidParameterError, blocks
-from tjcm.blocks import trig_sum
+from tjcm.blocks import grid_plan, trig_sum
 
 LD = np.longdouble
 TWO_PI = 8 * np.arctan(LD(1))
 TOL = 2.5e-15
 
 
-def direct(freqs, coefs, times):
-    """Re sum_m coefs[m] exp(i freqs[m] T) at each time, phases and sums in
-    long double."""
+def direct(freqs, coefs, times, sine=False):
+    """sum_m coefs[m] cos(freqs[m] T) (sin for sine) at each time, phases
+    and sums in long double."""
     phase = np.mod(np.multiply.outer(np.asarray(times, dtype=LD), np.asarray(freqs, dtype=LD)),
                    TWO_PI)
-    re, im = np.real(coefs).astype(LD), np.imag(coefs).astype(LD)
-    return (np.cos(phase) @ re - np.sin(phase) @ im).astype(float)
+    return ((np.sin if sine else np.cos)(phase) @ np.asarray(coefs, dtype=LD)).astype(float)
 
 
 def random_sum(seed, size, lo, hi):
-    """Frequencies uniform in [lo, hi] with either sign, and complex
+    """Frequencies uniform in [lo, hi] with either sign, and real
     coefficients with sum |c| = 1."""
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(lo, hi, size) * rng.choice([-1.0, 1.0], size)
-    coefs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    coefs = rng.normal(size=size)
     return freqs, coefs / np.sum(np.abs(coefs))
+
+
+def worst(freqs, coefs, times):
+    """Largest distance from the direct sums over cosine and sine rows."""
+    return max(np.max(np.abs(trig_sum(freqs, coefs, times, sine) - direct(freqs, coefs, times, sine)))
+               for sine in (False, True))
 
 
 @pytest.mark.parametrize("steps", [500, 2500, 20000])
 def test_trig_sum_matches_long_double_sums(steps):
     """Random frequencies up to 4000 over [0, 25] (and backward over
-    [7.5, -17.5]): within TOL of the direct sums (measured: 1.1e-15)."""
+    [7.5, -17.5], an offset grid split by angle addition): cosine and sine
+    rows within TOL of the direct sums (measured: 1.1e-15)."""
     freqs, coefs = random_sum(steps, 48, 0.0, 4000.0)
     for times in (np.linspace(0.0, 25.0, steps), np.linspace(7.5, -17.5, steps)):
-        assert np.max(np.abs(trig_sum(freqs, coefs, times) - direct(freqs, coefs, times))) <= TOL
+        assert worst(freqs, coefs, times) <= TOL
 
 
 def test_trig_sum_rows_share_frequencies():
     """Rows of coefs are independent sums over the same frequencies, and a
     single time is the direct sum."""
     freqs, coefs = random_sum(1, 30, 0.0, 50.0)
-    rows = np.stack([coefs, 2.0 * coefs.conj(), -1j * coefs])
+    rows = np.stack([coefs, -2.0 * coefs[::-1], np.abs(coefs)])
     times = np.linspace(-3.0, 9.0, 700)
-    out = trig_sum(freqs, rows, times)
-    assert out.shape == (3, 700)
-    for got, c in zip(out, rows):
-        assert np.array_equal(got, trig_sum(freqs, c, times))
-    for T in (0.0, 3.7, -2.2):
-        assert abs(trig_sum(freqs, coefs, [T])[0] - direct(freqs, coefs, [T])[0]) <= 1e-16
-    assert trig_sum(freqs, np.zeros(30), times).tolist() == [0.0] * 700
-    assert trig_sum(np.zeros(0), np.zeros(0), times).tolist() == [0.0] * 700
+    for sine in (False, True):
+        out = trig_sum(freqs, rows, times, sine)
+        assert out.shape == (3, 700)
+        for got, c in zip(out, rows):
+            assert np.array_equal(got, trig_sum(freqs, c, times, sine))
+        for T in (0.0, 3.7, -2.2):
+            assert abs(trig_sum(freqs, coefs, [T], sine)[0] - direct(freqs, coefs, [T], sine)[0]) <= 1e-16
+        assert trig_sum(freqs, np.zeros(30), times, sine).tolist() == [0.0] * 700
+        assert trig_sum(np.zeros(0), np.zeros(0), times, sine).tolist() == [0.0] * 700
+    # a sine sum from T = 0 starts at +0
+    assert str(trig_sum(freqs, coefs, np.linspace(0.0, 1.0, 9), sine=True)[0]) == "0.0"
 
 
 def test_trig_sum_one_frequency_worst_case():
     """One frequency at 11 positions from one fine-grid point to the next
-    (7500 points for 2500 times), near the grid's end modes and away from
-    them, over exactly representable times: within TOL |c|.  A position
-    within rounding of a fine-grid point keeps its offset from it, which
-    float64 positions lose (7.7e-14 at point 1249)."""
+    (15000 points for 2500 times), at the ends of the grid and within it,
+    over exactly representable times: within TOL |c|.  A position within
+    rounding of a fine-grid point keeps its offset from it, which float64
+    positions lose."""
     times = np.arange(2500) * 2.0 ** -7
-    for point in (1, 1234, 1249, 3700):
+    for point in (1, 2499, 7499, 14998):
         for frac in np.linspace(0.0, 1.0, 11):
-            freq = np.array([(point + frac) * 2.0 * np.pi / 7500.0 / 2.0 ** -7])
-            err = np.abs(trig_sum(freq, [1.0], times) - direct(freq, [1.0], times))
-            assert np.max(err) <= TOL, (point, frac)
+            freq = np.array([(point + frac) * 2.0 * np.pi / 15000.0 / 2.0 ** -7])
+            assert worst(freq, [1.0], times) <= TOL, (point, frac)
+
+
+@pytest.mark.parametrize("steps", [7, 42, 43, 2500, 2501])
+def test_trig_sum_last_mode(steps):
+    """The last time is mode nT - 1, where the kernel's transform is
+    smallest and the even-odd split reads the transform's first index past
+    the middle third: one frequency at positions across a fine-grid cell
+    there, on grids on the 256-point floor (nT 7, 42) and off it."""
+    times = np.arange(steps) * 2.0 ** -7
+    n_fine = grid_plan(times).n_fine
+    assert n_fine == max(6 * steps, 256)
+    for point in (0, n_fine // 2 - steps + 1, n_fine - 1):
+        for frac in (0.0, 0.3, 0.5, 0.9):
+            freq = np.array([(point + frac) * 2.0 * np.pi / n_fine / 2.0 ** -7])
+            for sine in (False, True):
+                got = trig_sum(freq, [1.0], times, sine)[-1]
+                assert abs(got - direct(freq, [1.0], times[-1:], sine)[0]) <= TOL
+
+
+def test_trig_sum_offset_grids():
+    """Grids from T_0 != 0, forward and backward, and two-time grids: each
+    row is split by angle addition into a cosine and a sine row."""
+    freqs, coefs = random_sum(9, 40, 0.0, 900.0)
+    for times in (np.linspace(-4.0, 21.0, 1001), np.linspace(3.0, -2.0, 600),
+                  np.linspace(-0.5, 0.0, 99), [0.0, 0.5], [2.5, -1.0]):
+        assert worst(freqs, coefs, times) <= TOL
+
+
+def test_shared_plan_equals_a_fresh_one():
+    """A GridPlan shared by several sums gives each of them, bit for bit,
+    what its own times give."""
+    freqs, coefs = random_sum(10, 60, 0.0, 300.0)
+    other, _ = random_sum(11, 60, 0.0, 30.0)
+    for times in (np.linspace(0.0, 25.0, 500), np.linspace(-1.0, 2.0, 31), [0.0]):
+        plan = grid_plan(times)
+        for f, sine in ((freqs, False), (other, True), (freqs, True), (other, False)):
+            assert np.array_equal(trig_sum(f, coefs, plan, sine), trig_sum(f, coefs, times, sine))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 500, 2500, 20001])
+def test_mode_tables_match_cosine_sums(steps):
+    """The table product gives 1 / (2 phi) within 1e-15 (relative) of the
+    Gauss-Legendre sums of phi taken one cosine at a time, and the
+    twiddles are cos and sin 2 pi k / n_fine within 2.5e-16."""
+    n_fine = max(6 * steps, 256)
+    got = blocks._mode_tables(steps, n_fine)
+    assert got.shape == (4, steps)
+    theta = np.arange(steps, dtype=LD) * TWO_PI / n_fine
+    assert np.max(np.abs(got[:2] - [np.cos(theta), np.sin(theta)])) <= 2.5e-16
+    for width, inv in zip((blocks._ES_WIDTH, blocks._CORRECTION_WIDTH), got[2:]):
+        beta = blocks._ES_BETA_PER_POINT * width
+        nodes = blocks._GL_Z * (width * np.pi / n_fine)
+        weights = (blocks._GL_W * np.exp(-2.0 * beta * blocks._GL_HALF_SQ))[:, None]
+        ft = (weights * np.cos(np.multiply.outer(nodes, np.arange(steps)))).sum(axis=0)
+        assert np.max(np.abs(inv * 2.0 * width * ft - 1.0)) <= 1e-15
 
 
 def test_trig_sum_bitwise_independent_of_block_size(monkeypatch):
     """The kernel table is filled, and the terms spread, _SPREAD_BLOCK
-    kernel points at a time, and the kernel's transform is summed from
-    cosine tables of about as many entries: the same operations in the
-    same order at any size.  One kernel row per block (two modes per
-    table), and one block for the whole table, give the default's sums bit
-    for bit, on grids of 2, 3 and 700 times (351 modes, more than one
-    table at the default), forward and backward, from T = 0 and not."""
+    kernel points at a time: the same operations in the same order at any
+    size.  One kernel row per block, and one block for the whole table,
+    give the default's sums bit for bit, on grids of 2, 3 and 700 times,
+    forward and backward, from T = 0 and not."""
     freqs, coefs = random_sum(8, 300, 0.0, 400.0)
-    rows = np.stack([coefs, -1j * coefs.real, coefs.conj()])
-    cases = [(rows, np.linspace(0.0, 25.0, 700)), (coefs, np.linspace(7.5, -17.5, 700)),
-             (coefs.real, np.linspace(0.0, 1.0, 2)), (rows, np.linspace(-1.0, 2.0, 3))]
-    default = [trig_sum(freqs, c, times) for c, times in cases]
+    rows = np.stack([coefs, -coefs[::-1], np.abs(coefs)])
+    cases = [(rows, np.linspace(0.0, 25.0, 700), True), (coefs, np.linspace(7.5, -17.5, 700), False),
+             (coefs, np.linspace(0.0, 1.0, 2), False), (rows, np.linspace(-1.0, 2.0, 3), True)]
+    default = [trig_sum(freqs, c, times, sine) for c, times, sine in cases]
     for block in (1, 1000, 10**9, blocks._SPREAD_BLOCK):
         monkeypatch.setattr(blocks, "_SPREAD_BLOCK", block)
-        for (c, times), expected in zip(cases, default):
-            assert np.array_equal(trig_sum(freqs, c, times), expected)
+        for (c, times, sine), expected in zip(cases, default):
+            assert np.array_equal(trig_sum(freqs, c, times, sine), expected)
 
 
 def test_trig_sum_on_an_empty_grid():
     freqs, coefs = random_sum(7, 5, 0.0, 5.0)
     assert trig_sum(freqs, coefs, []).shape == (0,)
-    assert trig_sum(freqs, np.stack([coefs, coefs]), np.zeros(0)).shape == (2, 0)
+    assert trig_sum(freqs, np.stack([coefs, coefs]), np.zeros(0), sine=True).shape == (2, 0)
 
 
 def test_trig_sum_refuses_times_off_a_uniform_grid():
@@ -109,9 +171,11 @@ def test_trig_sum_refuses_times_off_a_uniform_grid():
     for times in (grid, [0.0, 1.0, 3.0]):
         with pytest.raises(InvalidParameterError, match="uniform grid"):
             trig_sum(freqs, coefs, times)
+        with pytest.raises(InvalidParameterError, match="uniform grid"):
+            grid_plan(times)
     # a uniform grid scaled (g T) or shifted keeps within the rounding bound
     for times in (0.37 * np.linspace(0.0, 25.0, 100), np.linspace(0.0, 25.0, 100) + 1e3):
-        assert np.max(np.abs(trig_sum(freqs, coefs, times) - direct(freqs, coefs, times))) <= TOL
+        assert worst(freqs, coefs, times) <= TOL
 
 
 def test_positions_reduced_by_long_double_two_pi():
@@ -120,33 +184,24 @@ def test_positions_reduced_by_long_double_two_pi():
     about 1e-12 at the end."""
     h = 25.0 / 4999
     freqs, coefs = random_sum(3, 48, 2.0 * np.pi / h, 4.0 * np.pi / h)
-    times = np.linspace(0.0, 25.0, 5000)
-    assert np.max(np.abs(trig_sum(freqs, coefs, times) - direct(freqs, coefs, times))) <= TOL
+    assert worst(freqs, coefs, np.linspace(0.0, 25.0, 5000)) <= TOL
 
 
 def test_kernel_offsets_from_long_double_positions():
-    """20000 steps, so positions reach 60000 fine-grid points: a float64
-    position there is off by up to 3.6e-12 points, which modes near 10000
-    turn into phase errors near 4e-12."""
+    """20000 steps, so positions reach 120000 fine-grid points: a float64
+    position there is off by up to 7.3e-12 points, which modes near 20000
+    turn into phase errors near 8e-12."""
     freqs, coefs = random_sum(4, 48, 0.0, 1200.0)
-    times = np.linspace(0.0, 25.0, 20000)
-    assert np.max(np.abs(trig_sum(freqs, coefs, times) - direct(freqs, coefs, times))) <= TOL
-
-
-def test_index_shift_phase_in_long_double():
-    """The index shift exp(i j0 x) with j0 = 10000: a float64 product
-    j0 * x of about 3e4 rad is off by up to 3.6e-12 rad."""
-    freqs, coefs = random_sum(5, 48, 100.0, 1200.0)
-    times = np.linspace(0.0, 25.0, 20001)
-    assert np.max(np.abs(trig_sum(freqs, coefs, times) - direct(freqs, coefs, times))) <= TOL
+    assert worst(freqs, coefs, np.linspace(0.0, 25.0, 20000)) <= TOL
 
 
 def test_linspace_rounding_corrected_to_first_order():
     """np.linspace(0, 25, 2500) rounds its times by up to 2.7e-15 off
     T_0 + j h; at frequencies near 4000 that is 1e-11 rad, which only the
-    correction (with its sign: d/dT cos wT = -w sin wT) takes out."""
+    correction (with its sign: d/dT (cos, sin) wT = w (-sin, cos) wT)
+    takes out, in cosine rows and in sine rows."""
     times = np.linspace(0.0, 25.0, 2500)
     h = np.longdouble(25.0) / 2499
     assert np.max(np.abs(times - np.arange(2500) * h)) > 1e-15
     freqs, coefs = random_sum(6, 48, 3000.0, 4000.0)
-    assert np.max(np.abs(trig_sum(freqs, coefs, times) - direct(freqs, coefs, times))) <= TOL
+    assert worst(freqs, coefs, times) <= TOL
