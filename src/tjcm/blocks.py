@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
 
 _NORM_TOL = 1e-10
+# |w_0 + w_3|, |w_1 + w_2| in eps * max|w|: the Jacobi's measured worst is 8
+_SYMMETRY_TOL = 16.0
 _EPS, _MAX = np.finfo(float).eps, np.finfo(float).max
 # phase error bound max|w|*max|T|*eps: the accuracy verify promises (STATE_DEV_TOL)
 _PHASE_COND_TOL = 1e-8
@@ -251,15 +253,24 @@ def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray) -> None:
         )
 
 
-def check_spectrum(vecs: np.ndarray) -> None:
+def check_spectrum(vals: np.ndarray, vecs: np.ndarray) -> None:
     """Refuse block eigenvectors that are not orthonormal, or whose overlaps
     miss sum_k <v_k|e1>^2 = 1, by more than _NORM_TOL: together these keep
-    every amplitude norm at 1 at all times, which no caller forms."""
+    every amplitude norm at 1 at all times, which no caller forms; and
+    eigenvalues off +- symmetry by more than _SYMMETRY_TOL, which
+    reduced_states assumes."""
     gram = np.einsum("nik,nil->nkl", vecs, vecs) - np.eye(4)
     overlap = np.einsum("nk,nk->n", vecs[:, 0, :], vecs[:, 0, :]) - 1.0
     dev = max(float(np.abs(gram).max(initial=0.0)), float(np.abs(overlap).max(initial=0.0)))
     if not dev <= _NORM_TOL:
         raise InternalConsistencyError(f"block spectrum deviates from orthonormal by {dev:.3e}")
+    skew = np.maximum(np.abs(vals[:, 0] + vals[:, 3]), np.abs(vals[:, 1] + vals[:, 2]))
+    worst = float((skew / (_EPS * np.abs(vals).max(axis=1))).max(initial=0.0))
+    if not worst <= _SYMMETRY_TOL:
+        raise InternalConsistencyError(
+            f"block spectrum is not +- symmetric: |w_0 + w_3| or |w_1 + w_2| is "
+            f"{worst:.1f} eps * max|w|, beyond {_SYMMETRY_TOL:.0f}"
+        )
 
 
 def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
@@ -322,7 +333,9 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
     corrected to first order by the other part of the transform of
     freqs c_m: each is worth 1e-12.  From T_0 != 0 a row splits by angle
     addition.  With sum |c| = 1 the error is below 2.5e-15 for random
-    frequencies up to nT = 20000 and for one frequency at any position.
+    frequencies up to nT = 20000 and for one frequency at any position,
+    while max|w T| is far below the phase-conditioning limit 4.5e7; the
+    long-double positions add about |w T| * 5.4e-20 rad beyond it.
     The first time is summed directly (an entropy of sz near 1, as at
     T = 0, magnifies 1e-16 to several 1e-15).  The rows share a kernel
     table per width (_kernel_table) and spread _SPREAD_BLOCK kernel points

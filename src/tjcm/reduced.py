@@ -6,7 +6,8 @@ which couples blocks n and n+l; the second atom obeys the same formulas
 with components 2 and 3 interchanged.  reduced_states is the one route
 from the model parameters to these states: it diagonalizes the blocks of
 the weights' window (params.FockWeights.window) and evaluates every entry
-as a real cosine or sine sum on one grid plan (blocks.trig_sum).
+as a real cosine or sine sum on one grid plan (blocks.trig_sum), with the
+equal and opposite frequencies of the +- symmetric block spectra merged.
 max_deviation compares two such states.
 """
 
@@ -66,19 +67,23 @@ def reduced_states(
 
     The blocks n = n_min..n_max of ``weights`` are diagonalized once
     (``eigen_table``), with n_min, pop = c_n^2 and pair = c_n c_{n+l} from
-    ``weights.window(l)``.  Block n's amplitudes are
+    ``weights.window(l)``.  Block n's spectrum is taken +- symmetric,
+    w = (-s1, -s2, s2, s1) with 2 s1 = w_3 - w_0 and 2 s2 = w_2 - w_1 in
+    long double (check_spectrum bounds the asymmetry).  Its amplitudes are
     psi_b = sum_k R_bk exp(-i w_k T), R_bk = <v_k|e1> v_bk, so a
     population, pop against two
 
         |psi_b|^2 = sum_k R_bk^2 + sum_{k<k'} 2 R_bk R_bk' cos((w_k - w_k') T),
 
-    is a cosine sum over 6 frequencies per block, and atom 1's coherence,
-    pairing blocks n + l and n against pair (none past the truncation),
+    is a cosine sum over 4 frequencies per block (01 and 23 share s1 - s2,
+    02 and 13 share s1 + s2), and atom 1's coherence, pairing blocks n + l
+    and n against pair (none past the truncation),
 
-        coh_im = sum_{k,k'} [R_0(n+l,k) R_2(n,k') + R_1(n+l,k) R_3(n,k')]
-                 sin((w_k'(n) - w_k(n+l)) T),
+        coh_im = sum_{k,k'} c(k, k') sin((w_k'(n) - w_k(n+l)) T),
+        c(k, k') = R_0(n+l,k) R_2(n,k') + R_1(n+l,k) R_3(n,k'),
 
-    a sine sum over 16 per pair; atom 2 swaps components 1 and 2.  Both
+    a sine sum over 8 per pair: k < 2 with c(k, k') - c(3 - k, 3 - k'),
+    whose frequency is opposite; atom 2 swaps components 1 and 2.  Both
     ``trig_sum`` calls share one ``grid_plan``.  At the first time the
     state is formed from the amplitudes psi_b instead, so a population that
     starts at 0 starts at about 1e-32 (the expanded sums, whose coefficients
@@ -91,7 +96,7 @@ def reduced_states(
 
     The coupling and the phase conditioning are checked before any sum
     runs, and so is the grid's uniformity (InvalidParameterError), and
-    the spectrum's orthonormality (InternalConsistencyError).
+    the spectrum's orthonormality and symmetry (InternalConsistencyError).
     TruncationError is raised when the trace strays from 1 by more than
     ten times the configured tail mass, which signals a cutoff chosen too
     small for the requested amplitude.
@@ -101,25 +106,32 @@ def reduced_states(
     n_min, pop, pair = weights.window(l)
     vals, vecs = eigen_table(weights.n_max, l, g, n_min)
     check_phase_conditioning(vals, grid)
-    check_spectrum(vecs)
+    check_spectrum(vals, vecs)
     if not atoms:
         return {}
     m = pair.size
     r = vecs[:, :1, :] * vecs  # r[n, b, k] = <v_k|e1> v_bk
-    w = vals.astype(np.longdouble)  # so that differences are exact
+    # (-s1, -s2, s2, s1), in long double
+    w = vals.astype(np.longdouble)
+    w[:, 2:] -= w[:, 1::-1]
+    w[:, 2:] /= 2
+    w[:, :2] = -w[:, :1:-1]
     k, k2 = np.triu_indices(4, 1)
-    two_rr = 2.0 * r[:, :, k] * r[:, :, k2]  # (N, 4, 6)
+    two_rr = 2.0 * r[:, :, k] * r[:, :, k2]  # (N, 4, 6), pairs 01 02 03 12 13 23
+    two_rr[:, :, :2] += two_rr[:, :, :3:-1]  # 01 + 23 at s1 - s2, 02 + 13 at s1 + s2
     r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2
     comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
     pops = [(0, i2) for i2, _ in comps] + [(i3, 3) for _, i3 in comps]  # p_plus, then p_minus
     plan = grid_plan(grid)
-    p = trig_sum((w[:, k] - w[:, k2]).ravel(),
-                 [(pop[:, None] * (two_rr[:, b] + two_rr[:, c])).ravel() for b, c in pops], plan)
+    p = trig_sum((w[:, k[:4]] - w[:, k2[:4]]).ravel(),
+                 [(pop[:, None] * (two_rr[:, b, :4] + two_rr[:, c, :4])).ravel() for b, c in pops], plan)
     p += np.array([pop @ (r_sq[:, b] + r_sq[:, c]) for b, c in pops])[:, None]
-    coh = trig_sum((w[:m, None, :] - w[l:, :, None]).ravel(),
-                   [(pair[:, None, None] * (r[l:, 0, :, None] * r[:m, i3, None, :]
-                                            + r[l:, i2, :, None] * r[:m, 3, None, :])).ravel()
-                    for i2, i3 in comps], plan, sine=True)
+    # (k, k') and (3 - k, 3 - k') have opposite frequencies: keep k < 2
+    coh = []
+    for i2, i3 in comps:
+        full = r[l:, 0, :, None] * r[:m, i3, None, :] + r[l:, i2, :, None] * r[:m, 3, None, :]
+        coh.append((pair[:, None, None] * (full[:, :2] - full[:, :1:-1, ::-1])).ravel())
+    coh = trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
     # the state at the first time (if any) from the amplitudes psi_b
     psi = np.einsum("nbk,nkt->nbt", r, exp_i(-w[:, :, None] * grid[:1]))
     sq = psi.real ** 2 + psi.imag ** 2

@@ -199,19 +199,33 @@ def test_reduced_states_grid_matches_single_times():
                 assert abs(got[0] - want[i]) <= 1e-15
 
 
-def test_reduced_states_match_direct_contraction_on_long_grids():
-    """Up to 2500 times (fig1 and fig2) and alpha 19.6: at every time within
-    1e-15 of the direct contraction of the same Jacobi spectrum
-    (conftest.reduced_direct)."""
-    for alpha, l, g, steps in ((5.0, 1, 0.5, 2500), (5.0, 2, 0.5, 2500),
-                               (12.0, 2, 2.0, 500), (19.6, 2, 1.3, 500)):
+def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
+    """Up to 2500 times (fig1 and fig2) and alpha 19.6, and at g = 1 (the
+    double zero eigenvalue) and g = 0: at every time within 1e-15 of the
+    direct contraction of the same Jacobi spectrum, unsymmetrized and
+    unmerged (conftest.reduced_direct).  The trig sums run over the merged
+    frequencies of the +- symmetric spectrum: 4 per block for the
+    populations and 8 per pair of blocks n + l, n for the coherences."""
+    real, sizes = tjcm.reduced.trig_sum, []
+
+    def spy(freqs, coefs, plan, sine=False):
+        sizes.append((sine, np.size(freqs)))
+        return real(freqs, coefs, plan, sine=sine)
+
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", spy)
+    for alpha, l, g, steps in ((5.0, 1, 0.5, 2500), (5.0, 2, 0.5, 2500), (5.0, 1, 1.0, 2500),
+                               (5.0, 2, 1.0, 2500), (5.0, 1, 0.0, 500), (12.0, 2, 2.0, 500),
+                               (19.6, 2, 1.3, 500)):
         w = coherent_weights(alpha)
         grid = np.linspace(0.0, 25.0, steps)
+        sizes.clear()
         states = reduced_states(w, l, g, grid, AtomId)
+        _, pop, pair = w.window(l)
+        assert sizes == [(False, 4 * pop.size), (True, 8 * pair.size)]
         ref = reduced_direct(w, l, g, grid)
         for atom in AtomId:
             for field, want in zip(("p_plus", "p_minus", "coh_im"), ref[atom]):
-                assert np.max(np.abs(getattr(states[atom], field) - want)) <= 1e-15, (alpha, l)
+                assert np.max(np.abs(getattr(states[atom], field) - want)) <= 1e-15, (alpha, l, g)
 
 
 def test_reduced_states_on_a_backward_grid():
@@ -289,6 +303,28 @@ def test_non_orthonormal_spectrum_refused(monkeypatch):
     monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a: calls.append(a))
     w = coherent_weights(5.0)
     with pytest.raises(InternalConsistencyError, match="orthonormal"):
+        reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
+    assert calls == []
+
+
+def test_asymmetric_spectrum_refused(monkeypatch):
+    """A spectrum that misses the +- symmetry the merged trig sums rely on
+    (one block's largest eigenvalue w_3 nudged by 1e-13 relative, about
+    450 eps * max|w|) fails the call with InternalConsistencyError before
+    any trig sum runs."""
+    real = tjcm.reduced.eigen_table
+    calls = []
+
+    def nudged(*args):
+        vals, vecs = real(*args)
+        vals = vals.copy()
+        vals[vals.shape[0] // 2, 3] *= 1.0 + 1e-13
+        return vals, vecs
+
+    monkeypatch.setattr(tjcm.reduced, "eigen_table", nudged)
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a, **k: calls.append(a))
+    w = coherent_weights(5.0)
+    with pytest.raises(InternalConsistencyError, match="symmetric"):
         reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
     assert calls == []
 
