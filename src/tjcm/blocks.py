@@ -296,14 +296,15 @@ def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
     return np.stack([x1, x23, x23, x4])
 
 
-# trig_sum's view of a uniform grid T_j = t0 + j h + delta_j, j < nT: t0 and h
-# in long double, the roundings delta_j, the fine grid's size, the _mode_tables.
-GridPlan = namedtuple("GridPlan", "t0 h delta n_fine tables")
+# trig_sum's view of a uniform grid T_j = j h + delta_j, j < nT: h in long
+# double, the roundings delta_j, the fine grid's size, the _mode_tables.
+GridPlan = namedtuple("GridPlan", "h delta n_fine tables")
 
 
 def grid_plan(times: np.ndarray) -> GridPlan:
-    """The GridPlan of times (one time is a grid); times off a uniform grid
-    by more than _UNIFORM_ULPS * eps * max|T| raise InvalidParameterError."""
+    """The GridPlan of a uniform grid from T = 0 ([0] is one such grid).
+    Times off a uniform grid by more than _UNIFORM_ULPS * eps * max|T|, and
+    then a uniform grid that starts elsewhere, raise InvalidParameterError."""
     times = np.asarray(times, dtype=float).reshape(-1)
     n_t = times.size
     t0, t_end = (times[[0, -1]] if n_t else np.zeros(2)).astype(np.longdouble)
@@ -312,32 +313,34 @@ def grid_plan(times: np.ndarray) -> GridPlan:
     stray = float(np.abs(delta).max(initial=0.0))
     if not stray <= _UNIFORM_ULPS * _EPS * float(np.abs(times).max(initial=0.0)):
         raise InvalidParameterError(f"times must form a uniform grid: they stray by {stray:.3e}")
+    if t0 != 0.0:
+        raise InvalidParameterError(f"times must form a uniform grid from T = 0: they start at "
+                                    f"T = {float(t0)}")
     n_fine = max(_UPSAMPLE * n_t, _MIN_FINE)
-    return GridPlan(t0, h, delta, n_fine, _mode_tables(n_t, n_fine))
+    return GridPlan(h, delta, n_fine, _mode_tables(n_t, n_fine))
 
 
 def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
              sine: bool = False) -> np.ndarray:
     """sum_m coefs[..., m] cos(freqs[m] T_j), or sin for sine, for real
-    coefs on a uniform grid T_j = T_0 + j h (h may be negative; one time is
+    coefs on a uniform grid T_j = j h from T = 0 (h may be negative; [0] is
     a grid), shape coefs.shape[:-1] + (nT,).  grid is the times or their
     GridPlan, which sums on one grid share; long-double freqs let sums and
     differences of float64 frequencies enter exactly.
 
-    From T_0 = 0 a row is a one-sided type-1 transform: c_m is spread from
+    A row is a one-sided type-1 transform: c_m is spread from
     x_m = freqs[m] h mod 2 pi onto a real grid of 6 nT points by the kernel
     exp(beta (sqrt(1 - z^2) - 1)), |z| <= 1, and one complex FFT of half
     its length gives F_k = phi(k) sum_m c_m exp(i k x_m), k < nT; the row
     is Re F_k / phi(k), or Im for sine.  x_m and the kernel offsets are
     long double, and the rounding delta_j (an ulp in np.linspace) is
     corrected to first order by the other part of the transform of
-    freqs c_m: each is worth 1e-12.  From T_0 != 0 a row splits by angle
-    addition.  With sum |c| = 1 the error is below 2.5e-15 for random
-    frequencies up to nT = 20000 and for one frequency at any position,
-    while max|w T| is far below the phase-conditioning limit 4.5e7; the
-    long-double positions add about |w T| * 5.4e-20 rad beyond it.
-    The first time is summed directly (an entropy of sz near 1, as at
-    T = 0, magnifies 1e-16 to several 1e-15).  The rows share a kernel
+    freqs c_m: each is worth 1e-12.  With sum |c| = 1 the error is below
+    2.5e-15 for random frequencies up to nT = 20000 and for one frequency
+    at any position, while max|w T| is far below the phase-conditioning
+    limit 4.5e7; the long-double positions add about |w T| * 5.4e-20 rad
+    beyond it.  The first time, T = 0, is summed directly (an entropy of
+    sz near 1 magnifies 1e-16 to several 1e-15).  The rows share a kernel
     table per width (_kernel_table) and spread _SPREAD_BLOCK kernel points
     at a time: the same additions in the same order at any block size.
     """
@@ -345,11 +348,6 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
     w = np.asarray(freqs, dtype=np.longdouble)
     coefs = np.asarray(coefs, dtype=float)
     n_t = plan.delta.size
-    if plan.t0 != 0.0:  # (cos, sin) w (T_0 + t) = (c cos - s sin, s cos + c sin) w t
-        c, s = (turn := exp_i(w * plan.t0)).real, turn.imag
-        out = trig_sum(w, coefs * (s if sine else c), zero := plan._replace(t0=np.longdouble(0)))
-        out += trig_sum(w, coefs * (c if sine else -s), zero, sine=True)
-        return out
     out = np.empty(coefs.shape[:-1] + (n_t,))
     if n_t == 0:
         return out
@@ -368,14 +366,6 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
         row += np.multiply(modes, plan.delta, out=modes)
     out[..., 0] = 0.0 if sine else coefs.sum(axis=-1)
     return out
-
-
-def exp_i(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) for a long-double phase, to about an ulp: reduced by the
-    long-double 2 pi and split as hi (float64) + lo, exp(i hi) (1 + i lo)."""
-    phase = np.mod(phase, _TWO_PI)
-    hi = phase.astype(float)
-    return (np.cos(hi) + 1j * np.sin(hi)) * (1.0 + 1j * (phase - hi).astype(float))
 
 
 def _modes(values: np.ndarray, starts: np.ndarray, kernel: np.ndarray, plan: GridPlan,

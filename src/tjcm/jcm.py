@@ -6,7 +6,7 @@ field level n, the amplitudes are cos(T sqrt(n+1)) on |+, n> and
 strong-field (alpha >> 1) approximation for the transverse coherence in
 terms of the block frequencies w_n = sqrt(4n + 6); both live here as
 references against the exact two-atom pipeline.  Each is a real cosine
-or sine sum over known frequencies, evaluated on the time grid by
+or sine sum over known frequencies, evaluated on a uniform grid from T = 0 by
 blocks.trig_sum, so no (T, n) phase matrix over the grid exists.  Both
 sum over n = n_min..n_max, with n_min and the
 weights C_n^2 and C_n C_{n+1} from weights.window(1): the terms below it
@@ -30,7 +30,7 @@ def jcm_bloch(weights: FockWeights, T: float | np.ndarray) -> BlochVector:
         sy = 2 sum_n C_n C_{n+1} cos(T sqrt(n+2)) sin(T sqrt(n+1))
 
     and sx = 0.0 for the excited-state start, as in reduced_states; sz and sy
-    have the shape of T, a uniform grid or one time.  sy is evaluated as
+    have the shape of T, a uniform grid from T = 0 (or the one time 0).  sy is evaluated as
     sum_n C_n C_{n+1} [sin T(sqrt(n+1) + sqrt(n+2)) + sin T(sqrt(n+1) - sqrt(n+2))],
     so sz is a cosine sum at the frequencies 2 sqrt(n+1) and sy a sine sum
     at sqrt(n+1) +- sqrt(n+2), both on one grid_plan.
@@ -53,7 +53,7 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
 
     with w_n = sqrt(4n + 6).  Valid when the photon distribution is sharply
     peaked (alpha >> 1); evaluable for any weights.  Has the shape of T, a
-    uniform grid or one time.  Evaluated in the sum form
+    uniform grid from T = 0 (or the one time 0).  Evaluated in the sum form
     sum_n C_n C_{n+1} [sin T(w_n - w_{n+1}) + sin T w_n + sin T w_{n+1}] / 2,
     one sine sum at w_n, w_{n+1} and w_n - w_{n+1}.
     """

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .blocks import check_phase_conditioning, check_spectrum, eigen_table, exp_i, grid_plan, trig_sum
+from .blocks import check_phase_conditioning, check_spectrum, eigen_table, grid_plan, trig_sum
 from .errors import InvalidParameterError, TruncationError
 from .params import FockWeights
 
@@ -61,8 +61,8 @@ def reduced_states(
     grid: np.ndarray,
     atoms: Iterable[AtomId],
 ) -> dict[AtomId, ReducedAtomState]:
-    """Reduced state of each atom over a uniform time grid (or one time),
-    as arrays of length nT, with the scalar coh_re = 0.0, for transition
+    """Reduced state of each atom over a uniform time grid from T = 0, as
+    arrays of length nT, with the scalar coh_re = 0.0, for transition
     parameter l and coupling ratio g.
 
     The blocks n = n_min..n_max of ``weights`` are diagonalized once
@@ -84,24 +84,24 @@ def reduced_states(
 
     a sine sum over 8 per pair: k < 2 with c(k, k') - c(3 - k, 3 - k'),
     whose frequency is opposite; atom 2 swaps components 1 and 2.  Both
-    ``trig_sum`` calls share one ``grid_plan``.  At the first time the
-    state is formed from the amplitudes psi_b instead, so a population that
-    starts at 0 starts at about 1e-32 (the expanded sums, whose coefficients
-    are rounded, miss the inversion there by up to 1.1e-15).  The blocks
+    ``trig_sum`` calls share one ``grid_plan``.  At T = 0 the populations
+    come from psi_b(0) = sum_k R_bk instead, so one that starts at 0 starts
+    at about 1e-32 (the expanded sums, with rounded coefficients, miss the
+    inversion there by up to 1.1e-15); the sine sums are 0 there.  The blocks
     below n_min carry at most 1e-8 * cutoff_eps of either weight and every
     amplitude has modulus <= 1, so leaving them out moves no entry by more
     than that.
     At T = 0 the trace is the window mass sum pop, a few eps from 1; the
     observables clamp an inversion past 1 as rounding.
 
-    The coupling and the phase conditioning are checked before any sum
-    runs, and so is the grid's uniformity (InvalidParameterError), and
-    the spectrum's orthonormality and symmetry (InternalConsistencyError).
+    The grid (uniform, from T = 0), coupling and phase conditioning are
+    checked before any sum runs (InvalidParameterError), and so are the
+    spectrum's orthonormality and symmetry (InternalConsistencyError).
     TruncationError is raised when the trace strays from 1 by more than
     ten times the configured tail mass, which signals a cutoff chosen too
     small for the requested amplitude.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    plan = grid_plan(grid)
     atoms = tuple(atoms)
     n_min, pop, pair = weights.window(l)
     vals, vecs = eigen_table(weights.n_max, l, g, n_min)
@@ -122,7 +122,6 @@ def reduced_states(
     r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2
     comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
     pops = [(0, i2) for i2, _ in comps] + [(i3, 3) for _, i3 in comps]  # p_plus, then p_minus
-    plan = grid_plan(grid)
     p = trig_sum((w[:, k[:4]] - w[:, k2[:4]]).ravel(),
                  [(pop[:, None] * (two_rr[:, b, :4] + two_rr[:, c, :4])).ravel() for b, c in pops], plan)
     p += np.array([pop @ (r_sq[:, b] + r_sq[:, c]) for b, c in pops])[:, None]
@@ -132,12 +131,9 @@ def reduced_states(
         full = r[l:, 0, :, None] * r[:m, i3, None, :] + r[l:, i2, :, None] * r[:m, 3, None, :]
         coh.append((pair[:, None, None] * (full[:, :2] - full[:, :1:-1, ::-1])).ravel())
     coh = trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
-    # the state at the first time (if any) from the amplitudes psi_b
-    psi = np.einsum("nbk,nkt->nbt", r, exp_i(-w[:, :, None] * grid[:1]))
-    sq = psi.real ** 2 + psi.imag ** 2
-    p[:, :1] = [pop @ (sq[:, b] + sq[:, c]) for b, c in pops]
-    coh[:, :1] = [pair @ (psi[l:, 0] * psi[:m, i3].conj() + psi[l:, i2] * psi[:m, 3].conj()).imag
-                  for i2, i3 in comps]
+    # the populations at T = 0, the first time (if any), from psi_b(0) = sum_k R_bk
+    sq = r.sum(axis=2) ** 2
+    p[:, :1] = np.array([pop @ (sq[:, b] + sq[:, c]) for b, c in pops])[:, None]
     states = {}
     for a, atom in enumerate(atoms):
         p_plus, p_minus = p[a], p[len(atoms) + a]

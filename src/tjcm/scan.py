@@ -81,6 +81,10 @@ class ScanConfig:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise InvalidParameterError(f"t_max must be > 0, got {self.t_max}")
         object.__setattr__(self, "steps", integer_at_least(self.steps, 2, "steps"))
+        step, tiny = self.t_max / (self.steps - 1), np.finfo(float).tiny
+        if step < tiny:  # a normal step keeps np.linspace strictly increasing
+            raise InvalidParameterError(f"t_max / (steps - 1) = {step:.3e} is below the smallest "
+                                        f"normal double {tiny:.3e}; raise t_max or lower steps")
         object.__setattr__(self, "channels", tuple(self.channels))
 
     def grid(self) -> np.ndarray:

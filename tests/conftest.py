@@ -17,7 +17,7 @@ import pytest
 from tjcm import ContractViolationError, InternalConsistencyError, blocks, oracle
 from tjcm.blocks import _NORM_TOL, check_phase_conditioning, eigen_table
 from tjcm.params import coherent_weights
-from tjcm.reduced import AtomId, max_deviation, reduced_states
+from tjcm.reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
 
 ALL_ATOM_CHANNELS = (
@@ -67,6 +67,18 @@ def amplitudes(spectrum, ts, long_double=False) -> np.ndarray:
     if norm_dev > _NORM_TOL:
         raise InternalConsistencyError(f"amplitude norm deviates from 1 by {norm_dev:.3e}")
     return x
+
+
+def through(T: float) -> list[float]:
+    """The shortest uniform grid from T = 0 that ends at the time T: [0, T],
+    or [0] at T = 0.  The analytic layer evaluates one time as its last."""
+    return [0.0, T] if T != 0.0 else [0.0]
+
+
+def sliced(state: ReducedAtomState, index) -> ReducedAtomState:
+    """The state at the times state.p_plus[index] (coh_re is a scalar)."""
+    return ReducedAtomState(state.p_plus[index], state.p_minus[index], state.coh_re,
+                            state.coh_im[index])
 
 
 def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +176,11 @@ def oracle_cross():
         weights = coherent_weights(p.alpha, p.cutoff_eps)
         step = cfg.t_max / sample_count
         counts = np.arange(1, sample_count + 1)
-        times = step * counts
-
-        analytic = reduced_states(weights, p.l, p.g, times, AtomId)
+        # the analytic states on a grid from T = 0, compared after it
+        grid = np.linspace(0.0, cfg.t_max, sample_count + 1)
+        times = grid[1:]
+        analytic = {atom: sliced(s, np.s_[1:])
+                    for atom, s in reduced_states(weights, p.l, p.g, grid, AtomId).items()}
 
         h = oracle.build_joint_hamiltonian(p.l, p.g, weights.n_max + 2 * p.l)
         psi0 = oracle.initial_state(weights, h)

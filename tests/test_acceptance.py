@@ -242,18 +242,18 @@ def test_criterion_6_two_photon_structure(preset_series):
     grid = preset_series["fig2"].grid
 
     fig2 = PRESET_CONFIGS["fig2"].params
-    # pi, 3pi/2, ..., 7pi/2: the poles s pi (s = 1, 2, 3) at the even
-    # entries, half a period off them at the odd ones
-    times = np.linspace(1.0, 3.5, 6) * math.pi
+    # 0, pi/2, ..., 7pi/2: the poles s pi (s = 1, 2, 3) at entries 2, 4
+    # and 6, half a period off them at 3, 5 and 7
+    times = np.linspace(0.0, 3.5 * math.pi, 8)
 
-    def ey1_by_alpha(times, **changes):
+    def ey1_by_alpha(picks, **changes):
         return np.array([
-            _ey(_reduced_states(replace(fig2, alpha=a, **changes), times)[AtomId.FIRST])
+            _ey(_reduced_states(replace(fig2, alpha=a, **changes), times)[AtomId.FIRST])[picks]
             for a in POLE_ALPHAS
         ])
 
-    ey1_l2 = ey1_by_alpha(times)[:, [0, 2, 4, 1, 3, 5]]
-    ey1_l1 = ey1_by_alpha(times[::2], l=1)
+    ey1_l2 = ey1_by_alpha([2, 4, 6, 3, 5, 7])
+    ey1_l1 = ey1_by_alpha([2, 4, 6], l=1)
     clause_a = _pole_return(ey1_l2[:, :3])
     # Negative controls: half a period off the poles, and one-photon data.
     controls_fail = not _pole_return(ey1_l2[:, 3:]) and not _pole_return(ey1_l1)

@@ -59,6 +59,20 @@ def test_scan_refuses_ill_conditioned_phases(capsys):
     assert main(args + ["--tmax", "0.1"]) == EXIT_OK
 
 
+def test_scan_refuses_cutoff_eps_and_steps_below_their_floors(capsys):
+    """A cutoff_eps below 1e-15, and a subnormal step, are one error line
+    naming the bound, before any work; at the bounds' safe side the scan
+    runs."""
+    for args, bound in ((["--cutoff-eps", "1e-20", "--steps", "5"], "below 1e-15"),
+                        (["--tmax", "5e-324", "--steps", "3"], "smallest normal double")):
+        assert main(["scan", *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert bound in err and err.count("\n") == 1
+    for args in (["--alpha", "5", "--cutoff-eps", "1e-15", "--steps", "50"],
+                 ["--tmax", "1e-300", "--steps", "5"]):
+        assert main(["scan", *args]) == EXIT_OK
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.csv"
     for args in (["preset", "fig1", "--steps", "8"],

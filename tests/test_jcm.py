@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from tjcm import (
+    BlochVector,
     FockWeights,
     coherent_weights,
     entropy_squeezing,
@@ -14,11 +15,19 @@ from tjcm import (
     tjcm_harmonic_sy,
 )
 
+from conftest import through
+
 
 def jcm_entropy_squeezing(weights, T):
     """Transverse entropy-squeezing witness of the single-atom baseline, as
     the scan's jcm_ey channel computes it."""
     return entropy_squeezing(jcm_bloch(weights, T), "y")
+
+
+def jcm_bloch_at(weights, T):
+    """jcm_bloch at the one time T, the last of a grid from T = 0."""
+    b = jcm_bloch(weights, through(T))
+    return BlochVector(sx=b.sx, sy=b.sy[-1], sz=b.sz[-1])
 
 
 def jcm_bloch_by_matrix_exponential(weights, T):
@@ -50,12 +59,12 @@ def test_initial_state():
 def test_vacuum_rabi_oscillation():
     w = coherent_weights(0.0)
     for T in (0.3, 1.0, math.pi / 2.0):
-        b = jcm_bloch(w, T)
+        b = jcm_bloch_at(w, T)
         assert b.sz == pytest.approx(math.cos(2.0 * T), abs=1e-14)
         assert b.sy == pytest.approx(0.0, abs=1e-14)
-    b = jcm_bloch(w, math.pi / 2.0)
+    b = jcm_bloch_at(w, math.pi / 2.0)
     assert b.sz == pytest.approx(-1.0, abs=1e-14)
-    assert jcm_entropy_squeezing(w, math.pi / 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert entropy_squeezing(b, "y") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_fock_level_reduces_to_rabi():
@@ -63,7 +72,7 @@ def test_single_fock_level_reduces_to_rabi():
     c[3] = 1.0
     w = FockWeights(c=c)
     for T in (0.4, 2.2):
-        b = jcm_bloch(w, T)
+        b = jcm_bloch_at(w, T)
         assert b.sz == pytest.approx(math.cos(2.0 * T * 2.0), abs=1e-14)
         assert b.sy == pytest.approx(0.0, abs=1e-14)  # no adjacent weight
 
@@ -71,7 +80,7 @@ def test_single_fock_level_reduces_to_rabi():
 def test_against_matrix_exponential_oracle():
     w = coherent_weights(5.0)
     for T in (0.7, 6.0, 14.2):
-        b = jcm_bloch(w, T)
+        b = jcm_bloch_at(w, T)
         sx_ref, sy_ref, sz_ref = jcm_bloch_by_matrix_exponential(w, T)
         assert b.sz == pytest.approx(sz_ref, abs=1e-10)
         assert b.sy == pytest.approx(sy_ref, abs=1e-10)
@@ -85,17 +94,18 @@ def test_bloch_norm_bounded():
 
 
 def test_array_times_match_scalar_times():
+    """Each time of a grid gives what it gives on its own, as the last of
+    the grid [0, T] (the scalar 0 at T = 0)."""
     w = coherent_weights(5.0)
     ts = np.linspace(0.0, 25.0, 41)
     b = jcm_bloch(w, ts)
     assert b.sz.shape == b.sy.shape == ts.shape and b.sx == 0.0
     harm = tjcm_harmonic_sy(w, ts)
-    ey = jcm_entropy_squeezing(w, ts)
+    assert jcm_bloch(w, 0.0).sz == b.sz[0] and tjcm_harmonic_sy(w, 0.0) == harm[0]
     for i, T in enumerate(ts):
-        s = jcm_bloch(w, float(T))
+        s = jcm_bloch_at(w, float(T))
         assert abs(b.sz[i] - s.sz) <= 1e-15 and abs(b.sy[i] - s.sy) <= 1e-15
-        assert abs(harm[i] - tjcm_harmonic_sy(w, float(T))) <= 1e-15
-        assert abs(ey[i] - jcm_entropy_squeezing(w, float(T))) <= 1e-15
+        assert abs(harm[i] - tjcm_harmonic_sy(w, through(float(T)))[-1]) <= 1e-15
 
 
 def test_references_match_fsum_from_n_zero():
@@ -161,9 +171,10 @@ def test_harmonic_tracks_exact_symmetric_case():
     from tjcm import AtomId, reduced_states
 
     w = coherent_weights(5.0)
-    ts = np.linspace(0.5, 8.0, 4)  # 0.5, 3, 5.5, 8
+    ts = np.linspace(0.0, 8.0, 17)
     coh = reduced_states(w, 1, 1.0, ts, [AtomId.FIRST])[AtomId.FIRST].coh_im
-    assert np.max(np.abs(tjcm_harmonic_sy(w, ts) - 2.0 * coh)) < 0.02
+    at = np.s_[1::5]  # 0.5, 3, 5.5, 8
+    assert np.max(np.abs(tjcm_harmonic_sy(w, ts)[at] - 2.0 * coh[at])) < 0.02
 
 
 def test_harmonic_envelope_and_peak_in_revival_window(preset_series):

@@ -102,6 +102,17 @@ def test_eps_below_weight_rounding_is_named():
         coherent_weights(4.26, 1e-15)
 
 
+def test_cutoff_eps_below_the_trace_rounding_is_refused():
+    """Below 1e-15 the reduced trace's float64 rounding alone can exceed
+    its 10 * cutoff_eps check, so such a cutoff_eps is refused up front,
+    by the model parameters and by a weight table alike."""
+    for eps in (5e-16, 1e-20):
+        with pytest.raises(InvalidParameterError, match="below 1e-15"):
+            ModelParams(alpha=5.0, g=0.5, l=1, cutoff_eps=eps)
+        with pytest.raises(InvalidParameterError, match="below 1e-15"):
+            FockWeights(c=np.array([1.0]), cutoff_eps=eps)
+
+
 def test_weights_validation():
     with pytest.raises(InvalidParameterError):
         FockWeights(c=np.array([0.5, 0.5]))  # mass 0.5

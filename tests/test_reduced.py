@@ -20,12 +20,18 @@ from tjcm import (
 from tjcm import oracle
 from tjcm.reduced import max_deviation, reduced_states
 
-from conftest import amplitudes, reduced_direct
+from conftest import amplitudes, reduced_direct, sliced, through
 
 
 def reduced(weights, l, g, ts, atom):
     """ReducedAtomState of one atom at the times ts."""
     return reduced_states(weights, l, g, ts, [atom])[atom]
+
+
+def reduced_at(weights, l, g, T, atom):
+    """ReducedAtomState of one atom at the one time T, the last of a grid
+    from T = 0."""
+    return sliced(reduced(weights, l, g, through(T), atom), np.s_[-1:])
 
 
 def field_levels(size, *levels):
@@ -56,19 +62,19 @@ def test_q_terms_symmetric_coupling_atom_independent():
     w = coherent_weights(2.0)
     for n in (0, 5, 11):
         pair = field_levels(w.n_max + 1, n, n + 1)
-        a = reduced(pair, 1, 1.0, [2.7], AtomId.FIRST)
-        b = reduced(pair, 1, 1.0, [2.7], AtomId.SECOND)
+        a = reduced(pair, 1, 1.0, [0.0, 2.7], AtomId.FIRST)
+        b = reduced(pair, 1, 1.0, [0.0, 2.7], AtomId.SECOND)
         assert max_deviation(a, b) < 1e-12
 
 
 def test_q_terms_beyond_cutoff_coherence_vanishes():
     # with l = 3, levels 0 and 3 pair through the coherence ...
-    coh = reduced(field_levels(4, 0, 3), 3, 0.5, [1.0], AtomId.FIRST).coh_im
-    assert abs(coh[0]) > 1e-3
+    coh = reduced(field_levels(4, 0, 3), 3, 0.5, [0.0, 1.0], AtomId.FIRST).coh_im
+    assert abs(coh[1]) > 1e-3
     # ... but in a table that stops at n = 2 every partner n + 3 lies
     # beyond the truncation
-    coh = reduced(field_levels(3, 0, 2), 3, 0.5, [1.0], AtomId.FIRST).coh_im
-    assert coh[0] == 0.0
+    coh = reduced(field_levels(3, 0, 2), 3, 0.5, [0.0, 1.0], AtomId.FIRST).coh_im
+    assert coh.tolist() == [0.0, 0.0]
 
 
 def test_q_terms_against_oracle_two_level_field():
@@ -80,10 +86,10 @@ def test_q_terms_against_oracle_two_level_field():
     ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), T, [1],
                                  oracle.suggest_dt(w, h, T))
     for atom in AtomId:
-        assert max_deviation(reduced(w, l, g, [T], atom), ref[atom]) < 1e-8
+        assert max_deviation(reduced_at(w, l, g, T, atom), ref[atom]) < 1e-8
         # only the n = 24 summand feeds the coherence
-        coh25 = reduced(field_levels(26, 25), l, g, [T], atom).coh_im
-        assert coh25[0] == 0.0
+        coh25 = reduced(field_levels(26, 25), l, g, [0.0, T], atom).coh_im
+        assert coh25.tolist() == [0.0, 0.0]
 
 
 def test_reduced_state_initial_conditions():
@@ -148,7 +154,7 @@ def test_reduced_state_coherence_purely_imaginary():
 
 def test_reduced_state_symmetric_coupling_atoms_identical():
     w = coherent_weights(3.0)
-    ts = np.linspace(0.5, 17.3, 169)  # through 0.5, 4.0 and 17.3
+    ts = np.linspace(0.0, 17.3, 174)  # through 0.5, 4.0 and 17.3
     a = reduced(w, 1, 1.0, ts, AtomId.FIRST)
     b = reduced(w, 1, 1.0, ts, AtomId.SECOND)
     for qa, qb in zip(astuple(a), astuple(b)):
@@ -162,14 +168,14 @@ def test_reduced_state_against_oracle():
     ref = oracle.trace_trajectory(h, oracle.initial_state(w, h), T, [1],
                                  oracle.suggest_dt(w, h, T))
     for atom in AtomId:
-        assert max_deviation(reduced(w, l, g, [T], atom), ref[atom]) < 1e-8
+        assert max_deviation(reduced_at(w, l, g, T, atom), ref[atom]) < 1e-8
 
 
 def test_atom_swap_symmetry_pointwise():
     """Atom 1 at (g, T) matches atom 2 at (1/g, g T)."""
     w = coherent_weights(3.0)
     g = 0.5
-    ts = np.linspace(0.8, 9.5, 88)  # through 0.8, 3.0 and 9.5
+    ts = np.linspace(0.0, 9.5, 96)  # through 0.8, 3.0 and 9.5
     g_swapped, ts_swapped = swap_transform(g, ts)
     a = reduced(w, 1, g, ts, AtomId.FIRST)
     b = reduced(w, 1, g_swapped, ts_swapped, AtomId.SECOND)
@@ -185,18 +191,19 @@ def test_swap_transform_rejects_nonpositive_or_infinite_g():
 
 
 def test_reduced_states_grid_matches_single_times():
-    """A grid of times reduces to what each time gives on its own (a grid
-    through 1.3 and 6.6, every time checked)."""
+    """A grid of times reduces to what each time gives on its own, as the
+    last of the grid [0, T] (a grid through 1.3 and 6.6, every time
+    checked)."""
     w = coherent_weights(2.5)
     ts = np.linspace(0.0, 6.6, 67)
     grid = reduced_states(w, 2, 0.8, ts, AtomId)
     for i, T in enumerate(ts):
-        single = reduced_states(w, 2, 0.8, [T], AtomId)
+        single = reduced_states(w, 2, 0.8, through(T), AtomId)
         for atom in AtomId:
             assert single[atom].coh_re == grid[atom].coh_re == 0.0
             for field in ("p_plus", "p_minus", "coh_im"):
                 got, want = getattr(single[atom], field), getattr(grid[atom], field)
-                assert abs(got[0] - want[i]) <= 1e-15
+                assert abs(got[-1] - want[i]) <= 1e-15
 
 
 def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
@@ -229,16 +236,17 @@ def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
 
 
 def test_reduced_states_on_a_backward_grid():
-    """A grid that runs backward (negative step) is a uniform grid: it gives
-    the forward grid's states, reversed."""
+    """A grid from T = 0 that runs backward (negative step) is a uniform
+    grid: time reversal gives the forward grid's populations and flips its
+    coherence."""
     w = coherent_weights(5.0)
     grid = np.linspace(0.0, 25.0, 500)
     fwd = reduced_states(w, 2, 0.5, grid, AtomId)
-    back = reduced_states(w, 2, 0.5, grid[::-1], AtomId)
+    back = reduced_states(w, 2, 0.5, -grid, AtomId)
     for atom in AtomId:
-        for field in ("p_plus", "p_minus", "coh_im"):
+        for field, sign in (("p_plus", 1.0), ("p_minus", 1.0), ("coh_im", -1.0)):
             got, want = getattr(back[atom], field), getattr(fwd[atom], field)
-            assert np.max(np.abs(got[::-1] - want)) <= 1e-15
+            assert np.max(np.abs(sign * got - want)) <= 1e-15
 
 
 def test_reduced_states_on_an_empty_grid():

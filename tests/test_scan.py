@@ -62,6 +62,15 @@ def test_config_validation():
         small_cfg(steps=1)
 
 
+def test_config_refuses_a_subnormal_step():
+    """A step t_max / (steps - 1) below the smallest normal double would
+    leave np.linspace not strictly increasing; it is refused before any
+    work, and a normal step still scans."""
+    with pytest.raises(InvalidParameterError, match="below the smallest normal double"):
+        small_cfg(t_max=5e-324, steps=3)
+    assert run_scan(small_cfg(t_max=1e-300, steps=5)).grid.size == 5
+
+
 def test_scan_initial_values():
     ts = run_scan(small_cfg())
     assert ts.grid[0] == 0.0

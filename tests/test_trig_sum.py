@@ -13,8 +13,10 @@ shift, so the test of its long-double phase went with it.
 import numpy as np
 import pytest
 
-from tjcm import InvalidParameterError, blocks
+from tjcm import AtomId, InvalidParameterError, blocks, coherent_weights, jcm_bloch, reduced_states, tjcm_harmonic_sy
 from tjcm.blocks import grid_plan, trig_sum
+
+from conftest import through
 
 LD = np.longdouble
 TWO_PI = 8 * np.arctan(LD(1))
@@ -46,27 +48,27 @@ def worst(freqs, coefs, times):
 
 @pytest.mark.parametrize("steps", [500, 2500, 20000])
 def test_trig_sum_matches_long_double_sums(steps):
-    """Random frequencies up to 4000 over [0, 25] (and backward over
-    [7.5, -17.5], an offset grid split by angle addition): cosine and sine
-    rows within TOL of the direct sums (measured: 1.1e-15)."""
+    """Random frequencies up to 4000 over [0, 25] and backward over
+    [0, -25]: cosine and sine rows within TOL of the direct sums (measured:
+    1.1e-15)."""
     freqs, coefs = random_sum(steps, 48, 0.0, 4000.0)
-    for times in (np.linspace(0.0, 25.0, steps), np.linspace(7.5, -17.5, steps)):
+    for times in (np.linspace(0.0, 25.0, steps), np.linspace(0.0, -25.0, steps)):
         assert worst(freqs, coefs, times) <= TOL
 
 
 def test_trig_sum_rows_share_frequencies():
     """Rows of coefs are independent sums over the same frequencies, and a
-    single time is the direct sum."""
+    single time T, as the last of the grid [0, T], is the direct sum."""
     freqs, coefs = random_sum(1, 30, 0.0, 50.0)
     rows = np.stack([coefs, -2.0 * coefs[::-1], np.abs(coefs)])
-    times = np.linspace(-3.0, 9.0, 700)
+    times = np.linspace(0.0, -12.0, 700)
     for sine in (False, True):
         out = trig_sum(freqs, rows, times, sine)
         assert out.shape == (3, 700)
         for got, c in zip(out, rows):
             assert np.array_equal(got, trig_sum(freqs, c, times, sine))
         for T in (0.0, 3.7, -2.2):
-            assert abs(trig_sum(freqs, coefs, [T], sine)[0] - direct(freqs, coefs, [T], sine)[0]) <= 1e-16
+            assert abs(trig_sum(freqs, coefs, through(T), sine)[-1] - direct(freqs, coefs, [T], sine)[0]) <= 1e-16
         assert trig_sum(freqs, np.zeros(30), times, sine).tolist() == [0.0] * 700
         assert trig_sum(np.zeros(0), np.zeros(0), times, sine).tolist() == [0.0] * 700
     # a sine sum from T = 0 starts at +0
@@ -103,21 +105,12 @@ def test_trig_sum_last_mode(steps):
                 assert abs(got - direct(freq, [1.0], times[-1:], sine)[0]) <= TOL
 
 
-def test_trig_sum_offset_grids():
-    """Grids from T_0 != 0, forward and backward, and two-time grids: each
-    row is split by angle addition into a cosine and a sine row."""
-    freqs, coefs = random_sum(9, 40, 0.0, 900.0)
-    for times in (np.linspace(-4.0, 21.0, 1001), np.linspace(3.0, -2.0, 600),
-                  np.linspace(-0.5, 0.0, 99), [0.0, 0.5], [2.5, -1.0]):
-        assert worst(freqs, coefs, times) <= TOL
-
-
 def test_shared_plan_equals_a_fresh_one():
     """A GridPlan shared by several sums gives each of them, bit for bit,
     what its own times give."""
     freqs, coefs = random_sum(10, 60, 0.0, 300.0)
     other, _ = random_sum(11, 60, 0.0, 30.0)
-    for times in (np.linspace(0.0, 25.0, 500), np.linspace(-1.0, 2.0, 31), [0.0]):
+    for times in (np.linspace(0.0, 25.0, 500), np.linspace(0.0, -3.0, 31), [0.0]):
         plan = grid_plan(times)
         for f, sine in ((freqs, False), (other, True), (freqs, True), (other, False)):
             assert np.array_equal(trig_sum(f, coefs, plan, sine), trig_sum(f, coefs, times, sine))
@@ -146,11 +139,11 @@ def test_trig_sum_bitwise_independent_of_block_size(monkeypatch):
     kernel points at a time: the same operations in the same order at any
     size.  One kernel row per block, and one block for the whole table,
     give the default's sums bit for bit, on grids of 2, 3 and 700 times,
-    forward and backward, from T = 0 and not."""
+    forward and backward."""
     freqs, coefs = random_sum(8, 300, 0.0, 400.0)
     rows = np.stack([coefs, -coefs[::-1], np.abs(coefs)])
-    cases = [(rows, np.linspace(0.0, 25.0, 700), True), (coefs, np.linspace(7.5, -17.5, 700), False),
-             (coefs, np.linspace(0.0, 1.0, 2), False), (rows, np.linspace(-1.0, 2.0, 3), True)]
+    cases = [(rows, np.linspace(0.0, 25.0, 700), True), (coefs, np.linspace(0.0, -25.0, 700), False),
+             (coefs, np.linspace(0.0, 1.0, 2), False), (rows, np.linspace(0.0, -3.0, 3), True)]
     default = [trig_sum(freqs, c, times, sine) for c, times, sine in cases]
     for block in (1, 1000, 10**9, blocks._SPREAD_BLOCK):
         monkeypatch.setattr(blocks, "_SPREAD_BLOCK", block)
@@ -173,9 +166,29 @@ def test_trig_sum_refuses_times_off_a_uniform_grid():
             trig_sum(freqs, coefs, times)
         with pytest.raises(InvalidParameterError, match="uniform grid"):
             grid_plan(times)
-    # a uniform grid scaled (g T) or shifted keeps within the rounding bound
-    for times in (0.37 * np.linspace(0.0, 25.0, 100), np.linspace(0.0, 25.0, 100) + 1e3):
-        assert worst(freqs, coefs, times) <= TOL
+    # a uniform grid scaled (g T) keeps within the rounding bound
+    assert worst(freqs, coefs, 0.37 * np.linspace(0.0, 25.0, 100)) <= TOL
+
+
+def test_every_entry_point_refuses_grids_not_from_zero():
+    """trig_sum, grid_plan, reduced_states, jcm_bloch and tjcm_harmonic_sy
+    evaluate uniform grids from T = 0 only: a grid from 0.5 and the single
+    time 3.7 are refused with that message, times off a uniform grid are
+    still reported as such, and [0], the time 0, an empty grid and a
+    backward grid from 0 evaluate."""
+    freqs, coefs = random_sum(5, 4, 0.0, 5.0)
+    w = coherent_weights(2.0)
+    for entry in (lambda t: trig_sum(freqs, coefs, t), grid_plan,
+                  lambda t: reduced_states(w, 1, 0.5, t, AtomId),
+                  lambda t: jcm_bloch(w, t), lambda t: tjcm_harmonic_sy(w, t)):
+        for times in ([0.5, 1.0], [3.7], 3.7):
+            with pytest.raises(InvalidParameterError, match="uniform grid from T = 0"):
+                entry(times)
+        for times in ([0.5, 1.3, 6.6], [0.0, 1.0, 3.0]):
+            with pytest.raises(InvalidParameterError, match="uniform grid: they stray"):
+                entry(times)
+        for times in ([0.0], 0.0, [], np.linspace(0.0, -5.0, 11)):
+            entry(times)
 
 
 def test_positions_reduced_by_long_double_two_pi():
