@@ -24,6 +24,9 @@ from .blocks import check_phase_conditioning, check_spectrum, eigen_table, grid_
 from .errors import InvalidParameterError, TruncationError
 from .params import FockWeights
 
+# the eigenvalue pairs k < k2 of a block: 01 02 03 12 13 23
+_PAIRS = np.triu_indices(4, 1)
+
 
 class AtomId(Enum):
     FIRST = 1
@@ -116,7 +119,7 @@ def reduced_states(
     w[:, 2:] -= w[:, 1::-1]
     w[:, 2:] /= 2
     w[:, :2] = -w[:, :1:-1]
-    k, k2 = np.triu_indices(4, 1)
+    k, k2 = _PAIRS
     two_rr = 2.0 * r[:, :, k] * r[:, :, k2]  # (N, 4, 6), pairs 01 02 03 12 13 23
     two_rr[:, :, :2] += two_rr[:, :, :3:-1]  # 01 + 23 at s1 - s2, 02 + 13 at s1 + s2
     r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2

@@ -38,34 +38,53 @@ CHANNEL_NAMES = tuple(
 DEFAULT_MAX_ORACLE_DIM = 8192
 STATE_DEV_TOL = 1e-8
 EUR_TOL = 1e-10
-# Values that write_csv formats at a time.
+# Values that write_csv formats at a time.  8192, one call for a 500-step
+# scan of 14 channels, was no faster in the sweep benchmark: the heap was
+# trimmed after each scan and the formatter's 1 MB of arrays faulted in
+# again (about 100 more minor page faults a scan).
 _CSV_VALUES = 4096
 # The exact digits need a long double with a 64-bit significand (x87).
 _FAST_DIGITS = np.finfo(np.longdouble).nmant >= 63
 # 2**7 * 10**k for k = 0..27, each exact: 5**27 < 2**63.
 _DIGIT_SCALE = 128 * np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+# d has 17 digits before and after rounding: q in [_Q_LOW, _Q_LOW + _Q_SPAN).
+_Q_LOW = np.uint64(_DIGIT_SCALE[16])
+_Q_SPAN = np.uint64(_DIGIT_SCALE[17] - _DIGIT_SCALE[16] - 128)
 # Veltkamp's split of long doubles into halves with exact products.
 _SPLIT = np.longdouble(2 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1)
 _EXPONENTS = range(-11, 16)
-_SLOT = np.arange(18, dtype=np.uint8)[:, None]
-# The decimal digits of 0..9999, most significant first.
-_QUAD = np.indices((10,) * 4, np.uint8).reshape(4, 10000)
 
 
-def _byte_columns(texts: list[str], width: int) -> np.ndarray:
-    """ASCII texts as the columns of a (width, len(texts)) uint8 table,
+def _byte_rows(texts: list[str], width: int) -> np.ndarray:
+    """ASCII texts as the rows of a (len(texts), width) uint8 table,
     padded with NUL."""
-    table = np.array(texts, dtype=f"S{width}").view(np.uint8)
-    return table.reshape(-1, width).T.copy()
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
-# Per decimal exponent x of the fast range, and sign: the sign and the
-# "0.000" of -4 <= x < 0; per x: the "e-XX" of x < -4, and the digit that
-# the point follows (17: none, the point is in the prefix).
-_HEAD = _byte_columns([sign + ("0." + "0" * (-x - 1) if -4 <= x < 0 else "")
-                       for x in _EXPONENTS for sign in ("", "-")], 6)
-_TAIL = _byte_columns([f"e-{-x:02d}" if x < -4 else "" for x in _EXPONENTS], 4)
-_POINT = np.array([x if x >= 0 else 17 if x >= -4 else 0 for x in _EXPONENTS], np.uint8)
+# Byte tables, each with a view as words of its rows: a word holds its
+# bytes in memory order on either byte order, and every NUL is dropped
+# from the output.  Per decimal exponent x of the fast range, sign, lead
+# digit and whether a digit follows it: sign, the "0.000" of -4 <= x < 0
+# and the lead digit in 7 bytes, then the point when it follows the lead
+# (x = 0 or x < -4) and a digit follows it.
+_HEAD = _byte_rows([(sign + ("0." + "0" * (-x - 1) if -4 <= x < 0 else "") + lead).rjust(7, "\0")
+                    + ("." if more and (x == 0 or x < -4) else "")
+                    for x in _EXPONENTS for sign in ("", "-") for lead in "0123456789"
+                    for more in (0, 1)], 8)
+# Per x: the "e-XX" of x < -4.
+_TAIL = _byte_rows([f"e-{-x:02d}" if x < -4 else "" for x in _EXPONENTS], 4)
+# The four digits of 0..9999, most significant first; each column is a
+# run of bytes, which leaves less on the heap than index arithmetic.
+_QUAD = np.stack([np.frombuffer(b"".join(bytes([48 + i]) * 10 ** (3 - k) for i in range(10))
+                                * 10 ** k, np.uint8) for k in range(4)], axis=1)
+# The trailing zeros of 0..9999 (4 for 0), and per count the word mask
+# that clears them.
+_TRAILING = sum(np.frombuffer((b"\1" + b"\0" * (10 ** j - 1)) * 10 ** (4 - j), np.uint8)
+                for j in range(1, 5))
+_MASK = np.array([[255] * (4 - t) + [0] * t for t in range(5)], np.uint8)
+_HEAD_WORDS, _TAIL_WORDS, _QUAD_WORDS, _MASK_WORDS = (
+    t.view(dtype).ravel() for t, dtype in ((_HEAD, np.uint64), (_TAIL, np.uint32), (_QUAD, np.uint32),
+                                           (_MASK, np.uint32)))
 
 
 @dataclass(frozen=True)
@@ -335,82 +354,124 @@ def _format_17g(block: np.ndarray) -> str:
     """The rows of a (rows, cols) float block as CSV lines: the bytes of
     f"{v:.17g}" for each value, joined by "," and ended by "\\n".
 
-    Values with 1e-11 <= |v| < 1e16 get their 17 significant digits in
-    numpy: with x = floor(log10 |v|), q = |v| * 2**7 * 10**(16 - x) is one
-    long-double product (the factor is exact), so q is within 1/2 of the
-    exact value, and d = q >> 7, rounded up when q & 127 > 64, is the
-    correctly rounded digit string whenever it has 17 digits before and
-    after rounding.  At the remainder 64, a tie within q's error, the
-    product's exact error decides (to even on an exact tie).  A misestimated
-    x, every value outside the range and every value on a platform without
-    a 64-bit long double take f"{v:.17g}" itself.  Each
-    field is laid out in one column of a (29, n) byte table padded with
-    NUL: sign and "0.000" prefix, 18 slots for the digits and the point,
-    "e-XX", separator.  Apart from uint8 products it keeps to the numpy
-    loops that a scan runs anyway, so it faults in little more of numpy's
-    code."""
-    cols = block.shape[1]
-    v = block.ravel()
-    n = v.size
+    Zeros ("0", "-0") and values with 1e-11 <= |v| < 1e16 are laid out in
+    numpy, from their exponent and 17-digit integer (_digits) as rows of
+    table words (_layout); every other value, and every nonzero value on
+    a platform without a 64-bit long double, takes f"{v:.17g}" itself.
+    The helpers' working arrays are gone before the rows are joined."""
+    v = np.asarray(block, dtype=float).ravel()
+    return _layout(v, block.shape[1], *_digits(v)).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the digits are exact (fast), and there x = floor(log10 |v|)
+    and the correctly rounded 17-digit integer d of |v|; x = d = 0
+    elsewhere, which is how zeros are laid out.
+
+    q = |v| * 2**7 * 10**(16 - x) is one long-double product, and the
+    factor is exact while 5**(16 - x) < 2**63, that is x >= -11, which is
+    why smaller values are not fast.  So q is within 1/2 of the exact
+    value, and d = q >> 7, rounded up when q & 127 > 64, is the correctly
+    rounded digit string whenever it has 17 digits before and after
+    rounding; a misestimated x puts q out of that range.  At the
+    remainder 64, a tie within q's error, the product's exact error
+    decides (to even on an exact tie)."""
     a = np.abs(v)
     fast = (a >= 1e-11) & (a < 1e16) & _FAST_DIGITS
     a = np.where(fast, a, 1.0)
     x = np.clip(np.floor(np.log10(a)).astype(np.intp), -11, 15)
-    scale = np.take(_DIGIT_SCALE, 16 - x)
-    product = a * scale  # in long double, as scale
-    fast &= (product >= _DIGIT_SCALE[16]) & (product < _DIGIT_SCALE[17] - 128)
-    q = np.where(fast, product, _DIGIT_SCALE[16]).astype(np.uint64)
-    d = ((q + 63) >> 7).view(np.int64)
+    product = np.take(_DIGIT_SCALE, 16 - x)
+    product *= a  # in long double
+    q = np.minimum(product, _DIGIT_SCALE[17], out=product).astype(np.uint64)
+    fast &= q - _Q_LOW < _Q_SPAN
+    q *= fast
+    x *= fast
     # remainder 64: the product's exact rounding error (Dekker) gives the
     # sign of |v| scale - (q >> 7 << 7 | 64); d rounds up, or to even on 0
-    tie = np.flatnonzero(fast & (q - (q >> 7 << 7) == 64))
-    p, qt, y = product[tie], q[tie], np.stack([a[tie], scale[tie]])
+    tie = np.flatnonzero(q & 127 == 64)
+    p, qt, y = product[tie], q[tie], np.stack([a[tie], _DIGIT_SCALE[16 - x[tie]]])
     a_hi, s_hi = y_hi = y * _SPLIT - (y * _SPLIT - y)
     a_lo, s_lo = y - y_hi
     above = (p - qt) + (((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo)
+    q += 63
+    q >>= 7
+    d = q.view(np.int64)
     d[tie] += (above > 0) | ((above == 0) & (qt >> 7 != qt >> 8 << 1))
-    # d = 10**16 lead + the 4-digit groups quad; the long-double quotient
-    # d / 1e8 cannot round up to the next integer
-    hi = (d.astype(np.longdouble) / 1e8).astype(np.int64)
-    halves = np.stack([hi, d - hi * 100000000]).astype(np.float64)
-    tops = np.floor(halves / 1e4)
-    lead = np.floor(tops[0] / 1e4)
-    quad = np.stack([tops[0] - 1e4 * lead, halves[0] - 1e4 * tops[0], tops[1],
-                     halves[1] - 1e4 * tops[1]]).astype(np.intp)
-    # digit k in row k + 1 of a (19, n) table with a zero row either side
-    digits = np.zeros((19, n), np.uint8)
-    digits[1] = lead
-    digits[2:18].reshape(4, 4, n)[...] = np.take(_QUAD, quad, axis=1).transpose(1, 0, 2)
-    # %g drops trailing zeros, except those of an integer part
-    last = ((digits[1:18] != 0) * _SLOT[:17]).max(axis=0)
-    keep = np.maximum(x, last).astype(np.uint8)
-    digits[1:18] += 48
-    digits[1:18] *= _SLOT[:17] <= keep
-    xi = x + 11
-    p = np.take(_POINT, xi)
-    point = 46 * (keep > p).astype(np.uint8)
-    out = np.empty((29, n), np.uint8)
-    np.take(_HEAD, 2 * xi + (v < 0), axis=1, out=out[:6])
-    run = out[6:24]
-    np.multiply(digits[1:], _SLOT <= p, out=run)
-    run += digits[:-1] * (_SLOT > p + 1)
-    run += point * (_SLOT == p + 1)
-    np.take(_TAIL, xi, axis=1, out=out[24:28])
-    out[28] = 44
-    out[28, cols - 1::cols] = 10
-    slow = np.flatnonzero(~fast)
+    return fast, x, d
+
+
+def _layout(v: np.ndarray, cols: int, fast: np.ndarray, x: np.ndarray,
+            d: np.ndarray) -> np.ndarray:
+    """The values v of a block with cols columns as (v.size, 32) bytes:
+    each value's text and separator, padded with NUL.
+
+    Each row is NUL-padded words, each gathered from a table: sign,
+    "0.000" prefix, lead digit and point (8 bytes); the four 4-digit
+    groups of d, split off by integer division (16); "e-XX" (4); the
+    separator (4).  Values whose last digit is 0 take the groups from the
+    last nonzero one on without their trailing zeros, and values with
+    x >= 1 move the digits before the point one byte forward, over the
+    lead's point slot.  The values that are not fast, except zeros, are
+    written by f"{v:.17g}"."""
+    n = v.size
+    # d = 10**16 lead + 10**12 g0 + 10**8 g1 + 10**4 g2 + g3
+    halves = np.empty((2, n), np.int64)
+    hi = np.floor_divide(d, 100000000, out=halves[0])
+    np.subtract(d, hi * 100000000, out=halves[1])
+    lead = hi // 100000000
+    hi -= lead * 100000000
+    tops = halves // 10000
+    halves -= tops * 10000
+    groups = tops[0], halves[0], tops[1], halves[1]
+    out = np.empty((n, 8), np.uint32)
+    row = out.view(np.uint8)
+    for k, group in enumerate(groups):  # "clip" writes to out unbuffered
+        np.take(_QUAD_WORDS, group, out=out[:, 2 + k], mode="clip")
+    # %g drops trailing zeros: where the last digit is 0, the groups from
+    # the last nonzero one on lose theirs
+    zeros = np.flatnonzero(row[:, 23] == 48)
+    for k in (3, 2, 1, 0):
+        group = groups[k][zeros]
+        out[zeros, 2 + k] &= _MASK_WORDS[_TRAILING[group]]
+        zeros = zeros[group == 0]
+    wide = np.flatnonzero(x > 0)
+    at = x[wide]
+    x += 11
+    np.take(_TAIL_WORDS, x, out=out[:, 6], mode="clip")
+    # the head's row of _HEAD: x, sign, lead digit, whether a digit follows
+    x *= 2
+    x -= v.view(np.int64) >> 63  # +1 where the sign bit is set
+    x *= 20
+    lead *= 2
+    lead += x
+    lead += row[:, 8] != 0
+    np.take(_HEAD_WORDS, lead, out=out.view(np.uint64)[:, 0], mode="clip")
+    out[:, 7] = 44  # as a word: its one nonzero byte
+    out[cols - 1::cols, 7] = 10
+    # x >= 1: the digits 1..x move one byte forward, over the lead's point
+    # slot, each a "0" where the trailing zeros left a NUL, and the point
+    # follows them if a digit does
+    if wide.size:
+        run, r = row[wide, 7:24], np.arange(wide.size)
+        point = run[r, at + 1] != 0
+        for j in range(at.max()):
+            shift = at > j
+            run[shift, j] = np.maximum(run[shift, j + 1], 48)
+        run[r, at] = 46 * point
+        row[wide, 7:24] = run
+    slow = np.flatnonzero(~fast & (v != 0))
     if slow.size:
-        out[:28, slow] = _byte_columns([f"{w:.17g}" for w in v[slow].tolist()], 28)
-    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+        row[slow, :28] = _byte_rows([f"{w:.17g}" for w in v[slow].tolist()], 28)
+    return row
 
 
 def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
     """Emit the series as CSV to a path (UTF-8) or an open text stream:
     column T first, then each channel, all values with 17 significant
     digits so parsing reproduces the exact doubles: the bytes of
-    f"{v:.17g}" for each value.  _format_17g formats the rows in blocks
-    of about _CSV_VALUES values, so no working array spans the grid, and
-    the bytes do not depend on the block size."""
+    f"{v:.17g}" for each value.  _format_17g formats whole rows, at most
+    _CSV_VALUES values at a time (one row if it is wider), so no working
+    array spans the grid, and the bytes do not depend on the block size."""
     names = list(series.channels)
     cols = [series.grid] + [series.channels[n] for n in names]
     rows = max(1, _CSV_VALUES // len(cols))

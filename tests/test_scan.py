@@ -266,6 +266,16 @@ def remainder_ties(rng, size=20000):
     return np.array(picked)
 
 
+def fallback_texts(monkeypatch):
+    """The list that collects every text write_csv formats with
+    f"{v:.17g}" itself, from now on."""
+    formatted = []
+    real = tjcm.scan._byte_rows
+    monkeypatch.setattr(tjcm.scan, "_byte_rows",
+                        lambda texts, width: real(formatted.extend(texts) or texts, width))
+    return formatted
+
+
 def test_csv_near_ties_take_the_fast_digits(monkeypatch):
     """17-digit near-ties, which leave the long-double product the
     remainder 64, and exact ties get their digits from the product's
@@ -274,16 +284,57 @@ def test_csv_near_ties_take_the_fast_digits(monkeypatch):
     rng = np.random.default_rng(12)
     values = np.concatenate([remainder_ties(rng), exact_ties(rng)])
     assert values.size > 500
-    formatted = []
-    real = tjcm.scan._byte_columns
-    monkeypatch.setattr(tjcm.scan, "_byte_columns",
-                        lambda texts, width: real(formatted.extend(texts) or texts, width))
+    formatted = fallback_texts(monkeypatch)
     series = TimeSeries(grid=np.linspace(0.0, 25.0, values.size), channels={"v": values})
     out = io.StringIO()
     write_csv(series, out)
     assert out.getvalue() == per_value_csv(series)
     if tjcm.scan._FAST_DIGITS:
-        assert [t for t in formatted if t != "0"] == []
+        assert formatted == []
+
+
+@pytest.mark.parametrize("fast_digits", [True, False])
+def test_csv_zeros_take_no_fallback(monkeypatch, fast_digits):
+    """0.0 and -0.0 are laid out in numpy as "0" and "-0", also without
+    the long-double digits; in the first rows of a sweep-sized scan (T = 0
+    and the values rounding leaves near it) only the values with
+    0 < |v| < 1e-11 take f"{v:.17g}"."""
+    monkeypatch.setattr(tjcm.scan, "_FAST_DIGITS", fast_digits and tjcm.scan._FAST_DIGITS)
+    formatted = fallback_texts(monkeypatch)
+    zeros = np.resize([0.0, -0.0, -0.0], 40)
+    series = TimeSeries(grid=np.linspace(0.0, 1.0, 40), channels={"a": zeros, "b": -zeros})
+    out = io.StringIO()
+    write_csv(series, out)
+    assert out.getvalue() == per_value_csv(series)
+    assert "-0," in out.getvalue()
+    # without the long-double digits only the nonzero times take it
+    assert formatted == ([] if tjcm.scan._FAST_DIGITS
+                         else [f"{t:.17g}" for t in series.grid[1:].tolist()])
+    if not tjcm.scan._FAST_DIGITS:
+        return
+    ts = run_scan(ScanConfig(params=ModelParams(alpha=5.0, g=0.5, l=1), t_max=25.0, steps=500,
+                             channels=CHANNEL_NAMES[:14]))
+    first = TimeSeries(grid=ts.grid[:3], channels={n: c[:3] for n, c in ts.channels.items()})
+    values = np.stack([first.grid, *first.channels.values()], axis=1).ravel()
+    assert np.count_nonzero(values == 0.0) >= 2
+    formatted.clear()
+    out = io.StringIO()
+    write_csv(first, out)
+    assert out.getvalue() == per_value_csv(first)
+    assert formatted == [f"{v:.17g}" for v in values.tolist() if 0.0 < abs(v) < 1e-11]
+
+
+def group_boundaries(rng):
+    """Doubles near d 10**e for 17-digit d on the boundaries of the digit
+    groups (lead digit and four groups of four): 10**16 and 10**17 - 1,
+    and d ending in 4, 8, 12 or 16 zeros or nines, over exponents that
+    put d 10**e on both sides of the fast range."""
+    digits = [10**16, 10**17 - 1]
+    for d in rng.integers(10**16, 10**17 - 10**16, 8).tolist():
+        for split in (10**4, 10**8, 10**12, 10**16):
+            digits += [d // split * split, d // split * split + split - 1]
+    values = [float(f"{d}e{e}") for d in digits for e in range(-30, 2, 3)]
+    return np.array(values + [-v for v in values])
 
 
 def test_csv_bytes_equal_per_value_formatting(monkeypatch):
@@ -300,7 +351,8 @@ def test_csv_bytes_equal_per_value_formatting(monkeypatch):
     neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
     near_ties = np.array([float(f"{d}5e{e}") for d, e in zip(
         rng.integers(10**16, 10**17, 600).tolist(), rng.integers(-28, 18, 600).tolist())])
-    edge = np.concatenate([special, neighbours, exact_ties(rng), near_ties, remainder_ties(rng)])
+    edge = np.concatenate([special, neighbours, exact_ties(rng), near_ties, remainder_ties(rng),
+                           group_boundaries(rng)])
     steps = edge.size
     bits = rng.integers(0, 2**64, size=(4, steps), dtype=np.uint64).view(float)
     channels = {f"c{k}": bits[k] for k in range(4)}
@@ -320,6 +372,21 @@ def test_csv_bytes_equal_per_value_formatting(monkeypatch):
     out = io.StringIO()
     write_csv(series, out)
     assert out.getvalue() == expected
+
+
+def test_csv_word_tables_are_their_byte_tables():
+    """Each word table the CSV layout gathers from is a view of its byte
+    table: the same bytes in the same order, whatever the byte order."""
+    scan = tjcm.scan
+    for words, table in ((scan._HEAD_WORDS, scan._HEAD), (scan._TAIL_WORDS, scan._TAIL),
+                         (scan._QUAD_WORDS, scan._QUAD), (scan._MASK_WORDS, scan._MASK)):
+        assert np.shares_memory(words, table)
+        assert words.size * words.itemsize == table.size
+        assert words.tobytes() == table.tobytes()
+    assert scan._QUAD[1200].tobytes() == b"1200" and scan._TRAILING[1200] == 2
+    assert (scan._QUAD_WORDS[1200] & scan._MASK_WORDS[2]).tobytes() == b"12\0\0"
+    assert [f"{n:04d}" for n in range(10000)] == [q.tobytes().decode() for q in scan._QUAD]
+    assert [len(f"{n:04d}") - len(f"{n:04d}".rstrip("0")) for n in range(10000)] == scan._TRAILING.tolist()
 
 
 def test_csv_bytes_survive_misestimated_exponents(monkeypatch):
