@@ -19,7 +19,7 @@ from .errors import (
     TruncationError,
     UsageError,
 )
-from .jcm import jcm_bloch, tjcm_harmonic_sy
+from .jcm import tjcm_harmonic_sy
 from .observables import (
     BlochVector,
     binary_entropy_of_mean,
@@ -73,7 +73,6 @@ __all__ = [
     "eigen_table",
     "entropy_squeezing",
     "eur_residual",
-    "jcm_bloch",
     "read_csv",
     "reduced_states",
     "run_preset",

@@ -66,7 +66,9 @@ def reduced_states(
 ) -> dict[AtomId, ReducedAtomState]:
     """Reduced state of each atom over a uniform time grid from T = 0, as
     arrays of length nT, with the scalar coh_re = 0.0, for transition
-    parameter l and coupling ratio g.
+    parameter l and coupling ratio g.  At g = 0 atom 2 is frozen and atom
+    1 is the one-atom l-photon Jaynes-Cummings model; scan.run_scan takes
+    its jcm_* baseline there, at l = 1.
 
     The blocks n = n_min..n_max of ``weights`` are diagonalized once
     (``eigen_table``), with n_min, pop = c_n^2 and pair = c_n c_{n+l} from

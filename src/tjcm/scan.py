@@ -30,7 +30,9 @@ _ATOM_CHANNEL_FNS = {
     "eur": eur_residual,
 }
 ATOM_CHANNELS = tuple(_ATOM_CHANNEL_FNS)
-FIELD_CHANNELS = ("jcm_sz", "jcm_sy", "jcm_ey", "harmonic_sy")
+# The one-atom baseline's channels and the per-atom kind each one is.
+_JCM_KINDS = {"jcm_sz": "inv", "jcm_sy": "sy", "jcm_ey": "ey"}
+FIELD_CHANNELS = (*_JCM_KINDS, "harmonic_sy")
 CHANNEL_NAMES = tuple(
     f"{kind}{atom}" for kind in ATOM_CHANNELS for atom in (1, 2)
 ) + FIELD_CHANNELS
@@ -148,8 +150,10 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
 
     Single-atom channels come from ``reduced_states``, which diagonalizes
     the blocks once and evaluates each entry of the states on the whole
-    grid as a trig sum over the spectrum (``blocks.trig_sum``); the jcm_*
-    and harmonic_sy channels are trig sums too.  The weight table is the
+    grid as a trig sum over the spectrum (``blocks.trig_sum``).  The jcm_*
+    channels are the one-atom Jaynes-Cummings baseline: atom 1 of the same
+    path at g = 0, where atom 2 is frozen, and l = 1, whatever the scan's
+    g and l.  harmonic_sy is a trig sum too.  The weight table is the
     one ``ModelParams`` built.  Memory grows with the grid only by
     grid-length arrays; a grid whose outputs alone would not fit in
     physical memory is refused before anything is allocated.
@@ -159,27 +163,20 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     p = cfg.params
     grid = cfg.grid()
     weights = p.weights
-    series: dict[str, np.ndarray] = {}
-
-    atoms_needed = {n[-1] for n in names if n[:-1] in ATOM_CHANNELS}
-    if atoms_needed:
-        atoms = [AtomId(int(tag)) for tag in sorted(atoms_needed)]
-        # the reduced states are dropped once their Bloch vectors exist
+    # each Bloch-vector channel as (kind, source): atom "1" or "2" of the
+    # scan, or "jcm", the baseline
+    wanted = {n: (n[:-1], n[-1]) for n in names if n[:-1] in ATOM_CHANNELS}
+    wanted.update((n, (_JCM_KINDS[n], "jcm")) for n in names if n in _JCM_KINDS)
+    sources = {source for _, source in wanted.values()}
+    # the reduced states are dropped once their Bloch vectors exist
+    states = {}
+    if atoms := [AtomId(int(tag)) for tag in sorted(sources - {"jcm"})]:
         states = {str(atom.value): bloch(state) for atom, state in
                   reduced_states(weights, p.l, p.g, grid, atoms).items()}
-        for name in names:
-            kind, tag = name[:-1], name[-1]
-            if kind in ATOM_CHANNELS:
-                series[name] = _ATOM_CHANNEL_FNS[kind](states[tag])
-
-    if any(n.startswith("jcm_") for n in names):
-        jcm_b = jcm.jcm_bloch(weights, grid)
-        if "jcm_sz" in names:
-            series["jcm_sz"] = jcm_b.sz
-        if "jcm_sy" in names:
-            series["jcm_sy"] = jcm_b.sy
-        if "jcm_ey" in names:
-            series["jcm_ey"] = entropy_squeezing(jcm_b, "y")
+    if "jcm" in sources:
+        states["jcm"] = bloch(reduced_states(weights, 1, 0.0, grid, [AtomId.FIRST])[AtomId.FIRST])
+    series = {name: _ATOM_CHANNEL_FNS[kind](states[source])
+              for name, (kind, source) in wanted.items()}
     if "harmonic_sy" in names:
         series["harmonic_sy"] = jcm.tjcm_harmonic_sy(weights, grid)
 

@@ -59,6 +59,16 @@ def test_scan_refuses_ill_conditioned_phases(capsys):
     assert main(args + ["--tmax", "0.1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("channel", ["harmonic_sy", "jcm_sz"])
+def test_reference_channels_refuse_ill_conditioned_phases(channel, capsys):
+    """A scan of a reference channel alone is refused past the phase
+    conditioning bound, as inv1 is on the same grid."""
+    args = ["scan", "--alpha", "5", "--steps", "5", "--channels", channel, "--tmax"]
+    assert main(args + ["1e9"]) == EXIT_USAGE  # conditioning 4.4e-6 and 2.2e-6
+    assert "phase conditioning" in capsys.readouterr().err
+    assert main(args + ["25"]) == EXIT_OK
+
+
 def test_scan_refuses_cutoff_eps_and_steps_below_their_floors(capsys):
     """A cutoff_eps below 1e-15, and a subnormal step, are one error line
     naming the bound, before any work; at the bounds' safe side the scan

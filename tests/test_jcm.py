@@ -1,4 +1,8 @@
-"""Single-atom baseline and the strong-field approximation."""
+"""Single-atom baseline and the strong-field approximation.
+
+The baseline is no function of its own: at g = 0 atom 2 is frozen and
+atom 1 of the two-atom pipeline is the one-photon one-atom model, which
+the scan's jcm_* channels take at l = 1.  Its tests check that slice."""
 
 import math
 
@@ -7,32 +11,41 @@ import pytest
 from scipy.linalg import expm
 
 from tjcm import (
+    AtomId,
     BlochVector,
     FockWeights,
+    bloch,
     coherent_weights,
     entropy_squeezing,
-    jcm_bloch,
+    reduced_states,
     tjcm_harmonic_sy,
 )
 
 from conftest import through
 
 
+def one_atom_bloch(weights, T):
+    """Bloch vector of the one-atom model on a uniform grid T from 0 (or
+    the one time 0): atom 1 at g = 0 and l = 1, as run_scan takes it."""
+    return bloch(reduced_states(weights, 1, 0.0, T, [AtomId.FIRST])[AtomId.FIRST])
+
+
 def jcm_entropy_squeezing(weights, T):
     """Transverse entropy-squeezing witness of the single-atom baseline, as
     the scan's jcm_ey channel computes it."""
-    return entropy_squeezing(jcm_bloch(weights, T), "y")
+    return entropy_squeezing(one_atom_bloch(weights, T), "y")
 
 
-def jcm_bloch_at(weights, T):
-    """jcm_bloch at the one time T, the last of a grid from T = 0."""
-    b = jcm_bloch(weights, through(T))
+def one_atom_at(weights, T):
+    """one_atom_bloch at the one time T, the last of a grid from T = 0."""
+    b = one_atom_bloch(weights, through(T))
     return BlochVector(sx=b.sx, sy=b.sy[-1], sz=b.sz[-1])
 
 
-def jcm_bloch_by_matrix_exponential(weights, T):
-    """Independent route: evolve each (|+,n>, |-,n+1>) pair with a Pade
-    matrix exponential and trace the assembled joint state directly."""
+def one_atom_by_matrix_exponential(weights, T):
+    """Independent route, with no block of the two-atom model: evolve each
+    (|+,n>, |-,n+1>) pair with a Pade matrix exponential and trace the
+    assembled joint state directly."""
     c = weights.c
     n_f = weights.n_max + 1
     plus = np.zeros(n_f + 1, dtype=complex)
@@ -49,7 +62,7 @@ def jcm_bloch_by_matrix_exponential(weights, T):
 
 def test_initial_state():
     w = coherent_weights(5.0)
-    b = jcm_bloch(w, 0.0)
+    b = one_atom_bloch(w, 0.0)
     assert b.sx == 0.0
     assert b.sy == pytest.approx(0.0, abs=1e-15)
     assert b.sz == pytest.approx(1.0, abs=1e-12)
@@ -59,10 +72,10 @@ def test_initial_state():
 def test_vacuum_rabi_oscillation():
     w = coherent_weights(0.0)
     for T in (0.3, 1.0, math.pi / 2.0):
-        b = jcm_bloch_at(w, T)
+        b = one_atom_at(w, T)
         assert b.sz == pytest.approx(math.cos(2.0 * T), abs=1e-14)
         assert b.sy == pytest.approx(0.0, abs=1e-14)
-    b = jcm_bloch_at(w, math.pi / 2.0)
+    b = one_atom_at(w, math.pi / 2.0)
     assert b.sz == pytest.approx(-1.0, abs=1e-14)
     assert entropy_squeezing(b, "y") == pytest.approx(0.0, abs=1e-12)
 
@@ -72,7 +85,7 @@ def test_single_fock_level_reduces_to_rabi():
     c[3] = 1.0
     w = FockWeights(c=c)
     for T in (0.4, 2.2):
-        b = jcm_bloch_at(w, T)
+        b = one_atom_at(w, T)
         assert b.sz == pytest.approx(math.cos(2.0 * T * 2.0), abs=1e-14)
         assert b.sy == pytest.approx(0.0, abs=1e-14)  # no adjacent weight
 
@@ -80,8 +93,8 @@ def test_single_fock_level_reduces_to_rabi():
 def test_against_matrix_exponential_oracle():
     w = coherent_weights(5.0)
     for T in (0.7, 6.0, 14.2):
-        b = jcm_bloch_at(w, T)
-        sx_ref, sy_ref, sz_ref = jcm_bloch_by_matrix_exponential(w, T)
+        b = one_atom_at(w, T)
+        sx_ref, sy_ref, sz_ref = one_atom_by_matrix_exponential(w, T)
         assert b.sz == pytest.approx(sz_ref, abs=1e-10)
         assert b.sy == pytest.approx(sy_ref, abs=1e-10)
         assert abs(sx_ref) < 1e-10
@@ -89,21 +102,21 @@ def test_against_matrix_exponential_oracle():
 
 def test_bloch_norm_bounded():
     w = coherent_weights(5.0)
-    b = jcm_bloch(w, np.linspace(0.0, 25.0, 201))
+    b = one_atom_bloch(w, np.linspace(0.0, 25.0, 201))
     assert np.max(b.norm()) <= 1.0 + 1e-10
 
 
 def test_array_times_match_scalar_times():
     """Each time of a grid gives what it gives on its own, as the last of
-    the grid [0, T] (the scalar 0 at T = 0)."""
+    the grid [0, T] (the one time 0 at T = 0)."""
     w = coherent_weights(5.0)
     ts = np.linspace(0.0, 25.0, 41)
-    b = jcm_bloch(w, ts)
+    b = one_atom_bloch(w, ts)
     assert b.sz.shape == b.sy.shape == ts.shape and b.sx == 0.0
     harm = tjcm_harmonic_sy(w, ts)
-    assert jcm_bloch(w, 0.0).sz == b.sz[0] and tjcm_harmonic_sy(w, 0.0) == harm[0]
+    assert np.array_equal(one_atom_bloch(w, 0.0).sz, b.sz[:1]) and tjcm_harmonic_sy(w, 0.0) == harm[0]
     for i, T in enumerate(ts):
-        s = jcm_bloch_at(w, float(T))
+        s = one_atom_at(w, float(T))
         assert abs(b.sz[i] - s.sz) <= 1e-15 and abs(b.sy[i] - s.sy) <= 1e-15
         assert abs(harm[i] - tjcm_harmonic_sy(w, through(float(T)))[-1]) <= 1e-15
 
@@ -111,15 +124,15 @@ def test_array_times_match_scalar_times():
 def test_references_match_fsum_from_n_zero():
     """At alpha 12 both references sum only their window (n_min 48); an
     exactly rounded sum over every n from 0 agrees with them to 1e-15 at
-    every time of a grid through 1.3, 6.6 and 17.9.  The reference takes
-    its phases T w in long double: rounded to float64 they move these sums
+    every time of a grid through 1.3, 6.6 and 17.9.  Both take their
+    phases T w in long double: rounded to float64 they move these sums
     by up to 4.4e-15 on this grid.  The harmonic reference is taken in its
     sum form, which the implementation evaluates (see the product-form
     test below)."""
     w = coherent_weights(12.0)
     assert w.window(1)[0] == 48
     ts = np.linspace(0.0, 17.9, 180)
-    b, harm = jcm_bloch(w, ts), tjcm_harmonic_sy(w, ts)
+    b, harm = one_atom_bloch(w, ts), tjcm_harmonic_sy(w, ts)
     c = w.c
     n = np.arange(w.n_max + 1.0)
     pair = c[:-1] * c[1:]
@@ -137,7 +150,7 @@ def test_references_match_fsum_from_n_zero():
 
 def test_references_on_an_empty_grid():
     w = coherent_weights(5.0)
-    b = jcm_bloch(w, np.zeros(0))
+    b = one_atom_bloch(w, np.zeros(0))
     assert b.sz.shape == b.sy.shape == tjcm_harmonic_sy(w, np.zeros(0)).shape == (0,)
 
 
@@ -168,8 +181,6 @@ def test_harmonic_zero_at_t_zero():
 def test_harmonic_tracks_exact_symmetric_case():
     """The approximation must reproduce the exact symmetric-case coherence
     away from large times: pointwise here, envelope checks below."""
-    from tjcm import AtomId, reduced_states
-
     w = coherent_weights(5.0)
     ts = np.linspace(0.0, 8.0, 17)
     coh = reduced_states(w, 1, 1.0, ts, [AtomId.FIRST])[AtomId.FIRST].coh_im

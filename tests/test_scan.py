@@ -110,6 +110,17 @@ def test_scan_channel_order_preserved():
     assert list(ts.channels) == ["ey2", "inv1", "jcm_sz"]
 
 
+def test_jcm_baseline_ignores_the_scans_l_and_g():
+    """The jcm_* channels are the one-photon one-atom baseline whatever the
+    scan's l and g: l = 2, g = 0.5 gives them bitwise as l = 1, g = 1 at
+    the same alpha and grid."""
+    channels = ("jcm_sz", "jcm_sy", "jcm_ey")
+    a = run_scan(small_cfg(params=ModelParams(alpha=3.0, g=0.5, l=2), channels=channels))
+    b = run_scan(small_cfg(params=ModelParams(alpha=3.0, g=1.0, l=1), channels=channels))
+    for name in channels:
+        assert np.array_equal(a.channels[name], b.channels[name]), name
+
+
 def test_scan_deterministic():
     a = run_scan(small_cfg())
     b = run_scan(small_cfg())

@@ -13,7 +13,7 @@ shift, so the test of its long-double phase went with it.
 import numpy as np
 import pytest
 
-from tjcm import AtomId, InvalidParameterError, blocks, coherent_weights, jcm_bloch, reduced_states, tjcm_harmonic_sy
+from tjcm import AtomId, InvalidParameterError, blocks, coherent_weights, reduced_states, tjcm_harmonic_sy
 from tjcm.blocks import grid_plan, trig_sum
 
 from conftest import through
@@ -171,16 +171,17 @@ def test_trig_sum_refuses_times_off_a_uniform_grid():
 
 
 def test_every_entry_point_refuses_grids_not_from_zero():
-    """trig_sum, grid_plan, reduced_states, jcm_bloch and tjcm_harmonic_sy
-    evaluate uniform grids from T = 0 only: a grid from 0.5 and the single
-    time 3.7 are refused with that message, times off a uniform grid are
-    still reported as such, and [0], the time 0, an empty grid and a
-    backward grid from 0 evaluate."""
+    """trig_sum, grid_plan, reduced_states (at g = 0.5 and at g = 0, the
+    one-atom baseline) and tjcm_harmonic_sy evaluate uniform grids from
+    T = 0 only: a grid from 0.5 and the single time 3.7 are refused with
+    that message, times off a uniform grid are still reported as such, and
+    [0], the time 0, an empty grid and a backward grid from 0 evaluate."""
     freqs, coefs = random_sum(5, 4, 0.0, 5.0)
     w = coherent_weights(2.0)
     for entry in (lambda t: trig_sum(freqs, coefs, t), grid_plan,
                   lambda t: reduced_states(w, 1, 0.5, t, AtomId),
-                  lambda t: jcm_bloch(w, t), lambda t: tjcm_harmonic_sy(w, t)):
+                  lambda t: reduced_states(w, 1, 0.0, t, AtomId),
+                  lambda t: tjcm_harmonic_sy(w, t)):
         for times in ([0.5, 1.0], [3.7], 3.7):
             with pytest.raises(InvalidParameterError, match="uniform grid from T = 0"):
                 entry(times)
