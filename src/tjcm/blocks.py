@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
 
-_NORM_TOL = 1e-10
+# 18 eps: the Jacobi's measured worst is 7.5 (alpha 0-30, l 1-10, g 1e-6-1e6)
+_NORM_TOL = 4e-15
 # |w_0 + w_3|, |w_1 + w_2| in eps * max|w|: the Jacobi's measured worst is 8
 _SYMMETRY_TOL = 16.0
 _EPS, _MAX = np.finfo(float).eps, np.finfo(float).max
@@ -47,6 +48,8 @@ _UNIFORM_ULPS = 16
 # kernel points trig_sum evaluates and spreads at a time: a 64 kB block,
 # which stays in cache (its results do not depend on the count)
 _SPREAD_BLOCK = 8192
+# bytes of fine grids trig_sum transforms at once: 5 at nT 500, 1 from 1363
+_FFT_STACK_BYTES = 2**17
 # float64 2 pi is off by 2.4e-16 per turn, which grows along the grid
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 
@@ -241,24 +244,25 @@ def eigen_table(
     return jacobi_eigh(block_matrices(n_max, l, g, n_min))
 
 
-def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray) -> None:
+def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray,
+                             knobs: tuple[str, ...] = ("t_max", "alpha", "g", "l")) -> None:
     """Refuse a grid whose phase error bound max|w| * max|T| * eps exceeds
-    _PHASE_COND_TOL."""
+    _PHASE_COND_TOL, naming the knobs that move it."""
     with np.errstate(over="ignore"):  # an infinite bound is refused below
         cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
     if cond > _PHASE_COND_TOL:
         raise InvalidParameterError(
             f"phase conditioning max|w|*max|T|*eps = {cond:.3e} exceeds "
-            f"{_PHASE_COND_TOL:.0e}; lower t_max, alpha, g or l"
+            f"{_PHASE_COND_TOL:.0e}; lower {', '.join(knobs[:-1])} or {knobs[-1]}"
         )
 
 
 def check_spectrum(vals: np.ndarray, vecs: np.ndarray) -> None:
     """Refuse block eigenvectors that are not orthonormal, or whose overlaps
     miss sum_k <v_k|e1>^2 = 1, by more than _NORM_TOL: together these keep
-    every amplitude norm at 1 at all times, which no caller forms; and
-    eigenvalues off +- symmetry by more than _SYMMETRY_TOL, which
-    reduced_states assumes."""
+    every block's norm within 5 _NORM_TOL of 1 at all times, which no
+    caller forms; and eigenvalues off +- symmetry by more than
+    _SYMMETRY_TOL, which reduced_states assumes."""
     gram = np.einsum("nik,nil->nkl", vecs, vecs) - np.eye(4)
     overlap = np.einsum("nk,nk->n", vecs[:, 0, :], vecs[:, 0, :]) - 1.0
     dev = max(float(np.abs(gram).max(initial=0.0)), float(np.abs(overlap).max(initial=0.0)))
@@ -341,8 +345,9 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
     limit 4.5e7; the long-double positions add about |w T| * 5.4e-20 rad
     beyond it.  The first time, T = 0, is summed directly (an entropy of
     sz near 1 magnifies 1e-16 to several 1e-15).  The rows share a kernel
-    table per width (_kernel_table) and spread _SPREAD_BLOCK kernel points
-    at a time: the same additions in the same order at any block size.
+    table per width (_kernel_table) and run in batches of _FFT_STACK_BYTES
+    of fine grids, spreading _SPREAD_BLOCK kernel points at a time: the
+    same additions in the same order at any block or batch size.
     """
     plan = grid if isinstance(grid, GridPlan) else grid_plan(grid)
     w = np.asarray(freqs, dtype=np.longdouble)
@@ -356,46 +361,56 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
     u = np.mod(w * plan.h, _TWO_PI) * (plan.n_fine / _TWO_PI)
     u[u >= plan.n_fine] -= plan.n_fine
     main, fix = (_kernel_table(u, width) for width in (_ES_WIDTH, _CORRECTION_WIDTH))
-    # the fine grid, padded by half a main kernel at each end
-    buf = np.empty(plan.n_fine // 2 + _ES_WIDTH // 2, dtype=complex).view(float)
+    rows = out.reshape(-1, n_t)
+    flat = coefs.reshape(rows.shape[0], w.size)
+    # a batch's fine grids, each padded by half a main kernel at each end
+    size = plan.n_fine + _ES_WIDTH
+    batch = max(min(_FFT_STACK_BYTES // (8 * size), rows.shape[0]), 1)
+    buf = np.empty((batch, size))
     w = w.astype(float)
-    for row, a in zip(out.reshape(-1, n_t), coefs.reshape(math.prod(coefs.shape[:-1]), w.size)):
-        row[:] = _modes(a, *main, plan, 0, sine, buf)
+    for lo in range(0, rows.shape[0], batch):
+        a, part = flat[lo:lo + batch], rows[lo:lo + batch]
+        grids = buf[:a.shape[0]]
+        part[:] = _modes(a, *main, plan, 0, sine, grids)
         # d/dT (cos, sin) w T = w (-sin, cos) w T
-        modes = _modes((w if sine else -w) * a, *fix, plan, 1, not sine, buf)
-        row += np.multiply(modes, plan.delta, out=modes)
+        modes = _modes((w if sine else -w) * a, *fix, plan, 1, not sine, grids)
+        part += np.multiply(modes, plan.delta, out=modes)
     out[..., 0] = 0.0 if sine else coefs.sum(axis=-1)
     return out
 
 
 def _modes(values: np.ndarray, starts: np.ndarray, kernel: np.ndarray, plan: GridPlan,
            width_index: int, sine: bool, buf: np.ndarray) -> np.ndarray:
-    """Re (Im for sine) sum_m values[m] exp(i k x_m), k < nT, as a view of buf:
-    spread in place (a bincount returns a grid-length temporary), transformed."""
+    """Re (Im for sine) sum_m values[r, m] exp(i k x_m), k < nT, per row r, as
+    a view of buf's rows: spread in place, each block of kernel-point
+    indices serving every row (a bincount returns a grid-length temporary),
+    and transformed together."""
     m, width = kernel.shape
     half, pad, n_fine, n_t = width // 2, _ES_WIDTH // 2, plan.n_fine, plan.delta.size
-    padded = buf[pad - half:pad + n_fine + half]
+    padded = buf[:, pad - half:pad + n_fine + half]
     padded.fill(0.0)
     rows, points = max(_SPREAD_BLOCK // width, 1), np.arange(width)
     spread = np.empty((min(rows, m), width))
     index = np.empty((min(rows, m), width), dtype=np.int64)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        block = np.multiply(values[lo:hi, None], kernel[lo:hi], out=spread[:hi - lo])
         at = np.add(starts[lo:hi, None], points, out=index[:hi - lo]).reshape(-1)
-        np.add.at(padded, at, block.reshape(-1))
-    fine = padded[half:half + n_fine]
-    fine[:half] += padded[n_fine + half:]
-    fine[n_fine - half:] += padded[:half]
+        for grid, v in zip(padded, values):
+            block = np.multiply(v[lo:hi, None], kernel[lo:hi], out=spread[:hi - lo])
+            np.add.at(grid, at, block.reshape(-1))
+    fine = padded[:, half:half + n_fine]
+    fine[:, :half] += padded[:, n_fine + half:]
+    fine[:, n_fine - half:] += padded[:, :half]
     # the transform Z of the points as complex ones, even + i odd, gives with
     # Z'_k = Z_{n_fine/2 - k} (Z_{n_fine/2} = Z_0, in the pad) and twiddles c, s
     # 2 Re F_k = (Zr + Z'r) + c (Zi + Z'i) + s (Zr - Z'r) and
     # 2 Im F_k = (Zi - Z'i) + s (Zi + Z'i) - c (Zr - Z'r), in the middle third
-    z = buf[pad:pad + n_fine + 2].view(complex)
-    np.fft.ifft(z[:-1], norm="forward", out=z[:-1])
-    z[-1] = z[0]
-    zk, zk_ = z[:n_t], z[n_fine // 2 - n_t + 1:][::-1]
-    t1, t2 = buf[pad + 2 * n_t:pad + 4 * n_t].reshape(2, n_t)
+    z = buf[:, pad:pad + n_fine + 2].view(complex)
+    np.fft.ifft(z[:, :-1], norm="forward", out=z[:, :-1])
+    z[:, -1] = z[:, 0]
+    zk, zk_ = z[:, :n_t], z[:, n_fine // 2 - n_t + 1:][:, ::-1]
+    t = buf[:, pad + 2 * n_t:pad + 4 * n_t].reshape(-1, 2, n_t)
+    t1, t2 = t[:, 0], t[:, 1]
     c, s = plan.tables[1::-1] if sine else plan.tables[:2]
     op, own, own_ = (np.subtract, zk.imag, zk_.imag) if sine else (np.add, zk.real, zk_.real)
     np.multiply(np.add(zk.imag, zk_.imag, out=t1), c, out=t1)

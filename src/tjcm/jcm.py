@@ -41,6 +41,6 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     n_min, _, pair = weights.window(1)
     w = np.sqrt(4.0 * np.arange(n_min, weights.n_max + 1.0) + 6.0)
     freqs = np.concatenate([w[:-1] - w[1:], w[:-1], w[1:]])
-    check_phase_conditioning(freqs, T)
+    check_phase_conditioning(freqs, T, ("t_max", "alpha"))
     sy = trig_sum(freqs, np.concatenate([pair, pair, pair]), T, sine=True)
     return 0.5 * sy.reshape(np.shape(T))[()]

@@ -16,7 +16,7 @@ uncertainty-relation counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -34,9 +34,18 @@ class BlochVector:
     sx: float | np.ndarray
     sy: float | np.ndarray
     sz: float | np.ndarray
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def norm(self) -> float | np.ndarray:
         return np.sqrt(self.sx * self.sx + self.sy * self.sy + self.sz * self.sz)
+
+    def entropy(self, axis: Literal["x", "y", "z"]) -> float | np.ndarray:
+        """binary_entropy_of_mean along "x", "y" or "z", formed once per vector."""
+        if axis not in self._entropies:
+            if axis not in ("x", "y", "z"):
+                raise InvalidParameterError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+            self._entropies[axis] = binary_entropy_of_mean(getattr(self, "s" + axis))
+        return self._entropies[axis]
 
 
 def bloch(state: ReducedAtomState) -> BlochVector:
@@ -74,12 +83,10 @@ def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
     return h[()]
 
 
-def _axis_mean(b: BlochVector, axis: Axis) -> float | np.ndarray:
-    if axis == "x":
-        return b.sx
-    if axis == "y":
-        return b.sy
-    raise InvalidParameterError(f"axis must be 'x' or 'y', got {axis!r}")
+def _transverse(axis: Axis) -> Axis:
+    if axis not in ("x", "y"):
+        raise InvalidParameterError(f"axis must be 'x' or 'y', got {axis!r}")
+    return axis
 
 
 def entropy_squeezing(b: BlochVector, axis: Axis) -> float | np.ndarray:
@@ -88,8 +95,8 @@ def entropy_squeezing(b: BlochVector, axis: Axis) -> float | np.ndarray:
     Bounded by 1 - sqrt(2) ~ -0.4142 (pure transverse eigenstates) below
     and 2 - sqrt(2) (maximally mixed state) above.
     """
-    dh_k = np.exp(binary_entropy_of_mean(_axis_mean(b, axis)))
-    dh_z = np.exp(binary_entropy_of_mean(b.sz))
+    dh_k = np.exp(b.entropy(_transverse(axis)))
+    dh_z = np.exp(b.entropy("z"))
     return dh_k - 2.0 / np.sqrt(dh_z)
 
 
@@ -97,7 +104,7 @@ def variance_squeezing(b: BlochVector, axis: Axis) -> float | np.ndarray:
     """Variance witness F_axis = (1 - <axis>^2) - |<z>|; negative values
     signal squeezing by the uncertainty-relation criterion.  Blind for any
     state with <z> = 0."""
-    mk = _axis_mean(b, axis)
+    mk = getattr(b, "s" + _transverse(axis))
     return (1.0 - mk * mk) - np.abs(b.sz)
 
 
@@ -113,10 +120,5 @@ def von_neumann(b: BlochVector) -> float | np.ndarray:
 def eur_residual(b: BlochVector) -> float | np.ndarray:
     """Slack of the three-axis entropic uncertainty relation
     H(x) + H(y) + H(z) >= ln 4; non-negative for every physical state."""
-    return (
-        binary_entropy_of_mean(b.sx)
-        + binary_entropy_of_mean(b.sy)
-        + binary_entropy_of_mean(b.sz)
-        - 2.0 * LN2
-    )
+    return b.entropy("x") + b.entropy("y") + b.entropy("z") - 2.0 * LN2
 

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import InvalidParameterError, integer_at_least
 
 DEFAULT_CUTOFF_EPS = 1e-12
-# The reduced trace's float64 rounding reaches 5.6e-15 (alpha 0.3-30, l 1-3,
-# g 0.25-3): below this floor its 10 * cutoff_eps check fails at any truncation.
+# The reduced trace, the window mass, is checked against 10 * cutoff_eps,
+# and the weight table's own rounding moves it by up to 1.1e-14 (alpha
+# 0-30): below this floor cutoff_eps asks for less than that rounding.
 _MIN_CUTOFF_EPS = 1e-15
 # Share of cutoff_eps that the lower photon-number window may drop.
 WINDOW_FRACTION = 1e-8
@@ -44,7 +45,7 @@ def _check_cutoff_eps(cutoff_eps: float) -> None:
         )
     if cutoff_eps < _MIN_CUTOFF_EPS:
         raise InvalidParameterError(f"cutoff_eps={cutoff_eps} is below {_MIN_CUTOFF_EPS:.0e}, where the "
-                                    "reduced trace's float64 rounding can exceed 10*cutoff_eps")
+                                    "weight table's own rounding can exceed 10*cutoff_eps")
 
 
 def _vacuum_amplitude(alpha: float) -> float:

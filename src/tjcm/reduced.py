@@ -5,9 +5,10 @@ Tracing the pure joint state over the field and the other atom leaves a
 which couples blocks n and n+l; the second atom obeys the same formulas
 with components 2 and 3 interchanged.  reduced_states is the one route
 from the model parameters to these states: it diagonalizes the blocks of
-the weights' window (params.FockWeights.window) and evaluates every entry
-as a real cosine or sine sum on one grid plan (blocks.trig_sum), with the
-equal and opposite frequencies of the +- symmetric block spectra merged.
+the weights' window (params.FockWeights.window) and evaluates the
+inversion and the coherence as real cosine and sine sums on one grid plan
+(blocks.trig_sum), with the equal and opposite frequencies of the +-
+symmetric block spectra merged.
 max_deviation compares two such states.
 """
 
@@ -21,11 +22,13 @@ from typing import Iterable
 import numpy as np
 
 from .blocks import check_phase_conditioning, check_spectrum, eigen_table, grid_plan, trig_sum
-from .errors import InvalidParameterError, TruncationError
+from .errors import InternalConsistencyError, InvalidParameterError, TruncationError
 from .params import FockWeights
 
 # the eigenvalue pairs k < k2 of a block: 01 02 03 12 13 23
 _PAIRS = np.triu_indices(4, 1)
+# |(sz, sy)| / trace - 1 from rounding: measured at most 1.3e-15
+_BLOCH_TOL = 1e-13
 
 
 class AtomId(Enum):
@@ -75,13 +78,13 @@ def reduced_states(
     ``weights.window(l)``.  Block n's spectrum is taken +- symmetric,
     w = (-s1, -s2, s2, s1) with 2 s1 = w_3 - w_0 and 2 s2 = w_2 - w_1 in
     long double (check_spectrum bounds the asymmetry).  Its amplitudes are
-    psi_b = sum_k R_bk exp(-i w_k T), R_bk = <v_k|e1> v_bk, so a
-    population, pop against two
+    psi_b = sum_k R_bk exp(-i w_k T), R_bk = <v_k|e1> v_bk, so atom 1's
+    inversion, pop against |psi_0|^2 + |psi_1|^2 - |psi_2|^2 - |psi_3|^2 with
 
         |psi_b|^2 = sum_k R_bk^2 + sum_{k<k'} 2 R_bk R_bk' cos((w_k - w_k') T),
 
     is a cosine sum over 4 frequencies per block (01 and 23 share s1 - s2,
-    02 and 13 share s1 + s2), and atom 1's coherence, pairing blocks n + l
+    02 and 13 share s1 + s2), and its coherence, pairing blocks n + l
     and n against pair (none past the truncation),
 
         coh_im = sum_{k,k'} c(k, k') sin((w_k'(n) - w_k(n+l)) T),
@@ -89,29 +92,38 @@ def reduced_states(
 
     a sine sum over 8 per pair: k < 2 with c(k, k') - c(3 - k, 3 - k'),
     whose frequency is opposite; atom 2 swaps components 1 and 2.  Both
-    ``trig_sum`` calls share one ``grid_plan``.  At T = 0 the populations
-    come from psi_b(0) = sum_k R_bk instead, so one that starts at 0 starts
-    at about 1e-32 (the expanded sums, with rounded coefficients, miss the
-    inversion there by up to 1.1e-15); the sine sums are 0 there.  The blocks
-    below n_min carry at most 1e-8 * cutoff_eps of either weight and every
-    amplitude has modulus <= 1, so leaving them out moves no entry by more
-    than that.
-    At T = 0 the trace is the window mass sum pop, a few eps from 1; the
-    observables clamp an inversion past 1 as rounding.
+    ``trig_sum`` calls, each over both atoms' rows, share one ``grid_plan``.
+    The blocks evolve unitarily, so the trace is the window mass S =
+    sum pop at every time and p_plus, p_minus = (S +- sz) / 2.  At T = 0
+    p_minus comes from psi_b(0) = sum_k R_bk instead, at about 1e-32, and
+    p_plus is S - p_minus; the sine sums are 0 there.  The blocks below
+    n_min carry at most 1e-8 * cutoff_eps of either weight and every
+    amplitude has modulus <= 1, so leaving them out moves no entry by
+    more than that.
 
     The grid (uniform, from T = 0), coupling and phase conditioning are
     checked before any sum runs (InvalidParameterError), and so are the
     spectrum's orthonormality and symmetry (InternalConsistencyError).
-    TruncationError is raised when the trace strays from 1 by more than
-    ten times the configured tail mass, which signals a cutoff chosen too
-    small for the requested amplitude.
+    TruncationError is raised when S strays from 1 by more than ten times
+    the configured tail mass, a cutoff too small for the amplitude; with
+    every block norm within 5 _NORM_TOL of 1 (check_spectrum), the true
+    trace is then within 10 cutoff_eps + 2e-14 of 1 at all times.
+    InternalConsistencyError is raised when a Bloch vector (sz, 2 coh_im)
+    leaves the ball of radius S (1 + _BLOCH_TOL), as a faulty row can.
     """
     plan = grid_plan(grid)
     atoms = tuple(atoms)
     n_min, pop, pair = weights.window(l)
     vals, vecs = eigen_table(weights.n_max, l, g, n_min)
-    check_phase_conditioning(vals, grid)
+    # g and l move the spectrum only where g > 0, and l cannot go below 1
+    check_phase_conditioning(vals, grid, ("t_max", "alpha") + ("g",) * (g > 0) + ("l",) * (l > 1))
     check_spectrum(vals, vecs)
+    mass = math.fsum(pop)
+    if not abs(mass - 1.0) <= 10.0 * weights.cutoff_eps:
+        raise TruncationError(
+            f"reduced trace deviates from 1 by {abs(mass - 1.0):.3e}, beyond "
+            "10*cutoff_eps; increase the truncation"
+        )
     if not atoms:
         return {}
     m = pair.size
@@ -126,29 +138,34 @@ def reduced_states(
     two_rr[:, :, :2] += two_rr[:, :, :3:-1]  # 01 + 23 at s1 - s2, 02 + 13 at s1 + s2
     r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2
     comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
-    pops = [(0, i2) for i2, _ in comps] + [(i3, 3) for _, i3 in comps]  # p_plus, then p_minus
-    p = trig_sum((w[:, k[:4]] - w[:, k2[:4]]).ravel(),
-                 [(pop[:, None] * (two_rr[:, b, :4] + two_rr[:, c, :4])).ravel() for b, c in pops], plan)
-    p += np.array([pop @ (r_sq[:, b] + r_sq[:, c]) for b, c in pops])[:, None]
+    sz = trig_sum((w[:, k[:4]] - w[:, k2[:4]]).ravel(),
+                  [(pop[:, None] * ((two_rr[:, 0, :4] + two_rr[:, i2, :4])
+                                    - (two_rr[:, i3, :4] + two_rr[:, 3, :4]))).ravel()
+                   for i2, i3 in comps], plan)
+    sz += np.array([pop @ ((r_sq[:, 0] + r_sq[:, i2]) - (r_sq[:, i3] + r_sq[:, 3]))
+                    for i2, i3 in comps])[:, None]
     # (k, k') and (3 - k, 3 - k') have opposite frequencies: keep k < 2
     coh = []
     for i2, i3 in comps:
         full = r[l:, 0, :, None] * r[:m, i3, None, :] + r[l:, i2, :, None] * r[:m, 3, None, :]
         coh.append((pair[:, None, None] * (full[:, :2] - full[:, :1:-1, ::-1])).ravel())
     coh = trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
-    # the populations at T = 0, the first time (if any), from psi_b(0) = sum_k R_bk
+    # p_minus at T = 0, the first time (if any), from psi_b(0) = sum_k R_bk
     sq = r.sum(axis=2) ** 2
-    p[:, :1] = np.array([pop @ (sq[:, b] + sq[:, c]) for b, c in pops])[:, None]
     states = {}
-    for a, atom in enumerate(atoms):
-        p_plus, p_minus = p[a], p[len(atoms) + a]
-        trace_dev = float(np.max(np.abs(p_plus + p_minus - 1.0), initial=0.0))
-        if trace_dev > 10.0 * weights.cutoff_eps:
-            raise TruncationError(
-                f"reduced trace deviates from 1 by {trace_dev:.3e}, beyond "
-                "10*cutoff_eps; increase the truncation"
-            )
-        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, coh[a])
+    for atom, (_, i3), row, c in zip(atoms, comps, sz, coh):
+        p_plus = np.multiply(c, 2.0)  # sy, then |(sz, sy)|, then p_plus
+        radius = float(np.hypot(row, p_plus, out=p_plus).max(initial=0.0))
+        if not radius <= mass * (1.0 + _BLOCH_TOL):
+            raise InternalConsistencyError(f"reduced Bloch vector of atom {atom.value} reaches "
+                                           f"{radius:.17g}, beyond its trace {mass:.17g}")
+        np.add(mass, row, out=p_plus)
+        p_plus *= 0.5
+        p_minus = np.subtract(mass, row, out=row)
+        p_minus *= 0.5
+        p_minus[:1] = pop @ (sq[:, i3] + sq[:, 3])
+        p_plus[:1] = mass - p_minus[:1]
+        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, c)
     return states
 
 

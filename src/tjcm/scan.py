@@ -19,17 +19,18 @@ from .params import ModelParams
 from .reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 
 # Per-atom channel kinds, each an array expression over the atom's Bloch
-# vector on the whole grid.
+# vector on the whole grid, in evaluation order: ey, ex and eur last, so
+# the entropies they share (BlochVector.entropy) live only while they run.
 _ATOM_CHANNEL_FNS = {
     "inv": lambda b: b.sz,
     "sy": lambda b: b.sy,
-    "ey": lambda b: entropy_squeezing(b, "y"),
-    "ex": lambda b: entropy_squeezing(b, "x"),
     "fy": lambda b: variance_squeezing(b, "y"),
     "gamma": von_neumann,
+    "ey": lambda b: entropy_squeezing(b, "y"),
+    "ex": lambda b: entropy_squeezing(b, "x"),
     "eur": eur_residual,
 }
-ATOM_CHANNELS = tuple(_ATOM_CHANNEL_FNS)
+ATOM_CHANNELS = ("inv", "sy", "ey", "ex", "fy", "gamma", "eur")
 # The one-atom baseline's channels and the per-atom kind each one is.
 _JCM_KINDS = {"jcm_sz": "inv", "jcm_sy": "sy", "jcm_ey": "ey"}
 FIELD_CHANNELS = (*_JCM_KINDS, "harmonic_sy")
@@ -163,20 +164,23 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
     p = cfg.params
     grid = cfg.grid()
     weights = p.weights
-    # each Bloch-vector channel as (kind, source): atom "1" or "2" of the
-    # scan, or "jcm", the baseline
-    wanted = {n: (n[:-1], n[-1]) for n in names if n[:-1] in ATOM_CHANNELS}
-    wanted.update((n, (_JCM_KINDS[n], "jcm")) for n in names if n in _JCM_KINDS)
-    sources = {source for _, source in wanted.values()}
+    # the Bloch-vector channels by source, atom "1" or "2" of the scan or
+    # "jcm", the baseline, as {kind: name}
+    wanted = {}
+    for n in names:
+        kind, source = (n[:-1], n[-1]) if n[:-1] in ATOM_CHANNELS else (_JCM_KINDS.get(n), "jcm")
+        if kind:
+            wanted.setdefault(source, {})[kind] = n
     # the reduced states are dropped once their Bloch vectors exist
     states = {}
-    if atoms := [AtomId(int(tag)) for tag in sorted(sources - {"jcm"})]:
+    if atoms := [AtomId(int(tag)) for tag in sorted(wanted.keys() - {"jcm"})]:
         states = {str(atom.value): bloch(state) for atom, state in
                   reduced_states(weights, p.l, p.g, grid, atoms).items()}
-    if "jcm" in sources:
+    if "jcm" in wanted:
         states["jcm"] = bloch(reduced_states(weights, 1, 0.0, grid, [AtomId.FIRST])[AtomId.FIRST])
-    series = {name: _ATOM_CHANNEL_FNS[kind](states[source])
-              for name, (kind, source) in wanted.items()}
+    # each Bloch vector, with the entropies it keeps, is dropped in turn
+    series = {kinds[kind]: fn(b) for source, kinds in wanted.items() for b in [states.pop(source)]
+              for kind, fn in _ATOM_CHANNEL_FNS.items() if kind in kinds}
     if "harmonic_sy" in names:
         series["harmonic_sy"] = jcm.tjcm_harmonic_sy(weights, grid)
 
@@ -347,9 +351,9 @@ def run_verify(
     )
 
 
-def _format_17g(block: np.ndarray) -> str:
-    """The rows of a (rows, cols) float block as CSV lines: the bytes of
-    f"{v:.17g}" for each value, joined by "," and ended by "\\n".
+def _format_17g(block: np.ndarray) -> bytes:
+    """The rows of a (rows, cols) float block as CSV lines, in ASCII: the
+    bytes of f"{v:.17g}" for each value, joined by "," and ended by "\\n".
 
     Zeros ("0", "-0") and values with 1e-11 <= |v| < 1e16 are laid out in
     numpy, from their exponent and 17-digit integer (_digits) as rows of
@@ -357,7 +361,7 @@ def _format_17g(block: np.ndarray) -> str:
     a platform without a 64-bit long double, takes f"{v:.17g}" itself.
     The helpers' working arrays are gone before the rows are joined."""
     v = np.asarray(block, dtype=float).ravel()
-    return _layout(v, block.shape[1], *_digits(v)).tobytes().translate(None, b"\0").decode("ascii")
+    return _layout(v, block.shape[1], *_digits(v)).tobytes().translate(None, b"\0")
 
 
 def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,21 +472,25 @@ def write_csv(series: TimeSeries, out: str | os.PathLike | TextIO) -> None:
     digits so parsing reproduces the exact doubles: the bytes of
     f"{v:.17g}" for each value.  _format_17g formats whole rows, at most
     _CSV_VALUES values at a time (one row if it is wider), so no working
-    array spans the grid, and the bytes do not depend on the block size."""
+    array spans the grid, and the bytes do not depend on the block size;
+    only a text stream has them decoded."""
     names = list(series.channels)
     cols = [series.grid] + [series.channels[n] for n in names]
     rows = max(1, _CSV_VALUES // len(cols))
-    if hasattr(out, "write"):
+    text = hasattr(out, "write")
+    if text:
         stream = nullcontext(out)
     else:
         try:
-            stream = open(out, "w", encoding="utf-8", newline="\n")
+            stream = open(out, "wb")
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     with stream as fh:
-        fh.write(",".join(["T"] + names) + "\n")
+        header = ",".join(["T"] + names) + "\n"
+        fh.write(header if text else header.encode("utf-8"))
         for start in range(0, series.grid.size, rows):
-            fh.write(_format_17g(np.stack([c[start : start + rows] for c in cols], axis=1)))
+            block = _format_17g(np.stack([c[start : start + rows] for c in cols], axis=1))
+            fh.write(block.decode("ascii") if text else block)
 
 
 def read_csv(path: str) -> TimeSeries:

@@ -69,6 +69,22 @@ def test_reference_channels_refuse_ill_conditioned_phases(channel, capsys):
     assert main(args + ["25"]) == EXIT_OK
 
 
+def test_reference_refusal_names_only_what_its_sums_depend_on(capsys):
+    """The jcm_* baseline (g = 0, l = 1) and harmonic_sy depend on neither
+    the scan's g nor its l, so their refusal names only t_max and alpha: a
+    user who lowers g as told would be refused again (2.2e-6 at g 0.01 as
+    at g 1).  A scan of inv1 at l 1 names g but not l, which cannot go
+    lower."""
+    for channel in ("jcm_sz", "harmonic_sy"):
+        assert main(["scan", "--alpha", "5", "--tmax", "1e9", "--steps", "5", "--channels",
+                     channel, "--g", "0.01"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "phase conditioning" in err and err.rstrip().endswith("; lower t_max or alpha")
+    assert main(["scan", "--alpha", "5", "--tmax", "1e9", "--steps", "5", "--channels", "inv1",
+                 "--g", "0.01"]) == EXIT_USAGE
+    assert capsys.readouterr().err.rstrip().endswith("; lower t_max, alpha or g")
+
+
 def test_scan_refuses_cutoff_eps_and_steps_below_their_floors(capsys):
     """A cutoff_eps below 1e-15, and a subnormal step, are one error line
     naming the bound, before any work; at the bounds' safe side the scan

@@ -103,8 +103,8 @@ def test_eps_below_weight_rounding_is_named():
 
 
 def test_cutoff_eps_below_the_trace_rounding_is_refused():
-    """Below 1e-15 the reduced trace's float64 rounding alone can exceed
-    its 10 * cutoff_eps check, so such a cutoff_eps is refused up front,
+    """Below 1e-15 the weight table's own rounding can exceed the reduced
+    trace's 10 * cutoff_eps check, so such a cutoff_eps is refused up front,
     by the model parameters and by a weight table alike."""
     for eps in (5e-16, 1e-20):
         with pytest.raises(InvalidParameterError, match="below 1e-15"):

@@ -347,17 +347,56 @@ def test_phase_conditioning_refused_before_any_transform(monkeypatch):
     assert calls == []
 
 
-def test_trace_check_refuses_lost_mass(monkeypatch):
-    """Trace lost at one time (a population sum drained there by 1e-9, far
-    beyond 10 * cutoff_eps) is refused over the assembled arrays."""
+def test_bloch_check_refuses_a_faulty_inversion_row(monkeypatch):
+    """An inversion row raised by 1e-9 at one time, T = 1e-6, where the
+    state is within 2e-12 of pure, carries the Bloch vector past the trace
+    there by far more than _BLOCH_TOL, and the call is refused over the
+    assembled arrays.  The negative control: the same run with the rows as
+    the transform gives them passes, its Bloch vectors within _BLOCH_TOL
+    of the trace."""
     w = coherent_weights(2.0)
-    real = tjcm.reduced.trig_sum
+    grid = np.linspace(0.0, 1e-6, 2000)
+    real, fault = tjcm.reduced.trig_sum, []
 
-    def draining(*args, **kwargs):
+    def faulty(*args, **kwargs):
         out = real(*args, **kwargs)
-        out[0, -1] -= 1e-9
+        if not kwargs.get("sine"):
+            out[0, -1] += fault[0]
         return out
 
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", draining)
-    with pytest.raises(TruncationError, match="reduced trace"):
-        reduced_states(w, 1, 1.0, np.linspace(0.0, 25.0, 2000), AtomId)
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", faulty)
+    fault.append(0.0)
+    mass = math.fsum(w.window(1)[1])
+    for state in reduced_states(w, 1, 1.0, grid, AtomId).values():
+        radius = np.hypot(state.p_plus - state.p_minus, 2.0 * state.coh_im)
+        assert 0.0 < mass - radius[-1] < 3e-12
+        assert np.max(radius) <= mass * (1.0 + tjcm.reduced._BLOCH_TOL)
+    fault[0] = 1e-9
+    with pytest.raises(InternalConsistencyError, match="Bloch vector of atom 1"):
+        reduced_states(w, 1, 1.0, grid, AtomId)
+
+
+def test_trace_check_refuses_excess_window_mass():
+    """The populations sum to the window mass at every time, so the trace
+    is checked once, on that mass: a table that FockWeights accepts (mass
+    1 + 5e-13, within its 1e-12) but whose mass strays beyond 10 *
+    cutoff_eps is refused; at cutoff_eps 1e-13 it passes."""
+    c = np.array([math.sqrt(0.5 + 5e-13), math.sqrt(0.5)])
+    with pytest.raises(TruncationError, match="reduced trace deviates from 1 by 5.0"):
+        reduced_states(FockWeights(c=c, cutoff_eps=1e-14), 1, 1.0, [0.0, 1.0], AtomId)
+    reduced_states(FockWeights(c=c, cutoff_eps=1e-13), 1, 1.0, [0.0, 1.0], AtomId)
+
+
+def test_populations_sum_to_the_window_mass():
+    """p_plus and p_minus are (S +- sz) / 2 with S the window mass, and at
+    T = 0 p_plus is S - p_minus: their sum is S at every time, to two
+    roundings."""
+    eps = np.finfo(float).eps
+    grid = np.linspace(0.0, 25.0, 500)
+    for alpha in (0.5, 5.0, 12.0, 20.0):
+        w = coherent_weights(alpha)
+        for l in (1, 2):
+            mass = math.fsum(w.window(l)[1])
+            for g in (0.0, 0.5, 2.0):
+                for state in reduced_states(w, l, g, grid, AtomId).values():
+                    assert np.max(np.abs(state.p_plus + state.p_minus - mass)) <= eps

@@ -9,6 +9,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import tjcm.observables
 import tjcm.scan
 from tjcm import (
     AtomId,
@@ -102,6 +103,17 @@ def test_scan_matches_pointwise_pipeline():
     assert list(expected) == list(cfg.channels)
     for name, values in expected.items():
         assert np.array_equal(ts.channels[name], values), name
+
+
+def test_scan_forms_each_entropy_once_per_atom(monkeypatch):
+    """A scan of all 14 per-atom channels takes H(sy) and H(sz) once per
+    atom, which ey, ex and eur share, and von_neumann its own: six
+    grid-length entropies where each channel alone would take twelve."""
+    real, sizes = tjcm.observables.binary_entropy_of_mean, []
+    monkeypatch.setattr(tjcm.observables, "binary_entropy_of_mean",
+                        lambda m: sizes.append(np.size(m)) or real(m))
+    run_scan(small_cfg(channels=CHANNEL_NAMES[:14]))
+    assert sorted(sizes) == [1, 1] + [small_cfg().steps] * 6
 
 
 def test_scan_channel_order_preserved():
@@ -233,6 +245,10 @@ def test_csv_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "scan2.csv"
     write_csv(run_scan(small_cfg()), str(path2))
     assert path.read_bytes() == path2.read_bytes()
+    # a path takes the bytes as they are, a text stream decoded
+    text = io.StringIO()
+    write_csv(ts, text)
+    assert path.read_bytes() == text.getvalue().encode("ascii")
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[0] == "T"
 

@@ -75,6 +75,24 @@ def test_trig_sum_rows_share_frequencies():
     assert str(trig_sum(freqs, coefs, np.linspace(0.0, 1.0, 9), sine=True)[0]) == "0.0"
 
 
+@pytest.mark.parametrize("steps, count", [(500, 7), (20000, 3)])
+def test_trig_sum_stack_equals_rows_alone(steps, count):
+    """A stack of rows is spread and transformed a batch of fine grids at
+    a time (_FFT_STACK_BYTES: five rows at nT 500, one at nT 20000), and
+    each row of it equals, bit for bit, the row summed alone, in cosine
+    and in sine sums."""
+    size = (6 * steps + blocks._ES_WIDTH) * 8
+    assert 1 <= max(blocks._FFT_STACK_BYTES // size, 1) < count
+    freqs, coefs = random_sum(steps + count, 200, 0.0, 900.0)
+    rows = np.stack([coefs * (k + 1) * (-1.0) ** k for k in range(count)])
+    for times in (np.linspace(0.0, 25.0, steps), np.linspace(0.0, -25.0, steps)):
+        plan = grid_plan(times)
+        for sine in (False, True):
+            stack = trig_sum(freqs, rows, plan, sine)
+            for got, c in zip(stack, rows):
+                assert np.array_equal(got, trig_sum(freqs, c, plan, sine))
+
+
 def test_trig_sum_one_frequency_worst_case():
     """One frequency at 11 positions from one fine-grid point to the next
     (15000 points for 2500 times), at the ends of the grid and within it,
