@@ -79,10 +79,14 @@ def build_parser() -> _Parser:
 
 def _check_out(path: str | None) -> None:
     """Refuse an --out path that cannot be written before the run: opening
-    it to append creates a missing file and truncates no existing one."""
+    it to append truncates no existing file, and a file it creates is
+    removed again, so a run that fails leaves none behind."""
     try:
         if path is not None:
+            created = not os.path.exists(path)
             open(path, "a", encoding="utf-8").close()
+            if created:
+                os.remove(path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 

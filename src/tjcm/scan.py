@@ -46,15 +46,8 @@ EUR_TOL = 1e-10
 # trimmed after each scan and the formatter's 1 MB of arrays faulted in
 # again (about 100 more minor page faults a scan).
 _CSV_VALUES = 4096
-# The exact digits need a long double with a 64-bit significand (x87).
-_FAST_DIGITS = np.finfo(np.longdouble).nmant >= 63
-# 2**7 * 10**k for k = 0..27, each exact: 5**27 < 2**63.
-_DIGIT_SCALE = 128 * np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
-# d has 17 digits before and after rounding: q in [_Q_LOW, _Q_LOW + _Q_SPAN).
-_Q_LOW = np.uint64(_DIGIT_SCALE[16])
-_Q_SPAN = np.uint64(_DIGIT_SCALE[17] - _DIGIT_SCALE[16] - 128)
-# Veltkamp's split of long doubles into halves with exact products.
-_SPLIT = np.longdouble(2 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1)
+# 5**j for j = 0..27 as 32-bit halves: 5**27 < 2**63.
+_FIVE_HI, _FIVE_LO = np.array([[5**j >> 32, 5**j & 0xFFFFFFFF] for j in range(28)], np.uint64).T
 _EXPONENTS = range(-11, 16)
 
 
@@ -357,8 +350,7 @@ def _format_17g(block: np.ndarray) -> bytes:
 
     Zeros ("0", "-0") and values with 1e-11 <= |v| < 1e16 are laid out in
     numpy, from their exponent and 17-digit integer (_digits) as rows of
-    table words (_layout); every other value, and every nonzero value on
-    a platform without a 64-bit long double, takes f"{v:.17g}" itself.
+    table words (_layout); every other value takes f"{v:.17g}" itself.
     The helpers' working arrays are gone before the rows are joined."""
     v = np.asarray(block, dtype=float).ravel()
     return _layout(v, block.shape[1], *_digits(v)).tobytes().translate(None, b"\0")
@@ -369,36 +361,39 @@ def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the correctly rounded 17-digit integer d of |v|; x = d = 0
     elsewhere, which is how zeros are laid out.
 
-    q = |v| * 2**7 * 10**(16 - x) is one long-double product, and the
-    factor is exact while 5**(16 - x) < 2**63, that is x >= -11, which is
-    why smaller values are not fast.  So q is within 1/2 of the exact
-    value, and d = q >> 7, rounded up when q & 127 > 64, is the correctly
-    rounded digit string whenever it has 17 digits before and after
-    rounding; a misestimated x puts q out of that range.  At the
-    remainder 64, a tie within q's error, the product's exact error
-    decides (to even on an exact tie)."""
+    In integers, as in Adams, "Ryu revisited: printf floating point
+    conversion" (OOPSLA 2019): with |v| = m 2**(e - 53), m < 2**53, and
+    j = 16 - x, d is m 5**j shifted by s = 53 - e - j bits, right (s <= 63)
+    or left, rounded half to even from the bits shifted out; m 5**j fits
+    two uint64 limbs while 5**j < 2**63, that is x >= -11, which is why
+    smaller values are not fast.  d is correct whenever it has 17 digits
+    before and after rounding; a misestimated x puts it out of that range."""
     a = np.abs(v)
-    fast = (a >= 1e-11) & (a < 1e16) & _FAST_DIGITS
+    fast = (a >= 1e-11) & (a < 1e16)
     a = np.where(fast, a, 1.0)
     x = np.clip(np.floor(np.log10(a)).astype(np.intp), -11, 15)
-    product = np.take(_DIGIT_SCALE, 16 - x)
-    product *= a  # in long double
-    q = np.minimum(product, _DIGIT_SCALE[17], out=product).astype(np.uint64)
-    fast &= q - _Q_LOW < _Q_SPAN
-    q *= fast
+    j = 16 - x
+    e = (a.view(np.uint64) >> 52).view(np.int64) - 1022  # frexp's exponent: a is normal
+    m = a.view(np.uint64) & 2**52 - 1 | 2**52  # and its significand, times 2**53
+    # m 5**j = hi 2**64 + lo; no partial sum overflows: mh < 2**21, ph < 2**31
+    mh, ml = m >> 32, m & 0xFFFFFFFF
+    ph, pl = np.take(_FIVE_HI, j), np.take(_FIVE_LO, j)
+    mid = mh * pl + ml * ph
+    hi = mh * ph + (mid >> 32)
+    mid <<= 32
+    lo = ml * pl + mid
+    hi += lo < mid  # the carry
+    s = 53 - e - j
+    r = np.maximum(s, 0).astype(np.uint64)
+    d = lo >> r | hi << (63 - r) << 1
+    frac = lo << (63 - r) << 1  # the bits shifted out, over 2**64
+    d <<= np.maximum(-s, 0).astype(np.uint64)
+    fast &= d - 10**16 < 9 * 10**16 - 1  # 10**16 <= d < 10**17 - 1
+    # frac | (d & 1) > 2**63 iff frac > 2**63, or frac = 2**63 and d is odd
+    d += (frac | d & 1) > 2**63
+    d *= fast
     x *= fast
-    # remainder 64: the product's exact rounding error (Dekker) gives the
-    # sign of |v| scale - (q >> 7 << 7 | 64); d rounds up, or to even on 0
-    tie = np.flatnonzero(q & 127 == 64)
-    p, qt, y = product[tie], q[tie], np.stack([a[tie], _DIGIT_SCALE[16 - x[tie]]])
-    a_hi, s_hi = y_hi = y * _SPLIT - (y * _SPLIT - y)
-    a_lo, s_lo = y - y_hi
-    above = (p - qt) + (((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo)
-    q += 63
-    q >>= 7
-    d = q.view(np.int64)
-    d[tie] += (above > 0) | ((above == 0) & (qt >> 7 != qt >> 8 << 1))
-    return fast, x, d
+    return fast, x, d.view(np.int64)
 
 
 def _layout(v: np.ndarray, cols: int, fast: np.ndarray, x: np.ndarray,

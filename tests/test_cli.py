@@ -129,6 +129,27 @@ def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
     assert kept.read_text(encoding="utf-8") == "old contents\n"
 
 
+def test_refused_run_leaves_no_file_it_created(tmp_path, capsys):
+    """A run refused after --out was checked leaves no file where there was
+    none and an existing file's bytes as they were, with the exit code and
+    message of the refusal."""
+    runs = [(["scan", "--tmax", "1e9", "--steps", "5", "--channels", "jcm_sz"], EXIT_USAGE,
+             "tjcm: error: phase conditioning"),
+            (["scan", "--steps", str(10**12), "--channels", "inv1"], EXIT_REFUSED,
+             "tjcm: refused: "),
+            (["preset", "fig1", "--steps", "1"], EXIT_USAGE, "tjcm: error: steps")]
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old contents\n")
+    for args, code, message in runs:
+        out = tmp_path / "x.csv"
+        assert main(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+        assert main(args + ["--out", str(kept)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert kept.read_bytes() == b"old contents\n"
+
+
 def test_scan_refuses_output_beyond_physical_memory(capsys):
     assert main(["scan", "--steps", str(10**12), "--channels", "inv1"]) == EXIT_REFUSED
     assert "physical memory" in capsys.readouterr().err

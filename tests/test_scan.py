@@ -2,6 +2,8 @@
 
 import io
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
@@ -304,10 +306,9 @@ def fallback_texts(monkeypatch):
 
 
 def test_csv_near_ties_take_the_fast_digits(monkeypatch):
-    """17-digit near-ties, which leave the long-double product the
-    remainder 64, and exact ties get their digits from the product's
-    exact rounding error: none of them takes f"{v:.17g}", and the bytes
-    are its bytes."""
+    """17-digit near-ties and exact ties are rounded from the exact bits
+    the integer digits shift out: none of them takes f"{v:.17g}", and the
+    bytes are its bytes."""
     rng = np.random.default_rng(12)
     values = np.concatenate([remainder_ties(rng), exact_ties(rng)])
     assert values.size > 500
@@ -316,17 +317,13 @@ def test_csv_near_ties_take_the_fast_digits(monkeypatch):
     out = io.StringIO()
     write_csv(series, out)
     assert out.getvalue() == per_value_csv(series)
-    if tjcm.scan._FAST_DIGITS:
-        assert formatted == []
+    assert formatted == []
 
 
-@pytest.mark.parametrize("fast_digits", [True, False])
-def test_csv_zeros_take_no_fallback(monkeypatch, fast_digits):
-    """0.0 and -0.0 are laid out in numpy as "0" and "-0", also without
-    the long-double digits; in the first rows of a sweep-sized scan (T = 0
-    and the values rounding leaves near it) only the values with
-    0 < |v| < 1e-11 take f"{v:.17g}"."""
-    monkeypatch.setattr(tjcm.scan, "_FAST_DIGITS", fast_digits and tjcm.scan._FAST_DIGITS)
+def test_csv_zeros_take_no_fallback(monkeypatch):
+    """0.0 and -0.0 are laid out in numpy as "0" and "-0"; in the first
+    rows of a sweep-sized scan (T = 0 and the values rounding leaves near
+    it) only the values with 0 < |v| < 1e-11 take f"{v:.17g}"."""
     formatted = fallback_texts(monkeypatch)
     zeros = np.resize([0.0, -0.0, -0.0], 40)
     series = TimeSeries(grid=np.linspace(0.0, 1.0, 40), channels={"a": zeros, "b": -zeros})
@@ -334,11 +331,7 @@ def test_csv_zeros_take_no_fallback(monkeypatch, fast_digits):
     write_csv(series, out)
     assert out.getvalue() == per_value_csv(series)
     assert "-0," in out.getvalue()
-    # without the long-double digits only the nonzero times take it
-    assert formatted == ([] if tjcm.scan._FAST_DIGITS
-                         else [f"{t:.17g}" for t in series.grid[1:].tolist()])
-    if not tjcm.scan._FAST_DIGITS:
-        return
+    assert formatted == []
     ts = run_scan(ScanConfig(params=ModelParams(alpha=5.0, g=0.5, l=1), t_max=25.0, steps=500,
                              channels=CHANNEL_NAMES[:14]))
     first = TimeSeries(grid=ts.grid[:3], channels={n: c[:3] for n, c in ts.channels.items()})
@@ -364,26 +357,33 @@ def group_boundaries(rng):
     return np.array(values + [-v for v in values])
 
 
-def test_csv_bytes_equal_per_value_formatting(monkeypatch):
-    """write_csv's numpy digits give the bytes of per-value formatting on
-    random doubles of every exponent, the neighbours of every power of ten
-    and of the fast range's edges, exact and near 18-digit ties, 17-digit
-    near-ties and the special values, for any block size, and with the long-double digits
-    switched off."""
-    rng = np.random.default_rng(7)
-    special = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, math.inf,
-               -math.inf, math.nan, -math.nan, 1.8e308, -1.8e308, np.finfo(float).max,
-               -np.finfo(float).max, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0]
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, math.inf, -math.inf,
+           math.nan, -math.nan, 1.8e308, -1.8e308, np.finfo(float).max, -np.finfo(float).max, 0.1,
+           1.0 / 3.0, 1e16, 123456789012345678.0]
+
+
+def edge_values(rng):
+    """The special values, the neighbours of every power of ten and of the
+    fast range's edges, exact and near 18-digit ties, 17-digit near-ties
+    and the boundaries of the digit groups."""
     powers = np.concatenate([10.0 ** np.arange(-13, 18), [1e-11, 1e16]])
     neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
     near_ties = np.array([float(f"{d}5e{e}") for d, e in zip(
         rng.integers(10**16, 10**17, 600).tolist(), rng.integers(-28, 18, 600).tolist())])
-    edge = np.concatenate([special, neighbours, exact_ties(rng), near_ties, remainder_ties(rng),
+    return np.concatenate([SPECIAL, neighbours, exact_ties(rng), near_ties, remainder_ties(rng),
                            group_boundaries(rng)])
+
+
+def test_csv_bytes_equal_per_value_formatting(monkeypatch):
+    """write_csv's numpy digits give the bytes of per-value formatting on
+    random doubles of every exponent and on the edge values, for any block
+    size."""
+    rng = np.random.default_rng(7)
+    edge = edge_values(rng)
     steps = edge.size
     bits = rng.integers(0, 2**64, size=(4, steps), dtype=np.uint64).view(float)
     channels = {f"c{k}": bits[k] for k in range(4)}
-    channels["special"] = np.resize(np.array(special), steps)
+    channels["special"] = np.resize(np.array(SPECIAL), steps)
     channels["normal"] = rng.standard_normal(steps) * 10.0 ** rng.integers(-300, 300, steps)
     channels["decades"] = rng.standard_normal(steps) * 10.0 ** rng.integers(-20, 20, steps)
     channels["edge"] = edge
@@ -395,10 +395,44 @@ def test_csv_bytes_equal_per_value_formatting(monkeypatch):
         out = io.StringIO()
         write_csv(series, out)
         assert out.getvalue() == expected
-    monkeypatch.setattr(tjcm.scan, "_FAST_DIGITS", False)
-    out = io.StringIO()
-    write_csv(series, out)
-    assert out.getvalue() == expected
+
+
+FLOAT64_LONG_DOUBLE = """
+import sys
+import numpy
+
+numpy.longdouble = numpy.float64
+import tjcm.scan
+
+formatted = []
+real = tjcm.scan._byte_rows
+tjcm.scan._byte_rows = lambda texts, width: real(formatted.extend(texts) or texts, width)
+edge = numpy.load(sys.argv[1])
+series = tjcm.scan.TimeSeries(grid=numpy.linspace(0.0, 25.0, edge.size),
+                              channels={"edge": edge, "-edge": -edge})
+tjcm.scan.write_csv(series, sys.argv[2])
+print("\\n".join(formatted))
+"""
+
+
+def test_csv_digits_need_no_long_double(tmp_path):
+    """With numpy's long double replaced by float64 before tjcm is
+    imported, as on platforms whose long double is a double, write_csv
+    still gives the bytes of per-value formatting on the edge values, and
+    of the values with 1e-11 <= |v| < 1e16 only neighbours of a power of
+    ten, where floor(log10 |v|) can miss the exponent, take f"{v:.17g}"."""
+    edge = edge_values(np.random.default_rng(7))
+    npy, out = tmp_path / "edge.npy", tmp_path / "edge.csv"
+    np.save(npy, edge)
+    proc = subprocess.run([sys.executable, "-c", FLOAT64_LONG_DOUBLE, str(npy), str(out)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    series = TimeSeries(grid=np.linspace(0.0, 25.0, edge.size), channels={"edge": edge, "-edge": -edge})
+    assert out.read_text(encoding="ascii") == per_value_csv(series)
+    fallen = [abs(float(text)) for text in proc.stdout.split()]
+    assert fallen
+    for w in fallen:
+        if 1e-11 <= w < 1e16:
+            assert abs(w / 10.0 ** round(math.log10(w)) - 1) < 1e-15, w
 
 
 def test_csv_word_tables_are_their_byte_tables():
@@ -418,8 +452,8 @@ def test_csv_word_tables_are_their_byte_tables():
 
 def test_csv_bytes_survive_misestimated_exponents(monkeypatch):
     """An exponent estimate floor(log10 |v|) that is one too high or one
-    too low puts the long-double product out of its range, so the value
-    takes the exact fallback and keeps its bytes."""
+    too low puts the integer digits out of their 17-digit range, so the
+    value takes the exact fallback and keeps its bytes."""
     rng = np.random.default_rng(11)
     values = rng.standard_normal(500) * 10.0 ** rng.integers(-12, 17, 500)
     series = TimeSeries(grid=np.linspace(0.0, 1.0, 500), channels={"v": values})
