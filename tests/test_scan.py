@@ -320,17 +320,27 @@ def test_csv_near_ties_take_the_fast_digits(monkeypatch):
     assert formatted == []
 
 
-def test_csv_zeros_take_no_fallback(monkeypatch):
-    """0.0 and -0.0 are laid out in numpy as "0" and "-0"; in the first
-    rows of a sweep-sized scan (T = 0 and the values rounding leaves near
-    it) only the values with 0 < |v| < 1e-11 take f"{v:.17g}"."""
+@pytest.mark.parametrize("long_double", [True, False])
+def test_csv_zeros_take_no_fallback(monkeypatch, long_double):
+    """0.0 and -0.0 are laid out in numpy as "0" and "-0", also with
+    numpy's long double replaced by float64 while the CSV is written, as
+    on platforms whose long double is a double; in the first rows of a
+    sweep-sized scan (T = 0 and the values rounding leaves near it) only
+    the values with 0 < |v| < 1e-11 take f"{v:.17g}"."""
+    def csv_text(series):
+        out = io.StringIO()
+        with monkeypatch.context() as m:
+            if not long_double:
+                m.setattr(np, "longdouble", np.float64)
+            write_csv(series, out)
+        return out.getvalue()
+
     formatted = fallback_texts(monkeypatch)
     zeros = np.resize([0.0, -0.0, -0.0], 40)
     series = TimeSeries(grid=np.linspace(0.0, 1.0, 40), channels={"a": zeros, "b": -zeros})
-    out = io.StringIO()
-    write_csv(series, out)
-    assert out.getvalue() == per_value_csv(series)
-    assert "-0," in out.getvalue()
+    text = csv_text(series)
+    assert text == per_value_csv(series)
+    assert "-0," in text
     assert formatted == []
     ts = run_scan(ScanConfig(params=ModelParams(alpha=5.0, g=0.5, l=1), t_max=25.0, steps=500,
                              channels=CHANNEL_NAMES[:14]))
@@ -338,9 +348,7 @@ def test_csv_zeros_take_no_fallback(monkeypatch):
     values = np.stack([first.grid, *first.channels.values()], axis=1).ravel()
     assert np.count_nonzero(values == 0.0) >= 2
     formatted.clear()
-    out = io.StringIO()
-    write_csv(first, out)
-    assert out.getvalue() == per_value_csv(first)
+    assert csv_text(first) == per_value_csv(first)
     assert formatted == [f"{v:.17g}" for v in values.tolist() if 0.0 < abs(v) < 1e-11]
 
 
