@@ -6,15 +6,20 @@ interaction couples only |+,+,n>, |+,-,n+l>, |-,+,n+l> and |-,-,n+2l>, so
 the joint dynamics factorizes into independent 4x4 blocks labelled by the
 base photon number n.  Callers pass the base range n_min..n_max of the
 coherent weights' window (params.FockWeights.window): the blocks below
-n_min carry at most 1e-8 * cutoff_eps of the weight together.  All blocks
-are diagonalized at once by a batched cyclic Jacobi eigensolver.  Block
-n's amplitudes are sum_k exp(-i w_k T) <v_k|e1> v_k, so every analytic
-output is a finite cosine or sine sum with real coefficients; trig_sum
-evaluates one on a uniform grid as a one-sided type-1 nonuniform FFT
-(Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993) 1368) with the
-"exponential of semicircle" kernel of Barnett, Magland & af Klinteberg
-(SIAM J. Sci. Comput. 41 (2019) C479), in O(M w + nT log nT) for M terms
-on nT times instead of O(M nT) cosines.
+n_min carry at most 1e-8 * cutoff_eps of the weight together.  Each block
+is bipartite, H = [[0, C], [C^T, 0]] between the components (0, 3) and
+(1, 2), so its spectrum is +-sigma1, +-sigma2 and its eigenvectors
+(u_i, +-v_i) / sqrt(2) come from the SVD of the 2x2 matrix C in closed
+form (block_svd; Golub & Van Loan, Matrix Computations, 4th ed., 8.6).
+The eigenvalues the package evaluates are those of a batched cyclic Jacobi
+eigensolver (jacobi_eigh), cross-checked against the closed form's
+(check_spectrum).  Block n's amplitudes are sum_k exp(-i w_k T) <v_k|e1>
+v_k, so every analytic output is a finite cosine or sine sum with real
+coefficients; trig_sum evaluates one on a uniform grid as a one-sided
+type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993)
+1368) with the "exponential of semicircle" kernel of Barnett, Magland &
+af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), in O(M w + nT log nT)
+for M terms on nT times instead of O(M nT) cosines.
 """
 
 from __future__ import annotations
@@ -27,10 +32,16 @@ import numpy as np
 
 from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
 
-# 18 eps: the Jacobi's measured worst is 7.5 (alpha 0-30, l 1-10, g 1e-6-1e6)
-_NORM_TOL = 4e-15
+# eigen_table's closed-form vectors are orthonormal, and the block amplitudes
+# they give unit vectors, within 9 eps: the measured worst is 3 eps for the
+# vectors and 6 for the amplitudes (1500 sets, alpha 0-30, l 1-10, g 0, 1
+# and 1e-6-1e6)
+_NORM_TOL = 2e-15
 # |w_0 + w_3|, |w_1 + w_2| in eps * max|w|: the Jacobi's measured worst is 8
 _SYMMETRY_TOL = 16.0
+# |sigma_i - closed form| in eps * sigma1: the Jacobi's measured worst is 5.9
+# (the sweeps of seeds 0-2; g 0-1e6, l 1-10, n <= 400)
+_SIGMA_TOL = 16.0
 _EPS, _MAX = np.finfo(float).eps, np.finfo(float).max
 # phase error bound max|w|*max|T|*eps: the accuracy verify promises (STATE_DEV_TOL)
 _PHASE_COND_TOL = 1e-8
@@ -76,23 +87,23 @@ _GL_Z, _GL_W, _GL_HALF_SQ = _kernel_quadrature(40)
 
 def transition_strength(n: int | np.ndarray, l: int) -> float | np.ndarray:
     """Matrix element sqrt((n+l)! / n!) of the l-photon ladder operator, for
-    an int or a float array of n, accumulated as the product
-    (n+1)(n+2)...(n+l) (never a full factorial, which would overflow)."""
+    an int or a float array of n: the square root of _ladder_product."""
+    return np.sqrt(_ladder_product(n, l))
+
+
+def _ladder_product(n: int | np.ndarray, l: int) -> float | np.ndarray:
+    """(n+l)! / n! accumulated as the product (n+1)(n+2)...(n+l), never a
+    full factorial, which would overflow; exact while it stays below 2^53."""
     p = 1.0
     for k in range(1, l + 1):
         p = p * (n + k)
-    return np.sqrt(p)
+    return p
 
 
-def block_matrices(n_max: int, l: int, g: float, n_min: int = 0) -> np.ndarray:
-    """Interaction blocks for base photon numbers n_min..n_max, shape
-    (N, 4, 4) with N = n_max - n_min + 1.
-
-    Atom 1 couples |+,+,n> to |-,+,n+l> (and |+,-,n+l> to |-,-,n+2l>)
-    with unit weight; atom 2 couples the corresponding pair with weight g.
-    g = 0 is allowed as the decoupling limit (atom 2 frozen, atom 1
-    Rabi-flops alone), which makes a convenient structural check.
-    """
+def _squared_strengths(n_max: int, l: int, g: float, n_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squared couplings f1^2 = f(n, l)^2 and f2^2 = f(n + l, l)^2 of
+    the blocks n = n_min..n_max (_ladder_product), after the parameters
+    and check_coupling pass."""
     if not isinstance(n_max, int) or n_max < 0:
         raise InvalidParameterError(f"n_max must be an integer >= 0, got {n_max}")
     if not isinstance(n_min, int) or not 0 <= n_min <= n_max:
@@ -105,9 +116,20 @@ def block_matrices(n_max: int, l: int, g: float, n_min: int = 0) -> np.ndarray:
         raise InvalidParameterError(f"g must be >= 0, got {g}")
     check_coupling(n_max, l, g)
     n = np.arange(n_min, n_max + 1, dtype=float)
-    f1 = transition_strength(n, l)
-    f2 = transition_strength(n + l, l)
-    h = np.zeros((n.size, 4, 4))
+    return _ladder_product(n, l), _ladder_product(n + l, l)
+
+
+def block_matrices(n_max: int, l: int, g: float, n_min: int = 0) -> np.ndarray:
+    """Interaction blocks for base photon numbers n_min..n_max, shape
+    (N, 4, 4) with N = n_max - n_min + 1.
+
+    Atom 1 couples |+,+,n> to |-,+,n+l> (and |+,-,n+l> to |-,-,n+2l>)
+    with unit weight; atom 2 couples the corresponding pair with weight g.
+    g = 0 is allowed as the decoupling limit (atom 2 frozen, atom 1
+    Rabi-flops alone), which makes a convenient structural check.
+    """
+    f1, f2 = np.sqrt(_squared_strengths(n_max, l, g, n_min))
+    h = np.zeros((f1.size, 4, 4))
     for (i, j), f in (((0, 1), g * f1), ((0, 2), f1), ((1, 3), f2), ((2, 3), g * f2)):
         h[:, i, j] = h[:, j, i] = f
     return h
@@ -129,8 +151,38 @@ def check_coupling(n_max: int, l: int, g: float) -> None:
         )
 
 
-# jacobi_eigh's packed state, one column per block: rows 0..9 the upper
-# triangle of a (row-major), rows 10..25 v[r, c] at 10 + 4 r + c
+def block_svd(n_max: int, l: int, g: float, n_min: int = 0) -> tuple[np.ndarray, ...]:
+    """Closed-form SVD C = sigma1 u1 v1^T + sigma2 u2 v2^T of the coupling
+    C = [[g f1, f1], [f2, g f2]] of the blocks n_min..n_max (rows the
+    components 0 and 3, columns 1 and 2; f1 = f(n, l), f2 = f(n + l, l)):
+    sigma (2, N), c and s (N,) with u1 = (c, s), and v1 (2, N).  The other
+    pair is u2 = (-s, c) and v2 = sign(g^2 - 1) (-v1[1], v1[0]), since
+    C^T J = det(C) J C^-1 for the quarter turn J and det C = f1 f2 (g^2 - 1).
+
+    With a, d = (1 + g^2) f1^2, f2^2 and b = 2 g f1 f2 the entries of C C^T
+    and r = hypot((d - a) / 2, b): sigma1 = sqrt((a + d) / 2 + r), sigma2 =
+    f1 f2 |g^2 - 1| / sigma1, and u1 = (cos t, sin t), t = atan2(2b, a - d)
+    / 2, is the unit vector along (b, r + (d - a) / 2), where nothing
+    cancels (d >= a) and g = 0 gives (0, 1) exactly.  d - a comes from the
+    exact ladder products f^2, not squared square roots (which cost u1 100
+    eps at g 1e3, l 1).  v1 is C^T u1 over its length."""
+    sq1, sq2 = _squared_strengths(n_max, l, g, n_min)
+    f1, f2 = np.sqrt(sq1), np.sqrt(sq2)
+    gg = 1.0 + g * g
+    half, b = (0.5 * gg) * (sq2 - sq1), 2.0 * g * f1 * f2
+    r = np.hypot(half, b)
+    sigma1 = np.sqrt((0.5 * gg) * (sq1 + sq2) + r)
+    sigma2 = f1 * f2 * abs(g * g - 1.0) / sigma1
+    up = r + half
+    norm = np.hypot(b, up)
+    c, s = b / norm, up / norm
+    v1 = np.array([g * f1 * c + f2 * s, f1 * c + g * f2 * s])
+    v1 /= np.hypot(v1[0], v1[1])
+    return np.array([sigma1, sigma2]), c, s, v1
+
+
+# jacobi_eigh's packed state, one column per block: the upper triangle of
+# a (row-major), a row per entry
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
@@ -144,35 +196,34 @@ _DIAG_ROWS = [_packed_row(i, i) for i in range(4)]
 # np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) adds their squares
 _OFF_ROWS = [_packed_row(i, j) for i, j in ((0, 2), (1, 2), (0, 1), (0, 3), (1, 3), (2, 3))]
 # per cyclic rotation (p, q): the rows of a[p, p], a[q, q] and a[p, q], and
-# of the pairs (x, y) it turns, x's 6 rows then y's: (a[i, p], a[i, q]) for
-# i not p or q, and (v[r, p], v[r, q]) for every r
+# of the pairs (x, y) = (a[i, p], a[i, q]) it turns, i not p or q: x's 2
+# rows then y's
 _ROTATIONS = [
     (_packed_row(p, p), _packed_row(q, q), _packed_row(p, q), np.array(
-        [[_packed_row(i, k) for i in range(4) if i != p and i != q] + [10 + 4 * r + k for r in range(4)]
-         for k in (p, q)]).reshape(-1))
+        [[_packed_row(i, k) for i in range(4) if i != p and i != q] for k in (p, q)]).reshape(-1))
     for p, q in itertools.combinations(range(4), 2)
 ]
 
 
-def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigensolver for a stack of real symmetric 4x4 matrices.
+def jacobi_eigh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues (N, 4), ascending, of a stack of real symmetric 4x4
+    matrices, by cyclic Jacobi rotations.
 
     Each matrix is swept until its off-diagonal Frobenius norm drops below
     _JACOBI_TOL relative to its norm; a converged matrix takes no further
     rotations, and none zeroes an a[p, q] that is already 0, so every
     matrix gets the arithmetic it would get alone.  Rotation-based, so
     degenerate eigenvalues (the symmetric-coupling case has a double zero)
-    need no special handling.  Returns (vals (N, 4), vecs (N, 4, 4)):
-    eigenvalues ascending, orthonormal eigenvectors as columns, each signed
-    so that its largest-magnitude entry is positive.
+    need no special handling.  No eigenvectors are accumulated: the
+    blocks' come from block_svd.
 
-    The stack is held as one packed (26, N) state: the 10 entries of a's
-    upper triangle (a stays exactly symmetric) and the 16 of v, a row per
-    entry.  A rotation (p, q) updates a[p, p] and a[q, q], zeroes a[p, q]
-    and turns 6 pairs (x, y) into (c x - s y, s x + c y) with one gather
-    and one scatter; it works on the whole state in place while every
-    block takes it, and on a gathered copy of the blocks that do once
-    some have converged.  Working memory is a few (26, N) arrays.
+    The stack is held as one packed (10, N) state, the entries of a's
+    upper triangle (a stays exactly symmetric), a row per entry.  A
+    rotation (p, q) updates a[p, p] and a[q, q], zeroes a[p, q] and turns
+    2 pairs (x, y) into (c x - s y, s x + c y) with one gather and one
+    scatter; it works on the whole state in place while every block takes
+    it, and on a gathered copy of the blocks that do once some have
+    converged.
     """
     a = np.array(h, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
@@ -182,9 +233,7 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(scale)):
         raise ContractViolationError("blocks must have finite Frobenius norms")
     n = a.shape[0]
-    state = np.empty((26, n))
-    state[:10] = a.reshape(n, 16)[:, [4 * i + j for i, j in _UPPER]].T
-    state[10:] = np.eye(4).reshape(16, 1)
+    state = a.reshape(n, 16)[:, [4 * i + j for i, j in _UPPER]].T.copy()
     for _ in range(_JACOBI_MAX_SWEEPS):
         sq = state[_OFF_ROWS] ** 2
         off = np.sqrt(((sq[0] + sq[1]) + (((sq[2] + sq[3]) + sq[4]) + sq[5])) * 2.0)
@@ -193,7 +242,7 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         for pp, qq, pq, pairs in _ROTATIONS:
             # one two-sided rotation zeroing a[p, q] in every live block
-            # where it is nonzero, accumulated into v
+            # where it is nonzero
             idx = (live & (state[pq] != 0.0)).nonzero()[0]
             if idx.size == 0:
                 continue
@@ -218,30 +267,36 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             apq[:] = 0.0
             xy = sub[pairs]
             cxy, sxy = c * xy, s * xy
-            np.subtract(cxy[:6], sxy[6:], out=xy[:6])
-            np.add(sxy[:6], cxy[6:], out=xy[6:])
+            np.subtract(cxy[:2], sxy[2:], out=xy[:2])
+            np.add(sxy[:2], cxy[2:], out=xy[2:])
             sub[pairs] = xy
             if sub is not state:
                 state[:, idx] = sub
     else:
         raise InternalConsistencyError("Jacobi sweeps failed to converge")
-    diag = state[_DIAG_ROWS].T
-    order = np.argsort(diag, axis=1, kind="stable")
-    vals = np.take_along_axis(diag, order, axis=1)
-    v = state[10:].reshape(4, 4, n).transpose(2, 0, 1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=2)
-    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
-    vecs *= np.where(pivot < 0.0, -1.0, 1.0)
-    return vals, vecs
+    return np.sort(state[_DIAG_ROWS].T, axis=1, kind="stable")
 
 
 def eigen_table(
     n_max: int, l: int, g: float, n_min: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block spectrum (vals (N, 4), vecs (N, 4, 4)) for every base photon
-    number n_min..n_max, all blocks diagonalized at once.  Jacobi treats
-    each block alone, so these rows are bitwise those of the table from 0."""
-    return jacobi_eigh(block_matrices(n_max, l, g, n_min))
+    number n_min..n_max: the Jacobi's eigenvalues, ascending, and as
+    columns the closed-form eigenvectors (u1, -v1), (u2, -v2), (u2, v2),
+    (u1, v1) over sqrt(2) (block_svd; at g = 1, where sigma2 = 0, v2 is
+    (-v1[1], v1[0])), each signed so that its largest-magnitude entry is
+    positive.  Every block's arithmetic is its own, so these rows are
+    bitwise those of the table from 0."""
+    vals = jacobi_eigh(block_matrices(n_max, l, g, n_min))
+    _, c, s, (p1, p2) = block_svd(n_max, l, g, n_min)
+    sign = np.sign(g * g - 1.0) or 1.0
+    q1, q2 = -sign * p2, sign * p1
+    # (component, column): components 0..3 are (u[0], v[0], v[1], u[1])
+    vecs = np.sqrt(0.5) * np.array([[c, -s, -s, c], [-p1, -q1, q1, p1],
+                                    [-p2, -q2, q2, p2], [s, c, c, s]]).transpose(2, 0, 1)
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
+    vecs *= np.where(pivot < 0.0, -1.0, 1.0)
+    return vals, vecs
 
 
 def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray,
@@ -257,17 +312,19 @@ def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray,
         )
 
 
-def check_spectrum(vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Refuse block eigenvectors that are not orthonormal, or whose overlaps
-    miss sum_k <v_k|e1>^2 = 1, by more than _NORM_TOL: together these keep
-    every block's norm within 5 _NORM_TOL of 1 at all times, which no
-    caller forms; and eigenvalues off +- symmetry by more than
+def check_spectrum(vals: np.ndarray, sigma: np.ndarray) -> None:
+    """Refuse Jacobi eigenvalues whose sigma1 = (w_3 - w_0) / 2 or sigma2 =
+    (w_2 - w_1) / 2 misses the closed form's sigma (block_svd) by more than
+    _SIGMA_TOL eps * sigma1, or that are off +- symmetry by more than
     _SYMMETRY_TOL, which reduced_states assumes."""
-    gram = np.einsum("nik,nil->nkl", vecs, vecs) - np.eye(4)
-    overlap = np.einsum("nk,nk->n", vecs[:, 0, :], vecs[:, 0, :]) - 1.0
-    dev = max(float(np.abs(gram).max(initial=0.0)), float(np.abs(overlap).max(initial=0.0)))
-    if not dev <= _NORM_TOL:
-        raise InternalConsistencyError(f"block spectrum deviates from orthonormal by {dev:.3e}")
+    miss = np.maximum(np.abs(0.5 * (vals[:, 3] - vals[:, 0]) - sigma[0]),
+                      np.abs(0.5 * (vals[:, 2] - vals[:, 1]) - sigma[1]))
+    worst = float((miss / (_EPS * sigma[0])).max(initial=0.0))
+    if not worst <= _SIGMA_TOL:
+        raise InternalConsistencyError(
+            f"block spectrum misses the closed form's sigma by {worst:.1f} eps * sigma1, "
+            f"beyond {_SIGMA_TOL:.0f}"
+        )
     skew = np.maximum(np.abs(vals[:, 0] + vals[:, 3]), np.abs(vals[:, 1] + vals[:, 2]))
     worst = float((skew / (_EPS * np.abs(vals).max(axis=1))).max(initial=0.0))
     if not worst <= _SYMMETRY_TOL:

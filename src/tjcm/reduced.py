@@ -4,11 +4,12 @@ Tracing the pure joint state over the field and the other atom leaves a
 2x2 matrix in the {|+>, |->} basis: two populations and one coherence,
 which couples blocks n and n+l; the second atom obeys the same formulas
 with components 2 and 3 interchanged.  reduced_states is the one route
-from the model parameters to these states: it diagonalizes the blocks of
-the weights' window (params.FockWeights.window) and evaluates the
-inversion and the coherence as real cosine and sine sums on one grid plan
-(blocks.trig_sum), with the equal and opposite frequencies of the +-
-symmetric block spectra merged.
+from the model parameters to these states: it takes the eigenvalues of
+the blocks of the weights' window (params.FockWeights.window) from the
+Jacobi and their amplitudes from the closed-form SVD (blocks.block_svd),
+and evaluates the inversion and the coherence as real cosine and sine
+sums on one grid plan (blocks.trig_sum), with the equal and opposite
+frequencies of the +- symmetric block spectra merged.
 max_deviation compares two such states.
 """
 
@@ -21,12 +22,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .blocks import check_phase_conditioning, check_spectrum, eigen_table, grid_plan, trig_sum
+from .blocks import (block_matrices, block_svd, check_phase_conditioning, check_spectrum,
+                     grid_plan, jacobi_eigh, trig_sum)
 from .errors import InternalConsistencyError, InvalidParameterError, TruncationError
 from .params import FockWeights
 
-# the eigenvalue pairs k < k2 of a block: 01 02 03 12 13 23
-_PAIRS = np.triu_indices(4, 1)
 # |(sz, sy)| / trace - 1 from rounding: measured at most 1.3e-15
 _BLOCH_TOL = 1e-13
 
@@ -73,51 +73,53 @@ def reduced_states(
     1 is the one-atom l-photon Jaynes-Cummings model; scan.run_scan takes
     its jcm_* baseline there, at l = 1.
 
-    The blocks n = n_min..n_max of ``weights`` are diagonalized once
-    (``eigen_table``), with n_min, pop = c_n^2 and pair = c_n c_{n+l} from
-    ``weights.window(l)``.  Block n's spectrum is taken +- symmetric,
-    w = (-s1, -s2, s2, s1) with 2 s1 = w_3 - w_0 and 2 s2 = w_2 - w_1 in
-    long double (check_spectrum bounds the asymmetry).  Its amplitudes are
-    psi_b = sum_k R_bk exp(-i w_k T), R_bk = <v_k|e1> v_bk, so atom 1's
-    inversion, pop against |psi_0|^2 + |psi_1|^2 - |psi_2|^2 - |psi_3|^2 with
+    The blocks n = n_min..n_max of ``weights`` (n_min, pop = c_n^2 and
+    pair = c_n c_{n+l} from ``weights.window(l)``) take their eigenvalues
+    from the Jacobi (``jacobi_eigh``), +- symmetric as w = (-s1, -s2, s2,
+    s1) with 2 s1 = w_3 - w_0 and 2 s2 = w_2 - w_1 in long double, and
+    their amplitudes psi = (x1, i x2, i x3, x4) from the closed-form SVD
+    of their coupling C (``block_svd``): with u1 = (c, s), v1, and
+    v2 = sign(g^2 - 1) (-v1[1], v1[0]),
 
-        |psi_b|^2 = sum_k R_bk^2 + sum_{k<k'} 2 R_bk R_bk' cos((w_k - w_k') T),
+        x1 = c^2 cos s1 T + s^2 cos s2 T,    x4 = c s (cos s1 T - cos s2 T),
+        (x2, x3) = -(c sin s1 T v1 - s sin s2 T v2).
 
-    is a cosine sum over 4 frequencies per block (01 and 23 share s1 - s2,
-    02 and 13 share s1 + s2), and its coherence, pairing blocks n + l
-    and n against pair (none past the truncation),
-
-        coh_im = sum_{k,k'} c(k, k') sin((w_k'(n) - w_k(n+l)) T),
-        c(k, k') = R_0(n+l,k) R_2(n,k') + R_1(n+l,k) R_3(n,k'),
-
-    a sine sum over 8 per pair: k < 2 with c(k, k') - c(3 - k, 3 - k'),
-    whose frequency is opposite; atom 2 swaps components 1 and 2.  Both
-    ``trig_sum`` calls, each over both atoms' rows, share one ``grid_plan``.
-    The blocks evolve unitarily, so the trace is the window mass S =
-    sum pop at every time and p_plus, p_minus = (S +- sz) / 2.  At T = 0
-    p_minus comes from psi_b(0) = sum_k R_bk instead, at about 1e-32, and
-    p_plus is S - p_minus; the sine sums are 0 there.  The blocks below
-    n_min carry at most 1e-8 * cutoff_eps of either weight and every
-    amplitude has modulus <= 1, so leaving them out moves no entry by
-    more than that.
+    So atom 1's inversion, pop against x1^2 + x2^2 - x3^2 - x4^2, is a
+    constant plus a cosine sum over 4 frequencies per block (s1 - s2,
+    s1 + s2, 2 s1, 2 s2), and its coherence, pair against x2(n + l) x4(n)
+    - x3(n) x1(n + l) (none past the truncation), a sine sum over the 8
+    frequencies s_i(n + l) +- s_j(n) per pair; every coefficient is a
+    product of c, s and the entries of v1 and v2.  Atom 2 swaps
+    components 1 and 2.  Both ``trig_sum`` calls, each over both atoms'
+    rows, share one ``grid_plan``.  At g = 1, sigma2 = 0 and the v2 term
+    drops out, so the Jacobi's +-tiny s2 enters only through cos s2 T, at
+    second order.  The blocks evolve unitarily, so the trace is the window
+    mass S = sum pop at every time and p_plus, p_minus = (S +- sz) / 2; at
+    T = 0, psi = e1, so p_minus is 0 and p_plus is S, and the sine sums
+    are 0.  The blocks below n_min carry at most 1e-8 * cutoff_eps of
+    either weight and every amplitude has modulus <= 1, so leaving them
+    out moves no entry by more than that.
 
     The grid (uniform, from T = 0), coupling and phase conditioning are
     checked before any sum runs (InvalidParameterError), and so are the
-    spectrum's orthonormality and symmetry (InternalConsistencyError).
-    TruncationError is raised when S strays from 1 by more than ten times
-    the configured tail mass, a cutoff too small for the amplitude; with
-    every block norm within 5 _NORM_TOL of 1 (check_spectrum), the true
-    trace is then within 10 cutoff_eps + 2e-14 of 1 at all times.
+    Jacobi's s1 and s2 against the closed form's sigma, and their +-
+    symmetry (check_spectrum; InternalConsistencyError).  TruncationError
+    is raised when S strays from 1 by more than ten times the configured
+    tail mass, a cutoff too small for the amplitude; u1 and v1 are unit
+    vectors within 2 eps, so every block norm is within 4 eps < _NORM_TOL
+    of 1 (at g = 1 up to s^2 sin^2 s2 T, second order in s2), and the true
+    trace within 10 cutoff_eps + _NORM_TOL of 1 at all times.
     InternalConsistencyError is raised when a Bloch vector (sz, 2 coh_im)
     leaves the ball of radius S (1 + _BLOCH_TOL), as a faulty row can.
     """
     plan = grid_plan(grid)
     atoms = tuple(atoms)
     n_min, pop, pair = weights.window(l)
-    vals, vecs = eigen_table(weights.n_max, l, g, n_min)
+    vals = jacobi_eigh(block_matrices(weights.n_max, l, g, n_min))
     # g and l move the spectrum only where g > 0, and l cannot go below 1
     check_phase_conditioning(vals, grid, ("t_max", "alpha") + ("g",) * (g > 0) + ("l",) * (l > 1))
-    check_spectrum(vals, vecs)
+    sigma, c, s, (v1_1, v1_2) = block_svd(weights.n_max, l, g, n_min)
+    check_spectrum(vals, sigma)
     mass = math.fsum(pop)
     if not abs(mass - 1.0) <= 10.0 * weights.cutoff_eps:
         raise TruncationError(
@@ -127,34 +129,42 @@ def reduced_states(
     if not atoms:
         return {}
     m = pair.size
-    r = vecs[:, :1, :] * vecs  # r[n, b, k] = <v_k|e1> v_bk
     # (-s1, -s2, s2, s1), in long double
     w = vals.astype(np.longdouble)
     w[:, 2:] -= w[:, 1::-1]
     w[:, 2:] /= 2
     w[:, :2] = -w[:, :1:-1]
-    k, k2 = _PAIRS
-    two_rr = 2.0 * r[:, :, k] * r[:, :, k2]  # (N, 4, 6), pairs 01 02 03 12 13 23
-    two_rr[:, :, :2] += two_rr[:, :, :3:-1]  # 01 + 23 at s1 - s2, 02 + 13 at s1 + s2
-    r_sq = np.einsum("nbk,nbk->nb", r, r)  # sum_k R_bk^2
-    comps = [(1, 2) if atom is AtomId.FIRST else (2, 1) for atom in atoms]  # atom 2: 1 <-> 2
-    sz = trig_sum((w[:, k[:4]] - w[:, k2[:4]]).ravel(),
-                  [(pop[:, None] * ((two_rr[:, 0, :4] + two_rr[:, i2, :4])
-                                    - (two_rr[:, i3, :4] + two_rr[:, 3, :4]))).ravel()
-                   for i2, i3 in comps], plan)
-    sz += np.array([pop @ ((r_sq[:, 0] + r_sq[:, i2]) - (r_sq[:, i3] + r_sq[:, 3]))
-                    for i2, i3 in comps])[:, None]
-    # (k, k') and (3 - k, 3 - k') have opposite frequencies: keep k < 2
-    coh = []
-    for i2, i3 in comps:
-        full = r[l:, 0, :, None] * r[:m, i3, None, :] + r[l:, i2, :, None] * r[:m, 3, None, :]
-        coh.append((pair[:, None, None] * (full[:, :2] - full[:, :1:-1, ::-1])).ravel())
+    cc, ss, cs = c * c, s * s, c * s
+    sign = np.sign(g * g - 1.0)  # v2 = sign (-v1[1], v1[0]); 0 at g = 1
+    inv, inv_0, coh = [], [], []
+    for atom in atoms:
+        # v1 = (e, o) and v2 = (f, h) on the atom's components 1 and 2
+        t = sign if atom is AtomId.FIRST else -sign  # atom 2: 1 <-> 2
+        e, o = (v1_1, v1_2) if atom is AtomId.FIRST else (v1_2, v1_1)
+        f, h = -t * o, t * e
+        delta, cross, t2 = e * e - o * o, (2.0 * t) * cs * e * o, t * t
+        # cos (s1 -+ s2) T, cos 2 s1 T, cos 2 s2 T, and the constant
+        inv.append((pop[:, None] * np.stack([
+            2.0 * cc * ss + cross, 2.0 * cc * ss - cross,
+            0.5 * cc * ((cc - ss) - delta), 0.5 * ss * ((ss - cc) + t2 * delta)], axis=1)).ravel())
+        inv_0.append(pop @ (0.5 * ((cc - ss) ** 2 + (cc - t2 * ss) * delta)))
+        cu, su, eu, fu = c[l:], s[l:], e[l:], f[l:]  # block n + l
+        cd, sd, od, hd = c[:m], s[:m], o[:m], h[:m]  # block n
+        # sin (s1(n + l) -+ s1(n)) T ... in the order of the frequencies below
+        coh.append((0.5 * pair[:, None] * np.stack([
+            -cu * cd * (eu * sd + cu * od), cu * sd * (eu * cd + cu * hd),
+            cu * sd * (eu * cd - cu * hd), cu * cd * (cu * od - eu * sd),
+            su * cd * (fu * sd - su * od), su * sd * (su * hd - fu * cd),
+            -su * sd * (fu * cd + su * hd), su * cd * (fu * sd + su * od)], axis=1)).ravel())
+    s1, s2 = w[:, 3], w[:, 2]  # as w_0 - w_1, w_0 - w_2, w_0 - w_3 and w_1 - w_2
+    sz = trig_sum(np.stack([s2 - s1, -s1 - s2, -2 * s1, -2 * s2], axis=1).ravel(), inv, plan)
+    sz += np.array(inv_0)[:, None]
+    # w_k'(n) - w_k(n + l), k < 2: s1(n + l) - s1(n), - s2(n), + s2(n), + s1(n),
+    # then the same from s2(n + l)
     coh = trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
-    # p_minus at T = 0, the first time (if any), from psi_b(0) = sum_k R_bk
-    sq = r.sum(axis=2) ** 2
     states = {}
-    for atom, (_, i3), row, c in zip(atoms, comps, sz, coh):
-        p_plus = np.multiply(c, 2.0)  # sy, then |(sz, sy)|, then p_plus
+    for atom, row, coh_im in zip(atoms, sz, coh):
+        p_plus = np.multiply(coh_im, 2.0)  # sy, then |(sz, sy)|, then p_plus
         radius = float(np.hypot(row, p_plus, out=p_plus).max(initial=0.0))
         if not radius <= mass * (1.0 + _BLOCH_TOL):
             raise InternalConsistencyError(f"reduced Bloch vector of atom {atom.value} reaches "
@@ -163,9 +173,10 @@ def reduced_states(
         p_plus *= 0.5
         p_minus = np.subtract(mass, row, out=row)
         p_minus *= 0.5
-        p_minus[:1] = pop @ (sq[:, i3] + sq[:, 3])
-        p_plus[:1] = mass - p_minus[:1]
-        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, c)
+        # psi(0) = e1: the pure initial state
+        p_minus[:1] = 0.0
+        p_plus[:1] = mass
+        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, coh_im)
     return states
 
 

@@ -43,16 +43,17 @@ def excitation_expectation(psi: np.ndarray, n_f: int, l: int) -> float:
 
 
 def amplitudes(spectrum, ts, long_double=False) -> np.ndarray:
-    """(x1, x2, x3, x4) of every block of ``spectrum`` at any times ts, shape
-    (4, nT, N), evaluated directly, with the phases w T and their cosines
-    and sines in float64 or, with long_double, in long double (as the
-    package's trig sums take them): block n's amplitude vector is
+    """(x1, x2, x3, x4) of every block of ``spectrum`` (vals, vecs), such as
+    eigen_table's Jacobi eigenvalues and closed-form eigenvectors, at any
+    times ts, shape (4, nT, N), evaluated directly, with the phases w T and
+    their cosines and sines in float64 or, with long_double, in long double
+    (as the package's trig sums take them): block n's amplitude vector is
     sum_k exp(-i w_k T) <v_k|e1> v_k, whose components 1 and 4 are real
     (cosine sums) and 2 and 3 imaginary (sine sums) for the bipartite
     blocks; x holds those parts.  The reference the package's trig sums
     are checked against, with the package's phase-conditioning check and
-    a per-(T, n) norm check (InternalConsistencyError) that catches a
-    spectrum the real split does not fit."""
+    a per-(T, n) norm check to _NORM_TOL (InternalConsistencyError) that
+    catches a spectrum the real split does not fit."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     vals, vecs = spectrum
     check_phase_conditioning(vals, ts)
@@ -82,10 +83,11 @@ def sliced(state: ReducedAtomState, index) -> ReducedAtomState:
 
 
 def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """blocks.jacobi_eigh as it was written on the (N, 4, 4) stack: the same
-    cyclic rotations, formulas, convergence mask, sort and sign fix, about
-    60 fancy-indexed operations per rotation.  jacobi_eigh must give its
-    eigenvalues and eigenvectors bit for bit."""
+    """blocks.jacobi_eigh as it was written on the (N, 4, 4) stack, with its
+    eigenvectors: the same cyclic rotations, formulas, convergence mask,
+    sort and sign fix, about 60 fancy-indexed operations per rotation.
+    jacobi_eigh must give its eigenvalues bit for bit, and eigen_table's
+    closed-form eigenvectors must match its vectors to rounding."""
     a = np.array(h, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
@@ -133,17 +135,65 @@ def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def reduced_direct(weights, l, g, ts):
     """{atom: (p_plus, p_minus, coh_im)} at any times ts, contracted directly
-    from the amplitudes of the same Jacobi spectrum reduced_states uses
-    (its window, its eigen_table), with long-double phases: the reference
-    for its trig sums."""
+    from the amplitudes of the spectrum reduced_states uses (its window;
+    eigen_table's Jacobi eigenvalues and closed-form vectors), with
+    long-double phases: the reference for its trig sums.  At g = 1 the
+    double zero eigenvalue is taken as 0: there the closed form has no
+    sigma2 term, and the Jacobi's +-tiny sigma2 enters reduced_states only
+    at second order."""
     n_min, pop, pair = weights.window(l)
-    x = amplitudes(eigen_table(weights.n_max, l, g, n_min), ts, long_double=True)
+    vals, vecs = eigen_table(weights.n_max, l, g, n_min)
+    if g == 1.0:
+        vals[:, 1:3] = 0.0
+    x = amplitudes((vals, vecs), ts, long_double=True)
     m = pair.size
     out = {}
     for atom in AtomId:
         x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
         out[atom] = ((x1 ** 2 + x2 ** 2) @ pop, (x3 ** 2 + x4 ** 2) @ pop,
                      (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ pair)
+    return out
+
+
+def mp_block(n: int, l: int, g: float, dps: int = 30):
+    """Block n's eigenvalues (ascending) and eigenvectors (columns), from
+    mpmath.eigsy at dps digits on the exactly built block: the truth the
+    closed form is checked against."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(dps):
+        g, (f1, f2) = mp.mpf(g), (mp.sqrt(math.prod(range(k + 1, k + l + 1))) for k in (n, n + l))
+        h = mp.zeros(4, 4)
+        for (i, j), f in (((0, 1), g * f1), ((0, 2), f1), ((1, 3), f2), ((2, 3), g * f2)):
+            h[i, j] = h[j, i] = f
+        vals, vecs = mp.eigsy(h)
+        order = sorted(range(4), key=lambda k: vals[k])
+        return [vals[k] for k in order], [[vecs[b, k] for k in order] for b in range(4)]
+
+
+def reduced_truth(weights, l, g, ts, dps=30):
+    """reduced_direct's {atom: (p_plus, p_minus, coh_im)} from mp_block's
+    spectra, every phase and sum in mpmath at dps digits, rounded to
+    float64 at the end."""
+    mp = pytest.importorskip("mpmath").mp
+    n_min, pop, pair = weights.window(l)
+    out = {}
+    with mp.workdps(dps):
+        x = []  # x[n][t] = (x1, x2, x3, x4)
+        for n in range(n_min, weights.n_max + 1):
+            vals, vecs = mp_block(n, l, g, dps)
+            x.append([[mp.fsum((mp.cos(w * t) if b in (0, 3) else -mp.sin(w * t)) * vecs[0][k]
+                                * vecs[b][k] for k, w in enumerate(vals)) for b in range(4)]
+                      for t in map(mp.mpf, ts)])
+        for atom in AtomId:
+            i2, i3 = (1, 2) if atom is AtomId.FIRST else (2, 1)
+            rows = [[], [], []]
+            for t in range(len(ts)):
+                xt = [block[t] for block in x]
+                rows[0].append(mp.fsum(mp.mpf(p) * (a[0] ** 2 + a[i2] ** 2) for p, a in zip(pop, xt)))
+                rows[1].append(mp.fsum(mp.mpf(p) * (a[i3] ** 2 + a[3] ** 2) for p, a in zip(pop, xt)))
+                rows[2].append(mp.fsum(mp.mpf(q) * (up[i2] * a[3] - a[i3] * up[0])
+                                       for q, up, a in zip(pair, xt[l:], xt)))
+            out[atom] = tuple(np.array([float(v) for v in row]) for row in rows)
     return out
 
 

@@ -1,5 +1,6 @@
-"""Interaction blocks, Jacobi eigensolver, and evolution amplitudes (evaluated
-directly by conftest.amplitudes, the reference for the package's trig sums)."""
+"""Interaction blocks, the Jacobi's eigenvalues, the closed-form SVD and
+eigenvectors, and evolution amplitudes (evaluated directly by
+conftest.amplitudes, the reference for the package's trig sums)."""
 
 import math
 import warnings
@@ -22,9 +23,11 @@ from tjcm import (
     reduced_states,
 )
 from tjcm import blocks as blocks_module
-from tjcm.blocks import jacobi_eigh, transition_strength
+from tjcm.blocks import _NORM_TOL, block_svd, jacobi_eigh, transition_strength
 
-from conftest import amplitudes, jacobi_reference
+from conftest import amplitudes, jacobi_reference, mp_block
+
+EPS = np.finfo(float).eps
 
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "sweep.npz"
 
@@ -141,21 +144,34 @@ def test_bipartite_sparsity():
 
 
 def test_jacobi_zero_matrix():
-    vals, vecs = jacobi_eigh(np.zeros((1, 4, 4)))
-    assert np.array_equal(vals, np.zeros((1, 4)))
-    assert np.array_equal(vecs, np.eye(4)[None])
+    assert np.array_equal(jacobi_eigh(np.zeros((1, 4, 4))), np.zeros((1, 4)))
 
 
-def test_jacobi_reconstruction_and_orthonormality():
+def test_jacobi_eigenvalues_of_random_matrices():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(25, 4, 4))
     h = m + m.transpose(0, 2, 1)
-    vals, vecs = jacobi_eigh(h)
-    vecs_t = vecs.transpose(0, 2, 1)
-    recon = vecs @ (vals[:, :, None] * vecs_t)
-    assert np.max(np.abs(recon - h)) < 1e-12
-    assert np.max(np.abs(vecs_t @ vecs - np.eye(4))) < 1e-12
+    vals = jacobi_eigh(h)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-12
     assert np.all(np.diff(vals, axis=1) >= 0.0)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_eigen_table_reconstruction_and_orthonormality(l):
+    """eigen_table's closed-form vectors with the Jacobi's values rebuild
+    block_matrices to 16 eps of the block's norm, and are orthonormal, with
+    overlaps sum_k <v_k|e1>^2 = 1, within _NORM_TOL; at g = 1 too, where
+    the double zero eigenvalue takes v2 = (-v1[1], v1[0])."""
+    for g in (0.0, 1e-3, 0.5, 1.0, 3.7, 1e3):
+        h = block_matrices(150, l, g)
+        vals, vecs = eigen_table(150, l, g)
+        vecs_t = vecs.transpose(0, 2, 1)
+        recon = vecs @ (vals[:, :, None] * vecs_t)
+        scale = np.linalg.norm(h, axis=(1, 2))[:, None, None]
+        assert np.max(np.abs(recon - h) / scale) <= 16 * EPS, g
+        assert np.max(np.abs(vecs_t @ vecs - np.eye(4))) <= _NORM_TOL
+        assert np.max(np.abs(np.sum(vecs[:, 0, :] ** 2, axis=1) - 1.0)) <= _NORM_TOL
+        assert np.all(np.diff(vals, axis=1) >= 0.0)
 
 
 def test_diagonalize_rejects_non_symmetric():
@@ -177,14 +193,15 @@ def test_diagonalize_rejects_non_symmetric():
 
 
 def test_diagonalize_deterministic_and_sign_fixed():
-    vals1, vecs1 = eigen_table(12, 1, 0.5)
-    vals2, vecs2 = eigen_table(12, 1, 0.5)
-    assert np.array_equal(vals1, vals2)
-    assert np.array_equal(vecs1, vecs2)
-    for n in range(13):
-        for k in range(4):
-            col = vecs1[n, :, k]
-            assert col[np.argmax(np.abs(col))] > 0.0
+    for g in (0.0, 0.5, 1.0, 3.7):
+        vals1, vecs1 = eigen_table(12, 1, g)
+        vals2, vecs2 = eigen_table(12, 1, g)
+        assert np.array_equal(vals1, vals2)
+        assert np.array_equal(vecs1, vecs2)
+        for n in range(13):
+            for k in range(4):
+                col = vecs1[n, :, k]
+                assert col[np.argmax(np.abs(col))] > 0.0
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -193,20 +210,14 @@ def test_batched_spectrum_matches_each_block_alone(l):
     # would take diagonalized on its own
     for g in (0.0, 0.5, 1.0, 5.0):
         h = block_matrices(40, l, g)
-        vals, vecs = jacobi_eigh(h)
+        vals = jacobi_eigh(h)
         for n in range(h.shape[0]):
-            one_vals, one_vecs = jacobi_eigh(h[n:n + 1])
-            assert np.array_equal(vals[n:n + 1], one_vals)
-            assert np.array_equal(vecs[n:n + 1], one_vecs)
+            assert np.array_equal(vals[n:n + 1], jacobi_eigh(h[n:n + 1]))
 
 
 def assert_reference_arithmetic(h):
-    """jacobi_eigh gives jacobi_reference's eigenvalues and eigenvectors
-    bit for bit."""
-    vals, vecs = jacobi_eigh(h)
-    ref_vals, ref_vecs = jacobi_reference(h)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(vecs, ref_vecs)
+    """jacobi_eigh gives jacobi_reference's eigenvalues bit for bit."""
+    assert np.array_equal(jacobi_eigh(h), jacobi_reference(h)[0])
 
 
 def test_jacobi_bitwise_reference_on_sweep_stacks():
@@ -219,6 +230,22 @@ def test_jacobi_bitwise_reference_on_sweep_stacks():
         w = coherent_weights(float(alpha))
         for n_min in {0, w.window(int(l))[0]}:
             assert_reference_arithmetic(block_matrices(w.n_max, int(l), float(g), n_min))
+
+
+def test_closed_form_vectors_match_jacobi_reference_on_sweep_stacks():
+    """On the blocks of the 24 default-seed sweep ops (g from 0.25 to 4, none
+    1), eigen_table's closed-form vectors are jacobi_reference's sign-fixed
+    vectors within 64 eps (measured worst 31.5 eps)."""
+    with np.load(SWEEP_REFERENCE) as z:
+        params = z["params"]
+    for alpha, g, l in params:
+        assert g != 1.0
+        w = coherent_weights(float(alpha))
+        n_min = w.window(int(l))[0]
+        vals, vecs = eigen_table(w.n_max, int(l), float(g), n_min)
+        ref_vals, ref_vecs = jacobi_reference(block_matrices(w.n_max, int(l), float(g), n_min))
+        assert np.array_equal(vals, ref_vals)
+        assert np.max(np.abs(vecs - ref_vecs)) <= 64 * EPS, (alpha, g, l)
 
 
 @pytest.mark.parametrize("g", [0.0, 1e-3, 1.0, 1e3])
@@ -291,6 +318,50 @@ def test_closed_form_examples():
     assert grid.shape == (4, 3)
     for i, T in enumerate(ts):
         assert np.array_equal(grid[:, i], closed_form_x(0, float(T)))
+
+
+def test_general_closed_form_reproduces_closed_form_x():
+    """block_svd's closed form at l = 1, g = 1 is closed_form_x's: sigma1 =
+    sqrt(4n + 6) within an ulp, sigma2 = 0, and with the phases sigma1 T
+    taken as closed_form_x takes them and no v2 term, the amplitudes within
+    4 eps (measured worst 2 eps; with block_svd's own sigma1, an ulp off,
+    the phases alone move them by up to 128 eps here)."""
+    ts = np.linspace(0.0, 7.0, 15)
+    n_max = 600
+    sigma, c, s, (p1, p2) = block_svd(n_max, 1, 1.0)
+    w = np.sqrt(4.0 * np.arange(n_max + 1) + 6.0)
+    assert np.all(sigma[1] == 0.0)
+    assert np.max(np.abs(sigma[0] - w) / w) <= EPS
+    cos1, sin1 = np.cos(np.multiply.outer(ts, w)), np.sin(np.multiply.outer(ts, w))
+    x = np.array([c * c * cos1 + s * s, -c * p1 * sin1, -c * p2 * sin1, c * s * (cos1 - 1.0)])
+    for n in range(n_max + 1):
+        assert np.max(np.abs(x[:, :, n] - closed_form_x(n, ts))) <= 4 * EPS, n
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_closed_form_amplitudes_against_mpmath(l):
+    """The closed form's amplitude coefficients, per block the weights of
+    cos sigma_i T in x1 and x4 and of sin sigma_i T in x2 and x3 (c^2, s^2;
+    cs, -cs; -c v1, s v2 with v2 = sign(g^2 - 1) (-v1[1], v1[0])), against those of mpmath.eigsy's 30-digit
+    spectrum, sum_k <v_k|e1> v_bk over the k at +-sigma_i: within 8 eps
+    (measured worst 1 eps, against 312 eps for jacobi_reference's vectors
+    at g 1e3, l 1).  At g = 1 the sine weights of the double zero
+    eigenvalue multiply sin 0 and are not compared."""
+    for g in (0.0, 0.3, 1.0, 3.7, 1e3):
+        sign = np.sign(g * g - 1.0)
+        for n in (0, 1, 7, 60, 600):
+            _, c, s, v1 = block_svd(n, l, g, n)
+            c, s, (p1, p2) = c[0], s[0], v1[:, 0]
+            ours = np.array([[c * c, s * s], [-c * p1, -sign * s * p2], [-c * p2, sign * s * p1],
+                             [c * s, -c * s]])
+            vals, vecs = mp_block(n, l, g)
+            r = [[vecs[0][k] * vecs[b][k] for k in range(4)] for b in range(4)]
+            truth = np.array([[float(r[b][0] + r[b][3]), float(r[b][1] + r[b][2])] if b in (0, 3)
+                              else [float(r[b][0] - r[b][3]), float(r[b][1] - r[b][2])]
+                              for b in range(4)])
+            if g == 1.0:
+                ours[1:3, 1] = truth[1:3, 1] = 0.0
+            assert np.max(np.abs(ours - truth)) <= 8 * EPS, (g, n)
 
 
 def test_closed_form_cross_check_single_point():

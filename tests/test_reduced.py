@@ -1,4 +1,5 @@
-"""Reduced density matrices: per-index summands, traces, oracle agreement."""
+"""Reduced density matrices: per-index summands, traces, oracle and mpmath
+agreement, and the spectrum checks."""
 
 import math
 from dataclasses import astuple
@@ -20,7 +21,7 @@ from tjcm import (
 from tjcm import oracle
 from tjcm.reduced import max_deviation, reduced_states
 
-from conftest import amplitudes, reduced_direct, sliced, through
+from conftest import amplitudes, reduced_direct, reduced_truth, sliced, through
 
 
 def reduced(weights, l, g, ts, atom):
@@ -43,18 +44,20 @@ def field_levels(size, *levels):
 
 
 def test_q_terms_at_t_zero():
+    """psi(0) = e1 in every block: p_minus is exactly 0 at T = 0, and p_plus
+    the window mass."""
     w = coherent_weights(2.0)
     for atom in AtomId:
         s = reduced(w, 1, 0.7, [0.0], atom)
-        assert s.p_plus[0] == pytest.approx(float(np.sum(w.c**2)), rel=1e-12)
-        assert s.p_minus[0] == pytest.approx(0.0, abs=1e-28)
+        assert s.p_plus[0] == math.fsum(w.window(1)[1])
+        assert s.p_minus[0] == 0.0
         assert s.coh_im[0] == pytest.approx(0.0, abs=1e-15)
     for n in (0, 3, w.n_max):
         single = field_levels(w.n_max + 1, n)
         for atom in AtomId:
             s = reduced(single, 1, 0.7, [0.0], atom)
             assert s.p_plus[0] == pytest.approx(1.0, rel=1e-12)
-            assert s.p_minus[0] == pytest.approx(0.0, abs=1e-28)
+            assert s.p_minus[0] == 0.0
             assert s.coh_im[0] == 0.0
 
 
@@ -117,7 +120,7 @@ def test_reduced_state_trace_and_positivity_along_trajectory():
 
 def test_trace_at_t_zero_is_window_mass():
     """At T = 0 each block sits in its initial state, so p_plus + p_minus,
-    and with p_minus ~ 1e-32 the inversion, is the window mass sum pop up
+    and with p_minus = 0 the inversion, is the window mass sum pop up
     to rounding: within 4 eps of it, and so below 1e-14, a hundredth of the
     1e-12 that the observables clamp as rounding."""
     eps = np.finfo(float).eps
@@ -209,8 +212,9 @@ def test_reduced_states_grid_matches_single_times():
 def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
     """Up to 2500 times (fig1 and fig2) and alpha 19.6, and at g = 1 (the
     double zero eigenvalue) and g = 0: at every time within 1e-15 of the
-    direct contraction of the same Jacobi spectrum, unsymmetrized and
-    unmerged (conftest.reduced_direct).  The trig sums run over the merged
+    direct contraction of the same spectrum, the Jacobi's eigenvalues and
+    the closed-form vectors, unsymmetrized and unmerged
+    (conftest.reduced_direct).  The trig sums run over the merged
     frequencies of the +- symmetric spectrum: 4 per block for the
     populations and 8 per pair of blocks n + l, n for the coherences."""
     real, sizes = tjcm.reduced.trig_sum, []
@@ -294,47 +298,93 @@ def test_reduced_states_match_fsum():
                 assert abs(coh_im[i] - ref_coh) <= 1e-15
 
 
-def test_non_orthonormal_spectrum_refused(monkeypatch):
-    """A spectrum whose eigenvectors are not orthonormal (one block's
-    scaled by 1 + 1e-6) fails the call with InternalConsistencyError
-    before any trig sum runs."""
-    real = tjcm.reduced.eigen_table
+def test_sigma_off_the_closed_form_refused(monkeypatch):
+    """Negative control for the cross-check of the Jacobi's sigma1 and
+    sigma2 against the closed form's (bound 16 eps * sigma1, measured worst
+    5.9): either, nudged by 64 eps * sigma1 in one block with its +-
+    symmetry kept, fails the call with InternalConsistencyError before any
+    trig sum runs."""
+    real = tjcm.reduced.jacobi_eigh
     calls = []
+    eps = np.finfo(float).eps
 
-    def skewed(*args):
-        vals, vecs = real(*args)
-        vecs = vecs.copy()
-        vecs[vecs.shape[0] // 2] *= 1.0 + 1e-6
-        return vals, vecs
+    def nudged(h):
+        vals = real(h)
+        n, (lo, hi) = vals.shape[0] // 2, pair
+        step = 64 * eps * 0.5 * (vals[n, 3] - vals[n, 0])
+        vals[n, lo] -= step
+        vals[n, hi] += step
+        return vals
 
-    monkeypatch.setattr(tjcm.reduced, "eigen_table", skewed)
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a: calls.append(a))
+    monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", nudged)
+    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a, **k: calls.append(a))
     w = coherent_weights(5.0)
-    with pytest.raises(InternalConsistencyError, match="orthonormal"):
-        reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
+    for pair in ((0, 3), (1, 2)):
+        with pytest.raises(InternalConsistencyError, match="misses the closed form's sigma"):
+            reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
     assert calls == []
 
 
 def test_asymmetric_spectrum_refused(monkeypatch):
     """A spectrum that misses the +- symmetry the merged trig sums rely on
-    (one block's largest eigenvalue w_3 nudged by 1e-13 relative, about
-    450 eps * max|w|) fails the call with InternalConsistencyError before
-    any trig sum runs."""
-    real = tjcm.reduced.eigen_table
+    (one block's w_0 and w_3 both shifted by 1e-13 w_3, which keeps sigma1
+    and makes |w_0 + w_3| about 900 eps * max|w|) fails the call with
+    InternalConsistencyError before any trig sum runs."""
+    real = tjcm.reduced.jacobi_eigh
     calls = []
 
-    def nudged(*args):
-        vals, vecs = real(*args)
-        vals = vals.copy()
-        vals[vals.shape[0] // 2, 3] *= 1.0 + 1e-13
-        return vals, vecs
+    def shifted(h):
+        vals = real(h)
+        n = vals.shape[0] // 2
+        vals[n, [0, 3]] += 1e-13 * vals[n, 3]
+        return vals
 
-    monkeypatch.setattr(tjcm.reduced, "eigen_table", nudged)
+    monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", shifted)
     monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a, **k: calls.append(a))
     w = coherent_weights(5.0)
     with pytest.raises(InternalConsistencyError, match="symmetric"):
         reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
     assert calls == []
+
+
+@pytest.mark.parametrize("alpha, l", [(3.0, 1), (3.0, 2), (3.0, 3), (5.0, 2), (12.0, 2)])
+def test_double_zero_eigenvalue_enters_at_second_order(monkeypatch, alpha, l):
+    """At g = 1 sigma2 = 0, but the Jacobi's is +-tiny (1.8e-13 at alpha 3,
+    l 3).  The closed form has no v2 term there, so the Jacobi's sigma2
+    enters only through cos sigma2 T: zeroing it moves no state by more
+    than 2 eps over T <= 25 (measured worst 1 eps; with the Jacobi's
+    null-space vectors, as before the closed form, 0.9e-15 to 2.7e-14)."""
+    w = coherent_weights(alpha)
+    grid = np.linspace(0.0, 25.0, 500)
+    states = reduced_states(w, l, 1.0, grid, AtomId)
+    real = tjcm.reduced.jacobi_eigh
+
+    def zeroed(h):
+        vals = real(h)
+        assert 0.0 < np.abs(vals[:, 1:3]).max() < 1e-12
+        vals[:, 1:3] = 0.0
+        return vals
+
+    monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", zeroed)
+    for atom, state in reduced_states(w, l, 1.0, grid, AtomId).items():
+        for field in ("p_plus", "p_minus", "coh_im"):
+            dev = np.max(np.abs(getattr(state, field) - getattr(states[atom], field)))
+            assert dev <= 2 * np.finfo(float).eps, (atom, field)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_double_zero_eigenvalue_against_mpmath(l):
+    """At alpha 3, g = 1, over T <= 3: every entry within 1e-14 of the
+    30-digit truth (conftest.reduced_truth; measured 3.1e-15 at l 2 and
+    6.4e-15 at l 3, against 4.0e-15 and 7.2e-15 with the Jacobi's
+    vectors), where the Jacobi's eigenvalues alone allow max|w| T eps,
+    8.2e-14 and 6.6e-13."""
+    w = coherent_weights(3.0)
+    grid = np.linspace(0.0, 3.0, 61)
+    truth = reduced_truth(w, l, 1.0, grid)
+    for atom, state in reduced_states(w, l, 1.0, grid, AtomId).items():
+        for field, want in zip(("p_plus", "p_minus", "coh_im"), truth[atom]):
+            assert np.max(np.abs(getattr(state, field) - want)) <= 1e-14, (atom, field)
 
 
 def test_phase_conditioning_refused_before_any_transform(monkeypatch):
