@@ -220,6 +220,80 @@ def assert_reference_arithmetic(h):
     assert np.array_equal(jacobi_eigh(h), jacobi_reference(h)[0])
 
 
+def sweep_stack(op):
+    """The blocks reduced_states diagonalizes for default-seed sweep op op."""
+    with np.load(SWEEP_REFERENCE) as z:
+        alpha, g, l = z["params"][op]
+    w = coherent_weights(float(alpha))
+    return block_matrices(w.n_max, int(l), float(g), w.window(int(l))[0])
+
+
+def assert_libm_atan2(y, x):
+    """_atan2(y, x) is math.atan2(y, x) bit for bit, the sign of a zero
+    included, and raises no divide-by-zero, overflow or invalid flag (its
+    discarded real part, log |z|, may underflow, which numpy ignores)."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = blocks_module._atan2(y, x, np.empty(y.shape, complex))
+    want = np.array([math.atan2(b, a) for b, a in zip(y.tolist(), x.tolist())])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_atan2_is_libm_on_jacobi_reference_rotation_inputs(monkeypatch):
+    """The (y, x) = (2 a[p, q], a[q, q] - a[p, p]) of every rotation that
+    jacobi_reference takes on the largest default-seed sweep stack."""
+    atan2, seen = math.atan2, []
+
+    def recorded(y, x):
+        seen.append((y, x))
+        return atan2(y, x)
+
+    monkeypatch.setattr(math, "atan2", recorded)
+    jacobi_reference(sweep_stack(23))
+    monkeypatch.undo()
+    y, x = np.array(seen).T
+    assert y.size > 5000 and np.all(y != 0.0)
+    assert_libm_atan2(y, x)
+
+
+def test_atan2_is_libm_over_every_scale_and_quadrant():
+    rng = np.random.default_rng(30)
+    y, x = rng.choice([-1.0, 1.0], size=(2, 50000)) * 10.0 ** rng.uniform(-300, 300, (2, 50000))
+    assert_libm_atan2(y, x)
+
+
+def test_atan2_is_libm_on_edge_inputs():
+    """x = +-0, subnormal and huge y, |y / x| tiny and huge, and x < 0 with
+    y = +-tiny, next to the branch cut at +-pi: every pair of these
+    magnitudes, each signed and each with its neighbouring doubles."""
+    tiny, top = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    mags = np.array([tiny, 1e-320, 1e-310, np.finfo(float).tiny, 1e-300, 1e-200, 1e-20,
+                     1e-8, 0.5, 1.0, 2.0, 1e8, 1e20, 1e200, 1e300, top])
+    mags = np.unique(np.concatenate([mags, np.nextafter(mags[1:], 0.0), np.nextafter(mags[:-1], top)]))
+    ys = np.concatenate([mags, -mags])
+    xs = np.concatenate([ys, [0.0, -0.0]])
+    y, x = (a.ravel() for a in np.meshgrid(ys, xs))
+    assert_libm_atan2(y, x)
+
+
+def test_jacobi_bitwise_reference_sees_a_one_ulp_angle(monkeypatch):
+    """Negative control: one rotation angle of one block one ulp off, and
+    the bitwise comparison with jacobi_reference fails."""
+    atan2, calls = blocks_module._atan2, []
+
+    def nudged(y, x, z):
+        angle = atan2(y, x, z)
+        if not calls:
+            angle[0] = np.nextafter(angle[0], np.inf)
+        calls.append(y.size)
+        return angle
+
+    monkeypatch.setattr(blocks_module, "_atan2", nudged)
+    with pytest.raises(AssertionError):
+        assert_reference_arithmetic(sweep_stack(0))
+    assert calls
+
+
 def test_jacobi_bitwise_reference_on_sweep_stacks():
     """The blocks of the benchmark's 24 default-seed sweep ops, over the
     window reduced_states diagonalizes and from n = 0."""
@@ -277,7 +351,7 @@ def test_jacobi_bitwise_reference_when_blocks_converge_at_different_sweeps(monke
 def test_jacobi_bitwise_reference_with_exact_zero_off_diagonals():
     """Blocks whose off-diagonal entries are exactly 0 in every pattern
     (each of the 64 subsets of the 6 pairs), which rotations skip until
-    another rotation fills them, and all-zero blocks."""
+    another rotation fills them, all-zero blocks and an empty stack."""
     rng = np.random.default_rng(12)
     rows, cols = np.triu_indices(4, 1)
     h = np.zeros((64, 4, 4))
@@ -287,6 +361,7 @@ def test_jacobi_bitwise_reference_with_exact_zero_off_diagonals():
         h[n, rows[on], cols[on]] = h[n, cols[on], rows[on]] = rng.normal(size=sum(on))
     assert_reference_arithmetic(h)
     assert_reference_arithmetic(np.zeros((3, 4, 4)))
+    assert_reference_arithmetic(np.zeros((0, 4, 4)))
 
 
 def test_jacobi_refuses_sweeps_that_do_not_converge(monkeypatch):
