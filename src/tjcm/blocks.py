@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
 
-# eigen_table's closed-form vectors are orthonormal, and the block amplitudes
-# they give unit vectors, within 9 eps: the measured worst is 3 eps for the
+# block_svd's closed-form eigenvectors are orthonormal, and the block
+# amplitudes they give unit vectors, within 9 eps: the measured worst is 3 eps for the
 # vectors and 6 for the amplitudes (1500 sets, alpha 0-30, l 1-10, g 0, 1
 # and 1e-6-1e6)
 _NORM_TOL = 2e-15
@@ -290,28 +290,6 @@ def jacobi_eigh(h: np.ndarray) -> np.ndarray:
     return np.sort(state[_DIAG_ROWS].T, axis=1, kind="stable")
 
 
-def eigen_table(
-    n_max: int, l: int, g: float, n_min: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block spectrum (vals (N, 4), vecs (N, 4, 4)) for every base photon
-    number n_min..n_max: the Jacobi's eigenvalues, ascending, and as
-    columns the closed-form eigenvectors (u1, -v1), (u2, -v2), (u2, v2),
-    (u1, v1) over sqrt(2) (block_svd; at g = 1, where sigma2 = 0, v2 is
-    (-v1[1], v1[0])), each signed so that its largest-magnitude entry is
-    positive.  Every block's arithmetic is its own, so these rows are
-    bitwise those of the table from 0."""
-    vals = jacobi_eigh(block_matrices(n_max, l, g, n_min))
-    _, c, s, (p1, p2) = block_svd(n_max, l, g, n_min)
-    sign = np.sign(g * g - 1.0) or 1.0
-    q1, q2 = -sign * p2, sign * p1
-    # (component, column): components 0..3 are (u[0], v[0], v[1], u[1])
-    vecs = np.sqrt(0.5) * np.array([[c, -s, -s, c], [-p1, -q1, q1, p1],
-                                    [-p2, -q2, q2, p2], [s, c, c, s]]).transpose(2, 0, 1)
-    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
-    vecs *= np.where(pivot < 0.0, -1.0, 1.0)
-    return vals, vecs
-
-
 def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray,
                              knobs: tuple[str, ...] = ("t_max", "alpha", "g", "l")) -> None:
     """Refuse a grid whose phase error bound max|w| * max|T| * eps exceeds
@@ -345,29 +323,6 @@ def check_spectrum(vals: np.ndarray, sigma: np.ndarray) -> None:
             f"block spectrum is not +- symmetric: |w_0 + w_3| or |w_1 + w_2| is "
             f"{worst:.1f} eps * max|w|, beyond {_SYMMETRY_TOL:.0f}"
         )
-
-
-def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
-    """Closed-form amplitudes (x1, x2, x3, x4) for the single-photon
-    symmetric case (l = 1, g = 1), where the block spectrum is
-    {0, 0, +w, -w} with w = sqrt(4n + 6):
-
-        x1 = [(n+1) cos(wT) + (n+2)] / (2n+3)
-        x2 = x3 = -sqrt(n+1) sin(wT) / w
-        x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
-
-    Returns an array of shape (4,) + shape(T).  Kept as an independent
-    validation reference for the numerical path.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParameterError(f"n must be an integer >= 0, got {n}")
-    w = math.sqrt(4.0 * n + 6.0)
-    T = np.asarray(T, dtype=float)
-    c, s = np.cos(T * w), np.sin(T * w)
-    x1 = ((n + 1.0) * c + (n + 2.0)) / (2.0 * n + 3.0)
-    x23 = -math.sqrt(n + 1.0) / w * s
-    x4 = math.sqrt((n + 1.0) * (n + 2.0)) / (2.0 * n + 3.0) * (c - 1.0)
-    return np.stack([x1, x23, x23, x4])
 
 
 # trig_sum's view of a uniform grid T_j = j h + delta_j, j < nT: h in long

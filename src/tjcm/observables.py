@@ -49,13 +49,13 @@ class BlochVector:
 
 
 def bloch(state: ReducedAtomState) -> BlochVector:
-    """Bloch components of a 2x2 density matrix: sz from the populations,
-    sx and sy from the coherence."""
-    return BlochVector(
-        sx=2.0 * state.coh_re,
-        sy=2.0 * state.coh_im,
-        sz=state.p_plus - state.p_minus,
-    )
+    """Bloch vector (sx, sy, sz) / trace of the normalized state rho / tr rho,
+    which every channel reads; a trace <= 0 is refused."""
+    if not np.all(np.greater(state.trace, 0.0)):
+        raise InvalidParameterError(f"reduced state trace must be > 0, got "
+                                    f"{np.min(state.trace)}")
+    return BlochVector(sx=state.sx / state.trace, sy=state.sy / state.trace,
+                       sz=state.sz / state.trace)
 
 
 def _xlogx(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -67,9 +67,9 @@ def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
     """Shannon entropy, in nats, of the two-outcome distribution with mean m.
 
     Symmetric under m -> -m, zero at m = +-1, ln 2 at m = 0.  Inputs a hair
-    outside [-1, 1] (roundoff, as the inversion at T = 0: see reduced_states)
-    are clamped; anything beyond 1e-12 is rejected.  Evaluated in place, with
-    two working arrays beside the result.
+    outside [-1, 1] (roundoff: reduced_states lets a Bloch vector reach its
+    trace times 1 + _BLOCH_TOL) are clamped; anything beyond 1e-12 is
+    rejected.  Evaluated in place, with two working arrays beside the result.
     """
     m = np.asarray(m, dtype=float)
     p = np.abs(m, out=np.empty_like(m))

@@ -236,7 +236,8 @@ def trace_trajectory(
         rho = (amp @ amp.conj().transpose(0, 2, 1)).reshape(-1, 2, 2, 2, 2)
         for dest, r in zip(out[..., lo:lo + len(rho)],
                            (rho.trace(axis1=2, axis2=4), rho.trace(axis1=1, axis2=3))):
-            dest[:] = r[:, 0, 0].real, r[:, 1, 1].real, r[:, 0, 1].real, r[:, 0, 1].imag
+            dest[:] = ((r[:, 0, 0] + r[:, 1, 1]).real, 2.0 * r[:, 0, 1].real,
+                       2.0 * r[:, 0, 1].imag, (r[:, 0, 0] - r[:, 1, 1]).real)
     states = {atom: ReducedAtomState(*values) for atom, values in zip(AtomId, out)}
     drift = norm_drift(states[AtomId.FIRST])
     if drift > NORM_DRIFT_TOL:
@@ -247,5 +248,5 @@ def trace_trajectory(
 
 def norm_drift(state: ReducedAtomState) -> float:
     """max | ||psi|| - 1 | over the times of a traced state, read off its
-    trace p_plus + p_minus = ||psi||^2."""
-    return float(np.max(np.abs(np.sqrt(state.p_plus + state.p_minus) - 1.0), initial=0.0))
+    trace ||psi||^2."""
+    return float(np.max(np.abs(np.sqrt(state.trace) - 1.0), initial=0.0))

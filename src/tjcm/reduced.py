@@ -38,25 +38,28 @@ class AtomId(Enum):
 
 @dataclass(frozen=True)
 class ReducedAtomState:
-    """2x2 single-atom density matrix over a set of times: populations of
-    |+> and |->, and the real and imaginary parts of the |+><-| coherence,
-    each an array over the times or one scalar for all of them (the model
-    makes the coherence purely imaginary: reduced_states gives coh_re 0.0)."""
+    """Unnormalized 2x2 single-atom density matrix over a set of times, in
+    Pauli form: rho = [[trace + sz, sx + i sy], [sx - i sy, trace - sz]] / 2
+    in the {|+>, |->} basis, each field an array over the times or one
+    scalar for all of them (reduced_states gives the scalars sx = 0.0, as
+    the model's coherence is purely imaginary, and trace = the window
+    mass).  The channels are those of rho / trace (observables.bloch)."""
 
-    p_plus: float | np.ndarray
-    p_minus: float | np.ndarray
-    coh_re: float | np.ndarray
-    coh_im: float | np.ndarray
+    trace: float | np.ndarray
+    sx: float | np.ndarray
+    sy: float | np.ndarray
+    sz: float | np.ndarray
 
 
 def max_deviation(a: ReducedAtomState, b: ReducedAtomState) -> float:
-    """Largest entrywise distance between two states of one atom over their
-    times: the larger of |dp_plus|, |dp_minus| and the modulus of the
-    coherence difference."""
-    return float(max(
-        np.max(np.abs(a.p_plus - b.p_plus)),
-        np.max(np.abs(a.p_minus - b.p_minus)),
-        np.max(np.hypot(a.coh_re - b.coh_re, a.coh_im - b.coh_im)),
+    """Largest entrywise distance between two unnormalized states of one
+    atom over their times: the larger of the populations' |dtrace +- dsz|
+    and the coherence's |dsx + i dsy|, over 2."""
+    dtr, dsz = a.trace - b.trace, a.sz - b.sz
+    return 0.5 * float(max(
+        np.max(np.abs(dtr + dsz)),
+        np.max(np.abs(dtr - dsz)),
+        np.max(np.hypot(a.sx - b.sx, a.sy - b.sy)),
     ))
 
 
@@ -67,11 +70,11 @@ def reduced_states(
     grid: np.ndarray,
     atoms: Iterable[AtomId],
 ) -> dict[AtomId, ReducedAtomState]:
-    """Reduced state of each atom over a uniform time grid from T = 0, as
-    arrays of length nT, with the scalar coh_re = 0.0, for transition
-    parameter l and coupling ratio g.  At g = 0 atom 2 is frozen and atom
-    1 is the one-atom l-photon Jaynes-Cummings model; scan.run_scan takes
-    its jcm_* baseline there, at l = 1.
+    """Reduced state of each atom over a uniform time grid from T = 0, sy
+    and sz as arrays of length nT, for transition parameter l and coupling
+    ratio g.  At g = 0 atom 2 is frozen and atom 1 is the one-atom l-photon
+    Jaynes-Cummings model; scan.run_scan takes its jcm_* baseline there,
+    at l = 1.
 
     The blocks n = n_min..n_max of ``weights`` (n_min, pop = c_n^2 and
     pair = c_n c_{n+l} from ``weights.window(l)``) take their eigenvalues
@@ -84,21 +87,20 @@ def reduced_states(
         x1 = c^2 cos s1 T + s^2 cos s2 T,    x4 = c s (cos s1 T - cos s2 T),
         (x2, x3) = -(c sin s1 T v1 - s sin s2 T v2).
 
-    So atom 1's inversion, pop against x1^2 + x2^2 - x3^2 - x4^2, is a
+    So atom 1's inversion sz, pop against x1^2 + x2^2 - x3^2 - x4^2, is a
     constant plus a cosine sum over 4 frequencies per block (s1 - s2,
-    s1 + s2, 2 s1, 2 s2), and its coherence, pair against x2(n + l) x4(n)
-    - x3(n) x1(n + l) (none past the truncation), a sine sum over the 8
-    frequencies s_i(n + l) +- s_j(n) per pair; every coefficient is a
-    product of c, s and the entries of v1 and v2.  Atom 2 swaps
-    components 1 and 2.  Both ``trig_sum`` calls, each over both atoms'
-    rows, share one ``grid_plan``.  At g = 1, sigma2 = 0 and the v2 term
-    drops out, so the Jacobi's +-tiny s2 enters only through cos s2 T, at
-    second order.  The blocks evolve unitarily, so the trace is the window
-    mass S = sum pop at every time and p_plus, p_minus = (S +- sz) / 2; at
-    T = 0, psi = e1, so p_minus is 0 and p_plus is S, and the sine sums
-    are 0.  The blocks below n_min carry at most 1e-8 * cutoff_eps of
-    either weight and every amplitude has modulus <= 1, so leaving them
-    out moves no entry by more than that.
+    s1 + s2, 2 s1, 2 s2), and its coherence sy / 2, pair against
+    x2(n + l) x4(n) - x3(n) x1(n + l) (none past the truncation), a sine
+    sum over the 8 frequencies s_i(n + l) +- s_j(n) per pair; every
+    coefficient is a product of c, s and the entries of v1 and v2.  Atom 2
+    swaps components 1 and 2.  Both ``trig_sum`` calls, each over both
+    atoms' rows, share one ``grid_plan``.  At g = 1, sigma2 = 0 and the v2
+    term drops out, so the Jacobi's +-tiny s2 enters only through
+    cos s2 T, at second order.  The blocks evolve unitarily, so the trace
+    is the window mass S = sum pop at every time; at T = 0, psi = e1, so
+    sz is S, set exactly, and the sine sums are 0.  The blocks below n_min
+    carry at most 1e-8 * cutoff_eps of either weight and every amplitude
+    has modulus <= 1, so leaving them out moves no entry by more than that.
 
     The grid (uniform, from T = 0), coupling and phase conditioning are
     checked before any sum runs (InvalidParameterError), and so are the
@@ -109,7 +111,7 @@ def reduced_states(
     vectors within 2 eps, so every block norm is within 4 eps < _NORM_TOL
     of 1 (at g = 1 up to s^2 sin^2 s2 T, second order in s2), and the true
     trace within 10 cutoff_eps + _NORM_TOL of 1 at all times.
-    InternalConsistencyError is raised when a Bloch vector (sz, 2 coh_im)
+    InternalConsistencyError is raised when a Bloch vector (sz, sy)
     leaves the ball of radius S (1 + _BLOCH_TOL), as a faulty row can.
     """
     plan = grid_plan(grid)
@@ -163,20 +165,14 @@ def reduced_states(
     # then the same from s2(n + l)
     coh = trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
     states = {}
-    for atom, row, coh_im in zip(atoms, sz, coh):
-        p_plus = np.multiply(coh_im, 2.0)  # sy, then |(sz, sy)|, then p_plus
-        radius = float(np.hypot(row, p_plus, out=p_plus).max(initial=0.0))
+    for atom, row, sy in zip(atoms, sz, coh):
+        sy *= 2.0
+        radius = float(np.hypot(row, sy).max(initial=0.0))
         if not radius <= mass * (1.0 + _BLOCH_TOL):
             raise InternalConsistencyError(f"reduced Bloch vector of atom {atom.value} reaches "
                                            f"{radius:.17g}, beyond its trace {mass:.17g}")
-        np.add(mass, row, out=p_plus)
-        p_plus *= 0.5
-        p_minus = np.subtract(mass, row, out=row)
-        p_minus *= 0.5
-        # psi(0) = e1: the pure initial state
-        p_minus[:1] = 0.0
-        p_plus[:1] = mass
-        states[atom] = ReducedAtomState(p_plus, p_minus, 0.0, coh_im)
+        row[:1] = mass  # psi(0) = e1: the pure initial state
+        states[atom] = ReducedAtomState(trace=mass, sx=0.0, sy=sy, sz=row)
     return states
 
 

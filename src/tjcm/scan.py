@@ -16,7 +16,7 @@ from .errors import InvalidParameterError, ResourceRefusalError, UsageError, \
 from .observables import bloch, entropy_squeezing, eur_residual, variance_squeezing, \
     von_neumann
 from .params import ModelParams
-from .reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
+from .reduced import AtomId, max_deviation, reduced_states
 
 # Per-atom channel kinds, each an array expression over the atom's Bloch
 # vector on the whole grid, in evaluation order: ey, ex and eur last, so
@@ -316,13 +316,10 @@ def run_verify(
     samples = np.arange(1, sample_count + 1) * (cfg.steps - 1) // sample_count
     times = grid[samples]
 
-    analytic = {
-        atom: ReducedAtomState(state.p_plus[samples], state.p_minus[samples],
-                               state.coh_re, state.coh_im[samples])
-        for atom, state in reduced_states(weights, p.l, p.g, grid, AtomId).items()
-    }
-    if inject_fault:  # the indexed states are copies
-        analytic[AtomId.FIRST].coh_im[times.size // 2] += 1e-6
+    analytic = {atom: replace(state, sy=state.sy[samples], sz=state.sz[samples])
+                for atom, state in reduced_states(weights, p.l, p.g, grid, AtomId).items()}
+    if inject_fault:  # the indexed states are copies; sy is twice the coherence
+        analytic[AtomId.FIRST].sy[times.size // 2] += 2e-6
     max_eur_violation = max(
         float(np.max(-eur_residual(bloch(state)))) for state in analytic.values()
     )

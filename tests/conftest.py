@@ -1,4 +1,6 @@
-"""Shared fixtures: full-channel preset scans and oracle cross-checks.
+"""Shared fixtures: full-channel preset scans and oracle cross-checks,
+and the references the analytic path is checked against (the block
+spectrum with its eigenvectors, directly contracted amplitudes, mpmath).
 
 The expensive artifacts (2500-point scans, full product-space RK4
 trajectories) are session-scoped so the unit tests and the acceptance
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 from tjcm import ContractViolationError, InternalConsistencyError, blocks, oracle
-from tjcm.blocks import _NORM_TOL, check_phase_conditioning, eigen_table
+from tjcm.blocks import (_NORM_TOL, block_matrices, block_svd, check_phase_conditioning,
+                         jacobi_eigh)
 from tjcm.params import coherent_weights
 from tjcm.reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
@@ -77,9 +80,51 @@ def through(T: float) -> list[float]:
 
 
 def sliced(state: ReducedAtomState, index) -> ReducedAtomState:
-    """The state at the times state.p_plus[index] (coh_re is a scalar)."""
-    return ReducedAtomState(state.p_plus[index], state.p_minus[index], state.coh_re,
-                            state.coh_im[index])
+    """The state at the times state.sz[index] (trace and sx are scalars)."""
+    return replace(state, sy=state.sy[index], sz=state.sz[index])
+
+
+def eigen_table(
+    n_max: int, l: int, g: float, n_min: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block spectrum (vals (N, 4), vecs (N, 4, 4)) for every base photon
+    number n_min..n_max: the Jacobi's eigenvalues, ascending, and as
+    columns the closed-form eigenvectors (u1, -v1), (u2, -v2), (u2, v2),
+    (u1, v1) over sqrt(2) (block_svd; at g = 1, where sigma2 = 0, v2 is
+    (-v1[1], v1[0])), each signed so that its largest-magnitude entry is
+    positive.  Every block's arithmetic is its own, so these rows are
+    bitwise those of the table from 0."""
+    vals = jacobi_eigh(block_matrices(n_max, l, g, n_min))
+    _, c, s, (p1, p2) = block_svd(n_max, l, g, n_min)
+    sign = np.sign(g * g - 1.0) or 1.0
+    q1, q2 = -sign * p2, sign * p1
+    # (component, column): components 0..3 are (u[0], v[0], v[1], u[1])
+    vecs = np.sqrt(0.5) * np.array([[c, -s, -s, c], [-p1, -q1, q1, p1],
+                                    [-p2, -q2, q2, p2], [s, c, c, s]]).transpose(2, 0, 1)
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None, :], axis=1)
+    vecs *= np.where(pivot < 0.0, -1.0, 1.0)
+    return vals, vecs
+
+
+def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
+    """Closed-form amplitudes (x1, x2, x3, x4) for the single-photon
+    symmetric case (l = 1, g = 1), where the block spectrum is
+    {0, 0, +w, -w} with w = sqrt(4n + 6):
+
+        x1 = [(n+1) cos(wT) + (n+2)] / (2n+3)
+        x2 = x3 = -sqrt(n+1) sin(wT) / w
+        x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
+
+    Returns an array of shape (4,) + shape(T): an independent reference
+    for block_svd's closed form.
+    """
+    w = math.sqrt(4.0 * n + 6.0)
+    T = np.asarray(T, dtype=float)
+    c, s = np.cos(T * w), np.sin(T * w)
+    x1 = ((n + 1.0) * c + (n + 2.0)) / (2.0 * n + 3.0)
+    x23 = -math.sqrt(n + 1.0) / w * s
+    x4 = math.sqrt((n + 1.0) * (n + 2.0)) / (2.0 * n + 3.0) * (c - 1.0)
+    return np.stack([x1, x23, x23, x4])
 
 
 def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +179,7 @@ def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reduced_direct(weights, l, g, ts):
-    """{atom: (p_plus, p_minus, coh_im)} at any times ts, contracted directly
+    """{atom: ReducedAtomState} at any times ts, contracted directly
     from the amplitudes of the spectrum reduced_states uses (its window;
     eigen_table's Jacobi eigenvalues and closed-form vectors), with
     long-double phases: the reference for its trig sums.  At g = 1 the
@@ -150,8 +195,10 @@ def reduced_direct(weights, l, g, ts):
     out = {}
     for atom in AtomId:
         x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
-        out[atom] = ((x1 ** 2 + x2 ** 2) @ pop, (x3 ** 2 + x4 ** 2) @ pop,
-                     (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ pair)
+        p_plus, p_minus = (x1 ** 2 + x2 ** 2) @ pop, (x3 ** 2 + x4 ** 2) @ pop
+        out[atom] = ReducedAtomState(
+            trace=p_plus + p_minus, sx=0.0, sz=p_plus - p_minus,
+            sy=2.0 * ((x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ pair))
     return out
 
 
@@ -171,7 +218,7 @@ def mp_block(n: int, l: int, g: float, dps: int = 30):
 
 
 def reduced_truth(weights, l, g, ts, dps=30):
-    """reduced_direct's {atom: (p_plus, p_minus, coh_im)} from mp_block's
+    """reduced_direct's {atom: ReducedAtomState} from mp_block's
     spectra, every phase and sum in mpmath at dps digits, rounded to
     float64 at the end."""
     mp = pytest.importorskip("mpmath").mp
@@ -186,14 +233,17 @@ def reduced_truth(weights, l, g, ts, dps=30):
                       for t in map(mp.mpf, ts)])
         for atom in AtomId:
             i2, i3 = (1, 2) if atom is AtomId.FIRST else (2, 1)
-            rows = [[], [], []]
+            rows = [[], [], []]  # trace, sz, sy
             for t in range(len(ts)):
                 xt = [block[t] for block in x]
-                rows[0].append(mp.fsum(mp.mpf(p) * (a[0] ** 2 + a[i2] ** 2) for p, a in zip(pop, xt)))
-                rows[1].append(mp.fsum(mp.mpf(p) * (a[i3] ** 2 + a[3] ** 2) for p, a in zip(pop, xt)))
-                rows[2].append(mp.fsum(mp.mpf(q) * (up[i2] * a[3] - a[i3] * up[0])
-                                       for q, up, a in zip(pair, xt[l:], xt)))
-            out[atom] = tuple(np.array([float(v) for v in row]) for row in rows)
+                for row, sign in zip(rows, (1, -1)):
+                    row.append(mp.fsum(mp.mpf(p) * (a[0] ** 2 + a[i2] ** 2
+                                                    + sign * (a[i3] ** 2 + a[3] ** 2))
+                                       for p, a in zip(pop, xt)))
+                rows[2].append(2 * mp.fsum(mp.mpf(q) * (up[i2] * a[3] - a[i3] * up[0])
+                                           for q, up, a in zip(pair, xt[l:], xt)))
+            trace, sz, sy = (np.array([float(v) for v in row]) for row in rows)
+            out[atom] = ReducedAtomState(trace=trace, sx=0.0, sy=sy, sz=sz)
     return out
 
 

@@ -59,7 +59,6 @@ from tjcm import (
     ScanConfig,
     bloch,
     coherent_weights,
-    eigen_table,
     entropy_squeezing,
     oracle,
     reduced_states,
@@ -67,7 +66,7 @@ from tjcm import (
 )
 from tjcm.reduced import max_deviation, swap_transform
 
-from conftest import amplitudes
+from conftest import amplitudes, eigen_table
 
 LN2 = math.log(2.0)
 E_MIN = 1.0 - math.sqrt(2.0)
@@ -394,8 +393,7 @@ def test_criterion_10_no_squeezing_beyond_two_photons():
     )[AtomId.SECOND]
     state = states[weak][AtomId.SECOND]
     dev = max_deviation(
-        replace(state, p_plus=state.p_plus[i], p_minus=state.p_minus[i],
-                coh_im=state.coh_im[i]),
+        replace(state, sy=state.sy[i], sz=state.sz[i]),
         ref,
     )
     check(

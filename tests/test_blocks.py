@@ -17,15 +17,13 @@ from tjcm import (
     InternalConsistencyError,
     InvalidParameterError,
     block_matrices,
-    closed_form_x,
     coherent_weights,
-    eigen_table,
     reduced_states,
 )
 from tjcm import blocks as blocks_module
 from tjcm.blocks import _NORM_TOL, block_svd, jacobi_eigh, transition_strength
 
-from conftest import amplitudes, jacobi_reference, mp_block
+from conftest import amplitudes, closed_form_x, eigen_table, jacobi_reference, mp_block
 
 EPS = np.finfo(float).eps
 
@@ -513,9 +511,9 @@ def test_backward_evolution_allowed():
     ts = np.linspace(0.0, 9.0, 300)
     fwd, back = (reduced_states(w, 1, 0.8, grid, AtomId) for grid in (ts, -ts))
     for atom in AtomId:
-        assert np.max(np.abs(back[atom].p_plus - fwd[atom].p_plus)) < 1e-12
-        assert np.max(np.abs(back[atom].p_minus - fwd[atom].p_minus)) < 1e-12
-        assert np.max(np.abs(back[atom].coh_im + fwd[atom].coh_im)) < 1e-12
+        assert back[atom].trace == fwd[atom].trace
+        assert np.max(np.abs(back[atom].sz - fwd[atom].sz)) < 1e-12
+        assert np.max(np.abs(back[atom].sy + fwd[atom].sy)) < 1e-12
 
 
 @given(

@@ -183,9 +183,9 @@ def test_harmonic_tracks_exact_symmetric_case():
     away from large times: pointwise here, envelope checks below."""
     w = coherent_weights(5.0)
     ts = np.linspace(0.0, 8.0, 17)
-    coh = reduced_states(w, 1, 1.0, ts, [AtomId.FIRST])[AtomId.FIRST].coh_im
+    sy = reduced_states(w, 1, 1.0, ts, [AtomId.FIRST])[AtomId.FIRST].sy
     at = np.s_[1::5]  # 0.5, 3, 5.5, 8
-    assert np.max(np.abs(tjcm_harmonic_sy(w, ts)[at] - 2.0 * coh[at])) < 0.02
+    assert np.max(np.abs(tjcm_harmonic_sy(w, ts)[at] - sy[at])) < 0.02
 
 
 def test_harmonic_envelope_and_peak_in_revival_window(preset_series):

@@ -44,14 +44,27 @@ def disk_states(max_norm=1.0):
     )
 
 
+def unit(sx=0.0, sy=0.0, sz=0.0, trace=1.0):
+    """A ReducedAtomState of the given trace and Bloch components."""
+    return ReducedAtomState(trace=trace, sx=sx, sy=sy, sz=sz)
+
+
 def test_bloch_readoff():
-    assert bloch(ReducedAtomState(1.0, 0.0, 0.0, 0.0)) == BlochVector(0.0, 0.0, 1.0)
-    b = bloch(ReducedAtomState(0.5, 0.5, 0.0, 0.25))
+    assert bloch(unit(sz=1.0)) == BlochVector(0.0, 0.0, 1.0)
+    b = bloch(unit(sy=0.5))
     assert (b.sx, b.sy, b.sz) == (0.0, 0.5, 0.0)
-    b = bloch(ReducedAtomState(0.3, 0.7, 0.1, 0.2))
+    b = bloch(unit(0.2, 0.4, -0.4))
     assert b.sx == pytest.approx(0.2)
     assert b.sy == pytest.approx(0.4)
     assert b.sz == pytest.approx(-0.4)
+    # the Bloch vector is that of rho / tr rho: trace 2 reads as its unit-trace copy
+    assert bloch(unit(0.4, 0.8, -0.8, trace=2.0)) == bloch(unit(0.2, 0.4, -0.4))
+    b = bloch(unit(0.0, np.array([0.8, 0.0]), np.array([0.0, 2.0]), trace=2.0))
+    assert b.sy.tolist() == [0.4, 0.0] and b.sz.tolist() == [0.0, 1.0]
+    # no normalized state without a positive trace
+    for trace in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
+        with pytest.raises(InvalidParameterError, match="trace must be > 0"):
+            bloch(unit(sz=0.0, trace=trace))
 
 
 def test_binary_entropy_values():
@@ -95,10 +108,10 @@ def test_variance_squeezing_reference_points():
 
 
 def test_von_neumann_reference_points():
-    assert von_neumann(bloch(ReducedAtomState(1.0, 0.0, 0.0, 0.0))) == 0.0
-    assert von_neumann(bloch(ReducedAtomState(0.5, 0.5, 0.0, 0.0))) == pytest.approx(LN2, abs=1e-15)
+    assert von_neumann(bloch(unit(sz=1.0))) == 0.0
+    assert von_neumann(bloch(unit())) == pytest.approx(LN2, abs=1e-15)
     # Bloch (0, 0.6, 0): eigenvalues 0.8 / 0.2
-    s = ReducedAtomState(0.5, 0.5, 0.0, 0.3)
+    s = unit(sy=0.6)
     expected = -(0.8 * math.log(0.8) + 0.2 * math.log(0.2))
     assert expected == pytest.approx(0.5004024235381879, abs=1e-15)
     assert von_neumann(bloch(s)) == pytest.approx(expected, abs=1e-14)
@@ -127,11 +140,11 @@ def test_paired_limits():
     for sy in (1.0, -1.0):
         b = BlochVector(0.0, sy, 0.0)
         assert entropy_squeezing(b, "y") == pytest.approx(E_MIN, abs=1e-14)
-        s = ReducedAtomState(0.5, 0.5, 0.0, 0.5 * sy)
+        s = unit(sy=sy)
         assert von_neumann(bloch(s)) == pytest.approx(0.0, abs=1e-12)
     # energy eigenstates: no squeezing, zero entropy
-    for p_plus in (1.0, 0.0):
-        s = ReducedAtomState(p_plus, 1.0 - p_plus, 0.0, 0.0)
+    for sz in (1.0, -1.0):
+        s = unit(sz=sz)
         assert entropy_squeezing(bloch(s), "y") == pytest.approx(0.0, abs=1e-14)
         assert von_neumann(bloch(s)) == pytest.approx(0.0, abs=1e-14)
 
@@ -142,7 +155,7 @@ def test_array_matches_elementwise_scalar():
     sz = np.concatenate([[1.0, 0.0, 0.0, 0.0, 0.8], rng.uniform(-1.0, 1.0, 300)])
     sz *= np.sqrt(np.clip(1.0 - sy**2, 0.0, None))
     b = BlochVector(np.zeros_like(sy), sy, sz)
-    state = ReducedAtomState(0.5 * (1.0 + sz), 0.5 * (1.0 - sz), 0.0, 0.5 * sy)
+    state = unit(sy=sy, sz=sz)
     diagnostics = {
         "e_y": lambda b, s: entropy_squeezing(b, "y"),
         "e_x": lambda b, s: entropy_squeezing(b, "x"),
@@ -157,9 +170,8 @@ def test_array_matches_elementwise_scalar():
         values = fn(b, state)
         assert values.shape == sy.shape, name
         for i in range(sy.size):
-            one = fn(BlochVector(0.0, float(sy[i]), float(sz[i])), ReducedAtomState(
-                float(state.p_plus[i]), float(state.p_minus[i]), 0.0, float(state.coh_im[i])
-            ))
+            one = fn(BlochVector(0.0, float(sy[i]), float(sz[i])),
+                     unit(sy=float(state.sy[i]), sz=float(state.sz[i])))
             assert abs(values[i] - one) <= 1e-15, name
     h = binary_entropy_of_mean(np.stack([sy, sz]))
     assert np.all((0.0 <= h) & (h <= LN2))
@@ -190,22 +202,15 @@ def test_sign_invariance(b):
             assert entropy_squeezing(o, "y") == pytest.approx(
                 entropy_squeezing(b, "y"), abs=1e-13
             )
-            state = ReducedAtomState(
-                0.5 * (1.0 + o.sz), 0.5 * (1.0 - o.sz), 0.0, 0.5 * o.sy
-            )
-            ref = ReducedAtomState(
-                0.5 * (1.0 + b.sz), 0.5 * (1.0 - b.sz), 0.0, 0.5 * b.sy
-            )
-            assert von_neumann(bloch(state)) == pytest.approx(
-                von_neumann(bloch(ref)), abs=1e-13
+            assert von_neumann(bloch(unit(sy=o.sy, sz=o.sz))) == pytest.approx(
+                von_neumann(bloch(unit(sy=b.sy, sz=b.sz))), abs=1e-13
             )
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=200, deadline=None)
 def test_entropy_extremes_track_norm(r):
-    state = ReducedAtomState(0.5 * (1.0 + r), 0.5 * (1.0 - r), 0.0, 0.0)
-    gamma = von_neumann(bloch(state))
+    gamma = von_neumann(bloch(unit(sz=r)))
     if r > 1.0 - 1e-8:
         assert gamma < 1e-7
     if r < 1e-8:

@@ -338,7 +338,7 @@ def test_partial_trace_product_state():
     psi = np.zeros(4 * 3, dtype=complex)
     psi[0] = 1.0  # |+,+,0> with n_f = 2
     for state in trace_at_zero(psi, 2).values():
-        assert state == [1.0, 0.0, 0.0, 0.0]
+        assert state == [1.0, 0.0, 0.0, 1.0]  # trace, sx, sy, sz
 
 
 def test_partial_trace_bell_like_state():
@@ -350,10 +350,10 @@ def test_partial_trace_bell_like_state():
     psi = np.zeros(4 * (n_f + 1), dtype=complex)
     psi[idx(0, 1, 0)] = 1.0 / math.sqrt(2.0)
     psi[idx(1, 0, 0)] = 1.0 / math.sqrt(2.0)
-    for p_plus, p_minus, coh_re, coh_im in trace_at_zero(psi, n_f).values():
-        assert p_plus == pytest.approx(0.5, abs=1e-15)
-        assert p_minus == pytest.approx(0.5, abs=1e-15)
-        assert (coh_re, coh_im) == (0.0, 0.0)
+    for trace, sx, sy, sz in trace_at_zero(psi, n_f).values():
+        assert 0.5 * (trace + sz) == pytest.approx(0.5, abs=1e-15)
+        assert 0.5 * (trace - sz) == pytest.approx(0.5, abs=1e-15)
+        assert (sx, sy) == (0.0, 0.0)
 
 
 def test_partial_trace_rejects_unnormalized():
@@ -377,9 +377,9 @@ def test_trace_trajectory_matches_dense_partial_trace():
         rho = np.outer(psi, psi.conj()).reshape(2, 2, h.n_f + 1, 2, 2, h.n_f + 1)
         for atom, ref in ((AtomId.FIRST, np.einsum("ajnbjn->ab", rho)),
                           (AtomId.SECOND, np.einsum("janjbn->ab", rho))):
-            s = traced[atom]
-            got = s.p_plus[i], s.p_minus[i], s.coh_re[i] + 1j * s.coh_im[i]
-            assert got == pytest.approx((ref[0, 0].real, ref[1, 1].real, ref[0, 1]), abs=1e-15)
+            tr, sx, sy, sz = (v[i] for v in astuple(traced[atom]))
+            got = 0.5 * np.array([[tr + sz, sx + 1j * sy], [sx - 1j * sy, tr - sz]])
+            assert np.max(np.abs(got - ref)) <= 1e-15
     assert oracle.norm_drift(traced[AtomId.FIRST]) < 1e-9
 
 

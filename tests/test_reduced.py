@@ -3,9 +3,12 @@ agreement, and the spectrum checks."""
 
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tjcm.reduced
 from tjcm import (
@@ -13,15 +16,16 @@ from tjcm import (
     FockWeights,
     InternalConsistencyError,
     InvalidParameterError,
+    ReducedAtomState,
     TruncationError,
+    bloch,
     coherent_weights,
-    eigen_table,
     swap_transform,
 )
 from tjcm import oracle
 from tjcm.reduced import max_deviation, reduced_states
 
-from conftest import amplitudes, reduced_direct, reduced_truth, sliced, through
+from conftest import amplitudes, eigen_table, reduced_direct, reduced_truth, sliced, through
 
 
 def reduced(weights, l, g, ts, atom):
@@ -44,21 +48,60 @@ def field_levels(size, *levels):
 
 
 def test_q_terms_at_t_zero():
-    """psi(0) = e1 in every block: p_minus is exactly 0 at T = 0, and p_plus
-    the window mass."""
+    """psi(0) = e1 in every block: at T = 0 the inversion is exactly the
+    trace, the window mass, and the coherence exactly 0."""
     w = coherent_weights(2.0)
-    for atom in AtomId:
-        s = reduced(w, 1, 0.7, [0.0], atom)
-        assert s.p_plus[0] == math.fsum(w.window(1)[1])
-        assert s.p_minus[0] == 0.0
-        assert s.coh_im[0] == pytest.approx(0.0, abs=1e-15)
-    for n in (0, 3, w.n_max):
-        single = field_levels(w.n_max + 1, n)
+    for weights in [w] + [field_levels(w.n_max + 1, n) for n in (0, 3, w.n_max)]:
+        mass = math.fsum(weights.window(1)[1])
         for atom in AtomId:
-            s = reduced(single, 1, 0.7, [0.0], atom)
-            assert s.p_plus[0] == pytest.approx(1.0, rel=1e-12)
-            assert s.p_minus[0] == 0.0
-            assert s.coh_im[0] == 0.0
+            s = reduced(weights, 1, 0.7, [0.0], atom)
+            assert s.sz[0] == s.trace == mass
+            assert s.sy[0] == 0.0
+
+
+def entry_moduli_squared(a, b):
+    """|rho_a - rho_b|^2 of every entry of the 2x2 matrices rho = [[trace +
+    sz, sx + i sy], [sx - i sy, trace - sz]] / 2 built from the fields of a
+    and b, at every time, exactly (Fractions)."""
+    def entries(state):
+        # twice rho_++, rho_+-, rho_-+ and rho_-- as (real, imaginary) at each time
+        fields = (np.broadcast_to(v, np.shape(state.sz)).tolist() for v in astuple(state))
+        return [[(t + z, 0), (x, y), (x, -y), (t - z, 0)]
+                for t, x, y, z in zip(*(map(Fraction, f) for f in fields))]
+    return [((ra - rb) ** 2 + (ia - ib) ** 2) / 4
+            for ea, eb in zip(entries(a), entries(b)) for (ra, ia), (rb, ib) in zip(ea, eb)]
+
+
+finite = st.floats(min_value=-4.0, max_value=4.0)
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states over the same 1-4 times: trace, sy and sz arrays, sx a
+    scalar."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    def state():
+        trace, sy, sz = (np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+                         for _ in range(3))
+        return ReducedAtomState(trace=trace, sx=draw(finite), sy=sy, sz=sz)
+    return state(), state()
+
+
+@given(state_pairs())
+@settings(max_examples=500, deadline=None)
+def test_max_deviation_is_the_largest_entry_distance(pair):
+    """max_deviation, read off the Pauli fields as |dtrace +- dsz| / 2 and
+    |dsx + i dsy| / 2, is the largest |d rho_ij| of the two 2x2 complex
+    matrices built explicitly from those fields, exactly, to 2 ulps of the
+    result: the two differences round, and so does their sum or hypot.
+    One ulp is not enough: |dtrace - dsz| / 2 = 2.53, with dtrace 1.03
+    and dsz -4.03, misses by 1.1 ulps."""
+    a, b = pair
+    got = max_deviation(a, b)
+    worst = max(entry_moduli_squared(a, b))
+    ulps = 2 * math.ulp(got)
+    lo, hi = Fraction(max(0.0, got - ulps)), Fraction(got + ulps)
+    assert lo * lo <= worst <= hi * hi, (got, math.sqrt(worst))
 
 
 def test_q_terms_symmetric_coupling_atom_independent():
@@ -72,12 +115,12 @@ def test_q_terms_symmetric_coupling_atom_independent():
 
 def test_q_terms_beyond_cutoff_coherence_vanishes():
     # with l = 3, levels 0 and 3 pair through the coherence ...
-    coh = reduced(field_levels(4, 0, 3), 3, 0.5, [0.0, 1.0], AtomId.FIRST).coh_im
-    assert abs(coh[1]) > 1e-3
+    sy = reduced(field_levels(4, 0, 3), 3, 0.5, [0.0, 1.0], AtomId.FIRST).sy
+    assert abs(sy[1]) > 2e-3
     # ... but in a table that stops at n = 2 every partner n + 3 lies
     # beyond the truncation
-    coh = reduced(field_levels(3, 0, 2), 3, 0.5, [0.0, 1.0], AtomId.FIRST).coh_im
-    assert coh.tolist() == [0.0, 0.0]
+    sy = reduced(field_levels(3, 0, 2), 3, 0.5, [0.0, 1.0], AtomId.FIRST).sy
+    assert sy.tolist() == [0.0, 0.0]
 
 
 def test_q_terms_against_oracle_two_level_field():
@@ -91,24 +134,25 @@ def test_q_terms_against_oracle_two_level_field():
     for atom in AtomId:
         assert max_deviation(reduced_at(w, l, g, T, atom), ref[atom]) < 1e-8
         # only the n = 24 summand feeds the coherence
-        coh25 = reduced(field_levels(26, 25), l, g, [0.0, T], atom).coh_im
-        assert coh25.tolist() == [0.0, 0.0]
+        sy25 = reduced(field_levels(26, 25), l, g, [0.0, T], atom).sy
+        assert sy25.tolist() == [0.0, 0.0]
 
 
 def test_reduced_state_initial_conditions():
     w = coherent_weights(5.0)
     s = reduced(w, 1, 0.5, [0.0], AtomId.FIRST)
-    assert s.p_plus[0] == pytest.approx(1.0, abs=1e-11)
-    assert s.p_minus[0] == pytest.approx(0.0, abs=1e-11)
-    assert s.coh_im[0] == pytest.approx(0.0, abs=1e-11)
+    assert s.trace == pytest.approx(1.0, abs=1e-11)
+    assert s.sz[0] == pytest.approx(1.0, abs=1e-11)
+    assert s.sy[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_reduced_state_trace_and_positivity_along_trajectory():
     w = coherent_weights(3.0)
     ts = np.linspace(0.0, 20.0, 41)
     for atom in AtomId:
-        p_plus, p_minus, coh_re, coh_im = astuple(reduced(w, 1, 0.5, ts, atom))
-        coh2 = coh_re ** 2 + coh_im ** 2
+        trace, sx, sy, sz = astuple(reduced(w, 1, 0.5, ts, atom))
+        p_plus, p_minus = 0.5 * (trace + sz), 0.5 * (trace - sz)
+        coh2 = 0.25 * (sx ** 2 + sy ** 2)
         assert np.max(np.abs(p_plus + p_minus - 1.0)) < 1e-10
         assert np.all((-1e-10 <= p_plus) & (p_plus <= 1.0 + 1e-10))
         assert np.all(coh2 <= p_plus * p_minus + 1e-10)
@@ -119,10 +163,10 @@ def test_reduced_state_trace_and_positivity_along_trajectory():
 
 
 def test_trace_at_t_zero_is_window_mass():
-    """At T = 0 each block sits in its initial state, so p_plus + p_minus,
-    and with p_minus = 0 the inversion, is the window mass sum pop up
-    to rounding: within 4 eps of it, and so below 1e-14, a hundredth of the
-    1e-12 that the observables clamp as rounding."""
+    """At T = 0 each block sits in its initial state, so the trace, and
+    the inversion, is the window mass sum pop up to rounding: within 4 eps
+    of it, and so below 1e-14, a hundredth of the 1e-12 that the
+    observables clamp as rounding."""
     eps = np.finfo(float).eps
     for alpha in (0.5, 1.0, 5.0, 12.0, 20.0):
         w = coherent_weights(alpha)
@@ -130,14 +174,15 @@ def test_trace_at_t_zero_is_window_mass():
             mass_dev = abs(math.fsum(w.window(l)[1]) - 1.0)
             for g in (0.5, 1.0, 2.0):
                 for state in reduced_states(w, l, g, np.array([0.0]), AtomId).values():
-                    inv_dev = abs(state.p_plus[0] - state.p_minus[0] - 1.0)
+                    inv_dev = abs(state.sz[0] - 1.0)
                     assert inv_dev <= mass_dev + 4.0 * eps
                     assert inv_dev < 1e-14
 
 
 def test_reduced_state_coherence_purely_imaginary():
-    """reduced_states gives the coherence a real part of 0.0; rebuild the
-    coherence here from the complex block amplitudes, real part included."""
+    """reduced_states gives the coherence a real part of 0.0 (sx); rebuild
+    the coherence here from the complex block amplitudes, real part
+    included."""
     w = coherent_weights(4.0)
     l, ts = 2, np.linspace(0.0, 12.0, 25)
     vals, vecs = eigen_table(w.n_max, l, 0.5)
@@ -151,8 +196,8 @@ def test_reduced_state_coherence_purely_imaginary():
         )
         assert np.max(np.abs(full.real)) < 1e-10
         s = reduced_states(w, l, 0.5, ts, [atom])[atom]
-        assert s.coh_re == 0.0
-        assert np.max(np.abs(s.coh_re + 1j * s.coh_im - full)) < 1e-10
+        assert s.sx == 0.0
+        assert np.max(np.abs(0.5 * (s.sx + 1j * s.sy) - full)) < 1e-10
 
 
 def test_reduced_state_symmetric_coupling_atoms_identical():
@@ -203,8 +248,9 @@ def test_reduced_states_grid_matches_single_times():
     for i, T in enumerate(ts):
         single = reduced_states(w, 2, 0.8, through(T), AtomId)
         for atom in AtomId:
-            assert single[atom].coh_re == grid[atom].coh_re == 0.0
-            for field in ("p_plus", "p_minus", "coh_im"):
+            assert single[atom].sx == grid[atom].sx == 0.0
+            assert single[atom].trace == grid[atom].trace
+            for field in ("sy", "sz"):
                 got, want = getattr(single[atom], field), getattr(grid[atom], field)
                 assert abs(got[-1] - want[i]) <= 1e-15
 
@@ -235,8 +281,8 @@ def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
         assert sizes == [(False, 4 * pop.size), (True, 8 * pair.size)]
         ref = reduced_direct(w, l, g, grid)
         for atom in AtomId:
-            for field, want in zip(("p_plus", "p_minus", "coh_im"), ref[atom]):
-                assert np.max(np.abs(getattr(states[atom], field) - want)) <= 1e-15, (alpha, l, g)
+            assert states[atom].trace == math.fsum(pop)
+            assert max_deviation(states[atom], ref[atom]) <= 1e-15, (alpha, l, g)
 
 
 def test_reduced_states_on_a_backward_grid():
@@ -248,7 +294,8 @@ def test_reduced_states_on_a_backward_grid():
     fwd = reduced_states(w, 2, 0.5, grid, AtomId)
     back = reduced_states(w, 2, 0.5, -grid, AtomId)
     for atom in AtomId:
-        for field, sign in (("p_plus", 1.0), ("p_minus", 1.0), ("coh_im", -1.0)):
+        assert back[atom].trace == fwd[atom].trace
+        for field, sign in (("sz", 1.0), ("sy", -1.0)):
             got, want = getattr(back[atom], field), getattr(fwd[atom], field)
             assert np.max(np.abs(sign * got - want)) <= 1e-15
 
@@ -257,7 +304,7 @@ def test_reduced_states_on_an_empty_grid():
     states = reduced_states(coherent_weights(3.0), 1, 0.5, np.zeros(0), AtomId)
     assert list(states) == list(AtomId)
     for state in states.values():
-        assert state.p_plus.shape == state.p_minus.shape == state.coh_im.shape == (0,)
+        assert state.sy.shape == state.sz.shape == (0,)
 
 
 def test_reduced_states_refuse_times_off_a_uniform_grid():
@@ -284,18 +331,16 @@ def test_reduced_states_match_fsum():
         x = amplitudes(eigen_table(w.n_max, l, g), ts, long_double=True)
         c, m = w.c, w.c.size - l
         for atom, state in reduced_states(w, l, g, ts, AtomId).items():
-            pp, pm, coh_re, coh_im = astuple(state)
-            assert coh_re == 0.0
+            assert state.sx == 0.0
             x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
+            ref = np.empty((3, ts.size))  # trace, sz, sy
             for i in range(ts.size):
-                ref_pp = math.fsum(c * c * (x1[i] ** 2 + x2[i] ** 2))
-                ref_pm = math.fsum(c * c * (x3[i] ** 2 + x4[i] ** 2))
-                ref_coh = math.fsum(
-                    c[l:] * c[:m] * (x2[i, l:] * x4[i, :m] - x3[i, :m] * x1[i, l:])
-                )
-                assert abs(pp[i] - ref_pp) <= 1e-15
-                assert abs(pm[i] - ref_pm) <= 1e-15
-                assert abs(coh_im[i] - ref_coh) <= 1e-15
+                pp, pm = c * c * (x1[i] ** 2 + x2[i] ** 2), c * c * (x3[i] ** 2 + x4[i] ** 2)
+                ref[:, i] = (math.fsum(np.r_[pp, pm]), math.fsum(np.r_[pp, -pm]), 2.0 * math.fsum(
+                    c[l:] * c[:m] * (x2[i, l:] * x4[i, :m] - x3[i, :m] * x1[i, l:])))
+            # every entry of the 2x2 matrix: the populations and the coherence
+            assert max_deviation(state, ReducedAtomState(trace=ref[0], sx=0.0, sy=ref[2],
+                                                          sz=ref[1])) <= 1e-15
 
 
 def test_sigma_off_the_closed_form_refused(monkeypatch):
@@ -367,7 +412,7 @@ def test_double_zero_eigenvalue_enters_at_second_order(monkeypatch, alpha, l):
 
     monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", zeroed)
     for atom, state in reduced_states(w, l, 1.0, grid, AtomId).items():
-        for field in ("p_plus", "p_minus", "coh_im"):
+        for field in ("sy", "sz"):
             dev = np.max(np.abs(getattr(state, field) - getattr(states[atom], field)))
             assert dev <= 2 * np.finfo(float).eps, (atom, field)
 
@@ -383,8 +428,7 @@ def test_double_zero_eigenvalue_against_mpmath(l):
     grid = np.linspace(0.0, 3.0, 61)
     truth = reduced_truth(w, l, 1.0, grid)
     for atom, state in reduced_states(w, l, 1.0, grid, AtomId).items():
-        for field, want in zip(("p_plus", "p_minus", "coh_im"), truth[atom]):
-            assert np.max(np.abs(getattr(state, field) - want)) <= 1e-14, (atom, field)
+        assert max_deviation(state, truth[atom]) <= 1e-14, atom
 
 
 def test_phase_conditioning_refused_before_any_transform(monkeypatch):
@@ -418,7 +462,7 @@ def test_bloch_check_refuses_a_faulty_inversion_row(monkeypatch):
     fault.append(0.0)
     mass = math.fsum(w.window(1)[1])
     for state in reduced_states(w, 1, 1.0, grid, AtomId).values():
-        radius = np.hypot(state.p_plus - state.p_minus, 2.0 * state.coh_im)
+        radius = np.hypot(state.sz, state.sy)
         assert 0.0 < mass - radius[-1] < 3e-12
         assert np.max(radius) <= mass * (1.0 + tjcm.reduced._BLOCH_TOL)
     fault[0] = 1e-9
@@ -438,10 +482,8 @@ def test_trace_check_refuses_excess_window_mass():
 
 
 def test_populations_sum_to_the_window_mass():
-    """p_plus and p_minus are (S +- sz) / 2 with S the window mass, and at
-    T = 0 p_plus is S - p_minus: their sum is S at every time, to two
-    roundings."""
-    eps = np.finfo(float).eps
+    """The trace is the window mass S, exactly as math.fsum gives it, and
+    the normalized state's inversion is sz / S, bit for bit."""
     grid = np.linspace(0.0, 25.0, 500)
     for alpha in (0.5, 5.0, 12.0, 20.0):
         w = coherent_weights(alpha)
@@ -449,4 +491,5 @@ def test_populations_sum_to_the_window_mass():
             mass = math.fsum(w.window(l)[1])
             for g in (0.0, 0.5, 2.0):
                 for state in reduced_states(w, l, g, grid, AtomId).values():
-                    assert np.max(np.abs(state.p_plus + state.p_minus - mass)) <= eps
+                    assert state.trace == mass
+                    assert np.array_equal(bloch(state).sz, state.sz / mass)

@@ -3,7 +3,8 @@ default-seed sweep ops reproduce the committed reference tables in
 ``benchmarks/reference`` to 1e-12, the tolerance of the benchmark's
 reference gate.  The tables were parsed from the CSVs that ``tjcm preset``
 and the sweep wrote (17 significant digits, so they hold the exact
-doubles); this module only reads them.
+doubles); this module only reads them.  On the same inputs, the T = 0 row
+is exactly the pure initial state's.
 """
 
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from tjcm import ModelParams, ScanConfig, run_preset, run_scan
+from tjcm.scan import ATOM_CHANNELS
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
 REFERENCE_TOL = 1e-12
@@ -56,3 +58,21 @@ def test_sweep_matches_reference():
     assert devs[worst] <= REFERENCE_TOL, (
         f"op {worst} {ref['params'][worst].tolist()}: max deviation {devs[worst]:.3e}"
     )
+
+
+def test_t_zero_row_is_the_pure_state():
+    """Both atoms start in |+>, a pure state of inversion 1 and coherence 0,
+    so at T = 0 every channel of the normalized state is exact: inv 1.0,
+    the jcm baseline's jcm_sz 1.0 and every other channel 0.0, although the
+    window mass, the trace, is rounded off 1.  On the 24 sweep ops and at
+    alpha 20, g 2, l 2 over three steps, whose window mass is
+    1 + 1.1e-15."""
+    pure = {"inv": 1.0, "jcm_sz": 1.0}
+    channels = (*(f"{kind}{atom}" for kind in ATOM_CHANNELS for atom in (1, 2)),
+                "jcm_sz", "jcm_sy", "jcm_ey")
+    cases = [((20.0, 2.0, 2), 3)] + [(p, SWEEP_STEPS) for p in load_reference("sweep")["params"]]
+    for (alpha, g, l), steps in cases:
+        cfg = ScanConfig(params=ModelParams(alpha=float(alpha), g=float(g), l=int(l)),
+                         t_max=SWEEP_T_MAX, steps=steps, channels=channels)
+        row = {name: float(v[0]) for name, v in run_scan(cfg).channels.items()}
+        assert row == {name: pure.get(name.rstrip("12"), 0.0) for name in channels}, (alpha, g, l)

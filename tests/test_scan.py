@@ -153,7 +153,7 @@ def test_strong_coupling_and_many_photons_give_physical_output(alpha, g, l):
     ts = run_scan(cfg)
     w = coherent_weights(alpha)
     for atom, state in reduced_states(w, l, g, ts.grid, AtomId).items():
-        assert np.max(np.abs(state.p_plus + state.p_minus - 1.0)) <= 1e-12
+        assert abs(state.trace - 1.0) <= 1e-12
         assert np.max(bloch(state).norm()) <= 1.0 + 1e-12
         tag = str(atom.value)
         assert np.array_equal(ts.channels[f"inv{tag}"], bloch(state).sz)
