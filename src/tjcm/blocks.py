@@ -329,12 +329,28 @@ def check_spectrum(vals: np.ndarray, sigma: np.ndarray) -> None:
 # double, the roundings delta_j, the fine grid's size, the _mode_tables.
 GridPlan = namedtuple("GridPlan", "h delta n_fine tables")
 
+# grid_plan's last plan and a copy of its times, (times, plan), kept only
+# while their arrays fit _FFT_STACK_BYTES together (48 bytes a time: up to
+# 2730 times).  One tuple, replaced in one assignment, so concurrent
+# callers at worst build a plan twice.
+_last_plan: tuple[np.ndarray, GridPlan] | None = None
+
 
 def grid_plan(times: np.ndarray) -> GridPlan:
     """The GridPlan of a uniform grid from T = 0 ([0] is one such grid).
     Times off a uniform grid by more than _UNIFORM_ULPS * eps * max|T|, and
-    then a uniform grid that starts elsewhere, raise InvalidParameterError."""
+    then a uniform grid that starts elsewhere, raise InvalidParameterError.
+
+    A process plans each short grid once: the last plan is returned again
+    for times bitwise equal to its own (as float64), which the channels of
+    a scan and the scans of a sweep share.  A plan of a longer grid is
+    built afresh on each call, so a long scan keeps no grid-length arrays.
+    A plan's delta and tables are read-only."""
+    global _last_plan
     times = np.asarray(times, dtype=float).reshape(-1)
+    last = _last_plan
+    if last is not None and np.array_equal(last[0].view(np.uint64), times.view(np.uint64)):
+        return last[1]
     n_t = times.size
     t0, t_end = (times[[0, -1]] if n_t else np.zeros(2)).astype(np.longdouble)
     h = (t_end - t0) / max(n_t - 1, 1)
@@ -346,7 +362,13 @@ def grid_plan(times: np.ndarray) -> GridPlan:
         raise InvalidParameterError(f"times must form a uniform grid from T = 0: they start at "
                                     f"T = {float(t0)}")
     n_fine = max(_UPSAMPLE * n_t, _MIN_FINE)
-    return GridPlan(h, delta, n_fine, _mode_tables(n_t, n_fine))
+    plan = GridPlan(h, delta, n_fine, _mode_tables(n_t, n_fine))
+    delta.flags.writeable = plan.tables.flags.writeable = False
+    if times.nbytes + delta.nbytes + plan.tables.nbytes <= _FFT_STACK_BYTES:
+        key = times.copy()
+        key.flags.writeable = False
+        _last_plan = key, plan
+    return plan
 
 
 def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
@@ -354,8 +376,10 @@ def trig_sum(freqs: np.ndarray, coefs: np.ndarray, grid: np.ndarray | GridPlan,
     """sum_m coefs[..., m] cos(freqs[m] T_j), or sin for sine, for real
     coefs on a uniform grid T_j = j h from T = 0 (h may be negative; [0] is
     a grid), shape coefs.shape[:-1] + (nT,).  grid is the times or their
-    GridPlan, which sums on one grid share; long-double freqs let sums and
-    differences of float64 frequencies enter exactly.
+    GridPlan, which sums on one grid share (given times, grid_plan's, which
+    is the kept plan when they are the last short grid planned);
+    long-double freqs let sums and differences of float64 frequencies
+    enter exactly.
 
     A row is a one-sided type-1 transform: c_m is spread from
     x_m = freqs[m] h mod 2 pi onto a real grid of 6 nT points by the kernel

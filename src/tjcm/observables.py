@@ -1,7 +1,10 @@
 """Diagnostics of a single-atom state, at one time or over a grid.
 
 Everything here is a function of the Bloch vector (sx, sy, sz) alone, and
-accepts scalars or arrays of matching shape for its components.
+accepts scalars or arrays of matching shape for its components.  Its sy
+carries the package's sign, 2 Im rho_{+-} (reduced.ReducedAtomState):
+-<sigma_y> for the standard sigma_y = [[0, -i], [i, 0]] in the {|+>, |->}
+basis; every quantity here is even in sy.
 Information entropies are Shannon entropies (in nats) of the two-outcome
 measurement distributions (1 +- m)/2; the entropy-squeezing witness for a
 Pauli axis k is

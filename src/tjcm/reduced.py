@@ -43,7 +43,11 @@ class ReducedAtomState:
     in the {|+>, |->} basis, each field an array over the times or one
     scalar for all of them (reduced_states gives the scalars sx = 0.0, as
     the model's coherence is purely imaginary, and trace = the window
-    mass).  The channels are those of rho / trace (observables.bloch)."""
+    mass).  The channels are those of rho / trace (observables.bloch).
+    sy is 2 Im rho_{+-}, which is -tr(rho sigma_y) for the standard
+    sigma_y = [[0, -i], [i, 0]] in this basis: (|+> + i|->) / sqrt(2)
+    reads sy = -1.  Only the printed sign of sy depends on it; entropies,
+    witnesses and max_deviation do not."""
 
     trace: float | np.ndarray
     sx: float | np.ndarray
@@ -94,7 +98,9 @@ def reduced_states(
     sum over the 8 frequencies s_i(n + l) +- s_j(n) per pair; every
     coefficient is a product of c, s and the entries of v1 and v2.  Atom 2
     swaps components 1 and 2.  Both ``trig_sum`` calls, each over both
-    atoms' rows, share one ``grid_plan``.  At g = 1, sigma2 = 0 and the v2
+    atoms' rows, share one ``grid_plan``, and a later call on the same
+    short grid (a scan's jcm_* baseline, the next scan of a sweep) gets
+    that plan back from grid_plan.  At g = 1, sigma2 = 0 and the v2
     term drops out, so the Jacobi's +-tiny s2 enters only through
     cos s2 T, at second order.  The blocks evolve unitarily, so the trace
     is the window mass S = sum pop at every time; at T = 0, psi = e1, so

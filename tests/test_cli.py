@@ -251,17 +251,23 @@ def test_import_leaves_scipy_sparse_and_special_unloaded():
     assert out.split() == ["[]", "[]"]
 
 
-def test_verify_leaves_numpy_random_unloaded():
-    """verify samples its grid evenly, so numpy.random is never imported."""
+def test_presets_and_verify_leave_heavy_modules_unloaded():
+    """A fresh process that runs every preset and one verify through the
+    command line never imports numpy.ma (the oracle hand-rolls np.unique),
+    numpy.polynomial (blocks computes its own Legendre rule), numpy.random
+    (verify samples its grid evenly) or scipy."""
     code = (
-        "import sys; from tjcm.cli import main; "
-        "code = main(['verify', '--alpha', '1.5', '--tmax', '4', '--steps', '40', "
-        "'--samples', '10']); "
-        "print(code, 'numpy.random' in sys.modules)"
+        "import os, sys; from tjcm.cli import main; "
+        "codes = [main(['preset', name, '--out', os.devnull]) "
+        "for name in ('fig1', 'fig2', 'fig3', 'fig4')]; "
+        "codes.append(main(['verify', '--alpha', '5', '--g', '0.5', '--tmax', '3'])); "
+        "print(codes); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'], ['numpy', 'random'])))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
 
 
 NO_SCIPY = """

@@ -10,8 +10,10 @@ from tjcm import (
     AtomId,
     FockWeights,
     InvalidParameterError,
+    ReducedAtomState,
     StepSizeError,
     TruncationError,
+    bloch,
     coherent_weights,
 )
 from tjcm import oracle
@@ -354,6 +356,24 @@ def test_partial_trace_bell_like_state():
         assert 0.5 * (trace + sz) == pytest.approx(0.5, abs=1e-15)
         assert 0.5 * (trace - sz) == pytest.approx(0.5, abs=1e-15)
         assert (sx, sy) == (0.0, 0.0)
+
+
+def test_sy_is_minus_the_standard_sigma_y():
+    """The package's sy is 2 Im rho_{+-}, which is -tr(rho sigma_y) for
+    sigma_y = [[0, -i], [i, 0]] in the {|+>, |->} basis: atom 1 in
+    (|+> + i|->) / sqrt(2), the +1 eigenstate of that sigma_y, reads
+    sy = -1, and its Bloch vector (0, -1, 0)."""
+    n_f = 2
+    psi = np.zeros(4 * (n_f + 1), dtype=complex)
+    psi[0] = 1.0 / math.sqrt(2.0)  # |+,+,0>
+    psi[2 * (n_f + 1)] = 1j / math.sqrt(2.0)  # |-,+,0>
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    assert np.vdot(psi[[0, 2 * (n_f + 1)]], sigma_y @ psi[[0, 2 * (n_f + 1)]]).real == pytest.approx(1.0)
+    trace, sx, sy, sz = trace_at_zero(psi, n_f)[AtomId.FIRST]
+    assert sy == pytest.approx(-1.0, abs=1e-15)
+    assert trace == pytest.approx(1.0, abs=1e-15) and (sx, sz) == (0.0, 0.0)
+    b = bloch(ReducedAtomState(trace, sx, sy, sz))
+    assert (b.sx, b.sz) == (0.0, 0.0) and b.sy == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_partial_trace_rejects_unnormalized():

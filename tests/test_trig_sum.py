@@ -10,11 +10,15 @@ what any of the three losses costs.  The one-sided transform has no index
 shift, so the test of its long-double phase went with it.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from tjcm import AtomId, InvalidParameterError, blocks, coherent_weights, reduced_states, tjcm_harmonic_sy
 from tjcm.blocks import grid_plan, trig_sum
+from tjcm.scan import run_preset
 
 from conftest import through
 
@@ -123,15 +127,132 @@ def test_trig_sum_last_mode(steps):
                 assert abs(got - direct(freq, [1.0], times[-1:], sine)[0]) <= TOL
 
 
-def test_shared_plan_equals_a_fresh_one():
-    """A GridPlan shared by several sums gives each of them, bit for bit,
-    what its own times give."""
+def test_shared_plan_equals_a_fresh_one(monkeypatch):
+    """A GridPlan shared by several sums, and kept by grid_plan, gives each
+    of them, bit for bit, what a plan built afresh (the kept one dropped
+    first) gives."""
     freqs, coefs = random_sum(10, 60, 0.0, 300.0)
     other, _ = random_sum(11, 60, 0.0, 30.0)
     for times in (np.linspace(0.0, 25.0, 500), np.linspace(0.0, -3.0, 31), [0.0]):
         plan = grid_plan(times)
+        monkeypatch.setattr(blocks, "_last_plan", None)
+        fresh = grid_plan(times)
+        assert fresh is not plan
+        assert fresh.h == plan.h and fresh.n_fine == plan.n_fine
+        assert np.array_equal(fresh.delta, plan.delta) and np.array_equal(fresh.tables, plan.tables)
         for f, sine in ((freqs, False), (other, True), (freqs, True), (other, False)):
-            assert np.array_equal(trig_sum(f, coefs, plan, sine), trig_sum(f, coefs, times, sine))
+            expected = trig_sum(f, coefs, fresh, sine)
+            assert np.array_equal(trig_sum(f, coefs, plan, sine), expected)
+            assert np.array_equal(trig_sum(f, coefs, times, sine), expected)
+
+
+def test_grid_plan_keeps_the_last_plan_for_equal_times(monkeypatch):
+    """Times bitwise equal to the last grid's, in another array, a strided
+    view or a list, get its plan object back; times one ulp apart, a sign
+    of zero apart or of another length get a new plan, and so do the first
+    times once changed in place (the plan keeps a copy of them)."""
+    monkeypatch.setattr(blocks, "_last_plan", None)
+    times = np.linspace(0.0, 25.0, 500)
+    plan = grid_plan(times)
+    assert grid_plan(times.copy()) is plan
+    assert grid_plan(times.tolist()) is plan
+    strided = np.linspace(0.0, 25.0, 999)[::2]
+    assert np.array_equal(strided, times) and grid_plan(strided) is plan
+    nudged = times.copy()
+    nudged[-1] = np.nextafter(nudged[-1], 26.0)
+    negative_zero = times.copy()
+    negative_zero[0] = -0.0
+    for other in (nudged, negative_zero, np.linspace(0.0, 25.0, 501), times[:499]):
+        kept = grid_plan(times)
+        assert grid_plan(other) is not kept
+        assert grid_plan(other) is grid_plan(other.copy())
+    kept = grid_plan(times)
+    assert kept is not plan and grid_plan(times) is kept
+    times *= 2.0
+    assert grid_plan(times) is not kept
+
+
+def test_kept_plan_is_read_only(monkeypatch):
+    monkeypatch.setattr(blocks, "_last_plan", None)
+    plan = grid_plan(np.linspace(0.0, 25.0, 500))
+    assert blocks._last_plan[1] is plan
+    for a in (plan.delta, plan.tables, blocks._last_plan[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 1.0
+
+
+def test_grid_plan_keeps_no_plan_above_the_cap(monkeypatch):
+    """A plan is kept only while its delta, tables and times, 48 bytes a
+    time, fit _FFT_STACK_BYTES: the longest such grid's plan is kept, and
+    one time more is built afresh on each call, the kept plan untouched."""
+    longest = blocks._FFT_STACK_BYTES // 48
+    monkeypatch.setattr(blocks, "_last_plan", None)
+    kept = grid_plan(np.linspace(0.0, 25.0, longest))
+    assert grid_plan(np.linspace(0.0, 25.0, longest)) is kept
+    times = np.linspace(0.0, 25.0, longest + 1)
+    first = grid_plan(times)
+    assert grid_plan(times) is not first
+    assert blocks._last_plan[1] is kept
+    assert np.array_equal(grid_plan(times).tables, first.tables)
+
+
+def test_refused_grid_is_never_kept(monkeypatch):
+    """A grid off uniform, or not from T = 0, raises on every call and
+    leaves the kept plan as it was."""
+    monkeypatch.setattr(blocks, "_last_plan", None)
+    times = np.linspace(0.0, 25.0, 500)
+    kept = grid_plan(times)
+    off = np.linspace(0.0, 25.0, 100)
+    off[40] += 1e-12
+    for bad, message in ((off, "they stray"), (np.linspace(0.5, 25.0, 100), "from T = 0")):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match=message):
+                grid_plan(bad)
+            assert blocks._last_plan[1] is kept
+    assert grid_plan(times) is kept
+
+
+def test_concurrent_callers_get_their_own_grids_plan(monkeypatch):
+    """Threads planning two grids in turn, switching often, each get a plan
+    of their own times: the kept (times, plan) pair is replaced whole."""
+    monkeypatch.setattr(blocks, "_last_plan", None)
+    grids = [np.linspace(0.0, 25.0, n) for n in (50, 60)]
+    expected = [grid_plan(t).delta.copy() for t in grids]
+    wrong = []
+
+    def plan_in_turn(first):
+        for k in range(500):
+            i = (first + k) % 2
+            if not np.array_equal(grid_plan(grids[i]).delta, expected[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=plan_in_turn, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_preset_plans_its_grid_once(monkeypatch, preset):
+    """fig3's two scans and fig4's three transforms (ey1, jcm_ey, sy1,
+    jcm_sy, harmonic_sy: the scan's atom, the baseline at g = 0 and the
+    harmonic reference) share one 2500-time grid, which a fresh process
+    plans once: one _mode_tables call, where a plan per call site made
+    2 and 3."""
+    calls = []
+    mode_tables = blocks._mode_tables
+    monkeypatch.setattr(blocks, "_mode_tables", lambda *a: calls.append(a) or mode_tables(*a))
+    monkeypatch.setattr(blocks, "_last_plan", None)
+    run_preset(preset)
+    assert calls == [(2500, 15000)]
 
 
 @pytest.mark.parametrize("steps", [1, 2, 500, 2500, 20001])
