@@ -4,7 +4,7 @@ The two-atom symmetric case admits a strong-field (alpha >> 1)
 approximation for the transverse coherence in terms of the block
 frequencies w_n = sqrt(4n + 6), kept here as a reference against the
 exact two-atom pipeline.  It is a real sine sum over known frequencies,
-evaluated on a uniform grid from T = 0 by blocks.trig_sum, so no (T, n)
+evaluated on a uniform grid from T = 0 by transform.trig_sum, so no (T, n)
 phase matrix over the grid exists.  It sums over n = n_min..n_max, with
 n_min and the weights C_n C_{n+1} from weights.window(1): the terms below
 it carry at most 1e-8 * cutoff_eps of the pair weight, and no term exceeds
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import check_phase_conditioning, trig_sum
+from . import transform
 from .params import FockWeights
 
 
@@ -41,6 +41,6 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     n_min, _, pair = weights.window(1)
     w = np.sqrt(4.0 * np.arange(n_min, weights.n_max + 1.0) + 6.0)
     freqs = np.concatenate([w[:-1] - w[1:], w[:-1], w[1:]])
-    check_phase_conditioning(freqs, T, ("t_max", "alpha"))
-    sy = trig_sum(freqs, np.concatenate([pair, pair, pair]), T, sine=True)
+    transform.check_phase_conditioning(freqs, T, ("t_max", "alpha"))
+    sy = transform.trig_sum(freqs, np.concatenate([pair, pair, pair]), T, sine=True)
     return 0.5 * sy.reshape(np.shape(T))[()]

@@ -8,7 +8,7 @@ from the model parameters to these states: it takes the eigenvalues of
 the blocks of the weights' window (params.FockWeights.window) from the
 Jacobi and their amplitudes from the closed-form SVD (blocks.block_svd),
 and evaluates the inversion and the coherence as real cosine and sine
-sums on one grid plan (blocks.trig_sum), with the equal and opposite
+sums on one grid plan (transform.trig_sum), with the equal and opposite
 frequencies of the +- symmetric block spectra merged.
 max_deviation compares two such states.
 """
@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .blocks import (block_matrices, block_svd, check_phase_conditioning, check_spectrum,
-                     grid_plan, jacobi_eigh, trig_sum)
+from . import transform
+from .blocks import block_matrices, block_svd, check_spectrum, jacobi_eigh
 from .errors import InternalConsistencyError, InvalidParameterError, TruncationError
 from .params import FockWeights
 
@@ -120,12 +120,13 @@ def reduced_states(
     InternalConsistencyError is raised when a Bloch vector (sz, sy)
     leaves the ball of radius S (1 + _BLOCH_TOL), as a faulty row can.
     """
-    plan = grid_plan(grid)
+    plan = transform.grid_plan(grid)
     atoms = tuple(atoms)
     n_min, pop, pair = weights.window(l)
     vals = jacobi_eigh(block_matrices(weights.n_max, l, g, n_min))
     # g and l move the spectrum only where g > 0, and l cannot go below 1
-    check_phase_conditioning(vals, grid, ("t_max", "alpha") + ("g",) * (g > 0) + ("l",) * (l > 1))
+    transform.check_phase_conditioning(vals, grid,
+                                       ("t_max", "alpha") + ("g",) * (g > 0) + ("l",) * (l > 1))
     sigma, c, s, (v1_1, v1_2) = block_svd(weights.n_max, l, g, n_min)
     check_spectrum(vals, sigma)
     mass = math.fsum(pop)
@@ -165,11 +166,11 @@ def reduced_states(
             su * cd * (fu * sd - su * od), su * sd * (su * hd - fu * cd),
             -su * sd * (fu * cd + su * hd), su * cd * (fu * sd + su * od)], axis=1)).ravel())
     s1, s2 = w[:, 3], w[:, 2]  # as w_0 - w_1, w_0 - w_2, w_0 - w_3 and w_1 - w_2
-    sz = trig_sum(np.stack([s2 - s1, -s1 - s2, -2 * s1, -2 * s2], axis=1).ravel(), inv, plan)
+    sz = transform.trig_sum(np.stack([s2 - s1, -s1 - s2, -2 * s1, -2 * s2], axis=1).ravel(), inv, plan)
     sz += np.array(inv_0)[:, None]
     # w_k'(n) - w_k(n + l), k < 2: s1(n + l) - s1(n), - s2(n), + s2(n), + s1(n),
     # then the same from s2(n + l)
-    coh = trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
+    coh = transform.trig_sum((w[:m, None, :] - w[l:, :2, None]).ravel(), coh, plan, sine=True)
     states = {}
     for atom, row, sy in zip(atoms, sz, coh):
         sy *= 2.0

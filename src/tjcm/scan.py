@@ -114,8 +114,9 @@ class TimeSeries:
     channels: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0.0):
-            raise InvalidParameterError("grid must be strictly increasing")
+        grid = self.grid
+        if grid.ndim != 1 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+            raise InvalidParameterError("grid must be finite and strictly increasing")
         for name, values in self.channels.items():
             if values.shape != self.grid.shape:
                 raise InvalidParameterError(
@@ -144,7 +145,7 @@ def run_scan(cfg: ScanConfig) -> TimeSeries:
 
     Single-atom channels come from ``reduced_states``, which diagonalizes
     the blocks once and evaluates each entry of the states on the whole
-    grid as a trig sum over the spectrum (``blocks.trig_sum``).  The jcm_*
+    grid as a trig sum over the spectrum (``transform.trig_sum``).  The jcm_*
     channels are the one-atom Jaynes-Cummings baseline: atom 1 of the same
     path at g = 0, where atom 2 is frozen, and l = 1, whatever the scan's
     g and l.  harmonic_sy is a trig sum too.  The weight table is the

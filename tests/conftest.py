@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from tjcm import ContractViolationError, InternalConsistencyError, blocks, oracle
-from tjcm.blocks import (_NORM_TOL, block_matrices, block_svd, check_phase_conditioning,
-                         jacobi_eigh)
+from tjcm.blocks import _NORM_TOL, block_matrices, block_svd, jacobi_eigh
 from tjcm.params import coherent_weights
 from tjcm.reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
+from tjcm.transform import check_phase_conditioning
 
 ALL_ATOM_CHANNELS = (
     "inv1", "inv2", "sy1", "sy2", "ey1", "ey2", "ex1", "ex2",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tjcm.reduced
+import tjcm.transform
 from tjcm import (
     AtomId,
     FockWeights,
@@ -263,13 +264,13 @@ def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
     (conftest.reduced_direct).  The trig sums run over the merged
     frequencies of the +- symmetric spectrum: 4 per block for the
     populations and 8 per pair of blocks n + l, n for the coherences."""
-    real, sizes = tjcm.reduced.trig_sum, []
+    real, sizes = tjcm.transform.trig_sum, []
 
     def spy(freqs, coefs, plan, sine=False):
         sizes.append((sine, np.size(freqs)))
         return real(freqs, coefs, plan, sine=sine)
 
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", spy)
+    monkeypatch.setattr(tjcm.transform, "trig_sum", spy)
     for alpha, l, g, steps in ((5.0, 1, 0.5, 2500), (5.0, 2, 0.5, 2500), (5.0, 1, 1.0, 2500),
                                (5.0, 2, 1.0, 2500), (5.0, 1, 0.0, 500), (12.0, 2, 2.0, 500),
                                (19.6, 2, 1.3, 500)):
@@ -362,7 +363,7 @@ def test_sigma_off_the_closed_form_refused(monkeypatch):
         return vals
 
     monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", nudged)
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(tjcm.transform, "trig_sum", lambda *a, **k: calls.append(a))
     w = coherent_weights(5.0)
     for pair in ((0, 3), (1, 2)):
         with pytest.raises(InternalConsistencyError, match="misses the closed form's sigma"):
@@ -385,7 +386,7 @@ def test_asymmetric_spectrum_refused(monkeypatch):
         return vals
 
     monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", shifted)
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(tjcm.transform, "trig_sum", lambda *a, **k: calls.append(a))
     w = coherent_weights(5.0)
     with pytest.raises(InternalConsistencyError, match="symmetric"):
         reduced_states(w, 1, 0.5, np.linspace(0.0, 25.0, 2500), AtomId)
@@ -433,7 +434,7 @@ def test_double_zero_eigenvalue_against_mpmath(l):
 
 def test_phase_conditioning_refused_before_any_transform(monkeypatch):
     calls = []
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", lambda *a: calls.append(a))
+    monkeypatch.setattr(tjcm.transform, "trig_sum", lambda *a: calls.append(a))
     w = coherent_weights(5.0)
     with pytest.raises(InvalidParameterError, match="phase conditioning"):
         # l = 8: conditioning 1.3e-6 over t_max 25
@@ -450,7 +451,7 @@ def test_bloch_check_refuses_a_faulty_inversion_row(monkeypatch):
     of the trace."""
     w = coherent_weights(2.0)
     grid = np.linspace(0.0, 1e-6, 2000)
-    real, fault = tjcm.reduced.trig_sum, []
+    real, fault = tjcm.transform.trig_sum, []
 
     def faulty(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -458,7 +459,7 @@ def test_bloch_check_refuses_a_faulty_inversion_row(monkeypatch):
             out[0, -1] += fault[0]
         return out
 
-    monkeypatch.setattr(tjcm.reduced, "trig_sum", faulty)
+    monkeypatch.setattr(tjcm.transform, "trig_sum", faulty)
     fault.append(0.0)
     mass = math.fsum(w.window(1)[1])
     for state in reduced_states(w, 1, 1.0, grid, AtomId).values():

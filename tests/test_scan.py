@@ -512,6 +512,16 @@ def test_csv_rejects_foreign_file(tmp_path):
         read_csv(str(p))
 
 
+@pytest.mark.parametrize("times", ["0,nan,2", "0,inf", "nan"])
+def test_csv_refuses_a_time_column_not_finite(tmp_path, times):
+    """A T column holding NaN or inf is refused like a decreasing one: a
+    NaN difference compares false both ways, so <= 0 alone let it through."""
+    p = tmp_path / "x.csv"
+    p.write_text("T,inv1\n" + "".join(f"{t},1\n" for t in times.split(",")))
+    with pytest.raises(InvalidParameterError, match="finite and strictly increasing"):
+        read_csv(str(p))
+
+
 def test_time_series_shape_guard():
     with pytest.raises(InvalidParameterError):
         TimeSeries(grid=np.zeros(4), channels={"inv1": np.zeros(3)})

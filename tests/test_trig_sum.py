@@ -1,4 +1,4 @@
-"""blocks.trig_sum against direct long-double sums.
+"""transform.trig_sum against direct long-double sums.
 
 Each of the last three tests sits where one way of losing precision in the
 transform costs 1e-12 or more, so that it fails if that precision is lost:
@@ -16,9 +16,10 @@ import threading
 import numpy as np
 import pytest
 
-from tjcm import AtomId, InvalidParameterError, blocks, coherent_weights, reduced_states, tjcm_harmonic_sy
-from tjcm.blocks import grid_plan, trig_sum
+from tjcm import (AtomId, InvalidParameterError, ModelParams, ScanConfig, coherent_weights, reduced_states,
+                  run_scan, tjcm_harmonic_sy, transform)
 from tjcm.scan import run_preset
+from tjcm.transform import grid_plan, trig_sum
 
 from conftest import through
 
@@ -85,8 +86,8 @@ def test_trig_sum_stack_equals_rows_alone(steps, count):
     a time (_FFT_STACK_BYTES: five rows at nT 500, one at nT 20000), and
     each row of it equals, bit for bit, the row summed alone, in cosine
     and in sine sums."""
-    size = (6 * steps + blocks._ES_WIDTH) * 8
-    assert 1 <= max(blocks._FFT_STACK_BYTES // size, 1) < count
+    size = (6 * steps + transform._ES_WIDTH) * 8
+    assert 1 <= max(transform._FFT_STACK_BYTES // size, 1) < count
     freqs, coefs = random_sum(steps + count, 200, 0.0, 900.0)
     rows = np.stack([coefs * (k + 1) * (-1.0) ** k for k in range(count)])
     for times in (np.linspace(0.0, 25.0, steps), np.linspace(0.0, -25.0, steps)):
@@ -135,7 +136,7 @@ def test_shared_plan_equals_a_fresh_one(monkeypatch):
     other, _ = random_sum(11, 60, 0.0, 30.0)
     for times in (np.linspace(0.0, 25.0, 500), np.linspace(0.0, -3.0, 31), [0.0]):
         plan = grid_plan(times)
-        monkeypatch.setattr(blocks, "_last_plan", None)
+        monkeypatch.setattr(transform, "_last_plan", None)
         fresh = grid_plan(times)
         assert fresh is not plan
         assert fresh.h == plan.h and fresh.n_fine == plan.n_fine
@@ -151,7 +152,7 @@ def test_grid_plan_keeps_the_last_plan_for_equal_times(monkeypatch):
     view or a list, get its plan object back; times one ulp apart, a sign
     of zero apart or of another length get a new plan, and so do the first
     times once changed in place (the plan keeps a copy of them)."""
-    monkeypatch.setattr(blocks, "_last_plan", None)
+    monkeypatch.setattr(transform, "_last_plan", None)
     times = np.linspace(0.0, 25.0, 500)
     plan = grid_plan(times)
     assert grid_plan(times.copy()) is plan
@@ -173,10 +174,10 @@ def test_grid_plan_keeps_the_last_plan_for_equal_times(monkeypatch):
 
 
 def test_kept_plan_is_read_only(monkeypatch):
-    monkeypatch.setattr(blocks, "_last_plan", None)
+    monkeypatch.setattr(transform, "_last_plan", None)
     plan = grid_plan(np.linspace(0.0, 25.0, 500))
-    assert blocks._last_plan[1] is plan
-    for a in (plan.delta, plan.tables, blocks._last_plan[0]):
+    assert transform._last_plan[1] is plan
+    for a in (plan.delta, plan.tables, transform._last_plan[0]):
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 1.0
 
@@ -185,21 +186,21 @@ def test_grid_plan_keeps_no_plan_above_the_cap(monkeypatch):
     """A plan is kept only while its delta, tables and times, 48 bytes a
     time, fit _FFT_STACK_BYTES: the longest such grid's plan is kept, and
     one time more is built afresh on each call, the kept plan untouched."""
-    longest = blocks._FFT_STACK_BYTES // 48
-    monkeypatch.setattr(blocks, "_last_plan", None)
+    longest = transform._FFT_STACK_BYTES // 48
+    monkeypatch.setattr(transform, "_last_plan", None)
     kept = grid_plan(np.linspace(0.0, 25.0, longest))
     assert grid_plan(np.linspace(0.0, 25.0, longest)) is kept
     times = np.linspace(0.0, 25.0, longest + 1)
     first = grid_plan(times)
     assert grid_plan(times) is not first
-    assert blocks._last_plan[1] is kept
+    assert transform._last_plan[1] is kept
     assert np.array_equal(grid_plan(times).tables, first.tables)
 
 
 def test_refused_grid_is_never_kept(monkeypatch):
     """A grid off uniform, or not from T = 0, raises on every call and
     leaves the kept plan as it was."""
-    monkeypatch.setattr(blocks, "_last_plan", None)
+    monkeypatch.setattr(transform, "_last_plan", None)
     times = np.linspace(0.0, 25.0, 500)
     kept = grid_plan(times)
     off = np.linspace(0.0, 25.0, 100)
@@ -208,14 +209,14 @@ def test_refused_grid_is_never_kept(monkeypatch):
         for _ in range(2):
             with pytest.raises(InvalidParameterError, match=message):
                 grid_plan(bad)
-            assert blocks._last_plan[1] is kept
+            assert transform._last_plan[1] is kept
     assert grid_plan(times) is kept
 
 
 def test_concurrent_callers_get_their_own_grids_plan(monkeypatch):
     """Threads planning two grids in turn, switching often, each get a plan
     of their own times: the kept (times, plan) pair is replaced whole."""
-    monkeypatch.setattr(blocks, "_last_plan", None)
+    monkeypatch.setattr(transform, "_last_plan", None)
     grids = [np.linspace(0.0, 25.0, n) for n in (50, 60)]
     expected = [grid_plan(t).delta.copy() for t in grids]
     wrong = []
@@ -248,11 +249,30 @@ def test_preset_plans_its_grid_once(monkeypatch, preset):
     plans once: one _mode_tables call, where a plan per call site made
     2 and 3."""
     calls = []
-    mode_tables = blocks._mode_tables
-    monkeypatch.setattr(blocks, "_mode_tables", lambda *a: calls.append(a) or mode_tables(*a))
-    monkeypatch.setattr(blocks, "_last_plan", None)
+    mode_tables = transform._mode_tables
+    monkeypatch.setattr(transform, "_mode_tables", lambda *a: calls.append(a) or mode_tables(*a))
+    monkeypatch.setattr(transform, "_last_plan", None)
     run_preset(preset)
     assert calls == [(2500, 15000)]
+
+
+def test_one_wrap_of_trig_sum_sees_every_sum(monkeypatch):
+    """Every sum in the package goes through transform.trig_sum as a module
+    attribute: one counting wrapper sees the scan's 5 calls (2 for the
+    atoms, 2 for the jcm_* baseline, 1 for harmonic_sy), and the scan's
+    output is what it is unwrapped."""
+    cfg = ScanConfig(params=ModelParams(alpha=5.0, g=0.5, l=2), t_max=25.0, steps=500,
+                     channels=("inv1", "sy2", "jcm_sz", "harmonic_sy"))
+    expected = run_scan(cfg)
+    calls = []
+    real = transform.trig_sum
+    monkeypatch.setattr(transform, "trig_sum", lambda *a, **k: calls.append(a) or real(*a, **k))
+    got = run_scan(cfg)
+    assert len(calls) == 5
+    assert np.array_equal(got.grid, expected.grid)
+    assert got.channels.keys() == expected.channels.keys()
+    for name, values in expected.channels.items():
+        assert np.array_equal(got.channels[name], values), name
 
 
 @pytest.mark.parametrize("steps", [1, 2, 500, 2500, 20001])
@@ -261,14 +281,14 @@ def test_mode_tables_match_cosine_sums(steps):
     Gauss-Legendre sums of phi taken one cosine at a time, and the
     twiddles are cos and sin 2 pi k / n_fine within 2.5e-16."""
     n_fine = max(6 * steps, 256)
-    got = blocks._mode_tables(steps, n_fine)
+    got = transform._mode_tables(steps, n_fine)
     assert got.shape == (4, steps)
     theta = np.arange(steps, dtype=LD) * TWO_PI / n_fine
     assert np.max(np.abs(got[:2] - [np.cos(theta), np.sin(theta)])) <= 2.5e-16
-    for width, inv in zip((blocks._ES_WIDTH, blocks._CORRECTION_WIDTH), got[2:]):
-        beta = blocks._ES_BETA_PER_POINT * width
-        nodes = blocks._GL_Z * (width * np.pi / n_fine)
-        weights = (blocks._GL_W * np.exp(-2.0 * beta * blocks._GL_HALF_SQ))[:, None]
+    for width, inv in zip((transform._ES_WIDTH, transform._CORRECTION_WIDTH), got[2:]):
+        beta = transform._ES_BETA_PER_POINT * width
+        nodes = transform._GL_Z * (width * np.pi / n_fine)
+        weights = (transform._GL_W * np.exp(-2.0 * beta * transform._GL_HALF_SQ))[:, None]
         ft = (weights * np.cos(np.multiply.outer(nodes, np.arange(steps)))).sum(axis=0)
         assert np.max(np.abs(inv * 2.0 * width * ft - 1.0)) <= 1e-15
 
@@ -284,8 +304,8 @@ def test_trig_sum_bitwise_independent_of_block_size(monkeypatch):
     cases = [(rows, np.linspace(0.0, 25.0, 700), True), (coefs, np.linspace(0.0, -25.0, 700), False),
              (coefs, np.linspace(0.0, 1.0, 2), False), (rows, np.linspace(0.0, -3.0, 3), True)]
     default = [trig_sum(freqs, c, times, sine) for c, times, sine in cases]
-    for block in (1, 1000, 10**9, blocks._SPREAD_BLOCK):
-        monkeypatch.setattr(blocks, "_SPREAD_BLOCK", block)
+    for block in (1, 1000, 10**9, transform._SPREAD_BLOCK):
+        monkeypatch.setattr(transform, "_SPREAD_BLOCK", block)
         for (c, times, sine), expected in zip(cases, default):
             assert np.array_equal(trig_sum(freqs, c, times, sine), expected)
 
