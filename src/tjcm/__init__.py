@@ -8,7 +8,6 @@ space plus a direct partial trace) verifies it.  A CLI emits the standard
 figure presets and free parameter scans as CSV time series.
 """
 
-from .blocks import block_matrices
 from .errors import (
     ContractViolationError,
     InternalConsistencyError,
@@ -67,7 +66,6 @@ __all__ = [
     "VerifyReport",
     "binary_entropy_of_mean",
     "bloch",
-    "block_matrices",
     "coherent_weights",
     "entropy_squeezing",
     "eur_residual",

@@ -10,12 +10,13 @@ n_min carry at most 1e-8 * cutoff_eps of the weight together.  Each block
 is bipartite, H = [[0, C], [C^T, 0]] between the components (0, 3) and
 (1, 2), so its spectrum is +-sigma1, +-sigma2 and its eigenvectors
 (u_i, +-v_i) / sqrt(2) come from the SVD of the 2x2 matrix C in closed
-form (block_svd; Golub & Van Loan, Matrix Computations, 4th ed., 8.6).
-The eigenvalues the package evaluates are those of a batched cyclic Jacobi
-eigensolver (jacobi_eigh), cross-checked against the closed form's
-(check_spectrum).  Block n's amplitudes are sum_k exp(-i w_k T) <v_k|e1>
-v_k, so every analytic output is a finite cosine or sine sum with real
-coefficients over this spectrum (transform.trig_sum).
+form (_coupling_svd; Golub & Van Loan, Matrix Computations, 4th ed., 8.6).
+block_spectrum, the one entry, returns those vectors and the eigenvalues
+of a batched cyclic Jacobi eigensolver (jacobi_eigh), cross-checked
+against the closed form's (check_spectrum).  Block n's amplitudes are
+sum_k exp(-i w_k T) <v_k|e1> v_k, so every analytic output is a finite
+cosine or sine sum with real coefficients over this spectrum
+(transform.trig_sum).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, InternalConsistencyError, InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError
 
-# block_svd's closed-form eigenvectors are orthonormal, and the block
+# _coupling_svd's closed-form eigenvectors are orthonormal, and the block
 # amplitudes they give unit vectors, within 9 eps: the measured worst is 3 eps for the
 # vectors and 6 for the amplitudes (1500 sets, alpha 0-30, l 1-10, g 0, 1
 # and 1e-6-1e6)
@@ -76,22 +77,6 @@ def _squared_strengths(n_max: int, l: int, g: float, n_min: int) -> tuple[np.nda
     return _ladder_product(n, l), _ladder_product(n + l, l)
 
 
-def block_matrices(n_max: int, l: int, g: float, n_min: int = 0) -> np.ndarray:
-    """Interaction blocks for base photon numbers n_min..n_max, shape
-    (N, 4, 4) with N = n_max - n_min + 1.
-
-    Atom 1 couples |+,+,n> to |-,+,n+l> (and |+,-,n+l> to |-,-,n+2l>)
-    with unit weight; atom 2 couples the corresponding pair with weight g.
-    g = 0 is allowed as the decoupling limit (atom 2 frozen, atom 1
-    Rabi-flops alone), which makes a convenient structural check.
-    """
-    f1, f2 = np.sqrt(_squared_strengths(n_max, l, g, n_min))
-    h = np.zeros((f1.size, 4, 4))
-    for (i, j), f in (((0, 1), g * f1), ((0, 2), f1), ((1, 3), f2), ((2, 3), g * f2)):
-        h[:, i, j] = h[:, j, i] = f
-    return h
-
-
 def check_coupling(n_max: int, l: int, g: float) -> None:
     """Refuse couplings whose largest block, n = n_max, has a squared
     Frobenius norm 2 (1 + g^2) (f(n, l)^2 + f(n + l, l)^2) beyond the
@@ -108,13 +93,14 @@ def check_coupling(n_max: int, l: int, g: float) -> None:
         )
 
 
-def block_svd(n_max: int, l: int, g: float, n_min: int = 0) -> tuple[np.ndarray, ...]:
+def _coupling_svd(sq1: np.ndarray, sq2: np.ndarray, g: float) -> tuple[np.ndarray, ...]:
     """Closed-form SVD C = sigma1 u1 v1^T + sigma2 u2 v2^T of the coupling
-    C = [[g f1, f1], [f2, g f2]] of the blocks n_min..n_max (rows the
-    components 0 and 3, columns 1 and 2; f1 = f(n, l), f2 = f(n + l, l)):
-    sigma (2, N), c and s (N,) with u1 = (c, s), and v1 (2, N).  The other
-    pair is u2 = (-s, c) and v2 = sign(g^2 - 1) (-v1[1], v1[0]), since
-    C^T J = det(C) J C^-1 for the quarter turn J and det C = f1 f2 (g^2 - 1).
+    C = [[g f1, f1], [f2, g f2]] of blocks whose squared strengths are sq1 =
+    f1^2 and sq2 = f2^2 (_squared_strengths; rows the components 0 and 3,
+    columns 1 and 2): sigma (2, N), c and s (N,) with u1 = (c, s), and v1
+    (2, N).  The other pair is u2 = (-s, c) and v2 = sign(g^2 - 1) (-v1[1],
+    v1[0]), since C^T J = det(C) J C^-1 for the quarter turn J and det C =
+    f1 f2 (g^2 - 1).
 
     With a, d = (1 + g^2) f1^2, f2^2 and b = 2 g f1 f2 the entries of C C^T
     and r = hypot((d - a) / 2, b): sigma1 = sqrt((a + d) / 2 + r), sigma2 =
@@ -123,7 +109,6 @@ def block_svd(n_max: int, l: int, g: float, n_min: int = 0) -> tuple[np.ndarray,
     cancels (d >= a) and g = 0 gives (0, 1) exactly.  d - a comes from the
     exact ladder products f^2, not squared square roots (which cost u1 100
     eps at g 1e3, l 1).  v1 is C^T u1 over its length."""
-    sq1, sq2 = _squared_strengths(n_max, l, g, n_min)
     f1, f2 = np.sqrt(sq1), np.sqrt(sq2)
     gg = 1.0 + g * g
     half, b = (0.5 * gg) * (sq2 - sq1), 2.0 * g * f1 * f2
@@ -149,6 +134,8 @@ def _packed_row(i: int, j: int) -> int:
 
 
 _DIAG_ROWS = [_packed_row(i, i) for i in range(4)]
+# the rows of the coupling entries g f1, f1, f2 and g f2 of a block
+_COUPLING_ROWS = [_packed_row(i, j) for i, j in ((0, 1), (0, 2), (1, 3), (2, 3))]
 # a[0, 2], a[1, 2], a[0, 1], a[0, 3], a[1, 3], a[2, 3]: the order in which
 # np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) adds their squares
 _OFF_ROWS = [_packed_row(i, j) for i, j in ((0, 2), (1, 2), (0, 1), (0, 3), (1, 3), (2, 3))]
@@ -174,9 +161,11 @@ def _atan2(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.log(z, out=z).imag
 
 
-def jacobi_eigh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (N, 4), ascending, of a stack of real symmetric 4x4
-    matrices, by cyclic Jacobi rotations.
+def jacobi_eigh(state: np.ndarray) -> np.ndarray:
+    """Eigenvalues (N, 4), ascending, of N real symmetric 4x4 matrices held
+    in a packed (10, N) state, by cyclic Jacobi rotations.  The state holds
+    the entries of each matrix's upper triangle (_UPPER), a row per entry
+    and a column per matrix, and the rotations overwrite it.
 
     Each matrix is swept until its off-diagonal Frobenius norm drops below
     _JACOBI_TOL relative to its norm; a converged matrix takes no further
@@ -184,32 +173,24 @@ def jacobi_eigh(h: np.ndarray) -> np.ndarray:
     matrix gets the arithmetic it would get alone.  Rotation-based, so
     degenerate eigenvalues (the symmetric-coupling case has a double zero)
     need no special handling.  No eigenvectors are accumulated: the
-    blocks' come from block_svd.
+    blocks' come from the closed form (_coupling_svd).
 
-    The stack is held as one packed (10, N) state, the entries of a's
-    upper triangle (a stays exactly symmetric), a row per entry.  A
-    rotation (p, q) updates a[p, p] and a[q, q], zeroes a[p, q] and turns
+    A rotation (p, q) updates a[p, p] and a[q, q], zeroes a[p, q] and turns
     2 pairs (x, y) into (c x - s y, s x + c y) with one gather and one
-    scatter; it works on the whole state in place while every block takes
-    it, and on a gathered copy of the blocks that do once some have
+    scatter; it works on the whole state in place while every matrix takes
+    it, and on a gathered copy of the matrices that do once some have
     converged.
 
     A rotation's angle is half the C library's atan2(2 a[p, q], a[q, q] -
-    a[p, p]), for all its blocks in one call (_atan2, through numpy's
+    a[p, p]), for all its matrices in one call (_atan2, through numpy's
     complex log).  np.arctan2 in its place changed every spectrum and
     moved the benchmark's default-seed sweep outputs 6.2e-13 from their
     reference (62% of its 1e-12 gate).  np.cos and np.sin matched math.cos
     and math.sin on all 1e6 inputs tested.
     """
-    a = np.array(h, dtype=float)
-    if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
-        raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
-    if not np.all(np.isfinite(scale)):
-        raise ContractViolationError("blocks must have finite Frobenius norms")
-    n = a.shape[0]
-    state = a.reshape(n, 16)[:, [4 * i + j for i, j in _UPPER]].T.copy()
+    sq = state ** 2
+    scale = np.maximum(np.sqrt(sq[_DIAG_ROWS].sum(axis=0) + 2.0 * sq[_OFF_ROWS].sum(axis=0)), 1.0)
+    n = state.shape[1]
     buf = np.empty(n, complex)
     for _ in range(_JACOBI_MAX_SWEEPS):
         sq = state[_OFF_ROWS] ** 2
@@ -249,9 +230,9 @@ def jacobi_eigh(h: np.ndarray) -> np.ndarray:
 
 def check_spectrum(vals: np.ndarray, sigma: np.ndarray) -> None:
     """Refuse Jacobi eigenvalues whose sigma1 = (w_3 - w_0) / 2 or sigma2 =
-    (w_2 - w_1) / 2 misses the closed form's sigma (block_svd) by more than
-    _SIGMA_TOL eps * sigma1, or that are off +- symmetry by more than
-    _SYMMETRY_TOL, which reduced_states assumes."""
+    (w_2 - w_1) / 2 misses the closed form's sigma (_coupling_svd) by more
+    than _SIGMA_TOL eps * sigma1, or that are off +- symmetry by more than
+    _SYMMETRY_TOL, which block_spectrum's w assumes."""
     miss = np.maximum(np.abs(0.5 * (vals[:, 3] - vals[:, 0]) - sigma[0]),
                       np.abs(0.5 * (vals[:, 2] - vals[:, 1]) - sigma[1]))
     worst = float((miss / (_EPS * sigma[0])).max(initial=0.0))
@@ -267,3 +248,25 @@ def check_spectrum(vals: np.ndarray, sigma: np.ndarray) -> None:
             f"block spectrum is not +- symmetric: |w_0 + w_3| or |w_1 + w_2| is "
             f"{worst:.1f} eps * max|w|, beyond {_SYMMETRY_TOL:.0f}"
         )
+
+
+def block_spectrum(n_max: int, l: int, g: float, n_min: int = 0) -> tuple[np.ndarray, ...]:
+    """The checked spectrum of the blocks n_min..n_max: w (N, 4), (-s1,
+    -s2, s2, s1) in long double, and the closed form's c, s and v1
+    (_coupling_svd).  The parameters and the coupling are checked
+    (InvalidParameterError) and the squared strengths formed once; s1 =
+    (w_3 - w_0) / 2 and s2 = (w_2 - w_1) / 2 of the Jacobi's eigenvalues
+    of the blocks packed from their couplings g f1, f1, f2 and g f2,
+    which are checked first (check_spectrum; InternalConsistencyError)."""
+    sq1, sq2 = _squared_strengths(n_max, l, g, n_min)
+    sigma, c, s, v1 = _coupling_svd(sq1, sq2, g)
+    f1, f2 = np.sqrt(sq1), np.sqrt(sq2)
+    state = np.zeros((len(_UPPER), f1.size))
+    state[_COUPLING_ROWS] = g * f1, f1, f2, g * f2
+    vals = jacobi_eigh(state)
+    check_spectrum(vals, sigma)
+    w = vals.astype(np.longdouble)
+    w[:, 2:] -= w[:, 1::-1]
+    w[:, 2:] /= 2
+    w[:, :2] = -w[:, :1:-1]
+    return w, c, s, v1

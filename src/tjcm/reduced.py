@@ -4,12 +4,11 @@ Tracing the pure joint state over the field and the other atom leaves a
 2x2 matrix in the {|+>, |->} basis: two populations and one coherence,
 which couples blocks n and n+l; the second atom obeys the same formulas
 with components 2 and 3 interchanged.  reduced_states is the one route
-from the model parameters to these states: it takes the eigenvalues of
-the blocks of the weights' window (params.FockWeights.window) from the
-Jacobi and their amplitudes from the closed-form SVD (blocks.block_svd),
-and evaluates the inversion and the coherence as real cosine and sine
-sums on one grid plan (transform.trig_sum), with the equal and opposite
-frequencies of the +- symmetric block spectra merged.
+from the model parameters to these states: it takes the spectrum of the
+blocks of the weights' window (params.FockWeights.window) from
+blocks.block_spectrum, and evaluates the inversion and the coherence as
+real cosine and sine sums on one grid plan (transform.trig_sum), with the
+equal and opposite frequencies of the +- symmetric block spectra merged.
 max_deviation compares two such states.
 """
 
@@ -23,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import transform
-from .blocks import block_matrices, block_svd, check_spectrum, jacobi_eigh
+from .blocks import block_spectrum
 from .errors import InternalConsistencyError, InvalidParameterError, TruncationError
 from .params import FockWeights
 
@@ -81,12 +80,11 @@ def reduced_states(
     at l = 1.
 
     The blocks n = n_min..n_max of ``weights`` (n_min, pop = c_n^2 and
-    pair = c_n c_{n+l} from ``weights.window(l)``) take their eigenvalues
-    from the Jacobi (``jacobi_eigh``), +- symmetric as w = (-s1, -s2, s2,
-    s1) with 2 s1 = w_3 - w_0 and 2 s2 = w_2 - w_1 in long double, and
-    their amplitudes psi = (x1, i x2, i x3, x4) from the closed-form SVD
-    of their coupling C (``block_svd``): with u1 = (c, s), v1, and
-    v2 = sign(g^2 - 1) (-v1[1], v1[0]),
+    pair = c_n c_{n+l} from ``weights.window(l)``) take their spectrum
+    from ``block_spectrum``: the eigenvalues w = (-s1, -s2, s2, s1) in long
+    double and the SVD u1 = (c, s), v1 and v2 = sign(g^2 - 1) (-v1[1],
+    v1[0]) of their coupling C, which give the amplitudes psi = (x1, i x2,
+    i x3, x4) as
 
         x1 = c^2 cos s1 T + s^2 cos s2 T,    x4 = c s (cos s1 T - cos s2 T),
         (x2, x3) = -(c sin s1 T v1 - s sin s2 T v2).
@@ -101,17 +99,16 @@ def reduced_states(
     atoms' rows, share one ``grid_plan``, and a later call on the same
     short grid (a scan's jcm_* baseline, the next scan of a sweep) gets
     that plan back from grid_plan.  At g = 1, sigma2 = 0 and the v2
-    term drops out, so the Jacobi's +-tiny s2 enters only through
-    cos s2 T, at second order.  The blocks evolve unitarily, so the trace
-    is the window mass S = sum pop at every time; at T = 0, psi = e1, so
+    term drops out, so a +-tiny s2 enters only through cos s2 T, at
+    second order.  The blocks evolve unitarily, so the trace is the
+    window mass S = sum pop at every time; at T = 0, psi = e1, so
     sz is S, set exactly, and the sine sums are 0.  The blocks below n_min
     carry at most 1e-8 * cutoff_eps of either weight and every amplitude
     has modulus <= 1, so leaving them out moves no entry by more than that.
 
     The grid (uniform, from T = 0), coupling and phase conditioning are
-    checked before any sum runs (InvalidParameterError), and so are the
-    Jacobi's s1 and s2 against the closed form's sigma, and their +-
-    symmetry (check_spectrum; InternalConsistencyError).  TruncationError
+    checked before any sum runs (InvalidParameterError), and so is the
+    spectrum (block_spectrum; InternalConsistencyError).  TruncationError
     is raised when S strays from 1 by more than ten times the configured
     tail mass, a cutoff too small for the amplitude; u1 and v1 are unit
     vectors within 2 eps, so every block norm is within 4 eps < _NORM_TOL
@@ -123,12 +120,10 @@ def reduced_states(
     plan = transform.grid_plan(grid)
     atoms = tuple(atoms)
     n_min, pop, pair = weights.window(l)
-    vals = jacobi_eigh(block_matrices(weights.n_max, l, g, n_min))
+    w, c, s, (v1_1, v1_2) = block_spectrum(weights.n_max, l, g, n_min)
     # g and l move the spectrum only where g > 0, and l cannot go below 1
-    transform.check_phase_conditioning(vals, grid,
+    transform.check_phase_conditioning(w, grid,
                                        ("t_max", "alpha") + ("g",) * (g > 0) + ("l",) * (l > 1))
-    sigma, c, s, (v1_1, v1_2) = block_svd(weights.n_max, l, g, n_min)
-    check_spectrum(vals, sigma)
     mass = math.fsum(pop)
     if not abs(mass - 1.0) <= 10.0 * weights.cutoff_eps:
         raise TruncationError(
@@ -138,11 +133,6 @@ def reduced_states(
     if not atoms:
         return {}
     m = pair.size
-    # (-s1, -s2, s2, s1), in long double
-    w = vals.astype(np.longdouble)
-    w[:, 2:] -= w[:, 1::-1]
-    w[:, 2:] /= 2
-    w[:, :2] = -w[:, :1:-1]
     cc, ss, cs = c * c, s * s, c * s
     sign = np.sign(g * g - 1.0)  # v2 = sign (-v1[1], v1[0]); 0 at g = 1
     inv, inv_0, coh = [], [], []

@@ -66,8 +66,9 @@ def check_phase_conditioning(vals: np.ndarray, t_grid: np.ndarray,
     """Refuse a grid whose phase error bound max|w| * max|T| * eps exceeds
     _PHASE_COND_TOL, naming the knobs that move it.  vals are the
     frequencies given, not those summed: reduced_states passes the block
-    eigenvalues, whose largest |w| is s1, and sums at up to 2 s1, so its
-    accepted sums reach |w T| of up to twice _PHASE_COND_TOL / eps."""
+    spectrum w = (-s1, -s2, s2, s1) (blocks.block_spectrum), whose largest
+    |w| is s1, and sums at up to 2 s1, so its accepted sums reach |w T| of
+    up to twice _PHASE_COND_TOL / eps."""
     with np.errstate(over="ignore"):  # an infinite bound is refused below
         cond = np.abs(vals).max(initial=0.0) * np.abs(t_grid).max(initial=0.0) * _EPS
     if cond > _PHASE_COND_TOL:

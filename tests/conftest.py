@@ -1,6 +1,7 @@
 """Shared fixtures: full-channel preset scans and oracle cross-checks,
-and the references the analytic path is checked against (the block
-spectrum with its eigenvectors, directly contracted amplitudes, mpmath).
+and the references the analytic path is checked against (the dense
+blocks, the block spectrum with its eigenvectors, directly contracted
+amplitudes, mpmath, and a long-double truth).
 
 The expensive artifacts (2500-point scans, full product-space RK4
 trajectories) are session-scoped so the unit tests and the acceptance
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from tjcm import ContractViolationError, InternalConsistencyError, blocks, oracle
-from tjcm.blocks import _NORM_TOL, block_matrices, block_svd, jacobi_eigh
+from tjcm.blocks import _NORM_TOL, jacobi_eigh
 from tjcm.params import coherent_weights
 from tjcm.reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
@@ -61,8 +62,8 @@ def amplitudes(spectrum, ts, long_double=False) -> np.ndarray:
     vals, vecs = spectrum
     check_phase_conditioning(vals, ts)
     dtype = np.longdouble if long_double else float
-    phase = -ts.astype(dtype)[None, :, None] * vals.T[:, None, :]  # (4, nT, N): exp(-i w T)
-    cos, sin = np.cos(phase).astype(float), np.sin(phase).astype(float)
+    e = np.exp(-1j * (ts.astype(dtype)[None, :, None] * vals.T[:, None, :]))  # (4, nT, N)
+    cos, sin = e.real.astype(float), e.imag.astype(float)
     overlap = vecs[:, 0, :].T
     x = np.empty((4, ts.size, vals.shape[0]))
     x[::3] = np.einsum("ktn,kn,jkn->jtn", cos, overlap, vecs[:, (0, 3), :].transpose(1, 2, 0))
@@ -84,18 +85,51 @@ def sliced(state: ReducedAtomState, index) -> ReducedAtomState:
     return replace(state, sy=state.sy[index], sz=state.sz[index])
 
 
+def block_matrices(n_max: int, l: int, g: float, n_min: int = 0) -> np.ndarray:
+    """Interaction blocks for base photon numbers n_min..n_max, shape
+    (N, 4, 4) with N = n_max - n_min + 1: the dense matrices the block
+    spectrum is checked against.
+
+    Atom 1 couples |+,+,n> to |-,+,n+l> (and |+,-,n+l> to |-,-,n+2l>)
+    with unit weight; atom 2 couples the corresponding pair with weight g.
+    g = 0 is allowed as the decoupling limit (atom 2 frozen, atom 1
+    Rabi-flops alone), which makes a convenient structural check.  The
+    parameters are checked as blocks.block_spectrum checks them.
+    """
+    f1, f2 = np.sqrt(blocks._squared_strengths(n_max, l, g, n_min))
+    h = np.zeros((f1.size, 4, 4))
+    for (i, j), f in (((0, 1), g * f1), ((0, 2), f1), ((1, 3), f2), ((2, 3), g * f2)):
+        h[:, i, j] = h[:, j, i] = f
+    return h
+
+
+def packed(h: np.ndarray) -> np.ndarray:
+    """The packed (10, N) state that blocks.jacobi_eigh takes, of a stack h
+    of symmetric 4x4 matrices: the entries of each upper triangle, a row
+    per entry (blocks._UPPER)."""
+    h = np.asarray(h, dtype=float)
+    return np.array([h[:, i, j] for i, j in blocks._UPPER])
+
+
+def coupling_svd(n_max: int, l: int, g: float, n_min: int = 0) -> tuple[np.ndarray, ...]:
+    """The closed-form SVD (sigma (2, N), c, s, v1 (2, N)) of the couplings
+    of the blocks n_min..n_max (blocks._coupling_svd), the sigma included
+    that block_spectrum only checks against."""
+    return blocks._coupling_svd(*blocks._squared_strengths(n_max, l, g, n_min), g)
+
+
 def eigen_table(
     n_max: int, l: int, g: float, n_min: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block spectrum (vals (N, 4), vecs (N, 4, 4)) for every base photon
     number n_min..n_max: the Jacobi's eigenvalues, ascending, and as
     columns the closed-form eigenvectors (u1, -v1), (u2, -v2), (u2, v2),
-    (u1, v1) over sqrt(2) (block_svd; at g = 1, where sigma2 = 0, v2 is
+    (u1, v1) over sqrt(2) (coupling_svd; at g = 1, where sigma2 = 0, v2 is
     (-v1[1], v1[0])), each signed so that its largest-magnitude entry is
     positive.  Every block's arithmetic is its own, so these rows are
     bitwise those of the table from 0."""
-    vals = jacobi_eigh(block_matrices(n_max, l, g, n_min))
-    _, c, s, (p1, p2) = block_svd(n_max, l, g, n_min)
+    vals = jacobi_eigh(packed(block_matrices(n_max, l, g, n_min)))
+    _, c, s, (p1, p2) = coupling_svd(n_max, l, g, n_min)
     sign = np.sign(g * g - 1.0) or 1.0
     q1, q2 = -sign * p2, sign * p1
     # (component, column): components 0..3 are (u[0], v[0], v[1], u[1])
@@ -116,7 +150,7 @@ def closed_form_x(n: int, T: float | np.ndarray) -> np.ndarray:
         x4 = sqrt((n+1)(n+2)) [cos(wT) - 1] / (2n+3)
 
     Returns an array of shape (4,) + shape(T): an independent reference
-    for block_svd's closed form.
+    for the closed form (coupling_svd).
     """
     w = math.sqrt(4.0 * n + 6.0)
     T = np.asarray(T, dtype=float)
@@ -131,8 +165,9 @@ def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """blocks.jacobi_eigh as it was written on the (N, 4, 4) stack, with its
     eigenvectors: the same cyclic rotations, formulas, convergence mask,
     sort and sign fix, about 60 fancy-indexed operations per rotation.
-    jacobi_eigh must give its eigenvalues bit for bit, and eigen_table's
-    closed-form eigenvectors must match its vectors to rounding."""
+    jacobi_eigh of the packed stack must give its eigenvalues bit for bit,
+    and eigen_table's closed-form eigenvectors must match its vectors to
+    rounding."""
     a = np.array(h, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
@@ -244,6 +279,85 @@ def reduced_truth(weights, l, g, ts, dps=30):
                                            for q, up, a in zip(pair, xt[l:], xt)))
             trace, sz, sy = (np.array([float(v) for v in row]) for row in rows)
             out[atom] = ReducedAtomState(trace=trace, sx=0.0, sy=sy, sz=sz)
+    return out
+
+
+def truth_amplitudes(ns, l, g, ts):
+    """(x1, x2, x3, x4) of the blocks with the base photon numbers ns at the
+    times ts, shape (4, nT, N), in long double from the closed form of the
+    coupling C = [[g f1, f1], [f2, g f2]] taken from the exact ladder
+    products f1^2 = (n+1)...(n+l) and f2^2 = (n+l+1)...(n+2l):
+    with a, d = (1 + g^2) f1^2, (1 + g^2) f2^2, b = 2 g f1 f2 and r =
+    hypot((d - a) / 2, b), sigma1 = sqrt((a + d) / 2 + r), sigma2 = f1 f2
+    |g^2 - 1| / sigma1, u1 = (c, s) along (b, r + (d - a) / 2), v1 along
+    C^T u1 and v2 = sign(g^2 - 1) (-v1[1], v1[0]);
+
+        x1 = c^2 cos sigma1 T + s^2 cos sigma2 T,
+        x4 = c s (cos sigma1 T - cos sigma2 T),
+        (x2, x3) = -(c sin sigma1 T v1 - s sin sigma2 T v2).
+
+    The times are the float64 grid's, made long double exactly."""
+    ld = np.longdouble
+    n = np.asarray(ns, dtype=ld)
+    sq1, sq2 = (np.prod([m + k for k in range(1, l + 1)], axis=0) for m in (n, n + l))
+    g, f1, f2 = ld(g), np.sqrt(sq1), np.sqrt(sq2)
+    half, b = (1 + g * g) / 2 * (sq2 - sq1), 2 * g * f1 * f2
+    r = np.hypot(half, b)
+    sigma1 = np.sqrt((1 + g * g) / 2 * (sq1 + sq2) + r)
+    sigma2 = f1 * f2 * abs(g * g - 1) / sigma1
+    norm = np.hypot(b, r + half)
+    c, s = b / norm, (r + half) / norm
+    v1 = np.array([g * f1 * c + f2 * s, f1 * c + g * f2 * s])
+    v1 /= np.hypot(v1[0], v1[1])
+    v2 = np.sign(g * g - 1) * np.array([-v1[1], v1[0]])
+    t = np.asarray(ts, dtype=float).astype(ld)[:, None]
+    e1, e2 = np.exp(1j * (t * sigma1)), np.exp(1j * (t * sigma2))
+    return np.array([c * c * e1.real + s * s * e2.real, s * e2.imag * v2[0] - c * e1.imag * v1[0],
+                     s * e2.imag * v2[1] - c * e1.imag * v1[1], c * s * (e1.real - e2.real)])
+
+
+def truth_states(c, l, g, ts):
+    """{atom: (trace, sz, sy)} in long double at the times ts, summed
+    directly over every block 0..n_max of the amplitude table c, with no
+    window and no transform: trace and sz are sum c_n^2 (x1^2 + x2^2 +-
+    (x3^2 + x4^2)) and sy is 2 sum c_n c_{n+l} (x2(n + l) x4(n) - x3(n)
+    x1(n + l)); atom 2 swaps x2 and x3."""
+    c = np.asarray(c, dtype=float).astype(np.longdouble)
+    m = max(c.size - l, 0)
+    x = truth_amplitudes(np.arange(c.size), l, g, ts)
+    p = (x * x) @ (c * c)  # (4, nT): each component's population
+    up, lo = x[:, :, l:], x[:, :, :m]  # blocks n + l and n
+    out = {}
+    for atom, (i2, i3) in ((AtomId.FIRST, (1, 2)), (AtomId.SECOND, (2, 1))):
+        plus, minus = p[0] + p[i2], p[i3] + p[3]
+        sy = 2 * ((up[i2] * lo[3] - lo[i3] * up[0]) @ (c[:m] * c[l:]))
+        out[atom] = plus + minus, plus - minus, sy
+    return out
+
+
+def _truth_entropy(m):
+    """Shannon entropy in nats of the outcomes (1 +- m) / 2, in long double,
+    with 0 ln 0 = 0 and m clamped to [-1, 1]."""
+    p = np.clip((1 + m) / 2, 0, 1)
+    return -sum(np.where(q > 0, q * np.log(np.where(q > 0, q, 1)), 0) for q in (p, 1 - p))
+
+
+def truth_channels(weights, l, g, ts):
+    """The 14 per-atom channels (ALL_ATOM_CHANNELS) of the normalized
+    states of truth_states at the times ts, each by its own long-double
+    formula over the Bloch vector (0, my, mz) = (0, sy, sz) / trace:
+    inv = mz, sy = my, ey and ex = exp H(y or x) - 2 / sqrt(exp H(z)),
+    fy = (1 - my^2) - |mz|, gamma = H(|m|) and eur = H(x) + H(y) + H(z) -
+    ln 4, with H the binary entropy of a mean (H(x) = ln 2)."""
+    out = {}
+    for atom, (trace, sz, sy) in truth_states(weights.c, l, g, ts).items():
+        mz, my = sz / trace, sy / trace
+        hy, hz, ln2 = _truth_entropy(my), _truth_entropy(mz), np.log(np.longdouble(2))
+        channels = {"inv": mz, "sy": my, "ey": np.exp(hy) - 2 / np.sqrt(np.exp(hz)),
+                    "ex": 2 - 2 / np.sqrt(np.exp(hz)), "fy": (1 - my * my) - abs(mz),
+                    "gamma": _truth_entropy(np.minimum(np.hypot(my, mz), 1)),
+                    "eur": hy + hz - ln2}
+        out.update({f"{kind}{atom.value}": v for kind, v in channels.items()})
     return out
 
 

@@ -1,6 +1,7 @@
-"""Interaction blocks, the Jacobi's eigenvalues, the closed-form SVD and
-eigenvectors, and evolution amplitudes (evaluated directly by
-conftest.amplitudes, the reference for the package's trig sums)."""
+"""Interaction blocks, the block spectrum (block_spectrum: the Jacobi's
+eigenvalues, the closed-form SVD and eigenvectors), and evolution
+amplitudes (evaluated directly by conftest.amplitudes, the reference for
+the package's trig sums)."""
 
 import math
 import warnings
@@ -11,19 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tjcm import (
-    AtomId,
-    ContractViolationError,
-    InternalConsistencyError,
-    InvalidParameterError,
-    block_matrices,
-    coherent_weights,
-    reduced_states,
-)
+from tjcm import (AtomId, InternalConsistencyError, InvalidParameterError, coherent_weights,
+                  reduced_states)
 from tjcm import blocks as blocks_module
-from tjcm.blocks import _NORM_TOL, block_svd, jacobi_eigh, transition_strength
+from tjcm.blocks import _NORM_TOL, block_spectrum, jacobi_eigh, transition_strength
 
-from conftest import amplitudes, closed_form_x, eigen_table, jacobi_reference, mp_block
+from conftest import (amplitudes, block_matrices, closed_form_x, coupling_svd, eigen_table,
+                      jacobi_reference, mp_block, packed)
 
 EPS = np.finfo(float).eps
 
@@ -74,8 +69,9 @@ def test_build_block_factorial_ratios():
 def test_block_matrices_rejects_bad_parameters():
     for args in ((-1, 1, 1.0), (2.0, 1, 1.0), (3, 0, 1.0), (3, 1, -0.5), (3, 1, math.inf),
                  (3, 1, 1.0, -1), (3, 1, 1.0, 4), (3, 1, 1.0, 1.0)):
-        with pytest.raises(InvalidParameterError):
-            block_matrices(*args)
+        for entry in (block_matrices, block_spectrum):
+            with pytest.raises(InvalidParameterError):
+                entry(*args)
 
 
 @pytest.mark.parametrize("alpha, l", [(12.0, 1), (12.0, 2), (20.0, 1), (20.0, 2)])
@@ -92,6 +88,49 @@ def test_windowed_eigen_table_bitwise_rows_of_full_table(alpha, l):
                               block_matrices(w.n_max, l, g)[n_min:])
         assert np.array_equal(vals, full_vals[n_min:])
         assert np.array_equal(vecs, full_vecs[n_min:])
+        (full_w, *full_rest), (win_w, *win_rest) = (block_spectrum(w.n_max, l, g, n)
+                                                    for n in (0, n_min))
+        assert np.array_equal(win_w, full_w[n_min:])
+        for a, b in zip(win_rest, full_rest):
+            assert np.array_equal(a, b[..., n_min:])
+
+
+def spectrum_of(vals):
+    """(-s1, -s2, s2, s1) in long double from ascending eigenvalues: s1 =
+    (w_3 - w_0) / 2 and s2 = (w_2 - w_1) / 2."""
+    vals = vals.astype(np.longdouble)
+    s1, s2 = (vals[:, 3] - vals[:, 0]) / 2, (vals[:, 2] - vals[:, 1]) / 2
+    return np.stack([-s1, -s2, s2, s1], axis=1)
+
+
+def test_block_spectrum_is_the_dense_stacks_spectrum():
+    """block_spectrum packs the blocks straight from their couplings: its w
+    is, bit for bit, the one formed from the Jacobi's eigenvalues of the
+    dense stack block_matrices, and its c, s and v1 are the closed form's
+    (coupling_svd); on the 24 default-seed sweep windows and across
+    couplings, the decoupled g = 0 and the double zero at g = 1 included."""
+    with np.load(SWEEP_REFERENCE) as z:
+        cases = [(coherent_weights(float(alpha)), int(l), float(g)) for alpha, g, l in z["params"]]
+    cases = [(w.n_max, l, g, w.window(l)[0]) for w, l, g in cases]
+    cases += [(150, l, g, 0) for l in (1, 2, 3) for g in (0.0, 1e-3, 1.0, 1e3)]
+    for args in cases:
+        w, c, s, v1 = block_spectrum(*args)
+        assert w.dtype == np.longdouble
+        assert np.array_equal(w, spectrum_of(jacobi_eigh(packed(block_matrices(*args))))), args
+        _, ref_c, ref_s, ref_v1 = coupling_svd(*args)
+        assert np.array_equal(c, ref_c) and np.array_equal(s, ref_s) and np.array_equal(v1, ref_v1)
+
+
+def test_block_spectrum_forms_the_squared_strengths_once(monkeypatch):
+    real, calls = blocks_module._squared_strengths, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blocks_module, "_squared_strengths", counted)
+    block_spectrum(40, 2, 0.5, 3)
+    assert calls == [(40, 2, 0.5, 3)]
 
 
 def test_block_matrices_refuses_overflowing_coupling():
@@ -101,11 +140,14 @@ def test_block_matrices_refuses_overflowing_coupling():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n_max, l, g in ((95, 1, 1e300), (95, 1, 1e154), (95, 200, 1.0), (0, 10**6, 0.0)):
-            with pytest.raises(InvalidParameterError, match="exceeds the largest double"):
-                block_matrices(n_max, l, g)
+            for entry in (block_matrices, block_spectrum):
+                with pytest.raises(InvalidParameterError, match="exceeds the largest double"):
+                    entry(n_max, l, g)
         # squared norm of block 95 at g = 5e151: about 9.3e307
         vals, vecs = eigen_table(95, 1, 5e151)
+        spectrum = block_spectrum(95, 1, 5e151)
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
+    assert all(np.all(np.isfinite(a)) for a in spectrum)
 
 
 def test_transition_strength_matches_factorials():
@@ -142,14 +184,14 @@ def test_bipartite_sparsity():
 
 
 def test_jacobi_zero_matrix():
-    assert np.array_equal(jacobi_eigh(np.zeros((1, 4, 4))), np.zeros((1, 4)))
+    assert np.array_equal(jacobi_eigh(packed(np.zeros((1, 4, 4)))), np.zeros((1, 4)))
 
 
 def test_jacobi_eigenvalues_of_random_matrices():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(25, 4, 4))
     h = m + m.transpose(0, 2, 1)
-    vals = jacobi_eigh(h)
+    vals = jacobi_eigh(packed(h))
     assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-12
     assert np.all(np.diff(vals, axis=1) >= 0.0)
 
@@ -172,24 +214,6 @@ def test_eigen_table_reconstruction_and_orthonormality(l):
         assert np.all(np.diff(vals, axis=1) >= 0.0)
 
 
-def test_diagonalize_rejects_non_symmetric():
-    h = np.zeros((3, 4, 4))
-    h[1, 0, 1] = 1.0
-    with pytest.raises(ContractViolationError):
-        jacobi_eigh(h)
-    for shape in ((4, 4), (2, 3, 3), (2, 4, 5)):
-        with pytest.raises(ContractViolationError):
-            jacobi_eigh(np.zeros(shape))
-    # a stack whose norm overflows is never reported as converged
-    for entry in (1e200, math.inf):
-        h = np.zeros((2, 4, 4))
-        h[1, 0, 1] = h[1, 1, 0] = entry
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ContractViolationError, match="finite Frobenius norms"):
-                jacobi_eigh(h)
-
-
 def test_diagonalize_deterministic_and_sign_fixed():
     for g in (0.0, 0.5, 1.0, 3.7):
         vals1, vecs1 = eigen_table(12, 1, g)
@@ -208,14 +232,15 @@ def test_batched_spectrum_matches_each_block_alone(l):
     # would take diagonalized on its own
     for g in (0.0, 0.5, 1.0, 5.0):
         h = block_matrices(40, l, g)
-        vals = jacobi_eigh(h)
+        vals = jacobi_eigh(packed(h))
         for n in range(h.shape[0]):
-            assert np.array_equal(vals[n:n + 1], jacobi_eigh(h[n:n + 1]))
+            assert np.array_equal(vals[n:n + 1], jacobi_eigh(packed(h[n:n + 1])))
 
 
 def assert_reference_arithmetic(h):
-    """jacobi_eigh gives jacobi_reference's eigenvalues bit for bit."""
-    assert np.array_equal(jacobi_eigh(h), jacobi_reference(h)[0])
+    """jacobi_eigh of the packed stack gives jacobi_reference's eigenvalues
+    bit for bit."""
+    assert np.array_equal(jacobi_eigh(packed(h)), jacobi_reference(h)[0])
 
 
 def sweep_stack(op):
@@ -341,9 +366,9 @@ def test_jacobi_bitwise_reference_when_blocks_converge_at_different_sweeps(monke
     h = np.stack([dense, near, diagonal], axis=1).reshape(180, 4, 4)
     assert_reference_arithmetic(h)
     monkeypatch.setattr(blocks_module, "_JACOBI_MAX_SWEEPS", 3)
-    jacobi_eigh(np.concatenate([near, diagonal]))
+    jacobi_eigh(packed(np.concatenate([near, diagonal])))
     with pytest.raises(InternalConsistencyError):
-        jacobi_eigh(dense)
+        jacobi_eigh(packed(dense))
 
 
 def test_jacobi_bitwise_reference_with_exact_zero_off_diagonals():
@@ -365,7 +390,7 @@ def test_jacobi_bitwise_reference_with_exact_zero_off_diagonals():
 def test_jacobi_refuses_sweeps_that_do_not_converge(monkeypatch):
     monkeypatch.setattr(blocks_module, "_JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(InternalConsistencyError, match="failed to converge"):
-        jacobi_eigh(block_matrices(30, 1, 0.5))
+        block_spectrum(30, 1, 0.5)
 
 
 def test_evolve_identity_at_t_zero():
@@ -394,14 +419,15 @@ def test_closed_form_examples():
 
 
 def test_general_closed_form_reproduces_closed_form_x():
-    """block_svd's closed form at l = 1, g = 1 is closed_form_x's: sigma1 =
-    sqrt(4n + 6) within an ulp, sigma2 = 0, and with the phases sigma1 T
-    taken as closed_form_x takes them and no v2 term, the amplitudes within
-    4 eps (measured worst 2 eps; with block_svd's own sigma1, an ulp off,
-    the phases alone move them by up to 128 eps here)."""
+    """The closed form (coupling_svd) at l = 1, g = 1 is closed_form_x's:
+    sigma1 = sqrt(4n + 6) within an ulp, sigma2 = 0, and with the phases
+    sigma1 T taken as closed_form_x takes them and no v2 term, the
+    amplitudes within 4 eps (measured worst 2 eps; with the closed form's
+    own sigma1, an ulp off, the phases alone move them by up to 128 eps
+    here)."""
     ts = np.linspace(0.0, 7.0, 15)
     n_max = 600
-    sigma, c, s, (p1, p2) = block_svd(n_max, 1, 1.0)
+    sigma, c, s, (p1, p2) = coupling_svd(n_max, 1, 1.0)
     w = np.sqrt(4.0 * np.arange(n_max + 1) + 6.0)
     assert np.all(sigma[1] == 0.0)
     assert np.max(np.abs(sigma[0] - w) / w) <= EPS
@@ -423,7 +449,7 @@ def test_closed_form_amplitudes_against_mpmath(l):
     for g in (0.0, 0.3, 1.0, 3.7, 1e3):
         sign = np.sign(g * g - 1.0)
         for n in (0, 1, 7, 60, 600):
-            _, c, s, v1 = block_svd(n, l, g, n)
+            _, c, s, v1 = coupling_svd(n, l, g, n)
             c, s, (p1, p2) = c[0], s[0], v1[:, 0]
             ours = np.array([[c * c, s * s], [-c * p1, -sign * s * p2], [-c * p2, sign * s * p1],
                              [c * s, -c * s]])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tjcm.blocks
 import tjcm.reduced
 import tjcm.transform
 from tjcm import (
@@ -315,14 +316,17 @@ def test_reduced_states_refuse_times_off_a_uniform_grid():
             reduced_states(w, 1, 0.5, ts, AtomId)
 
 
-def test_reduced_states_match_fsum():
-    """The photon-index contraction against an exactly rounded per-time
-    sum (math.fsum) over the amplitudes of every block from n = 0, up to
+def test_reduced_states_match_long_double_sums():
+    """The photon-index contraction against a long-double sum of the
+    float64 terms over the amplitudes of every block from n = 0, up to
     alpha = 30 (n_max = 1220), at every time of a grid through 1.3, 6.6
     and 17.9: from alpha 12 on, reduced_states sums only its window
     n_min..n_max, and the blocks it leaves out move nothing beyond the
     bound.  The amplitudes take their phases in long double: rounded to
-    float64 they move these sums by up to 9e-14 on this grid."""
+    float64 they move these sums by up to 9e-14 on this grid.  Each
+    reference sum errs by at most 1220 * 5.4e-20 = 6.6e-17 times the sum
+    of its |terms| (at most 1) before its rounding to float64, beside the
+    1e-15 bound."""
     for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (12.0, 1, 2.0),
                         (12.0, 2, 2.0), (20.0, 1, 1.7), (20.0, 2, 1.7), (30.0, 1, 0.4),
                         (30.0, 2, 0.4)):
@@ -334,14 +338,13 @@ def test_reduced_states_match_fsum():
         for atom, state in reduced_states(w, l, g, ts, AtomId).items():
             assert state.sx == 0.0
             x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
-            ref = np.empty((3, ts.size))  # trace, sz, sy
-            for i in range(ts.size):
-                pp, pm = c * c * (x1[i] ** 2 + x2[i] ** 2), c * c * (x3[i] ** 2 + x4[i] ** 2)
-                ref[:, i] = (math.fsum(np.r_[pp, pm]), math.fsum(np.r_[pp, -pm]), 2.0 * math.fsum(
-                    c[l:] * c[:m] * (x2[i, l:] * x4[i, :m] - x3[i, :m] * x1[i, l:])))
+            pp, pm = c * c * (x1 ** 2 + x2 ** 2), c * c * (x3 ** 2 + x4 ** 2)
+            coh = c[l:] * c[:m] * (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:])
+            plus, minus, coh = (v.astype(np.longdouble).sum(axis=1) for v in (pp, pm, coh))
+            ref = ReducedAtomState(trace=(plus + minus).astype(float), sx=0.0,
+                                   sy=(2 * coh).astype(float), sz=(plus - minus).astype(float))
             # every entry of the 2x2 matrix: the populations and the coherence
-            assert max_deviation(state, ReducedAtomState(trace=ref[0], sx=0.0, sy=ref[2],
-                                                          sz=ref[1])) <= 1e-15
+            assert max_deviation(state, ref) <= 1e-15
 
 
 def test_sigma_off_the_closed_form_refused(monkeypatch):
@@ -350,19 +353,19 @@ def test_sigma_off_the_closed_form_refused(monkeypatch):
     5.9): either, nudged by 64 eps * sigma1 in one block with its +-
     symmetry kept, fails the call with InternalConsistencyError before any
     trig sum runs."""
-    real = tjcm.reduced.jacobi_eigh
+    real = tjcm.blocks.jacobi_eigh
     calls = []
     eps = np.finfo(float).eps
 
-    def nudged(h):
-        vals = real(h)
+    def nudged(state):
+        vals = real(state)
         n, (lo, hi) = vals.shape[0] // 2, pair
         step = 64 * eps * 0.5 * (vals[n, 3] - vals[n, 0])
         vals[n, lo] -= step
         vals[n, hi] += step
         return vals
 
-    monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", nudged)
+    monkeypatch.setattr(tjcm.blocks, "jacobi_eigh", nudged)
     monkeypatch.setattr(tjcm.transform, "trig_sum", lambda *a, **k: calls.append(a))
     w = coherent_weights(5.0)
     for pair in ((0, 3), (1, 2)):
@@ -376,16 +379,16 @@ def test_asymmetric_spectrum_refused(monkeypatch):
     (one block's w_0 and w_3 both shifted by 1e-13 w_3, which keeps sigma1
     and makes |w_0 + w_3| about 900 eps * max|w|) fails the call with
     InternalConsistencyError before any trig sum runs."""
-    real = tjcm.reduced.jacobi_eigh
+    real = tjcm.blocks.jacobi_eigh
     calls = []
 
-    def shifted(h):
-        vals = real(h)
+    def shifted(state):
+        vals = real(state)
         n = vals.shape[0] // 2
         vals[n, [0, 3]] += 1e-13 * vals[n, 3]
         return vals
 
-    monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", shifted)
+    monkeypatch.setattr(tjcm.blocks, "jacobi_eigh", shifted)
     monkeypatch.setattr(tjcm.transform, "trig_sum", lambda *a, **k: calls.append(a))
     w = coherent_weights(5.0)
     with pytest.raises(InternalConsistencyError, match="symmetric"):
@@ -403,15 +406,15 @@ def test_double_zero_eigenvalue_enters_at_second_order(monkeypatch, alpha, l):
     w = coherent_weights(alpha)
     grid = np.linspace(0.0, 25.0, 500)
     states = reduced_states(w, l, 1.0, grid, AtomId)
-    real = tjcm.reduced.jacobi_eigh
+    real = tjcm.blocks.jacobi_eigh
 
-    def zeroed(h):
-        vals = real(h)
+    def zeroed(state):
+        vals = real(state)
         assert 0.0 < np.abs(vals[:, 1:3]).max() < 1e-12
         vals[:, 1:3] = 0.0
         return vals
 
-    monkeypatch.setattr(tjcm.reduced, "jacobi_eigh", zeroed)
+    monkeypatch.setattr(tjcm.blocks, "jacobi_eigh", zeroed)
     for atom, state in reduced_states(w, l, 1.0, grid, AtomId).items():
         for field in ("sy", "sz"):
             dev = np.max(np.abs(getattr(state, field) - getattr(states[atom], field)))
