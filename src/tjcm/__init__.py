@@ -9,7 +9,6 @@ figure presets and free parameter scans as CSV time series.
 """
 
 from .errors import (
-    ContractViolationError,
     InternalConsistencyError,
     InvalidParameterError,
     ResourceRefusalError,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomId",
     "BlochVector",
-    "ContractViolationError",
     "FockWeights",
     "InternalConsistencyError",
     "InvalidParameterError",

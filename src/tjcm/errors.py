@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check that
-raises them."""
+"""Exception types shared across the package, and the integer and real
+number checks that raise them."""
 
+import numbers
 import operator
 
 
@@ -10,10 +11,6 @@ class TjcmError(Exception):
 
 class InvalidParameterError(TjcmError, ValueError):
     """A physical or numerical parameter is out of its allowed range."""
-
-
-class ContractViolationError(TjcmError):
-    """An input violates a structural precondition (e.g. non-symmetric block)."""
 
 
 class InternalConsistencyError(TjcmError):
@@ -43,3 +40,10 @@ def integer_at_least(value, low: int, name: str, error=InvalidParameterError) ->
     if n < low:
         raise error(f"{name} must be an integer >= {low}, got {value}")
     return n
+
+
+def real_number(value, name: str) -> float:
+    """value as a Python float, numpy scalars included, or InvalidParameterError."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)

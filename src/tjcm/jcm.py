@@ -23,7 +23,7 @@ from . import transform
 from .params import FockWeights
 
 
-def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.ndarray:
+def tjcm_harmonic_sy(weights: FockWeights, T: np.ndarray) -> np.ndarray:
     """Strong-field approximation to the transverse coherence of the
     symmetric two-atom model (g = 1, l = 1):
 
@@ -31,8 +31,8 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
              + sin[T(w_n + w_{n+1}) / 2] cos[T(w_n - w_{n+1}) / 2] }
 
     with w_n = sqrt(4n + 6).  Valid when the photon distribution is sharply
-    peaked (alpha >> 1); evaluable for any weights.  Has the shape of T, a
-    uniform grid from T = 0 (or the one time 0).  Evaluated in the sum form
+    peaked (alpha >> 1); evaluable for any weights.  T is a uniform grid
+    from T = 0, as reduced_states takes it.  Evaluated in the sum form
     sum_n C_n C_{n+1} [sin T(w_n - w_{n+1}) + sin T w_n + sin T w_{n+1}] / 2,
     one sine sum at w_n, w_{n+1} and w_n - w_{n+1}, after the phase
     conditioning of those frequencies on T is checked
@@ -43,4 +43,4 @@ def tjcm_harmonic_sy(weights: FockWeights, T: float | np.ndarray) -> float | np.
     freqs = np.concatenate([w[:-1] - w[1:], w[:-1], w[1:]])
     transform.check_phase_conditioning(freqs, T, ("t_max", "alpha"))
     sy = transform.trig_sum(freqs, np.concatenate([pair, pair, pair]), T, sine=True)
-    return 0.5 * sy.reshape(np.shape(T))[()]
+    return 0.5 * sy

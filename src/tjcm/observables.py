@@ -53,12 +53,19 @@ class BlochVector:
 
 def bloch(state: ReducedAtomState) -> BlochVector:
     """Bloch vector (sx, sy, sz) / trace of the normalized state rho / tr rho,
-    which every channel reads; a trace <= 0 is refused."""
+    which every channel reads; a trace <= 0 is refused.  A vector that
+    rounding carries past the sphere (by 2 eps where a frozen atom's
+    inversion, a float64 dot, rounds past its trace, an fsum) is divided by
+    its norm until norm() <= 1; one beyond 1 + 1e-12 is refused."""
     if not np.all(np.greater(state.trace, 0.0)):
-        raise InvalidParameterError(f"reduced state trace must be > 0, got "
-                                    f"{np.min(state.trace)}")
-    return BlochVector(sx=state.sx / state.trace, sy=state.sy / state.trace,
-                       sz=state.sz / state.trace)
+        raise InvalidParameterError(f"reduced state trace must be > 0, got {np.min(state.trace)}")
+    b = BlochVector(sx=state.sx / state.trace, sy=state.sy / state.trace,
+                    sz=state.sz / state.trace)
+    while np.any((norm := b.norm()) > 1.0):  # each pass takes it down by an ulp or more
+        if not np.all(norm <= 1.0 + 1e-12):
+            raise InvalidParameterError(f"Bloch vector norm {np.max(norm)!r} is beyond 1")
+        b = BlochVector(*(v / np.maximum(norm, 1.0) for v in (b.sx, b.sy, b.sz)))
+    return b
 
 
 def _xlogx(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -70,8 +77,7 @@ def binary_entropy_of_mean(m: float | np.ndarray) -> float | np.ndarray:
     """Shannon entropy, in nats, of the two-outcome distribution with mean m.
 
     Symmetric under m -> -m, zero at m = +-1, ln 2 at m = 0.  Inputs a hair
-    outside [-1, 1] (roundoff: reduced_states lets a Bloch vector reach its
-    trace times 1 + _BLOCH_TOL) are clamped; anything beyond 1e-12 is
+    outside [-1, 1] (roundoff) are clamped; anything beyond 1e-12 is
     rejected.  Evaluated in place, with two working arrays beside the result.
     """
     m = np.asarray(m, dtype=float)

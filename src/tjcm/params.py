@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, integer_at_least
+from .errors import InvalidParameterError, integer_at_least, real_number
 
 DEFAULT_CUTOFF_EPS = 1e-12
 # The reduced trace, the window mass, is checked against 10 * cutoff_eps,
@@ -40,9 +40,7 @@ def truncation_floor(alpha: float) -> int:
 
 def _check_cutoff_eps(cutoff_eps: float) -> None:
     if not (0.0 < cutoff_eps < 1.0):
-        raise InvalidParameterError(
-            f"cutoff_eps must lie in (0, 1), got {cutoff_eps}"
-        )
+        raise InvalidParameterError(f"cutoff_eps must lie in (0, 1), got {cutoff_eps}")
     if cutoff_eps < _MIN_CUTOFF_EPS:
         raise InvalidParameterError(f"cutoff_eps={cutoff_eps} is below {_MIN_CUTOFF_EPS:.0e}, where the "
                                     "weight table's own rounding can exceed 10*cutoff_eps")
@@ -64,10 +62,8 @@ def _vacuum_amplitude(alpha: float) -> float:
     sq_err = (num * num * sq_den - sq_num * den * den) / (den * den * sq_den)
     c0 = math.exp(-0.5 * sq) * math.exp(-0.5 * sq_err)
     if c0 < sys.float_info.min:
-        raise InvalidParameterError(
-            f"alpha={alpha} is too large: exp(-alpha^2/2) = {c0:.3e} is below "
-            f"the smallest normal double {sys.float_info.min:.3e}"
-        )
+        raise InvalidParameterError(f"alpha={alpha} is too large: exp(-alpha^2/2) = {c0:.3e} is "
+                                    f"below the smallest normal double {sys.float_info.min:.3e}")
     return c0
 
 
@@ -97,9 +93,7 @@ def _amplitude_table(alpha: float, cutoff_eps: float) -> list[float]:
         if ratio < 1.0 and c_next * c_next < cutoff_eps * (1.0 - ratio):
             break
         if m >= _MAX_FOCK_INDEX:
-            raise InvalidParameterError(
-                f"cutoff_eps={cutoff_eps} is below the resolvable tail mass"
-            )
+            raise InvalidParameterError(f"cutoff_eps={cutoff_eps} is below the resolvable tail mass")
         c.append(c_next)
         m += 1
     for m in range(m, truncation_floor(alpha)):
@@ -122,7 +116,7 @@ class ModelParams:
     Energies are measured in units of the atom-1 coupling, times in units
     of its inverse; resonance (atomic splitting = 2 l field quanta) is
     assumed throughout, so only the interaction part of the Hamiltonian
-    enters the dynamics.
+    enters the dynamics.  alpha, g and cutoff_eps are kept as Python floats.
     """
 
     alpha: float
@@ -134,6 +128,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l", integer_at_least(self.l, 1, "l"))
+        for name in ("alpha", "g", "cutoff_eps"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if not (self.g > 0.0 and math.isfinite(self.g)):
             raise InvalidParameterError(f"g must be > 0, got {self.g}")
         weights = coherent_weights(self.alpha, self.cutoff_eps)
@@ -160,9 +156,7 @@ class FockWeights:
             raise InvalidParameterError("amplitudes must be non-negative")
         mass = float(np.sum(c * c))
         if not (1.0 - self.cutoff_eps <= mass <= 1.0 + 1e-12):
-            raise InvalidParameterError(
-                f"total weight {mass} outside [1 - cutoff_eps, 1]"
-            )
+            raise InvalidParameterError(f"total weight {mass} outside [1 - cutoff_eps, 1]")
         object.__setattr__(self, "c", c)
 
     @property
@@ -199,11 +193,11 @@ def coherent_weights(alpha: float, cutoff_eps: float = DEFAULT_CUTOFF_EPS) -> Fo
     weight short of 1 - cutoff_eps is the recurrence's own rounding, and a
     cutoff_eps that fine is refused as such.
     """
+    alpha, cutoff_eps = real_number(alpha, "alpha"), real_number(cutoff_eps, "cutoff_eps")
     c = np.array(_amplitude_table(alpha, cutoff_eps))
     mass = float(np.sum(c * c))
     if mass < 1.0 - cutoff_eps:
-        raise InvalidParameterError(
-            f"cutoff_eps={cutoff_eps} is finer than the weight table's rounding at "
-            f"alpha={alpha}: its total weight falls {1.0 - mass:.2e} short of 1"
-        )
+        raise InvalidParameterError(f"cutoff_eps={cutoff_eps} is finer than the weight table's "
+                                    f"rounding at alpha={alpha}: its total weight falls "
+                                    f"{1.0 - mass:.2e} short of 1")
     return FockWeights(c=c, cutoff_eps=cutoff_eps)

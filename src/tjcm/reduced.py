@@ -23,7 +23,7 @@ import numpy as np
 
 from . import transform
 from .blocks import block_spectrum
-from .errors import InternalConsistencyError, InvalidParameterError, TruncationError
+from .errors import InternalConsistencyError, InvalidParameterError, TruncationError, real_number
 from .params import FockWeights
 
 # |(sz, sy)| / trace - 1 from rounding: measured at most 1.3e-15
@@ -96,9 +96,7 @@ def reduced_states(
     sum over the 8 frequencies s_i(n + l) +- s_j(n) per pair; every
     coefficient is a product of c, s and the entries of v1 and v2.  Atom 2
     swaps components 1 and 2.  Both ``trig_sum`` calls, each over both
-    atoms' rows, share one ``grid_plan``, and a later call on the same
-    short grid (a scan's jcm_* baseline, the next scan of a sweep) gets
-    that plan back from grid_plan.  At g = 1, sigma2 = 0 and the v2
+    atoms' rows, share one ``grid_plan``.  At g = 1, sigma2 = 0 and the v2
     term drops out, so a +-tiny s2 enters only through cos s2 T, at
     second order.  The blocks evolve unitarily, so the trace is the
     window mass S = sum pop at every time; at T = 0, psi = e1, so
@@ -118,7 +116,7 @@ def reduced_states(
     leaves the ball of radius S (1 + _BLOCH_TOL), as a faulty row can.
     """
     plan = transform.grid_plan(grid)
-    atoms = tuple(atoms)
+    g, atoms = real_number(g, "g"), tuple(atoms)
     n_min, pop, pair = weights.window(l)
     w, c, s, (v1_1, v1_2) = block_spectrum(weights.n_max, l, g, n_min)
     # g and l move the spectrum only where g > 0, and l cannot go below 1

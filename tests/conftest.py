@@ -1,7 +1,9 @@
 """Shared fixtures: full-channel preset scans and oracle cross-checks,
-and the references the analytic path is checked against (the dense
-blocks, the block spectrum with its eigenvectors, directly contracted
-amplitudes, mpmath, and a long-double truth).
+and the references the analytic path is checked against: the dense
+blocks, the Jacobi's spectrum with its eigenvectors (eigen_table), mpmath,
+and one long-double evaluator (block_amplitudes, contract) fed either
+blocks.block_spectrum's own spectrum (package_spectrum, reduced_direct)
+or the exact closed form (truth_spectrum, truth_states).
 
 The expensive artifacts (2500-point scans, full product-space RK4
 trajectories) are session-scoped so the unit tests and the acceptance
@@ -17,12 +19,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tjcm import ContractViolationError, InternalConsistencyError, blocks, oracle
+from tjcm import InternalConsistencyError, blocks, oracle
 from tjcm.blocks import _NORM_TOL, jacobi_eigh
 from tjcm.params import coherent_weights
 from tjcm.reduced import AtomId, ReducedAtomState, max_deviation, reduced_states
 from tjcm.scan import PRESET_CONFIGS, run_scan
-from tjcm.transform import check_phase_conditioning
 
 ALL_ATOM_CHANNELS = (
     "inv1", "inv2", "sy1", "sy2", "ey1", "ey2", "ex1", "ex2",
@@ -44,34 +45,6 @@ def excitation_expectation(psi: np.ndarray, n_f: int, l: int) -> float:
     excited = np.array([2.0, 1.0, 1.0, 0.0])[:, None]
     return float(np.sum(np.abs(np.reshape(psi, (4, n_f + 1))) ** 2
                         * (np.arange(n_f + 1.0) + l * excited)))
-
-
-def amplitudes(spectrum, ts, long_double=False) -> np.ndarray:
-    """(x1, x2, x3, x4) of every block of ``spectrum`` (vals, vecs), such as
-    eigen_table's Jacobi eigenvalues and closed-form eigenvectors, at any
-    times ts, shape (4, nT, N), evaluated directly, with the phases w T and
-    their cosines and sines in float64 or, with long_double, in long double
-    (as the package's trig sums take them): block n's amplitude vector is
-    sum_k exp(-i w_k T) <v_k|e1> v_k, whose components 1 and 4 are real
-    (cosine sums) and 2 and 3 imaginary (sine sums) for the bipartite
-    blocks; x holds those parts.  The reference the package's trig sums
-    are checked against, with the package's phase-conditioning check and
-    a per-(T, n) norm check to _NORM_TOL (InternalConsistencyError) that
-    catches a spectrum the real split does not fit."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    vals, vecs = spectrum
-    check_phase_conditioning(vals, ts)
-    dtype = np.longdouble if long_double else float
-    e = np.exp(-1j * (ts.astype(dtype)[None, :, None] * vals.T[:, None, :]))  # (4, nT, N)
-    cos, sin = e.real.astype(float), e.imag.astype(float)
-    overlap = vecs[:, 0, :].T
-    x = np.empty((4, ts.size, vals.shape[0]))
-    x[::3] = np.einsum("ktn,kn,jkn->jtn", cos, overlap, vecs[:, (0, 3), :].transpose(1, 2, 0))
-    x[1:3] = np.einsum("ktn,kn,jkn->jtn", sin, overlap, vecs[:, (1, 2), :].transpose(1, 2, 0))
-    norm_dev = float(np.max(np.abs(np.einsum("jtn,jtn->tn", x, x) - 1.0), initial=0.0))
-    if norm_dev > _NORM_TOL:
-        raise InternalConsistencyError(f"amplitude norm deviates from 1 by {norm_dev:.3e}")
-    return x
 
 
 def through(T: float) -> list[float]:
@@ -170,12 +143,12 @@ def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding."""
     a = np.array(h, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (4, 4) or not np.array_equal(a, a.transpose(0, 2, 1)):
-        raise ContractViolationError("blocks must be a stack of symmetric 4x4 matrices")
+        raise AssertionError("blocks must be a stack of symmetric 4x4 matrices")
     v = np.broadcast_to(np.eye(4), a.shape).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
     if not np.all(np.isfinite(scale)):
-        raise ContractViolationError("blocks must have finite Frobenius norms")
+        raise AssertionError("blocks must have finite Frobenius norms")
     for _ in range(blocks._JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2, axis=(1, 2)) * 2.0)
         live = off > blocks._JACOBI_TOL * scale
@@ -213,28 +186,91 @@ def jacobi_reference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def reduced_direct(weights, l, g, ts):
-    """{atom: ReducedAtomState} at any times ts, contracted directly
-    from the amplitudes of the spectrum reduced_states uses (its window;
-    eigen_table's Jacobi eigenvalues and closed-form vectors), with
-    long-double phases: the reference for its trig sums.  At g = 1 the
-    double zero eigenvalue is taken as 0: there the closed form has no
-    sigma2 term, and the Jacobi's +-tiny sigma2 enters reduced_states only
-    at second order."""
-    n_min, pop, pair = weights.window(l)
-    vals, vecs = eigen_table(weights.n_max, l, g, n_min)
-    if g == 1.0:
-        vals[:, 1:3] = 0.0
-    x = amplitudes((vals, vecs), ts, long_double=True)
-    m = pair.size
+def package_spectrum(n_max, l, g, n_min=0):
+    """blocks.block_spectrum's own spectrum of the blocks n_min..n_max as
+    block_amplitudes takes it: sigma1 = w_3 and sigma2 = w_2 in long
+    double, its c, s and v1, and v2 = sign(g^2 - 1) (-v1[1], v1[0]) as
+    reduced_states forms it (0 at g = 1, where the Jacobi's sigma2 is
+    +-tiny)."""
+    w, c, s, v1 = blocks.block_spectrum(n_max, l, g, n_min)
+    return w[:, 3], w[:, 2], c, s, v1, np.sign(g * g - 1.0) * np.array([-v1[1], v1[0]])
+
+
+def truth_spectrum(ns, l, g):
+    """(sigma1, sigma2, c, s, v1, v2) of the blocks with the base photon
+    numbers ns, in long double by the closed form of blocks._coupling_svd
+    from the exact ladder products f1^2 = (n+1)...(n+l) and f2^2 =
+    (n+l+1)...(n+2l), and v2 = sign(g^2 - 1) (-v1[1], v1[0])."""
+    ld = np.longdouble
+    n = np.asarray(ns, dtype=ld)
+    sq1, sq2 = (np.prod([m + k for k in range(1, l + 1)], axis=0) for m in (n, n + l))
+    g, f1, f2 = ld(g), np.sqrt(sq1), np.sqrt(sq2)
+    half, b = (1 + g * g) / 2 * (sq2 - sq1), 2 * g * f1 * f2
+    r = np.hypot(half, b)
+    sigma1 = np.sqrt((1 + g * g) / 2 * (sq1 + sq2) + r)
+    sigma2 = f1 * f2 * abs(g * g - 1) / sigma1
+    norm = np.hypot(b, r + half)
+    c, s = b / norm, (r + half) / norm
+    v1 = np.array([g * f1 * c + f2 * s, f1 * c + g * f2 * s])
+    v1 /= np.hypot(v1[0], v1[1])
+    return sigma1, sigma2, c, s, v1, np.sign(g * g - 1) * np.array([-v1[1], v1[0]])
+
+
+def block_amplitudes(spectrum, ts):
+    """(x1, x2, x3, x4) of the blocks of a spectrum (sigma1, sigma2, c, s,
+    v1, v2) (package_spectrum or truth_spectrum) at the times ts, shape
+    (4, nT, N), in long double by the closed form
+
+        x1 = c^2 cos sigma1 T + s^2 cos sigma2 T,
+        x4 = c s (cos sigma1 T - cos sigma2 T),
+        (x2, x3) = -(c sin sigma1 T v1 - s sin sigma2 T v2),
+
+    the times being the float64 grid's, made long double exactly.  A
+    spectrum whose amplitudes miss unit norm at some (T, n) by more than
+    _NORM_TOL is refused (InternalConsistencyError)."""
+    sigma1, sigma2, c, s, v1, v2 = (np.asarray(a, dtype=np.longdouble) for a in spectrum)
+    t = np.asarray(ts, dtype=float).astype(np.longdouble)[:, None]
+    e1, e2 = np.exp(1j * (t * sigma1)), np.exp(1j * (t * sigma2))
+    x = np.array([c * c * e1.real + s * s * e2.real, s * e2.imag * v2[0] - c * e1.imag * v1[0],
+                  s * e2.imag * v2[1] - c * e1.imag * v1[1], c * s * (e1.real - e2.real)])
+    norm_dev = float(np.max(np.abs(np.einsum("jtn,jtn->tn", x, x) - 1), initial=0.0))
+    if norm_dev > _NORM_TOL:
+        raise InternalConsistencyError(f"amplitude norm deviates from 1 by {norm_dev:.3e}")
+    return x
+
+
+def contract(x, pop, pair, l):
+    """{atom: (trace, sz, sy)} in long double of the amplitudes x (4, nT, N)
+    of consecutive blocks n, weighted by pop (N,) = c_n^2 and by pair =
+    c_n c_{n+l}, one per block n whose block n + l is in x: trace and sz
+    are pop @ (x1^2 + x2^2 +- (x3^2 + x4^2)) and sy is 2 pair @ (x2(n + l)
+    x4(n) - x3(n) x1(n + l)); atom 2 swaps x2 and x3."""
+    pop, pair = (np.asarray(v, dtype=np.longdouble) for v in (pop, pair))
+    p = (x * x) @ pop  # (4, nT): each component's population
+    up, lo = x[:, :, l:], x[:, :, :pair.size]  # blocks n + l and n
     out = {}
-    for atom in AtomId:
-        x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
-        p_plus, p_minus = (x1 ** 2 + x2 ** 2) @ pop, (x3 ** 2 + x4 ** 2) @ pop
-        out[atom] = ReducedAtomState(
-            trace=p_plus + p_minus, sx=0.0, sz=p_plus - p_minus,
-            sy=2.0 * ((x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:]) @ pair))
+    for atom, (i2, i3) in ((AtomId.FIRST, (1, 2)), (AtomId.SECOND, (2, 1))):
+        plus, minus = p[0] + p[i2], p[i3] + p[3]
+        out[atom] = plus + minus, plus - minus, 2 * ((up[i2] * lo[3] - lo[i3] * up[0]) @ pair)
     return out
+
+
+def reduced_direct(weights, l, g, ts, window=True):
+    """{atom: ReducedAtomState} at the times ts, contracted directly in long
+    double (block_amplitudes, contract) from the spectrum reduced_states
+    sums (package_spectrum), unmerged and with no transform: the reference
+    for its trig sums.  Over the blocks of its window with its weights
+    (weights.window), or, with window=False, over every block from n = 0
+    with the weights c_n^2 and c_n c_{n+l}."""
+    if window:
+        n_min, pop, pair = weights.window(l)
+    else:
+        c = weights.c
+        n_min, pop, pair = 0, c * c, c[:-l] * c[l:]
+    x = block_amplitudes(package_spectrum(weights.n_max, l, g, n_min), ts)
+    return {atom: ReducedAtomState(trace=trace.astype(float), sx=0.0, sy=sy.astype(float),
+                                   sz=sz.astype(float))
+            for atom, (trace, sz, sy) in contract(x, pop, pair, l).items()}
 
 
 def mp_block(n: int, l: int, g: float, dps: int = 30):
@@ -282,57 +318,15 @@ def reduced_truth(weights, l, g, ts, dps=30):
     return out
 
 
-def truth_amplitudes(ns, l, g, ts):
-    """(x1, x2, x3, x4) of the blocks with the base photon numbers ns at the
-    times ts, shape (4, nT, N), in long double from the closed form of the
-    coupling C = [[g f1, f1], [f2, g f2]] taken from the exact ladder
-    products f1^2 = (n+1)...(n+l) and f2^2 = (n+l+1)...(n+2l):
-    with a, d = (1 + g^2) f1^2, (1 + g^2) f2^2, b = 2 g f1 f2 and r =
-    hypot((d - a) / 2, b), sigma1 = sqrt((a + d) / 2 + r), sigma2 = f1 f2
-    |g^2 - 1| / sigma1, u1 = (c, s) along (b, r + (d - a) / 2), v1 along
-    C^T u1 and v2 = sign(g^2 - 1) (-v1[1], v1[0]);
-
-        x1 = c^2 cos sigma1 T + s^2 cos sigma2 T,
-        x4 = c s (cos sigma1 T - cos sigma2 T),
-        (x2, x3) = -(c sin sigma1 T v1 - s sin sigma2 T v2).
-
-    The times are the float64 grid's, made long double exactly."""
-    ld = np.longdouble
-    n = np.asarray(ns, dtype=ld)
-    sq1, sq2 = (np.prod([m + k for k in range(1, l + 1)], axis=0) for m in (n, n + l))
-    g, f1, f2 = ld(g), np.sqrt(sq1), np.sqrt(sq2)
-    half, b = (1 + g * g) / 2 * (sq2 - sq1), 2 * g * f1 * f2
-    r = np.hypot(half, b)
-    sigma1 = np.sqrt((1 + g * g) / 2 * (sq1 + sq2) + r)
-    sigma2 = f1 * f2 * abs(g * g - 1) / sigma1
-    norm = np.hypot(b, r + half)
-    c, s = b / norm, (r + half) / norm
-    v1 = np.array([g * f1 * c + f2 * s, f1 * c + g * f2 * s])
-    v1 /= np.hypot(v1[0], v1[1])
-    v2 = np.sign(g * g - 1) * np.array([-v1[1], v1[0]])
-    t = np.asarray(ts, dtype=float).astype(ld)[:, None]
-    e1, e2 = np.exp(1j * (t * sigma1)), np.exp(1j * (t * sigma2))
-    return np.array([c * c * e1.real + s * s * e2.real, s * e2.imag * v2[0] - c * e1.imag * v1[0],
-                     s * e2.imag * v2[1] - c * e1.imag * v1[1], c * s * (e1.real - e2.real)])
-
-
 def truth_states(c, l, g, ts):
-    """{atom: (trace, sz, sy)} in long double at the times ts, summed
-    directly over every block 0..n_max of the amplitude table c, with no
-    window and no transform: trace and sz are sum c_n^2 (x1^2 + x2^2 +-
-    (x3^2 + x4^2)) and sy is 2 sum c_n c_{n+l} (x2(n + l) x4(n) - x3(n)
-    x1(n + l)); atom 2 swaps x2 and x3."""
+    """{atom: (trace, sz, sy)} in long double at the times ts, contracted
+    directly (block_amplitudes, contract) over every block 0..n_max of the
+    amplitude table c, with the closed form's spectrum (truth_spectrum) and
+    the weights c_n^2 and c_n c_{n+l} in long double: no window and no
+    transform."""
     c = np.asarray(c, dtype=float).astype(np.longdouble)
-    m = max(c.size - l, 0)
-    x = truth_amplitudes(np.arange(c.size), l, g, ts)
-    p = (x * x) @ (c * c)  # (4, nT): each component's population
-    up, lo = x[:, :, l:], x[:, :, :m]  # blocks n + l and n
-    out = {}
-    for atom, (i2, i3) in ((AtomId.FIRST, (1, 2)), (AtomId.SECOND, (2, 1))):
-        plus, minus = p[0] + p[i2], p[i3] + p[3]
-        sy = 2 * ((up[i2] * lo[3] - lo[i3] * up[0]) @ (c[:m] * c[l:]))
-        out[atom] = plus + minus, plus - minus, sy
-    return out
+    x = block_amplitudes(truth_spectrum(np.arange(c.size), l, g), ts)
+    return contract(x, c * c, c[:-l] * c[l:], l)
 
 
 def _truth_entropy(m):

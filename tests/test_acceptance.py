@@ -66,7 +66,7 @@ from tjcm import (
 )
 from tjcm.reduced import max_deviation, swap_transform
 
-from conftest import amplitudes, eigen_table
+from conftest import block_amplitudes, package_spectrum
 
 LN2 = math.log(2.0)
 E_MIN = 1.0 - math.sqrt(2.0)
@@ -112,9 +112,8 @@ def extra_series():
 def test_criterion_1_closed_form_equivalence():
     """Numerical block evolution vs the closed form for (l, g) = (1, 1)."""
     start = time.perf_counter()
-    blocks = eigen_table(40, 1, 1.0)
     ts = np.linspace(0.0, 25.0, 1000)
-    x = amplitudes(blocks, ts)  # (4, 1000, 41)
+    x = block_amplitudes(package_spectrum(40, 1, 1.0), ts)  # (4, 1000, 41)
 
     n = np.arange(41.0)
     w = np.sqrt(4.0 * n + 6.0)

@@ -1,7 +1,8 @@
 """Interaction blocks, the block spectrum (block_spectrum: the Jacobi's
-eigenvalues, the closed-form SVD and eigenvectors), and evolution
-amplitudes (evaluated directly by conftest.amplitudes, the reference for
-the package's trig sums)."""
+eigenvalues, the closed-form SVD and eigenvectors), and the block
+amplitudes of block_spectrum's spectrum (evaluated in long double by
+conftest.block_amplitudes, the evaluator behind the references for the
+package's trig sums)."""
 
 import math
 import warnings
@@ -17,23 +18,18 @@ from tjcm import (AtomId, InternalConsistencyError, InvalidParameterError, coher
 from tjcm import blocks as blocks_module
 from tjcm.blocks import _NORM_TOL, block_spectrum, jacobi_eigh, transition_strength
 
-from conftest import (amplitudes, block_matrices, closed_form_x, coupling_svd, eigen_table,
-                      jacobi_reference, mp_block, packed)
+from conftest import (block_amplitudes, block_matrices, closed_form_x, coupling_svd, eigen_table,
+                      jacobi_reference, mp_block, package_spectrum, packed)
 
 EPS = np.finfo(float).eps
 
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "sweep.npz"
 
 
-def block(n, l, g):
-    """Spectrum (vals (1, 4), vecs (1, 4, 4)) of block n alone: the base
-    range n..n of eigen_table."""
-    return eigen_table(n, l, g, n)
-
-
-def evolve_one(spectrum, T):
-    """(x1, x2, x3, x4) of one block at one time, through amplitudes."""
-    return amplitudes(spectrum, np.array([float(T)]))[:, 0, 0]
+def evolve_one(n, l, g, T):
+    """(x1, x2, x3, x4) of block n alone at the one time T, from
+    block_spectrum's spectrum of the base range n..n."""
+    return block_amplitudes(package_spectrum(n, l, g, n), [T])[:, 0, 0]
 
 
 def test_build_block_lowest_symmetric():
@@ -41,9 +37,9 @@ def test_build_block_lowest_symmetric():
     assert h.shape == (1, 4, 4)
     assert h[0, 0, 2] == 1.0  # f1
     assert h[0, 1, 3] == pytest.approx(math.sqrt(2.0))  # f2
-    vals, _ = eigen_table(0, 1, 1.0)
+    w = block_spectrum(0, 1, 1.0)[0]
     # nonzero pair at +-sqrt(6), double zero in between
-    assert np.allclose(vals[0], [-math.sqrt(6), 0.0, 0.0, math.sqrt(6)], atol=1e-12)
+    assert np.allclose(w[0].astype(float), [-math.sqrt(6), 0.0, 0.0, math.sqrt(6)], atol=1e-12)
 
 
 def test_build_block_factorial_ratios():
@@ -168,10 +164,8 @@ def test_block_decoupling_at_g_zero():
     # component 3 alone at the one-atom frequency f1
     f1 = transition_strength(0, 1)
     ts = np.array([0.3, 1.1, 2.5])
-    x1, x2, x3, x4 = amplitudes(block(0, 1, 0.0), ts)[:, :, 0]
-    assert np.max(np.abs(x1 - np.cos(f1 * ts))) < 1e-12
-    assert np.max(np.abs(x3 + np.sin(f1 * ts))) < 1e-12
-    assert np.max(np.abs(x2)) < 1e-12 and np.max(np.abs(x4)) < 1e-12
+    x = block_amplitudes(package_spectrum(0, 1, 0.0), ts)[:, :, 0]
+    assert np.max(np.abs(x - [np.cos(f1 * ts), 0.0 * ts, -np.sin(f1 * ts), 0.0 * ts])) < 1e-12
 
 
 def test_bipartite_sparsity():
@@ -394,15 +388,13 @@ def test_jacobi_refuses_sweeps_that_do_not_converge(monkeypatch):
 
 
 def test_evolve_identity_at_t_zero():
-    assert tuple(evolve_one(block(9, 2, 0.5), 0.0)) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
+    for g in (0.0, 0.5, 1.0, 3.7):
+        assert tuple(evolve_one(9, 2, g, 0.0)) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
 
 
 def test_evolve_half_period_lowest_block():
-    x1, x2, x3, x4 = evolve_one(block(0, 1, 1.0), math.pi / math.sqrt(6.0))
-    assert x1 == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert x2 == pytest.approx(0.0, abs=1e-12)
-    assert x3 == pytest.approx(0.0, abs=1e-12)
-    assert x4 == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
+    x = evolve_one(0, 1, 1.0, math.pi / math.sqrt(6.0))
+    assert x == pytest.approx([1.0 / 3.0, 0.0, 0.0, -2.0 * math.sqrt(2.0) / 3.0], abs=1e-12)
 
 
 def test_closed_form_examples():
@@ -464,71 +456,28 @@ def test_closed_form_amplitudes_against_mpmath(l):
 
 
 def test_closed_form_cross_check_single_point():
-    assert np.max(np.abs(evolve_one(block(5, 1, 1.0), 1.7) - closed_form_x(5, 1.7))) < 1e-10
+    assert np.max(np.abs(evolve_one(5, 1, 1.0, 1.7) - closed_form_x(5, 1.7))) < 1e-10
 
 
 def test_symmetric_coupling_equalizes_middle_amplitudes():
-    blocks = eigen_table(12, 1, 1.0)
-    x = amplitudes(blocks, np.linspace(0.0, 10.0, 101))
+    x = block_amplitudes(package_spectrum(12, 1, 1.0), np.linspace(0.0, 10.0, 101))
     assert np.max(np.abs(x[1] - x[2])) < 1e-10
 
 
-def test_evolve_grid_per_block_matches_all_blocks():
-    vals, vecs = eigen_table(6, 2, 0.5)
-    ts = np.array([0.0, 3.3, 7.1])
-    table = amplitudes((vals, vecs), ts)
-    for n in range(7):
-        one = amplitudes((vals[n:n + 1], vecs[n:n + 1]), ts)
-        assert np.array_equal(table[:, :, n], one[:, :, 0])
-
-
 def test_evolve_rejects_malformed_block():
-    # identity "eigenvectors" with a generic spectrum are no bipartite
-    # block: e1's sine term falls on component 1, which keeps cosine sums
-    # only, so x = (cos 0.7, 0, 0, 0) and the norm check must catch the
-    # lost weight (cos^2(0.7) = 0.585)
-    from tjcm import InternalConsistencyError
-
-    vals = np.array([[1.0, 2.0, 3.0, 4.0]])
-    with pytest.raises(InternalConsistencyError, match="norm"):
-        amplitudes((vals, np.eye(4)[None]), np.array([0.7]))
-
-
-@pytest.mark.parametrize("l", [1, 2, 3])
-def test_evolve_grid_matches_complex_reference(l):
-    # the real cosine/sine sums are the real and imaginary parts of
-    # sum_k exp(-i w_k T) <v_k|e1> v_k, evaluated here in complex arithmetic
-    vals, vecs = eigen_table(40, l, 0.7)
-    ts = np.linspace(-6.0, 9.0, 31)
-    for lo, hi in ((0, 41), (0, 1), (17, 23), (40, 41)):
-        spectrum = vals[lo:hi], vecs[lo:hi]
-        phases = np.exp(-1j * ts[:, None, None] * spectrum[0])
-        ref = np.einsum("tnk,nk,njk->jtn", phases, spectrum[1][:, 0, :], spectrum[1])
-        expected = np.stack([ref[0].real, ref[1].imag, ref[2].imag, ref[3].real])
-        assert np.max(np.abs(amplitudes(spectrum, ts) - expected)) <= 1e-15
-
-
-def test_evolve_refuses_ill_conditioned_phases():
-    # max|w| * max|T| * eps above 1e-8 is refused, for negative T as well;
-    # the same spectrum on a shorter grid is evaluated
-    vals, vecs = eigen_table(5, 1, 1.0)
-    t_limit = 1e-8 / (np.max(np.abs(vals)) * np.finfo(float).eps)
-    for t in (2.0 * t_limit, -2.0 * t_limit):
-        with pytest.raises(InvalidParameterError, match="phase conditioning"):
-            amplitudes((vals, vecs), np.array([0.0, t]))
-    assert amplitudes((vals, vecs), np.array([0.0, 0.5 * t_limit])).shape == (4, 2, 6)
-
-
-def test_evolve_grid_bitwise_deterministic():
-    blocks = eigen_table(10, 1, 0.5)
-    ts = np.linspace(0.0, 7.0, 23)
-    assert np.array_equal(amplitudes(blocks, ts), amplitudes(blocks, ts))
+    """A spectrum whose u1 = (c, s) or v1 is off the unit circle, by 1e-12
+    or by half, gives amplitudes off unit norm, and the evaluator's norm
+    check refuses it at _NORM_TOL."""
+    sigma1, sigma2, c, s, v1, v2 = package_spectrum(0, 1, 0.5)
+    for bad in ((sigma1, sigma2, c * (1 + 1e-12), s * (1 + 1e-12), v1, v2),
+                (sigma1, sigma2, c, s, 1.5 * v1, v2)):
+        with pytest.raises(InternalConsistencyError, match="norm"):
+            block_amplitudes(bad, [0.7])
 
 
 def test_backward_evolution_allowed():
-    spectrum = block(1, 1, 0.8)
-    fwd = evolve_one(spectrum, 0.9)
-    back = evolve_one(spectrum, -0.9)
+    fwd = evolve_one(1, 1, 0.8, 0.9)
+    back = evolve_one(1, 1, 0.8, -0.9)
     # time reversal flips the imaginary components only
     assert np.max(np.abs(back - fwd * np.array([1.0, -1.0, -1.0, 1.0]))) < 1e-12
     # so on a grid with a negative step the reduced states keep their
@@ -550,5 +499,5 @@ def test_backward_evolution_allowed():
 )
 @settings(max_examples=80, deadline=None)
 def test_unitarity_property(n, l, g, T):
-    norm = float(np.sum(evolve_one(block(n, l, g), T) ** 2))
-    assert norm == pytest.approx(1.0, abs=1e-10)
+    norm = float(np.sum(evolve_one(n, l, g, T) ** 2))
+    assert norm == pytest.approx(1.0, abs=_NORM_TOL)

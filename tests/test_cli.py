@@ -51,6 +51,15 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def test_frozen_atom_reads_inside_the_unit_ball(capsys):
+    """At g 1e-300 atom 2 is frozen, and its inversion, a float64 dot,
+    rounds past its trace, an fsum, by 2 eps: the scan prints 1, not
+    1.0000000000000002."""
+    args = ["scan", "--alpha", "5", "--g", "1e-300", "--steps", "3", "--channels", "inv2"]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["T,inv2", "0,1", "12.5,1", "25,1"]
+
+
 def test_scan_refuses_ill_conditioned_phases(capsys):
     args = ["scan", "--alpha", "5", "--g", "1", "--l", "8", "--steps", "50",
             "--channels", "inv1"]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tjcm import (
     BlochVector,
-    ContractViolationError,
     InvalidParameterError,
     ReducedAtomState,
     binary_entropy_of_mean,
@@ -29,7 +28,7 @@ def e_x_identity_check(b):
     """Residual of the identity E_x = 2 [1 - 1/sqrt(exp H(z))], which holds
     whenever <x> = 0 (always true in this model) and pins E_x >= 0."""
     if np.any(np.abs(b.sx) > 1e-12):
-        raise ContractViolationError(f"identity requires sx = 0, got sx = {b.sx}")
+        raise AssertionError(f"identity requires sx = 0, got sx = {b.sx}")
     dh_z = np.exp(binary_entropy_of_mean(b.sz))
     return np.abs(entropy_squeezing(b, "x") - 2.0 * (1.0 - 1.0 / np.sqrt(dh_z)))
 
@@ -65,6 +64,19 @@ def test_bloch_readoff():
     for trace in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
         with pytest.raises(InvalidParameterError, match="trace must be > 0"):
             bloch(unit(sz=0.0, trace=trace))
+    # a vector that rounding carries a few eps past the sphere is pulled back
+    # until norm() reads at most 1 (a lone inversion to exactly 1), one inside
+    # is left bit for bit, and one beyond 1 + 1e-12 is refused
+    assert bloch(unit(sz=1.0 + 2 ** -52)) == BlochVector(0.0, 0.0, 1.0)
+    sy, sz = np.random.default_rng(3).normal(size=(2, 2000))
+    scale = np.hypot(sy, sz) * np.linspace(1.0 - 4e-16, 1.0 + 1e-15, 2000)
+    raw = BlochVector(0.0, sy / scale, sz / scale)
+    b, inside = bloch(unit(sy=raw.sy, sz=raw.sz)), raw.norm() <= 1.0
+    assert np.all(b.norm() <= 1.0) and 0 < np.count_nonzero(inside) < inside.size
+    assert np.array_equal(b.sz[inside], raw.sz[inside])
+    for norm in (1.0 + 2e-12, math.inf):
+        with pytest.raises(InvalidParameterError, match="norm .* is beyond 1"):
+            bloch(unit(sy=np.array([0.0, 0.6 * norm]), sz=np.array([1.0, 0.8 * norm])))
 
 
 def test_binary_entropy_values():
@@ -131,7 +143,7 @@ def test_e_x_identity():
     assert entropy_squeezing(BlochVector(0.0, 0.0, 0.0), "x") == pytest.approx(
         2.0 - math.sqrt(2.0), abs=1e-14
     )
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(AssertionError):
         e_x_identity_check(BlochVector(0.5, 0.0, 0.0))
 
 

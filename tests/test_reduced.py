@@ -15,6 +15,7 @@ import tjcm.reduced
 import tjcm.transform
 from tjcm import (
     AtomId,
+    BlochVector,
     FockWeights,
     InternalConsistencyError,
     InvalidParameterError,
@@ -27,7 +28,7 @@ from tjcm import (
 from tjcm import oracle
 from tjcm.reduced import max_deviation, reduced_states
 
-from conftest import amplitudes, eigen_table, reduced_direct, reduced_truth, sliced, through
+from conftest import eigen_table, reduced_direct, reduced_truth, sliced, through
 
 
 def reduced(weights, l, g, ts, atom):
@@ -260,10 +261,9 @@ def test_reduced_states_grid_matches_single_times():
 def test_reduced_states_match_direct_contraction_on_long_grids(monkeypatch):
     """Up to 2500 times (fig1 and fig2) and alpha 19.6, and at g = 1 (the
     double zero eigenvalue) and g = 0: at every time within 1e-15 of the
-    direct contraction of the same spectrum, the Jacobi's eigenvalues and
-    the closed-form vectors, unsymmetrized and unmerged
-    (conftest.reduced_direct).  The trig sums run over the merged
-    frequencies of the +- symmetric spectrum: 4 per block for the
+    direct long-double contraction of the same spectrum, block_spectrum's
+    own, unmerged (conftest.reduced_direct).  The trig sums run over the
+    merged frequencies of the +- symmetric spectrum: 4 per block for the
     populations and 8 per pair of blocks n + l, n for the coherences."""
     real, sizes = tjcm.transform.trig_sum, []
 
@@ -317,34 +317,26 @@ def test_reduced_states_refuse_times_off_a_uniform_grid():
 
 
 def test_reduced_states_match_long_double_sums():
-    """The photon-index contraction against a long-double sum of the
-    float64 terms over the amplitudes of every block from n = 0, up to
-    alpha = 30 (n_max = 1220), at every time of a grid through 1.3, 6.6
-    and 17.9: from alpha 12 on, reduced_states sums only its window
+    """The photon-index contraction against the direct one in long double
+    over the amplitudes of every block from n = 0, with block_spectrum's
+    own spectrum (conftest.reduced_direct with window=False), up to alpha
+    = 30 (n_max = 1220), at every time of a grid through 1.3, 6.6 and
+    17.9: from alpha 12 on, reduced_states sums only its window
     n_min..n_max, and the blocks it leaves out move nothing beyond the
-    bound.  The amplitudes take their phases in long double: rounded to
-    float64 they move these sums by up to 9e-14 on this grid.  Each
-    reference sum errs by at most 1220 * 5.4e-20 = 6.6e-17 times the sum
-    of its |terms| (at most 1) before its rounding to float64, beside the
-    1e-15 bound."""
+    bound.  Each reference sum errs by at most 1220 * 5.4e-20 = 6.6e-17
+    times the sum of its |terms| (at most 1) before its rounding to
+    float64, beside the 1e-15 bound."""
     for alpha, l, g in ((2.5, 2, 0.8), (5.0, 1, 0.8), (5.0, 2, 0.8), (12.0, 1, 2.0),
                         (12.0, 2, 2.0), (20.0, 1, 1.7), (20.0, 2, 1.7), (30.0, 1, 0.4),
                         (30.0, 2, 0.4)):
         w = coherent_weights(alpha)
         assert (w.window(l)[0] > 0) == (alpha >= 12.0)
         ts = np.linspace(0.0, 17.9, 180)
-        x = amplitudes(eigen_table(w.n_max, l, g), ts, long_double=True)
-        c, m = w.c, w.c.size - l
+        ref = reduced_direct(w, l, g, ts, window=False)
         for atom, state in reduced_states(w, l, g, ts, AtomId).items():
             assert state.sx == 0.0
-            x1, x2, x3, x4 = x if atom is AtomId.FIRST else x[[0, 2, 1, 3]]
-            pp, pm = c * c * (x1 ** 2 + x2 ** 2), c * c * (x3 ** 2 + x4 ** 2)
-            coh = c[l:] * c[:m] * (x2[:, l:] * x4[:, :m] - x3[:, :m] * x1[:, l:])
-            plus, minus, coh = (v.astype(np.longdouble).sum(axis=1) for v in (pp, pm, coh))
-            ref = ReducedAtomState(trace=(plus + minus).astype(float), sx=0.0,
-                                   sy=(2 * coh).astype(float), sz=(plus - minus).astype(float))
             # every entry of the 2x2 matrix: the populations and the coherence
-            assert max_deviation(state, ref) <= 1e-15
+            assert max_deviation(state, ref[atom]) <= 1e-15
 
 
 def test_sigma_off_the_closed_form_refused(monkeypatch):
@@ -436,12 +428,15 @@ def test_double_zero_eigenvalue_against_mpmath(l):
 
 
 def test_phase_conditioning_refused_before_any_transform(monkeypatch):
+    """max|w| max|T| eps beyond 1e-8 is refused before any trig sum runs:
+    l = 8 over t_max 25 (1.3e-6), and l = 1 on a grid that runs back to T
+    = -5e6 (sqrt(386) * 5e6 * eps = 2.2e-8), for negative T as well."""
     calls = []
     monkeypatch.setattr(tjcm.transform, "trig_sum", lambda *a: calls.append(a))
     w = coherent_weights(5.0)
-    with pytest.raises(InvalidParameterError, match="phase conditioning"):
-        # l = 8: conditioning 1.3e-6 over t_max 25
-        reduced_states(w, 8, 1.0, np.linspace(0.0, 25.0, 50), AtomId)
+    for l, grid in ((8, np.linspace(0.0, 25.0, 50)), (1, np.linspace(0.0, -5e6, 50))):
+        with pytest.raises(InvalidParameterError, match="phase conditioning"):
+            reduced_states(w, l, 1.0, grid, AtomId)
     assert calls == []
 
 
@@ -487,13 +482,24 @@ def test_trace_check_refuses_excess_window_mass():
 
 def test_populations_sum_to_the_window_mass():
     """The trace is the window mass S, exactly as math.fsum gives it, and
-    the normalized state's inversion is sz / S, bit for bit."""
+    the normalized state's inversion is sz / S, bit for bit, wherever (sy,
+    sz) / S lies in the unit ball.  Atom 2, frozen at g = 0 and 1e-300, has
+    for sz a float64 dot that rounds past S at alpha 5 (by 2 eps, at 499 of
+    the 500 times): there bloch reads an inversion of 1, and no Bloch
+    vector leaves the ball."""
     grid = np.linspace(0.0, 25.0, 500)
+    outside = 0
     for alpha in (0.5, 5.0, 12.0, 20.0):
         w = coherent_weights(alpha)
         for l in (1, 2):
             mass = math.fsum(w.window(l)[1])
-            for g in (0.0, 0.5, 2.0):
+            for g in (0.0, 1e-300, 0.5, 2.0):
                 for state in reduced_states(w, l, g, grid, AtomId).values():
                     assert state.trace == mass
-                    assert np.array_equal(bloch(state).sz, state.sz / mass)
+                    b, raw = bloch(state), BlochVector(0.0, state.sy / mass, state.sz / mass)
+                    inside = raw.norm() <= 1.0
+                    assert np.array_equal(b.sz[inside], raw.sz[inside])
+                    assert np.all(b.norm() <= 1.0)
+                    assert np.all(b.sz[~inside] == 1.0)
+                    outside += np.count_nonzero(~inside)
+    assert outside > 0

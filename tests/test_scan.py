@@ -255,6 +255,27 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert header.split(",")[0] == "T"
 
 
+def test_numpy_scalar_parameters_give_the_same_bytes():
+    """alpha, g, l and cutoff_eps as numpy scalars (an integer and a float32
+    alpha, a float32 g) write the bytes of the same Python numbers, and
+    reduced_states takes a numpy g as its float."""
+
+    def csv(params):
+        write_csv(run_scan(small_cfg(params=params, channels=CHANNEL_NAMES)), text := io.StringIO())
+        return text.getvalue()
+
+    want = csv(ModelParams(alpha=5.0, g=0.5, l=1))
+    for params in (ModelParams(np.int64(5), 0.5, 1), ModelParams(np.float32(5.0), 0.5, 1),
+                   ModelParams(5.0, np.float32(0.5), np.int64(1), np.float64(1e-12))):
+        assert {type(v) for v in (params.alpha, params.g, params.cutoff_eps)} == {float}
+        assert csv(params) == want
+    assert np.array_equal(coherent_weights(np.int64(3)).c, coherent_weights(3.0).c)
+    w, grid = coherent_weights(5.0), np.linspace(0.0, 4.0, 33)
+    want = reduced_states(w, 1, 0.5, grid, AtomId)
+    for atom, state in reduced_states(w, 1, np.float32(0.5), grid, AtomId).items():
+        assert np.array_equal(state.sz, want[atom].sz) and np.array_equal(state.sy, want[atom].sy)
+
+
 def per_value_csv(series):
     """The CSV as formatted one value at a time with f"{v:.17g}": the
     definition of write_csv's bytes."""

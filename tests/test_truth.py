@@ -15,7 +15,8 @@ import tjcm.reduced
 from tjcm import AtomId, ModelParams, ScanConfig, run_preset, run_scan
 from tjcm.scan import PRESET_CONFIGS
 
-from conftest import ALL_ATOM_CHANNELS, mp_block, truth_amplitudes, truth_channels, truth_states
+from conftest import (ALL_ATOM_CHANNELS, block_amplitudes, mp_block, truth_channels, truth_spectrum,
+                      truth_states)
 
 SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "sweep.npz"
 # the largest distance to the truth at any time, over the sweep and the
@@ -128,7 +129,7 @@ def test_truth_against_mpmath(op):
     mode = int(np.argmax(c))
     blocks = np.unique(np.r_[0:3, mode - 20:mode + 21, c.size - 2:c.size])
     ts = np.linspace(0.0, 25.0, 500)[[1, 250, 499]]
-    x = truth_amplitudes(blocks, l, g, ts)
+    x = block_amplitudes(truth_spectrum(blocks, l, g), ts)
     states = truth_states(np.where(np.isin(np.arange(c.size), blocks), c, 0.0), l, g, ts)
     with mp.workdps(30):
         ref = np.empty(x.shape, dtype=object)  # (4, nT, N) as x
