@@ -17,6 +17,7 @@ from tjcm import (AtomId, InternalConsistencyError, InvalidParameterError, coher
                   reduced_states)
 from tjcm import blocks as blocks_module
 from tjcm.blocks import _NORM_TOL, block_spectrum, jacobi_eigh, transition_strength
+from tjcm.transform import check_phase_conditioning
 
 from conftest import (block_amplitudes, block_matrices, closed_form_x, coupling_svd, eigen_table,
                       jacobi_reference, mp_block, package_spectrum, packed)
@@ -473,6 +474,20 @@ def test_evolve_rejects_malformed_block():
                 (sigma1, sigma2, c, s, 1.5 * v1, v2)):
         with pytest.raises(InternalConsistencyError, match="norm"):
             block_amplitudes(bad, [0.7])
+
+
+def test_evolve_refuses_ill_conditioned_phases():
+    """max|w| * max|T| * eps above 1e-8 is refused for block_spectrum's
+    spectrum, for negative T as well; the same spectrum on a shorter grid
+    passes, and its amplitudes are evaluated."""
+    w = block_spectrum(5, 1, 1.0)[0]
+    t_limit = 1e-8 / (float(np.max(np.abs(w))) * EPS)
+    for t in (2.0 * t_limit, -2.0 * t_limit):
+        with pytest.raises(InvalidParameterError, match="phase conditioning"):
+            check_phase_conditioning(w, np.array([0.0, t]))
+    short = np.array([0.0, 0.5 * t_limit])
+    check_phase_conditioning(w, short)
+    assert block_amplitudes(package_spectrum(5, 1, 1.0), short).shape == (4, 2, 6)
 
 
 def test_backward_evolution_allowed():
